@@ -2,6 +2,9 @@
 cavities: synthetic-mirror scattering, membrane-outside / Michelson-Sagnac /
 membrane-at-the-edge coupling constants, and input-output quantum noise."""
 
+# set before the submodule imports: datasets writes it into every .meta file
+__version__ = "0.1.0"
+
 from .constants import C_LIGHT, HBAR
 from .elements import (
     ElementSpec,
@@ -17,6 +20,7 @@ from .errors import (
     ConfigError,
     DegenerateDenominator,
     InvalidElement,
+    InvalidParameter,
     NoRootInWindow,
     NoZeroDispersivePoint,
     OptomechError,
@@ -67,8 +71,6 @@ from .datasets import (
 )
 from .validation import PROFILES, ToleranceProfile, ValidationReport, run_validation
 
-__version__ = "0.1.0"
-
 __all__ = [
     "C_LIGHT",
     "HBAR",
@@ -81,6 +83,7 @@ __all__ = [
     "synthetic_response",
     "OptomechError",
     "InvalidElement",
+    "InvalidParameter",
     "DegenerateDenominator",
     "NoZeroDispersivePoint",
     "NoRootInWindow",

@@ -122,7 +122,8 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
                         f"(default: ${CONFIG_ENV_VAR})")
     parser.add_argument("--out", help="output CSV path (sidecar: <out>.meta)")
     parser.add_argument("--workers", type=int, default=1,
-                        help="sweep worker processes (default 1)")
+                        help="accepted for existing scripts; sweeps run in one "
+                        "process and the output does not depend on it")
     parser.add_argument("--tolerance-profile", choices=sorted(PROFILES),
                         default="default", help="validation tolerance profile")
     parser.add_argument("--set", action="append", metavar="KEY=VALUE",
@@ -157,13 +158,12 @@ def main(argv: list[str] | None = None) -> int:
             entries = _load_entries(args)
             out = args.out or f"{args.command}.csv"
             spec = _build_scan_spec(args.command, entries, out)
-            dataset = run_scan(spec, workers=args.workers)
+            dataset = run_scan(spec)
             print(f"wrote {out} ({dataset.n_rows} rows) and {out}.meta")
             return 0
         if args.command == "figure":
             out = args.out or f"{args.figure_id}.csv"
-            dataset = reproduce_figure(args.figure_id, output_path=out,
-                                       workers=args.workers)
+            dataset = reproduce_figure(args.figure_id, output_path=out)
             print(f"wrote {out} ({dataset.n_rows} rows) and {out}.meta")
             return 0
         if args.command == "compare":

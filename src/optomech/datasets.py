@@ -3,26 +3,25 @@
 Output contract: comma-separated values with a header line naming the
 columns, every number rendered with 17 significant digits, plus a sidecar
 "<path>.meta" file of sorted "key = value" lines carrying the parameter
-values and normalizers.  Identical inputs produce byte-identical files
-regardless of worker count.
+values and normalizers.  Identical inputs produce byte-identical files.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import Callable
 
+import numpy as np
+
+from . import __version__
 from . import mate as mate_mod
 from . import mos as mos_mod
 from . import msi as msi_mod
 from . import noise as noise_mod
-from .constants import C_LIGHT
 from .elements import CONSTRAINT_TOL, ElementSpec, synthetic_response
-from .errors import ConfigError, OptomechError
-
-_VERSION = "0.1.0"
+from .errors import ConfigError, InvalidParameter, OptomechError
 
 #: reference parameter set used for the bundled figures
 FIGURE_PARAMS = {
@@ -91,9 +90,13 @@ class ScanSpec:
 
 
 # ---------------------------------------------------------------------------
-# per-target row evaluators (module-level for process-pool pickling)
+# per-target column evaluators: (fixed, parameter, values) -> named columns,
+# with values a numpy array of sweep points (or one float)
 
-def _row_synthetic(fixed: dict[str, float], psi: float) -> dict[str, float]:
+Columns = dict[str, np.ndarray]
+
+
+def _synthetic_columns(fixed: dict[str, float], parameter: str, psi) -> Columns:
     resp = synthetic_response(
         psi,
         ElementSpec.mirror(fixed["t"]),
@@ -108,7 +111,9 @@ def _row_synthetic(fixed: dict[str, float], psi: float) -> dict[str, float]:
     }
 
 
-def _mos_config(fixed: dict[str, float], parameter: str, value: float) -> mos_mod.MosConfig:
+def _mos_config(fixed: dict[str, float], parameter: str, value) -> mos_mod.MosConfig:
+    if not float(fixed["N"]).is_integer():
+        raise InvalidParameter(f"branch index N must be an integer, got {fixed['N']}")
     base = mos_mod.MosConfig(
         l=fixed["l"],
         wavelength=fixed["wavelength"],
@@ -120,15 +125,12 @@ def _mos_config(fixed: dict[str, float], parameter: str, value: float) -> mos_mo
     )
     if parameter == "x":
         return base
-    if parameter == "phi_over_phi0":
-        return base.at_phi(value * base.phi0)
-    raise ConfigError(f"mos target cannot sweep {parameter!r}")
+    return base.at_phi(value * base.phi0)
 
 
-def _row_mos(fixed: dict[str, float], parameter: str, value: float) -> dict[str, float]:
+def _mos_columns(fixed: dict[str, float], parameter: str, value) -> Columns:
     cfg = _mos_config(fixed, parameter, value)
     op = mos_mod.operating_point(cfg)
-    row = {parameter: value}
     derived = {
         "phi_over_phi0": op.phi / op.phi0,
         "T": op.T,
@@ -138,13 +140,14 @@ def _row_mos(fixed: dict[str, float], parameter: str, value: float) -> dict[str,
         "gamma_over_gamma0": op.gamma / cfg.gamma0,
         "g_omega0_over_g00": op.g_omega0 / op.g_00,
         "g_gamma0_over_g00": op.g_gamma0 / op.g_00,
-        "valid_thin_tandem": float(op.valid_thin_tandem),
+        "valid_thin_tandem": np.asarray(op.valid_thin_tandem, dtype=float),
     }
-    row.update((key, val) for key, val in derived.items() if key != parameter)
-    return row
+    columns = {parameter: value}
+    columns.update((key, val) for key, val in derived.items() if key != parameter)
+    return columns
 
 
-def _row_msi(fixed: dict[str, float], x: float) -> dict[str, float]:
+def _msi_columns(fixed: dict[str, float], parameter: str, x) -> Columns:
     cfg = msi_mod.MsiConfig.balanced(
         r_ms=fixed["r_ms"],
         l=fixed["l"],
@@ -163,7 +166,7 @@ def _row_msi(fixed: dict[str, float], x: float) -> dict[str, float]:
     }
 
 
-def _row_mate(fixed: dict[str, float], x: float) -> dict[str, float]:
+def _mate_columns(fixed: dict[str, float], parameter: str, x) -> Columns:
     cfg = mate_mod.MateConfig(
         l=fixed["l"],
         x=x,
@@ -182,12 +185,12 @@ def _row_mate(fixed: dict[str, float], x: float) -> dict[str, float]:
     }
 
 
-def _row_noise(fixed: dict[str, float], xi: float) -> dict[str, float]:
+def _noise_columns(fixed: dict[str, float], parameter: str, xi) -> Columns:
     big_a = 1.0 + fixed["gamma3_over_gamma"] / 2.0
     return {
         "xi": xi,
         "product_normalized": noise_mod.product_normalized(xi, big_a),
-        "theta_opt": math.atan2(xi, 1.0),
+        "theta_opt": np.arctan2(xi, 1.0),
     }
 
 
@@ -195,55 +198,73 @@ def _row_noise(fixed: dict[str, float], xi: float) -> dict[str, float]:
 class _Target:
     sweepable: tuple[str, ...]
     defaults: dict[str, float]
-    evaluate: object  # (fixed, [parameter,] value) -> row dict
-    takes_parameter: bool = False
+    columns: Callable[[dict[str, float], str, np.ndarray], Columns]
 
 
 TARGETS: dict[str, _Target] = {
     "synthetic": _Target(
         sweepable=("psi",),
         defaults={"t": 0.014, "t_m": 0.1, "phi_r": math.pi / 2},
-        evaluate=_row_synthetic,
+        columns=_synthetic_columns,
     ),
     "mos": _Target(
         sweepable=("phi_over_phi0", "x"),
         defaults=dict(FIGURE_PARAMS, N=0.0),
-        evaluate=_row_mos,
-        takes_parameter=True,
+        columns=_mos_columns,
     ),
     "msi": _Target(
         sweepable=("x",),
         defaults={"r_ms": 0.9, "Tb_sq": 0.5, "l": 1e-4, "wavelength": 0.85e-6},
-        evaluate=_row_msi,
+        columns=_msi_columns,
     ),
     "mate": _Target(
         sweepable=("x",),
         defaults=dict(FIGURE_PARAMS, phi_r=math.pi),
-        evaluate=_row_mate,
+        columns=_mate_columns,
     ),
     "noise": _Target(
         sweepable=("xi",),
         defaults={"gamma3_over_gamma": 0.0},
-        evaluate=_row_noise,
+        columns=_noise_columns,
     ),
 }
 
 
-def _eval_point(target_name: str, fixed: dict[str, float], parameter: str,
-                value: float) -> dict[str, float]:
-    target = TARGETS[target_name]
-    try:
-        if target.takes_parameter:
-            return target.evaluate(fixed, parameter, value)
-        return target.evaluate(fixed, value)
-    except OptomechError as exc:
-        raise type(exc)(f"{exc} [at sweep point {parameter} = {value!r}]") from exc
-
-
-def _sweep_values(spec: ScanSpec) -> list[float]:
+def _sweep_values(spec: ScanSpec) -> np.ndarray:
+    # start + i * span / n, not np.linspace, whose rounding would move the
+    # exact grid points (0.0, 1.0, ...) that anchors are read at
     span = spec.stop - spec.start
     n = spec.points - 1
-    return [spec.start + i * span / n for i in range(spec.points)]
+    return spec.start + np.arange(spec.points) * span / n
+
+
+def _evaluate(target: _Target, fixed: dict[str, float], parameter: str,
+              values: np.ndarray) -> dict[str, list[float]]:
+    """Every column of a sweep, as lists.  An error, or a non-finite value,
+    names the first sweep point that produces it."""
+    with np.errstate(all="ignore"):  # non-finite values are reported below
+        try:
+            columns = target.columns(fixed, parameter, values)
+        except OptomechError:
+            for value in values.tolist():
+                try:
+                    target.columns(fixed, parameter, value)
+                except OptomechError as exc:
+                    raise type(exc)(
+                        f"{exc} [at sweep point {parameter} = {value!r}]"
+                    ) from exc
+            raise
+    first = len(values)
+    for name, column in columns.items():
+        bad = np.flatnonzero(~np.isfinite(column[:first]))
+        if bad.size:
+            first, bad_name = bad[0], name
+    if first < len(values):
+        raise ConfigError(
+            f"{bad_name} is not finite for these parameters "
+            f"[at sweep point {parameter} = {values[first].item()!r}]"
+        )
+    return {name: column.tolist() for name, column in columns.items()}
 
 
 def run_scan(spec: ScanSpec, workers: int = 1) -> FigureDataset:
@@ -251,8 +272,7 @@ def run_scan(spec: ScanSpec, workers: int = 1) -> FigureDataset:
 
     Validates the spec (unknown target/parameter, point count < 2,
     non-finite bounds, swept parameter also fixed -> ConfigError), then
-    evaluates every point in input order; results do not depend on the
-    worker count.
+    evaluates all points at once.  workers is accepted and ignored.
     """
     if spec.target not in TARGETS:
         raise ConfigError(
@@ -278,27 +298,7 @@ def run_scan(spec: ScanSpec, workers: int = 1) -> FigureDataset:
             f"unknown parameters for target {spec.target!r}: {sorted(unknown)}"
         )
     fixed = {**target.defaults, **spec.fixed}
-
-    values = _sweep_values(spec)
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            rows = list(
-                pool.map(
-                    _eval_point,
-                    [spec.target] * len(values),
-                    [fixed] * len(values),
-                    [spec.parameter] * len(values),
-                    values,
-                    chunksize=max(1, len(values) // (4 * workers)),
-                )
-            )
-    else:
-        rows = [_eval_point(spec.target, fixed, spec.parameter, v) for v in values]
-
-    columns: dict[str, list[float]] = {key: [] for key in rows[0]}
-    for row in rows:
-        for key, val in row.items():
-            columns[key].append(val)
+    columns = _evaluate(target, fixed, spec.parameter, _sweep_values(spec))
 
     metadata: dict[str, object] = {
         "target": spec.target,
@@ -306,7 +306,7 @@ def run_scan(spec: ScanSpec, workers: int = 1) -> FigureDataset:
         "start": spec.start,
         "stop": spec.stop,
         "points": spec.points,
-        "version": _VERSION,
+        "version": __version__,
         "tolerance.element_constraint": CONSTRAINT_TOL,
     }
     for key, val in sorted(fixed.items()):
@@ -326,8 +326,7 @@ def run_scan(spec: ScanSpec, workers: int = 1) -> FigureDataset:
 FIGURE_IDS = ("fig2", "fig3", "fig4")
 
 
-def reproduce_figure(figure_id: str, output_path: str | None = None,
-                     workers: int = 1) -> FigureDataset:
+def reproduce_figure(figure_id: str, output_path: str | None = None) -> FigureDataset:
     """Datasets behind the bundled figures.
 
     fig2: normalized coupling constants g_omega0/g_00 and g_gamma0/g_00
@@ -341,8 +340,7 @@ def reproduce_figure(figure_id: str, output_path: str | None = None,
     if figure_id in ("fig2", "fig3"):
         scan = run_scan(
             ScanSpec(target="mos", parameter="phi_over_phi0",
-                     start=-4.0, stop=4.0, points=801),
-            workers=workers,
+                     start=-4.0, stop=4.0, points=801)
         )
         if figure_id == "fig2":
             keep = ("phi_over_phi0", "g_omega0_over_g00", "g_gamma0_over_g00")
@@ -354,16 +352,16 @@ def reproduce_figure(figure_id: str, output_path: str | None = None,
             metadata={**scan.metadata, "figure_id": figure_id},
         )
     else:
-        xi_values = _sweep_values(
+        xi = _sweep_values(
             ScanSpec(target="noise", parameter="xi", start=-20.0, stop=20.0, points=801)
         )
-        columns: dict[str, list[float]] = {"xi": list(xi_values)}
+        columns: dict[str, list[float]] = {"xi": xi.tolist()}
         loss_fractions = (0.0, 0.5, 1.0)
         for frac in loss_fractions:
             big_a = 1.0 + frac / 2.0
-            columns[f"product_normalized_loss{int(100 * frac)}"] = [
-                noise_mod.product_normalized(xi, big_a) for xi in xi_values
-            ]
+            columns[f"product_normalized_loss{int(100 * frac)}"] = (
+                noise_mod.product_normalized(xi, big_a).tolist()
+            )
         dataset = FigureDataset(
             name="fig4",
             columns=columns,
@@ -376,7 +374,7 @@ def reproduce_figure(figure_id: str, output_path: str | None = None,
                 "stop": 20.0,
                 "loss_fractions": "0,0.5,1",
                 "normalizer.product_unit": "hbar^2/4",
-                "version": _VERSION,
+                "version": __version__,
                 "tolerance.element_constraint": CONSTRAINT_TOL,
             },
         )
@@ -423,8 +421,9 @@ class ComparisonTable:
 def compare_systems(params: dict[str, float] | None = None) -> ComparisonTable:
     """Dissipative constant, decay rate, and cooperativity of the three
     systems at their zero-dispersive operating points, with MOS-referenced
-    ratio columns.  Per-system infeasibility (NoZeroDispersivePoint) is
-    reported in the row's error column instead of propagating."""
+    ratio columns.  A per-system error (an infeasible system, a parameter
+    out of range) is reported in the row's error column instead of
+    propagating."""
     p = dict(COMPARE_DEFAULTS)
     if params:
         unknown = set(params) - set(COMPARE_DEFAULTS)
@@ -432,7 +431,6 @@ def compare_systems(params: dict[str, float] | None = None) -> ComparisonTable:
             raise ConfigError(f"unknown compare parameters: {sorted(unknown)}")
         p.update(params)
     k = 2.0 * math.pi / p["wavelength"]
-    omega_c = C_LIGHT * k
     mech = dict(
         l=p["l"], wavelength=p["wavelength"], x_zpf=p["x_zpf"],
         gamma_m=p["gamma_m"], a0=p["a0"],
@@ -443,8 +441,11 @@ def compare_systems(params: dict[str, float] | None = None) -> ComparisonTable:
     mos_row: dict[str, object] = {"system": "mos", "error": ""}
     try:
         mos_mod.zero_dispersive_locus(p["t"], p["t_m"])
-        mos_row["g_gamma0"] = 2.0 * omega_c * p["t"] ** 2 / (p["l"] * p["t_m"] ** 4)
-        mos_row["gamma"] = C_LIGHT * p["t"] ** 2 / (p["l"] * p["t_m"] ** 2)
+        mos_cfg = mos_mod.MosConfig(l=p["l"], wavelength=p["wavelength"],
+                                    t=p["t"], t_m=p["t_m"], x=0.0)
+        # the Phi = Phi0 operating point: g_gamma0 = g_00 / 2, gamma = gamma0 / 2
+        mos_row["g_gamma0"] = mos_cfg.g_00 / 2.0
+        mos_row["gamma"] = mos_cfg.gamma0 / 2.0
         mos_row["cooperativity"] = noise_mod.cooperativity_mos(
             t=p["t"], t_m=p["t_m"], **mech
         )
@@ -497,5 +498,5 @@ def compare_systems(params: dict[str, float] | None = None) -> ComparisonTable:
 
     metadata: dict[str, object] = {f"param.{key}": val for key, val in sorted(p.items())
                                    if val is not None}
-    metadata["version"] = _VERSION
+    metadata["version"] = __version__
     return ComparisonTable(rows=rows, metadata=metadata)

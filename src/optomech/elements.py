@@ -39,6 +39,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateDenominator, InvalidElement
+from .numerics import any_true, cos_sin
 
 TWO_PI = 2.0 * math.pi
 
@@ -46,8 +47,18 @@ TWO_PI = 2.0 * math.pi
 CONSTRAINT_TOL = 1e-12
 
 
-def reduce_phase(psi: float) -> float:
-    """Reduce a phase to (-pi, pi] using the exact IEEE remainder."""
+def reduce_phase(psi):
+    """Reduce a phase, or each phase of an array, to (-pi, pi] using the
+    exact IEEE remainder."""
+    if isinstance(psi, np.ndarray):
+        # math.remainder by CPython's steps, each exact in IEEE doubles; on a
+        # tie (m == c) the even multiple of TWO_PI wins
+        absx = np.abs(psi)
+        m = np.fmod(absx, TWO_PI)
+        c = TWO_PI - m
+        tie = m - 2.0 * np.fmod(0.5 * (absx - m), TWO_PI)
+        out = np.copysign(1.0, psi) * np.where(m < c, m, np.where(m > c, -c, tie))
+        return np.where(out <= -math.pi, out + TWO_PI, out)
     out = math.remainder(psi, TWO_PI)
     if out <= -math.pi:  # remainder may return -pi for boundary inputs
         out += TWO_PI
@@ -259,12 +270,13 @@ class SyntheticMirrorResponse:
 
 
 def synthetic_response(
-    psi: float,
+    psi,
     mirror: ElementSpec,
     membrane: ElementSpec,
     tol: float = CONSTRAINT_TOL,
 ) -> SyntheticMirrorResponse:
-    """Closed-form synthetic-mirror response at tandem phase psi.
+    """Closed-form synthetic-mirror response at tandem phase psi (a float,
+    or a numpy array evaluated elementwise).
 
         T(psi)       = t^2 t_m^2 / (1 + r^2 r_m^2 + 2 r r_m cos psi)
         tan mu(psi)  = r_m t^2 sin psi /
@@ -286,11 +298,10 @@ def synthetic_response(
     t, r = mirror.t, mirror.r
     t_m, r_m = membrane.t, membrane.r
     psi_red = reduce_phase(psi)
-    cos_psi = math.cos(psi_red)
-    sin_psi = math.sin(psi_red)
+    cos_psi, sin_psi = cos_sin(psi_red)
 
     denom = 1.0 + r * r * r_m * r_m + 2.0 * r * r_m * cos_psi
-    if denom < 1e-300:
+    if any_true(denom < 1e-300):
         raise DegenerateDenominator(
             "transmission denominator vanishes (r = r_m = 1, psi = pi)"
         )
@@ -301,11 +312,11 @@ def synthetic_response(
     p = r * (1.0 + r_m * r_m) + r_m * (1.0 + r * r) * cos_psi
     q = r_m * t * t * sin_psi
     refl_sq = r * r + r_m * r_m + 2.0 * r * r_m * cos_psi  # |r + r_m e^{i psi}|^2
-    if refl_sq <= 0.0:
+    if any_true(refl_sq <= 0.0):
         raise DegenerateDenominator(
             "reflection amplitude vanishes (r = r_m, psi = pi); mu undefined"
         )
-    mu = math.atan2(q, p)
+    mu = np.arctan2(q, p)
     dmu = (
         r_m * t * t * (r_m * (1.0 + r * r) + r * (1.0 + r_m * r_m) * cos_psi)
         / (refl_sq * denom)

@@ -5,6 +5,10 @@ class OptomechError(Exception):
     """Base class for all package errors."""
 
 
+class InvalidParameter(OptomechError, ValueError):
+    """A model parameter is non-finite or outside its allowed range."""
+
+
 class InvalidElement(OptomechError):
     """An optical element violates losslessness or its phase constraint."""
 

@@ -25,8 +25,15 @@ from dataclasses import dataclass, replace
 
 from .constants import C_LIGHT
 from .elements import TWO_PI, ElementSpec, synthetic_response
-from .errors import BranchAmbiguity, NoRootInWindow
-from .numerics import bisect, bracket_roots
+from .errors import BranchAmbiguity, InvalidParameter, NoRootInWindow
+from .numerics import (
+    any_true,
+    bisect,
+    bracket_roots,
+    central_diff_richardson,
+    cos_sin,
+    require_finite,
+)
 
 #: resonance-scan grid step, as a fraction of the free spectral range pi/l
 SCAN_STEPS_PER_FSR = 50
@@ -37,7 +44,8 @@ class MateConfig:
     """Membrane-at-the-edge geometry.
 
     l           cavity length (m)
-    x           membrane distance from the input mirror (m), 0 < x < l
+    x           membrane distance from the input mirror (m), 0 < x < l; a
+                numpy array of distances makes mate_exact_decay elementwise
     t, t_m      mirror / membrane amplitude transmissions
     phi_r       membrane reflection phase (rad)
     wavelength  nominal vacuum wavelength (m), sets omega_c = 2 pi c / wavelength
@@ -51,14 +59,16 @@ class MateConfig:
     phi_r: float = math.pi
 
     def __post_init__(self) -> None:
-        if not 0.0 < self.x < self.l:
-            raise ValueError(f"need 0 < x < l, got x={self.x}, l={self.l}")
+        require_finite(l=self.l, x=self.x, t=self.t, t_m=self.t_m,
+                       wavelength=self.wavelength, phi_r=self.phi_r)
+        if any_true((self.x <= 0.0) | (self.x >= self.l)):
+            raise InvalidParameter(f"need 0 < x < l, got x={self.x}, l={self.l}")
         if not 0.0 < self.t_m <= 1.0:
-            raise ValueError(f"t_m must lie in (0, 1], got {self.t_m}")
+            raise InvalidParameter(f"t_m must lie in (0, 1], got {self.t_m}")
         if not 0.0 <= self.t <= 1.0:
-            raise ValueError(f"t must lie in [0, 1], got {self.t}")
+            raise InvalidParameter(f"t must lie in [0, 1], got {self.t}")
         if self.wavelength <= 0.0:
-            raise ValueError(f"wavelength must be positive, got {self.wavelength}")
+            raise InvalidParameter(f"wavelength must be positive, got {self.wavelength}")
 
     @property
     def r_m(self) -> float:
@@ -314,8 +324,7 @@ def mate_exact_decay(cfg: MateConfig, k: float) -> MateExactDecay:
     """
     r_m = cfg.r_m
     psi = 2.0 * k * cfg.x + cfg.phi_r
-    cos_psi = math.cos(psi)
-    sin_psi = math.sin(psi)
+    cos_psi, sin_psi = cos_sin(psi)
     b_fac = 1.0 + r_m * r_m + 2.0 * r_m * cos_psi
     t2tm2 = cfg.t ** 2 * cfg.t_m ** 2
 
@@ -361,6 +370,4 @@ def dispersive_from_resonance(
         roots = mate_resonances(cfg_x, (k_c - span, k_c + span), residual_tol=1e-13)
         return min(roots, key=lambda r: abs(r - k_c))
 
-    d1 = (k_at(cfg.x + h) - k_at(cfg.x - h)) / (2.0 * h)
-    d2 = (k_at(cfg.x + h / 2) - k_at(cfg.x - h / 2)) / h
-    return (4.0 * d2 - d1) / 3.0
+    return central_diff_richardson(k_at, cfg.x, h)

@@ -33,8 +33,14 @@ from dataclasses import dataclass, replace
 
 from .constants import C_LIGHT
 from .elements import TWO_PI, ElementSpec, synthetic_response
-from .errors import NoRootInWindow, NoZeroDispersivePoint
-from .numerics import bisect, bracket_roots
+from .errors import InvalidParameter, NoRootInWindow, NoZeroDispersivePoint
+from .numerics import (
+    any_true,
+    bisect,
+    bracket_roots,
+    central_diff_richardson,
+    require_finite,
+)
 
 #: default margin interpreting the thin-tandem inequality x << l t_m^4/(4 t^2)
 THIN_TANDEM_MARGIN = 0.01
@@ -49,7 +55,8 @@ class MosConfig:
     t          mirror amplitude transmission
     t_m        membrane amplitude transmission
     phi_r      membrane reflection phase (rad)
-    x          membrane-mirror gap (m)
+    x          membrane-mirror gap (m); a numpy array of gaps makes the
+               gap-dependent properties and operating_point elementwise
     N          branch index of the maximal-transparency gap x_tilde
     """
 
@@ -62,16 +69,18 @@ class MosConfig:
     N: int = 0
 
     def __post_init__(self) -> None:
+        require_finite(l=self.l, wavelength=self.wavelength, t=self.t,
+                       t_m=self.t_m, x=self.x, phi_r=self.phi_r)
         if self.l <= 0.0:
-            raise ValueError(f"cavity length must be positive, got {self.l}")
+            raise InvalidParameter(f"cavity length must be positive, got {self.l}")
         if self.wavelength <= 0.0:
-            raise ValueError(f"wavelength must be positive, got {self.wavelength}")
+            raise InvalidParameter(f"wavelength must be positive, got {self.wavelength}")
         if not 0.0 < self.t_m <= 1.0:
-            raise ValueError(f"t_m must lie in (0, 1], got {self.t_m}")
+            raise InvalidParameter(f"t_m must lie in (0, 1], got {self.t_m}")
         if not 0.0 <= self.t <= 1.0:
-            raise ValueError(f"t must lie in [0, 1], got {self.t}")
-        if self.x < 0.0:
-            raise ValueError(f"gap must be non-negative, got {self.x}")
+            raise InvalidParameter(f"t must lie in [0, 1], got {self.t}")
+        if any_true(self.x < 0.0):
+            raise InvalidParameter(f"gap must be non-negative, got {self.x}")
 
     @property
     def k(self) -> float:
@@ -143,7 +152,7 @@ class MosConfig:
 
 @dataclass(frozen=True)
 class OperatingPoint:
-    """MOS quantities at one membrane position (thin-tandem forms)."""
+    """MOS quantities at one gap or an array of gaps (thin-tandem forms)."""
 
     phi: float
     phi0: float
@@ -362,6 +371,4 @@ def dispersive_from_resonance(cfg: MosConfig, h: float = 1e-12) -> float:
     def omega_at(x: float) -> float:
         return C_LIGHT * solve_resonance(replace(cfg, x=x), n_mode=n_mode)
 
-    d1 = (omega_at(cfg.x + h) - omega_at(cfg.x - h)) / (2.0 * h)
-    d2 = (omega_at(cfg.x + h / 2) - omega_at(cfg.x - h / 2)) / h
-    return (4.0 * d2 - d1) / 3.0
+    return central_diff_richardson(omega_at, cfg.x, h)

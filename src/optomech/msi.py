@@ -19,7 +19,13 @@ import math
 from dataclasses import dataclass
 
 from .constants import C_LIGHT
-from .errors import DegenerateDenominator, InvalidElement, NoZeroDispersivePoint
+from .errors import (
+    DegenerateDenominator,
+    InvalidElement,
+    InvalidParameter,
+    NoZeroDispersivePoint,
+)
+from .numerics import any_true, cos_sin, require_finite
 
 COEFF_TOL = 1e-12
 
@@ -32,7 +38,8 @@ class MsiConfig:
     r_ms, t_ms  real membrane reflection/transmission amplitudes
     l           effective optical length (m)
     k           wavevector (1/m)
-    x           membrane displacement from the symmetric position (m)
+    x           membrane displacement from the symmetric position (m); an
+                array of them makes msi_couplings elementwise
     """
 
     R_b: float
@@ -44,6 +51,8 @@ class MsiConfig:
     x: float = 0.0
 
     def __post_init__(self) -> None:
+        require_finite(R_b=self.R_b, T_b=self.T_b, r_ms=self.r_ms,
+                       t_ms=self.t_ms, l=self.l, k=self.k, x=self.x)
         for name, val in (("R_b", self.R_b), ("T_b", self.T_b),
                           ("r_ms", self.r_ms), ("t_ms", self.t_ms)):
             if not 0.0 <= val <= 1.0:
@@ -55,12 +64,14 @@ class MsiConfig:
         if ms > COEFF_TOL:
             raise InvalidElement(f"membrane r_ms^2 + t_ms^2 deviates from 1 by {ms:.3e}")
         if self.l <= 0.0 or self.k <= 0.0:
-            raise ValueError(f"l and k must be positive, got l={self.l}, k={self.k}")
+            raise InvalidParameter(f"l and k must be positive, got l={self.l}, k={self.k}")
 
     @classmethod
     def balanced(cls, r_ms: float, l: float, k: float, x: float = 0.0,
                  Tb_sq: float = 0.5) -> "MsiConfig":
         """Config from power splitting ratio Tb_sq and membrane reflectivity."""
+        if not 0.0 <= Tb_sq <= 1.0:
+            raise InvalidParameter(f"Tb_sq must lie in [0, 1], got {Tb_sq}")
         return cls(
             R_b=math.sqrt(1.0 - Tb_sq),
             T_b=math.sqrt(Tb_sq),
@@ -84,12 +95,11 @@ class EffectiveMirror:
 
 def msi_effective_mirror(cfg: MsiConfig) -> EffectiveMirror:
     """Effective input-mirror amplitudes (rho, tau) at displacement x."""
-    c2 = math.cos(2.0 * cfg.k * cfg.x)
-    s2 = math.sin(2.0 * cfg.k * cfg.x)
-    rho = complex(
+    c2, s2 = cos_sin(2.0 * cfg.k * cfg.x)
+    rho = (
         -2.0 * cfg.R_b * cfg.T_b * cfg.t_ms
-        - (cfg.R_b ** 2 - cfg.T_b ** 2) * cfg.r_ms * c2,
-        cfg.r_ms * s2,
+        - (cfg.R_b ** 2 - cfg.T_b ** 2) * cfg.r_ms * c2
+        + 1j * (cfg.r_ms * s2)
     )
     tau = cfg.t_ms * (cfg.T_b ** 2 - cfg.R_b ** 2) + 2.0 * cfg.R_b * cfg.T_b * cfg.r_ms * c2
     return EffectiveMirror(rho=rho, tau=tau)
@@ -113,10 +123,9 @@ def msi_couplings(cfg: MsiConfig) -> MsiCouplings:
     divided by |rho|^2 (the |rho|^2 factor matters away from |tau| << 1).
     """
     em = msi_effective_mirror(cfg)
-    c2 = math.cos(2.0 * cfg.k * cfg.x)
-    s2 = math.sin(2.0 * cfg.k * cfg.x)
+    c2, s2 = cos_sin(2.0 * cfg.k * cfg.x)
     rho_sq = abs(em.rho) ** 2
-    if rho_sq == 0.0:
+    if any_true(rho_sq == 0.0):
         raise DegenerateDenominator(
             "effective mirror is fully transmissive (rho = 0); phase undefined"
         )

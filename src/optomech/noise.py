@@ -187,12 +187,13 @@ def general_spectra(
     return s_xx, s_ff
 
 
-def product_normalized(xi: float, big_a: float) -> float:
+def product_normalized(xi, big_a: float):
     """Backaction-imprecision product in units of hbar^2/4:
-    (A^2 + 2 A xi^2) / (1 + xi^2)."""
-    if math.isinf(xi):
-        return 2.0 * big_a
-    return (big_a ** 2 + 2.0 * big_a * xi ** 2) / (1.0 + xi ** 2)
+    (A^2 + 2 A xi^2) / (1 + xi^2), elementwise for an array xi; its limit
+    2 A at infinite xi."""
+    with np.errstate(invalid="ignore"):  # inf/inf, replaced by the limit
+        product = (big_a ** 2 + 2.0 * big_a * xi ** 2) / (1.0 + xi ** 2)
+    return np.where(np.isinf(xi), 2.0 * big_a, product)[()]
 
 
 @dataclass(frozen=True)

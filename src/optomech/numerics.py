@@ -2,12 +2,46 @@
 
 These are used both by the library (resonance solvers) and by the
 validation suite, where they serve as independent oracles for the
-closed-form derivatives.
+closed-form derivatives.  The first three helpers serve the closed forms
+that take either a float or a numpy array.
 """
 
 from __future__ import annotations
 
+import math
 from typing import Callable, Sequence
+
+import numpy as np
+
+from .errors import InvalidParameter
+
+
+def any_true(condition) -> bool:
+    """Whether a condition holds: a bool as is, an array anywhere (np.any
+    would cost microseconds on every scalar check)."""
+    if isinstance(condition, np.ndarray):
+        return bool(condition.any())
+    return bool(condition)
+
+
+def cos_sin(angle):
+    """(cos angle, sin angle): floats for a float, which math computes
+    faster than numpy, or arrays for an array."""
+    if isinstance(angle, np.ndarray):
+        return np.cos(angle), np.sin(angle)
+    return math.cos(angle), math.sin(angle)
+
+
+def require_finite(**values) -> None:
+    """Raise InvalidParameter naming the first value (scalar or array) that
+    is, or holds, an inf or a NaN."""
+    for name, value in values.items():
+        if isinstance(value, np.ndarray):
+            finite = bool(np.isfinite(value).all())
+        else:
+            finite = math.isfinite(value)
+        if not finite:
+            raise InvalidParameter(f"{name} must be finite, got {value}")
 
 
 def central_diff_5pt(f: Callable[[float], float], x: float, h: float) -> float:
@@ -59,24 +93,26 @@ def bisect(
     return 0.5 * (a + b)
 
 
+def sign_change_brackets(
+    grid: Sequence[float], values: Sequence[float]
+) -> list[tuple[float, float, float, float]]:
+    """Sign-change brackets of values sampled on a monotone grid.
+
+    Each bracket is (lo, hi, f(lo), f(hi)), in grid order.  Exact zeros at a
+    grid node are returned as a degenerate bracket (node, node, 0, 0).
+    """
+    brackets: list[tuple[float, float, float, float]] = []
+    for i, fx in enumerate(values):
+        if fx == 0.0:
+            brackets.append((grid[i], grid[i], 0.0, 0.0))
+        elif i and values[i - 1] * fx < 0.0:
+            brackets.append((grid[i - 1], grid[i], values[i - 1], fx))
+    return brackets
+
+
 def bracket_roots(
     f: Callable[[float], float], grid: Sequence[float]
 ) -> list[tuple[float, float, float, float]]:
-    """Scan f on a monotone grid and return sign-change brackets.
-
-    Each bracket is (lo, hi, f(lo), f(hi)).  Exact zeros at a grid node are
-    returned as a degenerate bracket (node, node, 0, 0).
-    """
-    brackets: list[tuple[float, float, float, float]] = []
-    prev_x = grid[0]
-    prev_f = f(prev_x)
-    if prev_f == 0.0:
-        brackets.append((prev_x, prev_x, 0.0, 0.0))
-    for x in grid[1:]:
-        fx = f(x)
-        if fx == 0.0:
-            brackets.append((x, x, 0.0, 0.0))
-        elif prev_f != 0.0 and prev_f * fx < 0.0:
-            brackets.append((prev_x, x, prev_f, fx))
-        prev_x, prev_f = x, fx
-    return brackets
+    """Scan f on a monotone grid and return its sign-change brackets (see
+    sign_change_brackets)."""
+    return sign_change_brackets(grid, [f(x) for x in grid])

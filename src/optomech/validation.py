@@ -27,7 +27,7 @@ from .elements import (
     element_scattering,
     synthetic_response,
 )
-from .numerics import bisect, bracket_roots, central_diff_5pt
+from .numerics import bisect, central_diff_5pt, sign_change_brackets
 
 
 @dataclass(frozen=True)
@@ -229,7 +229,9 @@ def _check_locus_oracle(rng: np.random.Generator, tol: ToleranceProfile,
             return synthetic_response(psi, mirror, membrane).dmu_dpsi
 
         grid = np.linspace(1e-3, 2.0 * math.pi - 1e-3, 4001)
-        brackets = bracket_roots(dmu, list(grid))
+        brackets = sign_change_brackets(
+            grid.tolist(), synthetic_response(grid, mirror, membrane).dmu_dpsi.tolist()
+        )
         roots = sorted(
             bisect(dmu, a, b, f_lo=fa, f_hi=fb, ftol=0.0, xtol=1e-13)
             for a, b, fa, fb in brackets

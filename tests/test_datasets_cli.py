@@ -9,8 +9,8 @@ import pytest
 
 from optomech import ConfigError, ScanSpec, compare_systems, reproduce_figure, run_scan
 from optomech.cli import main, read_config
-from optomech.datasets import FigureDataset, format_value
-from optomech.errors import DegenerateDenominator
+from optomech.datasets import TARGETS, FigureDataset, format_value
+from optomech.errors import DegenerateDenominator, InvalidParameter
 
 
 class TestScan:
@@ -47,6 +47,29 @@ class TestScan:
         assert (tmp_path / "serial.csv").read_bytes() == \
             (tmp_path / "pooled.csv").read_bytes()
 
+    @pytest.mark.parametrize("target, parameter, start, stop", [
+        ("synthetic", "psi", -3.0, 3.0),
+        ("mos", "phi_over_phi0", -4.0, 4.0),
+        ("mos", "x", 1e-9, 3e-7),
+        ("msi", "x", 0.0, 1e-6),
+        ("mate", "x", 1e-7, 1e-6),
+        ("noise", "xi", -20.0, 20.0),
+    ])
+    def test_columns_match_pointwise_evaluation(self, target, parameter, start, stop):
+        # one array evaluation per column against the same closed forms at
+        # each point; squares of arrays may round differently from float
+        # powers, so a few ulps of the column scale are allowed
+        ds = run_scan(ScanSpec(target=target, parameter=parameter,
+                               start=start, stop=stop, points=201))
+        evaluate = TARGETS[target].columns
+        defaults = TARGETS[target].defaults
+        rows = [evaluate(defaults, parameter, v) for v in ds.columns[parameter]]
+        for name, column in ds.columns.items():
+            pointwise = np.array([float(row[name]) for row in rows])
+            scale = np.max(np.abs(pointwise))
+            np.testing.assert_allclose(column, pointwise, rtol=0.0,
+                                       atol=4 * np.finfo(float).eps * scale)
+
     def test_spec_validation(self):
         good = dict(target="mos", parameter="phi_over_phi0",
                     start=-1.0, stop=1.0, points=3)
@@ -72,6 +95,14 @@ class TestScan:
                         fixed={"t": 0.0, "t_m": 0.0})
         with pytest.raises(DegenerateDenominator, match="sweep point"):
             run_scan(spec)
+
+    def test_error_names_first_failing_point(self):
+        # points 3 and 4 lie beyond the cavity length l = 1e-4
+        spec = ScanSpec(target="mate", parameter="x", start=4e-5, stop=1.6e-4, points=4)
+        first_bad = 4e-5 + 2 * 1.2e-4 / 3
+        with pytest.raises(InvalidParameter) as info:
+            run_scan(spec)
+        assert str(info.value).endswith(f"[at sweep point x = {first_bad!r}]")
 
     def test_csv_format(self, tmp_path):
         path = tmp_path / "out.csv"
@@ -309,3 +340,36 @@ class TestCli:
         assert main(["synthetic", "--config", str(cfg), "--out", str(two),
                      "--workers", "2"]) == 0
         assert one.read_bytes() == two.read_bytes()
+
+    @pytest.mark.parametrize("argv, code, message", [
+        (["mos", "--set", "mos.l=-1"], 1, "cavity length must be positive"),
+        (["mos", "--set", "mos.t=1.5"], 1, "t must lie in [0, 1]"),
+        (["mos", "--set", "mos.wavelength=inf"], 1, "wavelength must be finite"),
+        (["mos", "--set", "mos.l=nan"], 1, "l must be finite"),
+        (["mos", "--set", "mos.N=0.7"], 1, "N must be an integer"),
+        (["mos", "--set", "mos.t=0"], 1, "gamma_over_gamma0 is not finite"),
+        (["msi", "--set", "msi.Tb_sq=2"], 1, "Tb_sq must lie in [0, 1]"),
+        (["mate"], 1, "need 0 < x < l, got x=0.0"),
+        (["compare", "--set", "compare.mate_x=1"], 0,
+         "mate,,,,nan,nan,nan,InvalidParameter"),
+        (["compare", "--set", "compare.t_m=0"], 0,
+         "mate,,,,nan,nan,nan,InvalidParameter"),
+    ])
+    def test_bad_input_is_one_error_line(self, tmp_path, capsys, argv, code, message):
+        # scans exit 1 with a single error line and write nothing; compare
+        # reports the failing system in its row's error column
+        scan = {"mos": "phi_over_phi0", "msi": "x", "mate": "x"}.get(argv[0])
+        if scan:
+            argv = argv + ["--set", f"scan.parameter={scan}", "--set", "scan.start=0",
+                     "--set", "scan.stop=1e-6", "--set", "scan.points=5"]
+        out = tmp_path / "out.csv"
+        assert main(argv + ["--out", str(out)]) == code
+        err = capsys.readouterr().err
+        if code:
+            assert len(err.splitlines()) == 1
+            assert err.startswith("error:") and message in err
+            assert "[at sweep point" in err
+            assert not out.exists()
+        else:
+            assert err == ""
+            assert message in out.read_text().splitlines()

@@ -17,6 +17,7 @@ from optomech import (
     element_scattering,
     synthetic_response,
 )
+from optomech.elements import reduce_phase
 from optomech.numerics import central_diff_5pt
 
 K_REF = 2 * math.pi / 0.85e-6
@@ -164,6 +165,37 @@ class TestSyntheticResponse:
         assert resp.T == pytest.approx(0.075058741424196, abs=1e-12)
         assert abs(resp.dT_dpsi) < 1e-12
         assert resp.mu == pytest.approx(0.0, abs=1e-15)
+
+    def test_array_phase_reduction_matches_scalar(self):
+        # the array path re-implements math.remainder; it must agree bit for
+        # bit, signed zeros and the ties at odd multiples of pi included
+        rng = np.random.default_rng(5)
+        psi = np.concatenate([
+            rng.uniform(-50.0, 50.0, 5000), rng.uniform(-1e8, 1e8, 1000),
+            np.arange(-40, 41) * math.pi, [0.0, -0.0, 1e300, -1e-320],
+        ])
+        got = reduce_phase(psi)
+        want = np.array([reduce_phase(p) for p in psi.tolist()])
+        assert np.array_equal(got, want)
+        assert np.array_equal(np.signbit(got), np.signbit(want))
+
+    def test_array_response_matches_scalar(self):
+        # floats take math's cos/sin, arrays numpy's: a few ulps at most
+        psi = np.linspace(-7.0, 7.0, 301)
+        resp = synthetic_response(psi, self.mirror, self.membrane)
+        points = [synthetic_response(p, self.mirror, self.membrane) for p in psi.tolist()]
+        for name in ("psi", "T", "mu", "dT_dpsi", "dmu_dpsi"):
+            pointwise = np.array([getattr(one, name) for one in points])
+            np.testing.assert_allclose(
+                getattr(resp, name), pointwise, rtol=0.0,
+                atol=4 * np.finfo(float).eps * np.max(np.abs(pointwise)),
+            )
+
+    def test_array_degenerate_point_raises(self):
+        # one degenerate phase in a column raises, as it does alone
+        with pytest.raises(DegenerateDenominator):
+            synthetic_response(np.array([0.5, math.pi, 1.0]), ElementSpec.mirror(0.0),
+                               ElementSpec.membrane(0.0))
 
     def test_matches_composed_matrix(self):
         rng = np.random.default_rng(3)
