@@ -124,8 +124,6 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--workers", type=int, default=1,
                         help="accepted for existing scripts; sweeps run in one "
                         "process and the output does not depend on it")
-    parser.add_argument("--tolerance-profile", choices=sorted(PROFILES),
-                        default="default", help="validation tolerance profile")
     parser.add_argument("--set", action="append", metavar="KEY=VALUE",
                         help="override a config entry (repeatable)")
 
@@ -147,6 +145,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_val = sub.add_parser("validate", help="run the oracle validation suite")
     _add_common(p_val)
     p_val.add_argument("--suite", choices=("fast", "full"), default="fast")
+    p_val.add_argument("--tolerance-profile", choices=sorted(PROFILES),
+                       default="default", help="validation tolerance profile")
     return parser
 
 

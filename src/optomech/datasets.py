@@ -22,6 +22,7 @@ from . import msi as msi_mod
 from . import noise as noise_mod
 from .elements import CONSTRAINT_TOL, ElementSpec, synthetic_response
 from .errors import ConfigError, InvalidParameter, OptomechError
+from .numerics import require_finite
 
 #: reference parameter set used for the bundled figures
 FIGURE_PARAMS = {
@@ -238,6 +239,19 @@ def _sweep_values(spec: ScanSpec) -> np.ndarray:
     return spec.start + np.arange(spec.points) * span / n
 
 
+def _scan_metadata(spec: ScanSpec) -> dict[str, object]:
+    """The .meta entries that describe a sweep's grid and the build."""
+    return {
+        "target": spec.target,
+        "parameter": spec.parameter,
+        "start": spec.start,
+        "stop": spec.stop,
+        "points": spec.points,
+        "version": __version__,
+        "tolerance.element_constraint": CONSTRAINT_TOL,
+    }
+
+
 def _evaluate(target: _Target, fixed: dict[str, float], parameter: str,
               values: np.ndarray) -> dict[str, list[float]]:
     """Every column of a sweep, as lists.  An error, or a non-finite value,
@@ -300,15 +314,7 @@ def run_scan(spec: ScanSpec, workers: int = 1) -> FigureDataset:
     fixed = {**target.defaults, **spec.fixed}
     columns = _evaluate(target, fixed, spec.parameter, _sweep_values(spec))
 
-    metadata: dict[str, object] = {
-        "target": spec.target,
-        "parameter": spec.parameter,
-        "start": spec.start,
-        "stop": spec.stop,
-        "points": spec.points,
-        "version": __version__,
-        "tolerance.element_constraint": CONSTRAINT_TOL,
-    }
+    metadata = _scan_metadata(spec)
     for key, val in sorted(fixed.items()):
         metadata[f"param.{key}"] = val
     if spec.target == "mos":
@@ -352,9 +358,8 @@ def reproduce_figure(figure_id: str, output_path: str | None = None) -> FigureDa
             metadata={**scan.metadata, "figure_id": figure_id},
         )
     else:
-        xi = _sweep_values(
-            ScanSpec(target="noise", parameter="xi", start=-20.0, stop=20.0, points=801)
-        )
+        spec = ScanSpec(target="noise", parameter="xi", start=-20.0, stop=20.0, points=801)
+        xi = _sweep_values(spec)
         columns: dict[str, list[float]] = {"xi": xi.tolist()}
         loss_fractions = (0.0, 0.5, 1.0)
         for frac in loss_fractions:
@@ -366,16 +371,10 @@ def reproduce_figure(figure_id: str, output_path: str | None = None) -> FigureDa
             name="fig4",
             columns=columns,
             metadata={
+                **_scan_metadata(spec),
                 "figure_id": "fig4",
-                "target": "noise",
-                "parameter": "xi",
-                "points": 801,
-                "start": -20.0,
-                "stop": 20.0,
                 "loss_fractions": "0,0.5,1",
                 "normalizer.product_unit": "hbar^2/4",
-                "version": __version__,
-                "tolerance.element_constraint": CONSTRAINT_TOL,
             },
         )
     if output_path:
@@ -396,6 +395,13 @@ COMPARE_DEFAULTS: dict[str, float] = {
     "msi_Tb_sq": 0.48,
     "mate_x": None,  # default: l t_m^2 / 4000 (deep near-edge)
 }
+
+#: compare parameters that are lengths, rates or the drive amplitude
+_COMPARE_POSITIVE = ("l", "wavelength", "x_zpf", "gamma_m", "a0", "omega_m", "mate_x")
+
+#: what fails one system's row: the package's errors, and the overflow (or
+#: underflow to a zero divisor) of a closed form at extreme parameters
+_ROW_ERRORS = (OptomechError, ArithmeticError)
 
 COMPARE_COLUMNS = (
     "system", "g_gamma0", "gamma", "cooperativity",
@@ -418,18 +424,35 @@ class ComparisonTable:
         Path(str(path) + ".meta").write_text("\n".join(meta) + "\n")
 
 
+def _store(row: dict[str, object], **values: float) -> None:
+    """Put values into a comparison row; a zero or non-finite coupling,
+    rate, cooperativity or ratio is the row's error, never a divisor."""
+    for name, value in values.items():
+        if not (math.isfinite(value) and value != 0.0):
+            raise InvalidParameter(f"{row['system']} {name} = {value!r}")
+    row.update(values)
+
+
 def compare_systems(params: dict[str, float] | None = None) -> ComparisonTable:
     """Dissipative constant, decay rate, and cooperativity of the three
     systems at their zero-dispersive operating points, with MOS-referenced
-    ratio columns.  A per-system error (an infeasible system, a parameter
-    out of range) is reported in the row's error column instead of
-    propagating."""
+    ratio columns (nan where the MOS row or the row itself has an error).
+
+    Every parameter must be finite, and lengths, rates and the drive
+    amplitude positive (InvalidParameter).  A per-system error (an
+    infeasible system, a parameter out of range, a zero or overflowing
+    result) is reported in the row's error column instead of propagating."""
     p = dict(COMPARE_DEFAULTS)
     if params:
         unknown = set(params) - set(COMPARE_DEFAULTS)
         if unknown:
             raise ConfigError(f"unknown compare parameters: {sorted(unknown)}")
         p.update(params)
+    given = {key: val for key, val in p.items() if val is not None}
+    require_finite(**{f"compare.{key}": val for key, val in given.items()})
+    for key in _COMPARE_POSITIVE:
+        if key in given and not given[key] > 0.0:
+            raise InvalidParameter(f"compare.{key} must be positive, got {given[key]}")
     k = 2.0 * math.pi / p["wavelength"]
     mech = dict(
         l=p["l"], wavelength=p["wavelength"], x_zpf=p["x_zpf"],
@@ -444,12 +467,11 @@ def compare_systems(params: dict[str, float] | None = None) -> ComparisonTable:
         mos_cfg = mos_mod.MosConfig(l=p["l"], wavelength=p["wavelength"],
                                     t=p["t"], t_m=p["t_m"], x=0.0)
         # the Phi = Phi0 operating point: g_gamma0 = g_00 / 2, gamma = gamma0 / 2
-        mos_row["g_gamma0"] = mos_cfg.g_00 / 2.0
-        mos_row["gamma"] = mos_cfg.gamma0 / 2.0
-        mos_row["cooperativity"] = noise_mod.cooperativity_mos(
+        _store(mos_row, g_gamma0=mos_cfg.g_00 / 2.0, gamma=mos_cfg.gamma0 / 2.0)
+        _store(mos_row, cooperativity=noise_mod.cooperativity_mos(
             t=p["t"], t_m=p["t_m"], **mech
-        )
-    except OptomechError as exc:
+        ))
+    except _ROW_ERRORS as exc:
         mos_row["error"] = type(exc).__name__
     rows.append(mos_row)
 
@@ -459,12 +481,11 @@ def compare_systems(params: dict[str, float] | None = None) -> ComparisonTable:
             r_ms=p["msi_r_ms"], l=p["l"], k=k, Tb_sq=p["msi_Tb_sq"]
         )
         zd = msi_mod.msi_zero_dispersive(msi_cfg)
-        msi_row["g_gamma0"] = zd.g_gamma0_benchmark
-        msi_row["gamma"] = zd.gamma_ms
-        msi_row["cooperativity"] = noise_mod.cooperativity_msi(
+        _store(msi_row, g_gamma0=zd.g_gamma0_benchmark, gamma=zd.gamma_ms)
+        _store(msi_row, cooperativity=noise_mod.cooperativity_msi(
             r_ms=p["msi_r_ms"], gamma_ms=zd.gamma_ms, omega_m=p["omega_m"], **mech
-        )
-    except OptomechError as exc:
+        ))
+    except _ROW_ERRORS as exc:
         msi_row["error"] = type(exc).__name__
     rows.append(msi_row)
 
@@ -478,23 +499,24 @@ def compare_systems(params: dict[str, float] | None = None) -> ComparisonTable:
             wavelength=p["wavelength"],
         )
         zd_mate = mate_mod.mate_zero_dispersive(mate_cfg)
-        mate_row["g_gamma0"] = zd_mate.g_gamma0_mag
-        mate_row["gamma"] = zd_mate.gamma_mate
-        mate_row["cooperativity"] = noise_mod.cooperativity_mate(
+        _store(mate_row, g_gamma0=zd_mate.g_gamma0_mag, gamma=zd_mate.gamma_mate)
+        _store(mate_row, cooperativity=noise_mod.cooperativity_mate(
             t=p["t"], t_m=p["t_m"], omega_m=p["omega_m"], **mech
-        )
-    except OptomechError as exc:
+        ))
+    except _ROW_ERRORS as exc:
         mate_row["error"] = type(exc).__name__
     rows.append(mate_row)
 
     mos_ok = not mos_row["error"]
     for row in rows:
+        row["g_ratio_mos"] = row["gamma_ratio_mos"] = row["coop_ratio_mos"] = math.nan
         if mos_ok and not row["error"]:
-            row["g_ratio_mos"] = mos_row["g_gamma0"] / row["g_gamma0"]
-            row["gamma_ratio_mos"] = mos_row["gamma"] / row["gamma"]
-            row["coop_ratio_mos"] = mos_row["cooperativity"] / row["cooperativity"]
-        else:
-            row["g_ratio_mos"] = row["gamma_ratio_mos"] = row["coop_ratio_mos"] = math.nan
+            try:
+                _store(row, g_ratio_mos=mos_row["g_gamma0"] / row["g_gamma0"],
+                       gamma_ratio_mos=mos_row["gamma"] / row["gamma"],
+                       coop_ratio_mos=mos_row["cooperativity"] / row["cooperativity"])
+            except InvalidParameter as exc:
+                row["error"] = type(exc).__name__
 
     metadata: dict[str, object] = {f"param.{key}": val for key, val in sorted(p.items())
                                    if val is not None}

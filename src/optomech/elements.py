@@ -121,7 +121,7 @@ class ElementSpec:
             )
         if self.kind == "membrane":
             phase_defect = abs(cmath.exp(2j * (self.phi_r - self.phi_t)) + 1.0)
-            if phase_defect > tol:
+            if not phase_defect <= tol:  # a NaN phase fails too
                 raise InvalidElement(
                     "membrane phase constraint exp(2i(phi_r-phi_t)) = -1 "
                     f"violated by {phase_defect:.3e} (tol {tol:.1e})"

@@ -2,47 +2,54 @@
 
 Each test prints a single "ACCEPTANCE <name>: PASS/FAIL" line (visible
 with pytest -s; the -v test status line mirrors it) and then asserts.
+The oracle criteria run the `optomech validate` checks at fixed seeds and
+sample counts and print each check's result line.
 """
 
 import math
 from dataclasses import replace
 
 import numpy as np
-import pytest
 
 from optomech import (
     DriveConfig,
-    ElementSpec,
     MateConfig,
     MosConfig,
     MsiConfig,
     NoZeroDispersivePoint,
     PortRates,
-    compose_synthetic,
     cooperativity,
-    element_scattering,
-    exact_corrections,
     general_spectra,
     homodyne_spectra,
     mate_zero_dispersive,
     msi_couplings,
     msi_effective_mirror,
     msi_zero_dispersive,
-    operating_point,
     reproduce_figure,
-    synthetic_response,
     two_port_setpoint,
-    zero_dispersive_locus,
 )
-from optomech.constants import C_LIGHT, HBAR
-from optomech.mate import classify_branch, mate_resonances, branch_wavevector
-from optomech.mate import dispersive_from_resonance, mate_dispersive_constant
 from optomech.numerics import bisect, bracket_roots, central_diff_5pt
+from optomech.validation import (
+    PROFILES,
+    CheckResult,
+    _check_locus_oracle,
+    _check_mate_dkdx,
+    _check_mate_resonances,
+    _check_regime,
+    _check_response_derivatives,
+    _check_unitarity,
+)
+
+DEFAULT = PROFILES["default"]
 
 
 def report(name: str, ok: bool, detail: str) -> None:
     print(f"ACCEPTANCE {name}: {'PASS' if ok else 'FAIL'} ({detail})")
     assert ok, f"{name}: {detail}"
+
+
+def report_check(name: str, result: CheckResult) -> None:
+    report(name, result.passed, result.line())
 
 
 def test_fig2_reproduction():
@@ -137,55 +144,14 @@ def test_single_photon_benchmark():
 
 
 def test_zero_dispersive_locus_oracle():
-    rng = np.random.default_rng(2024)
-    worst_psi = 0.0
-    worst_phi_ratio = 0.0
-    for _ in range(100):
-        t_m = float(rng.uniform(0.03, 0.15))
-        t = float(rng.uniform(1.05 * t_m ** 2, 0.2 * t_m))
-        locus = zero_dispersive_locus(t, t_m)
-        mirror, membrane = ElementSpec.mirror(t), ElementSpec.membrane(t_m)
-
-        def dmu(psi):
-            return synthetic_response(psi, mirror, membrane).dmu_dpsi
-
-        grid = list(np.linspace(1e-3, 2 * math.pi - 1e-3, 2001))
-        roots = sorted(
-            bisect(dmu, a, b, f_lo=fa, f_hi=fb, ftol=0.0, xtol=1e-13)
-            for a, b, fa, fb in bracket_roots(dmu, grid)
-        )
-        assert len(roots) == 2
-        worst_psi = max(worst_psi, abs(roots[0] - locus.psi_star[0]),
-                        abs(roots[1] - locus.psi_star[1]))
-        phi0 = t_m ** 2 / 4
-        half = (locus.psi_star[1] - math.pi) / 2
-        worst_phi_ratio = max(
-            worst_phi_ratio, abs(half - phi0) / phi0 / (t ** 2 / t_m ** 2)
-        )
-    report(
-        "zero-dispersive-locus-oracle",
-        worst_psi < 1e-9 and worst_phi_ratio < 3.0,
-        f"100 draws: |dpsi| {worst_psi:.2e} (tol 1e-9); half-offset vs Phi0 "
-        f"within {worst_phi_ratio:.2f} x t^2/t_m^2 (tol 3)",
-    )
+    report_check("zero-dispersive-locus-oracle",
+                 _check_locus_oracle(np.random.default_rng(2024), DEFAULT, samples=100))
 
 
 def test_derivative_oracles():
     rng = np.random.default_rng(77)
+    tandem = _check_response_derivatives(rng, DEFAULT, samples=120)
     worst = 0.0
-    for _ in range(120):
-        t_m = float(rng.uniform(0.2, 0.9))
-        t = t_m * float(rng.uniform(0.1, 0.8))
-        mirror, membrane = ElementSpec.mirror(t), ElementSpec.membrane(t_m)
-        psi = float(rng.uniform(0.4, math.pi - 0.4))
-        if rng.uniform() < 0.5:
-            psi += math.pi
-        resp = synthetic_response(psi, mirror, membrane)
-        fd_t = central_diff_5pt(
-            lambda p: synthetic_response(p, mirror, membrane).T, psi, 1e-4)
-        fd_mu = central_diff_5pt(
-            lambda p: synthetic_response(p, mirror, membrane).mu, psi, 1e-4)
-        worst = max(worst, abs(resp.dT_dpsi / fd_t - 1), abs(resp.dmu_dpsi / fd_mu - 1))
     k = 2 * math.pi / 0.85e-6
     for _ in range(120):
         cfg = MsiConfig.balanced(
@@ -202,9 +168,9 @@ def test_derivative_oracles():
         worst = max(worst, abs(cpl.dtau_dx / fd_tau - 1), abs(cpl.dmu_dx / fd_mu - 1))
     report(
         "derivative-oracles",
-        worst < 1e-6,
-        f"tandem dT/dpsi, dmu/dpsi and MSI dtau/dx, dmu/dx vs 5-point "
-        f"central differences: worst relative {worst:.2e} (tol 1e-6)",
+        tandem.passed and worst < 1e-6,
+        f"{tandem.line()}; MSI dtau/dx, dmu/dx vs 5-point central differences: "
+        f"worst relative {worst:.2e} (tol 1e-6)",
     )
 
 
@@ -226,19 +192,10 @@ def _resonant_at_psi(cfg: MateConfig, psi: float) -> tuple[float, float]:
 
 
 def test_mate_resonance_oracle():
+    family = _check_mate_resonances(DEFAULT)
+    dkdx = _check_mate_dkdx(DEFAULT)
     cfg = MateConfig(l=1e-4, x=1e-6, t=0.014, t_m=0.1,
                      wavelength=0.85e-6, phi_r=math.pi)
-    fsr = math.pi / cfg.l
-    roots = mate_resonances(cfg, (cfg.k - fsr / 2, cfg.k + fsr / 2))
-    worst_family = 0.0
-    worst_dkdx = 0.0
-    for root in roots:
-        branch = classify_branch(cfg, root)
-        k_again = branch_wavevector(cfg, branch, root)
-        worst_family = max(worst_family, abs(k_again - root) / root)
-        closed = mate_dispersive_constant(cfg, root).dk_dx
-        numeric = dispersive_from_resonance(cfg, root)
-        worst_dkdx = max(worst_dkdx, abs(closed / numeric - 1.0))
     # zero-dispersive points: raw slope changes sign at Phi = +-t_m/2
     def raw_slope(phi: float) -> float:
         k, x = _resonant_at_psi(cfg, math.pi + 2 * phi)
@@ -257,9 +214,8 @@ def test_mate_resonance_oracle():
     )
     report(
         "mate-resonance-oracle",
-        worst_family < 1e-10 and worst_dkdx < 1e-4 and phi_star_ok,
-        f"family match {worst_family:.2e} (tol 1e-10); dk/dx vs re-solve "
-        f"{worst_dkdx:.2e} (tol 1e-4); slope sign changes at Phi = "
+        family.passed and dkdx.passed and phi_star_ok,
+        f"{family.line()}; {dkdx.line()}; slope sign changes at Phi = "
         f"{[round(c, 5) for c in crossings]} vs +-{cfg.t_m / 2}",
     )
 
@@ -292,53 +248,10 @@ def test_cross_system_benchmark():
 
 
 def test_thin_tandem_regime():
-    rng = np.random.default_rng(99)
-    worst = 0.0
-    wavelength = 0.85e-6
-    for _ in range(40):
-        t_m = float(rng.uniform(0.02, 0.06))
-        t = float(rng.uniform(0.02, 0.1)) * t_m
-        base = MosConfig(l=0.1, wavelength=wavelength, t=t, t_m=t_m, x=0.0,
-                         phi_r=math.pi - 1e-3)
-        phi = float(rng.uniform(-0.6, 0.6)) * base.phi0
-        gap_cap = 0.9 * 0.01 * base.thin_tandem_bound()
-        n_max = int((gap_cap - base.x_tilde - phi / base.k) / (wavelength / 2))
-        cfg = replace(base, N=int(rng.integers(0, max(1, n_max + 1)))).at_phi(phi)
-        assert cfg.x < 0.01 * cfg.thin_tandem_bound()
-        resp = synthetic_response(cfg.psi, cfg.mirror, cfg.membrane)
-        corr = exact_corrections(cfg)
-        worst = max(worst, abs(corr.gamma_exact / (C_LIGHT * resp.T / (2 * cfg.l)) - 1))
-        worst = max(
-            worst,
-            abs(corr.g_omega_exact / (-(C_LIGHT * cfg.k / cfg.l) * resp.dmu_dpsi) - 1),
-        )
-    report(
-        "thin-tandem-regime",
-        worst < 1e-2,
-        f"finite-gap corrections under x < 0.01 l t_m^4/(4 t^2): worst "
-        f"relative {worst:.2e} (tol 1e-2)",
-    )
+    report_check("thin-tandem-regime",
+                 _check_regime(np.random.default_rng(99), DEFAULT, samples=40))
 
 
 def test_unitarity_suite():
-    rng = np.random.default_rng(123)
-    worst = 0.0
-    for _ in range(1000):
-        mirror = ElementSpec.mirror(float(rng.uniform(0.01, 0.999)))
-        membrane = ElementSpec.membrane(
-            float(rng.uniform(0.01, 0.999)),
-            phi_r=float(rng.uniform(-math.pi, math.pi)),
-        )
-        worst = max(worst, element_scattering(mirror).unitarity_defect())
-        worst = max(worst, element_scattering(membrane).unitarity_defect())
-        tandem = compose_synthetic(
-            mirror, membrane,
-            x=float(rng.uniform(0.0, 2e-6)), k=float(rng.uniform(1e6, 1e7)),
-        )
-        worst = max(worst, tandem.unitarity_defect())
-    report(
-        "unitarity-suite",
-        worst <= 1e-10,
-        f"1000 random element/tandem matrices: worst S^dag S defect "
-        f"{worst:.2e} (tol 1e-10)",
-    )
+    report_check("unitarity-suite",
+                 _check_unitarity(np.random.default_rng(123), DEFAULT, samples=1000))

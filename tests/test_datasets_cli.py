@@ -1,15 +1,21 @@
 """Scan layer and CLI tests: output schema, determinism across worker
 counts, config parsing, error exit codes, and the comparison table."""
 
+import contextlib
+import io
 import math
 import os
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from optomech import ConfigError, ScanSpec, compare_systems, reproduce_figure, run_scan
 from optomech.cli import main, read_config
-from optomech.datasets import TARGETS, FigureDataset, format_value
+from optomech.datasets import COMPARE_DEFAULTS, TARGETS, FigureDataset, format_value
 from optomech.errors import DegenerateDenominator, InvalidParameter
 
 
@@ -316,6 +322,12 @@ class TestCli:
         assert main(["validate", "--suite", "fast"]) == 0
         output = capsys.readouterr().out
         assert "PASS" in output and "FAIL" not in output
+        assert main(["validate", "--suite", "fast", "--tolerance-profile", "strict"]) == 0
+        output = capsys.readouterr().out
+        assert "profile=strict: 9/9 checks passed" in output and "FAIL" not in output
+        # the profile is a validate flag only
+        with pytest.raises(SystemExit):
+            main(["mos", "--tolerance-profile", "strict"])
 
     def test_validate_corrupted_tolerance_fails(self, capsys, monkeypatch):
         # harness self-test: an impossible unitarity tolerance must be
@@ -354,11 +366,23 @@ class TestCli:
          "mate,,,,nan,nan,nan,InvalidParameter"),
         (["compare", "--set", "compare.t_m=0"], 0,
          "mate,,,,nan,nan,nan,InvalidParameter"),
+        (["synthetic", "--set", "synthetic.phi_r=nan"], 1, "membrane phase constraint"),
+        (["compare", "--set", "compare.t=0"], 0, "mos,,,,nan,nan,nan,InvalidParameter"),
+        (["compare", "--set", "compare.wavelength=0"], 1, "wavelength must be positive"),
+        (["compare", "--set", "compare.gamma_m=0"], 1, "gamma_m must be positive"),
+        (["compare", "--set", "compare.omega_m=0"], 1, "omega_m must be positive"),
+        (["compare", "--set", "compare.msi_r_ms=0"], 0,
+         "msi,,,,nan,nan,nan,InvalidParameter"),
+        (["compare", "--set", "compare.x_zpf=nan"], 1, "x_zpf must be finite"),
+        (["compare", "--set", "compare.a0=inf"], 1, "a0 must be finite"),
+        (["compare", "--set", "compare.t=nan"], 1, "t must be finite"),
     ])
     def test_bad_input_is_one_error_line(self, tmp_path, capsys, argv, code, message):
-        # scans exit 1 with a single error line and write nothing; compare
-        # reports the failing system in its row's error column
-        scan = {"mos": "phi_over_phi0", "msi": "x", "mate": "x"}.get(argv[0])
+        # scans, and compare on a bad parameter, exit 1 with a single error
+        # line and write nothing; compare reports a failing system in its
+        # row's error column
+        scan = {"synthetic": "psi", "mos": "phi_over_phi0", "msi": "x",
+                "mate": "x"}.get(argv[0])
         if scan:
             argv = argv + ["--set", f"scan.parameter={scan}", "--set", "scan.start=0",
                      "--set", "scan.stop=1e-6", "--set", "scan.points=5"]
@@ -368,8 +392,37 @@ class TestCli:
         if code:
             assert len(err.splitlines()) == 1
             assert err.startswith("error:") and message in err
-            assert "[at sweep point" in err
+            assert scan is None or "[at sweep point" in err
             assert not out.exists()
         else:
             assert err == ""
             assert message in out.read_text().splitlines()
+
+    @given(key=st.sampled_from(sorted(COMPARE_DEFAULTS)), value=st.floats())
+    @settings(max_examples=300, deadline=None)
+    def test_compare_boundary_property(self, key, value):
+        # one compare.<key>=<float>: either one error line and exit 1, or a
+        # table whose error-free rows hold finite numbers (the MOS ratio
+        # columns are nan, by contract, when the mos row has an error)
+        with tempfile.TemporaryDirectory() as tmp:
+            out = Path(tmp) / "cmp.csv"
+            err = io.StringIO()
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+                code = main(["compare", "--set", f"compare.{key}={value!r}",
+                             "--out", str(out)])
+            if code == 1:
+                lines = err.getvalue().splitlines()
+                assert len(lines) == 1 and lines[0].startswith("error:")
+                assert not out.exists()
+                return
+            assert code == 0 and err.getvalue() == ""
+            header, *body = out.read_text().splitlines()
+            rows = [dict(zip(header.split(","), line.split(","))) for line in body]
+        mos_ok = rows[0]["system"] == "mos" and rows[0]["error"] == ""
+        for row in rows:
+            if row["error"]:
+                continue
+            names = ["g_gamma0", "gamma", "cooperativity"]
+            if mos_ok:
+                names += ["g_ratio_mos", "gamma_ratio_mos", "coop_ratio_mos"]
+            assert all(math.isfinite(float(row[n])) for n in names), row

@@ -18,9 +18,10 @@ from optomech import (
     synthetic_response,
 )
 from optomech.elements import reduce_phase
-from optomech.numerics import central_diff_5pt
+from optomech.validation import PROFILES, _check_elimination, _check_response_derivatives
 
 K_REF = 2 * math.pi / 0.85e-6
+DEFAULT = PROFILES["default"]
 
 
 def tandem_at_psi(mirror, membrane, psi, k=K_REF):
@@ -110,18 +111,8 @@ class TestCompose:
             assert abs(s.m12) == pytest.approx(abs(s.m21), abs=1e-13)
 
     def test_elimination_agrees_with_closed_form(self):
-        rng = np.random.default_rng(11)
-        worst = 0.0
-        for _ in range(300):
-            mirror = ElementSpec.mirror(rng.uniform(0.01, 0.99))
-            membrane = ElementSpec.membrane(
-                rng.uniform(0.01, 0.99), phi_r=rng.uniform(-math.pi, math.pi)
-            )
-            x, k = rng.uniform(0, 2e-6), rng.uniform(1e6, 1e7)
-            a = compose_synthetic(mirror, membrane, x, k).as_array()
-            b = compose_synthetic_by_elimination(mirror, membrane, x, k).as_array()
-            worst = max(worst, float(np.max(np.abs(a - b))))
-        assert worst < 1e-12
+        result = _check_elimination(np.random.default_rng(11), DEFAULT, samples=300)
+        assert result.passed, result.line()
 
     @given(
         t=st.floats(0.01, 0.999),
@@ -270,24 +261,8 @@ class TestSyntheticResponse:
         assert 0.0 < off_peak.T < 1.0
 
     def test_derivatives_match_finite_differences(self):
-        rng = np.random.default_rng(5)
-        for _ in range(80):
-            t_m = rng.uniform(0.2, 0.9)
-            t = t_m * rng.uniform(0.1, 0.8)
-            mirror = ElementSpec.mirror(t)
-            membrane = ElementSpec.membrane(t_m)
-            psi = rng.uniform(0.4, math.pi - 0.4)
-            if rng.uniform() < 0.5:
-                psi += math.pi
-            resp = synthetic_response(psi, mirror, membrane)
-            fd_t = central_diff_5pt(
-                lambda p: synthetic_response(p, mirror, membrane).T, psi, 1e-4
-            )
-            fd_mu = central_diff_5pt(
-                lambda p: synthetic_response(p, mirror, membrane).mu, psi, 1e-4
-            )
-            assert resp.dT_dpsi == pytest.approx(fd_t, rel=1e-6)
-            assert resp.dmu_dpsi == pytest.approx(fd_mu, rel=1e-6)
+        result = _check_response_derivatives(np.random.default_rng(5), DEFAULT, samples=80)
+        assert result.passed, result.line()
 
     def test_periodicity_bitwise(self):
         # psi + 2*pi is exactly representable for these psi, so the reduced

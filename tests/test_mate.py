@@ -12,18 +12,16 @@ from optomech import (
     BranchAmbiguity,
     MateConfig,
     NoRootInWindow,
-    classify_branch,
     mate_dispersive_constant,
     mate_exact_decay,
     mate_resonances,
     mate_zero_dispersive,
 )
 from optomech.constants import C_LIGHT
-from optomech.mate import (
-    branch_wavevector,
-    dispersive_from_resonance,
-    resonance_residual,
-)
+from optomech.mate import resonance_residual
+from optomech.validation import PROFILES, _check_mate_dkdx, _check_mate_resonances
+
+DEFAULT = PROFILES["default"]
 
 
 @pytest.fixture
@@ -90,23 +88,15 @@ class TestResonances:
             near_lx = abs(math.cos(2 * r * (stiff.l - stiff.x) + stiff.phi_r) + 1.0)
             assert min(near_x, near_lx) < 5e-4
 
-    def test_roots_lie_on_explicit_family(self, cfg):
-        fsr = math.pi / cfg.l
-        roots = mate_resonances(cfg, (cfg.k - fsr, cfg.k + fsr))
-        for root in roots:
-            branch = classify_branch(cfg, root)
-            k_again = branch_wavevector(cfg, branch, root)
-            assert abs(k_again - root) / root < 1e-10
+    def test_roots_lie_on_explicit_family(self):
+        result = _check_mate_resonances(DEFAULT)
+        assert result.passed, result.line()
 
 
 class TestDispersiveConstant:
-    def test_closed_slope_matches_resolve_oracle(self, cfg):
-        fsr = math.pi / cfg.l
-        roots = mate_resonances(cfg, (cfg.k - fsr, cfg.k + fsr))
-        for root in roots:
-            closed = mate_dispersive_constant(cfg, root).dk_dx
-            numeric = dispersive_from_resonance(cfg, root)
-            assert closed == pytest.approx(numeric, rel=1e-4)
+    def test_closed_slope_matches_resolve_oracle(self):
+        result = _check_mate_dkdx(DEFAULT)
+        assert result.passed, result.line()
 
     def test_sign_rule(self, cfg):
         # x-subcavity modes: positive constant; (l-x) modes: negative

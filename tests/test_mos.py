@@ -9,7 +9,6 @@ import numpy as np
 import pytest
 
 from optomech import (
-    ElementSpec,
     MosConfig,
     NoZeroDispersivePoint,
     dissipative_constant_asymptotic,
@@ -23,7 +22,10 @@ from optomech import (
 )
 from optomech.constants import C_LIGHT
 from optomech.mos import dispersive_from_resonance, resonance_residual
-from optomech.numerics import bisect, bracket_roots, central_diff_5pt
+from optomech.numerics import central_diff_5pt
+from optomech.validation import PROFILES, _check_locus_oracle, _check_mos_resonance
+
+DEFAULT = PROFILES["default"]
 
 
 @pytest.fixture
@@ -44,25 +46,8 @@ class TestZeroDispersiveLocus:
         assert abs(half - bench.phi0) / bench.phi0 < 3 * (0.014 / 0.1) ** 2
 
     def test_against_bracketing_oracle(self):
-        rng = np.random.default_rng(21)
-        for _ in range(25):
-            t_m = rng.uniform(0.03, 0.15)
-            t = rng.uniform(1.05 * t_m ** 2, 0.2 * t_m)
-            locus = zero_dispersive_locus(t, t_m)
-            mirror = ElementSpec.mirror(t)
-            membrane = ElementSpec.membrane(t_m)
-
-            def dmu(psi):
-                return synthetic_response(psi, mirror, membrane).dmu_dpsi
-
-            grid = list(np.linspace(1e-3, 2 * math.pi - 1e-3, 2001))
-            roots = sorted(
-                bisect(dmu, a, b, f_lo=fa, f_hi=fb, ftol=0.0, xtol=1e-13)
-                for a, b, fa, fb in bracket_roots(dmu, grid)
-            )
-            assert len(roots) == 2
-            assert abs(roots[0] - locus.psi_star[0]) < 1e-9
-            assert abs(roots[1] - locus.psi_star[1]) < 1e-9
+        result = _check_locus_oracle(np.random.default_rng(21), DEFAULT, samples=25)
+        assert result.passed, result.line()
 
     def test_too_reflective_membrane(self):
         with pytest.raises(NoZeroDispersivePoint):
@@ -239,16 +224,8 @@ class TestResonanceOracle:
 
     def test_brute_force_matches_lorentzian_form(self):
         # tight regime t << t_m << 1, x below 0.001 of the thin-tandem bound
-        base = MosConfig(l=1e-4, wavelength=0.85e-6, t=0.0006, t_m=0.02,
-                         x=0.0, phi_r=math.pi - 1e-3)
-        for frac in (0.0, 0.25, -0.5):
-            cfg = base.at_phi(frac * base.phi0)
-            assert cfg.x < 0.001 * cfg.thin_tandem_bound()
-            k_c = solve_resonance(cfg)
-            at_root = replace(cfg, wavelength=2 * math.pi / k_c)
-            brute = dispersive_from_resonance(cfg)
-            closed = operating_point(at_root).g_omega0
-            assert brute == pytest.approx(closed, rel=1e-3)
+        result = _check_mos_resonance(DEFAULT)
+        assert result.passed, result.line()
 
 
 class TestTwoPortSetpoint:

@@ -60,3 +60,20 @@ def test_unknown_inputs_rejected():
 def test_registered_profiles():
     assert set(PROFILES) == {"default", "strict"}
     assert PROFILES["strict"].unitarity < PROFILES["default"].unitarity
+
+
+FAST_CHECKS = [
+    "unitarity", "tandem_closed_vs_elimination", "closed_form_vs_matrix",
+    "response_derivatives_fd", "msi_derivatives_fd", "zero_dispersive_locus_oracle",
+    "mos_limit_values", "noise_general_vs_closed", "figure_values",
+]
+
+
+def test_suite_check_names_in_order():
+    # the benchmark's validate gate counts these checks and names its spans
+    # after them
+    assert [c.name for c in run_validation("fast").checks] == FAST_CHECKS
+    assert [c.name for c in run_validation("full").checks] == FAST_CHECKS + [
+        "mate_resonance_oracle", "mate_dkdx_oracle", "mos_resonance_oracle",
+        "thin_tandem_regime",
+    ]
