@@ -6,7 +6,8 @@ Configuration comes from a flat key-value file with dotted section names
 ("scan.points = 801", "mos.t = 0.014"); --set overrides single keys.  The
 environment variable OPTOMECH_CONFIG supplies the default config path.
 
-Exit codes: 0 success, 1 configuration error, 2 validation failure.
+Exit codes: 0 success, 1 configuration error (a bad command line included),
+2 validation failure.
 """
 
 from __future__ import annotations
@@ -32,6 +33,16 @@ CONFIG_ENV_VAR = "OPTOMECH_CONFIG"
 #: scan-section keys understood by every sweep subcommand
 SCAN_KEYS = ("parameter", "start", "stop", "points")
 
+#: config sections; one file may carry all of them, each command reads its own
+SECTIONS = (*TARGETS, "scan", "compare")
+
+
+def _split(item: str, where: str) -> tuple[str, str]:
+    key, eq, value = item.partition("=")
+    if not eq:
+        raise ConfigError(f"{where}: expected 'key = value', got {item!r}")
+    return key.strip(), value.strip()
+
 
 def read_config(path: str | Path) -> dict[str, str]:
     """Parse "key = value" lines; '#' starts a comment; blank lines ignored."""
@@ -42,65 +53,47 @@ def read_config(path: str | Path) -> dict[str, str]:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if "=" not in line:
-            raise ConfigError(f"{path}:{lineno}: expected 'key = value', got {raw!r}")
-        key, _, value = line.partition("=")
-        entries[key.strip()] = value.strip()
+        if line:
+            key, value = _split(line, f"{path}:{lineno}")
+            entries[key] = value
     return entries
-
-
-def _apply_overrides(entries: dict[str, str], overrides: list[str]) -> dict[str, str]:
-    out = dict(entries)
-    for item in overrides:
-        if "=" not in item:
-            raise ConfigError(f"--set expects key=value, got {item!r}")
-        key, _, value = item.partition("=")
-        out[key.strip()] = value.strip()
-    return out
-
-
-def _as_float(entries: dict[str, str], key: str) -> float:
-    try:
-        return float(entries[key])
-    except ValueError as exc:
-        raise ConfigError(f"config key {key} = {entries[key]!r} is not a number") from exc
-
-
-def _as_int(entries: dict[str, str], key: str) -> int:
-    try:
-        return int(entries[key])
-    except ValueError as exc:
-        raise ConfigError(f"config key {key} = {entries[key]!r} is not an integer") from exc
 
 
 def _load_entries(args: argparse.Namespace) -> dict[str, str]:
     path = args.config or os.environ.get(CONFIG_ENV_VAR)
     entries = read_config(path) if path else {}
-    return _apply_overrides(entries, args.set or [])
+    entries.update(_split(item, "--set") for item in args.set or [])
+    return entries
+
+
+def _number(key: str, text: str, kind: type = float):
+    try:
+        return kind(text)
+    except ValueError as exc:
+        what = "an integer" if kind is int else "a number"
+        raise ConfigError(f"config key {key} = {text!r} is not {what}") from exc
+
+
+def _section(entries: dict[str, str], name: str) -> dict[str, float]:
+    """The float values of the `name.*` entries, keyed without the prefix.
+    Every key must belong to one of SECTIONS, and a scan key to SCAN_KEYS."""
+    values: dict[str, float] = {}
+    for key, text in entries.items():
+        prefix, _, rest = key.partition(".")
+        if prefix == "scan" and rest not in SCAN_KEYS:
+            raise ConfigError(
+                f"unknown scan key {key!r}; expected scan.{{{', '.join(SCAN_KEYS)}}}"
+            )
+        if prefix not in SECTIONS or not rest:
+            raise ConfigError(f"unknown config key {key!r}")
+        if prefix == name:
+            values[rest] = _number(key, text)
+    return values
 
 
 def _build_scan_spec(target: str, entries: dict[str, str],
                      out_path: str | None) -> ScanSpec:
-    known_scan = {f"scan.{k}" for k in SCAN_KEYS}
-    fixed: dict[str, float] = {}
-    for key in entries:
-        if key in known_scan:
-            continue
-        prefix, _, rest = key.partition(".")
-        if not rest:
-            raise ConfigError(f"unknown config key {key!r}")
-        if prefix == target:
-            fixed[rest] = _as_float(entries, key)
-        elif prefix == "scan":
-            raise ConfigError(
-                f"unknown scan key {key!r}; expected scan.{{{', '.join(SCAN_KEYS)}}}"
-            )
-        elif prefix in TARGETS or prefix == "compare":
-            continue  # other sections may coexist in one config file
-        else:
-            raise ConfigError(f"unknown config key {key!r}")
+    fixed = _section(entries, target)
     missing = [k for k in SCAN_KEYS if f"scan.{k}" not in entries]
     if missing:
         raise ConfigError(
@@ -109,41 +102,52 @@ def _build_scan_spec(target: str, entries: dict[str, str],
     return ScanSpec(
         target=target,
         parameter=entries["scan.parameter"],
-        start=_as_float(entries, "scan.start"),
-        stop=_as_float(entries, "scan.stop"),
-        points=_as_int(entries, "scan.points"),
+        start=_number("scan.start", entries["scan.start"]),
+        stop=_number("scan.stop", entries["scan.stop"]),
+        points=_number("scan.points", entries["scan.points"], int),
         fixed=fixed,
         output_path=out_path,
     )
 
 
-def _add_common(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--config", help="key-value config file "
-                        f"(default: ${CONFIG_ENV_VAR})")
-    parser.add_argument("--out", help="output CSV path (sidecar: <out>.meta)")
-    parser.add_argument("--workers", type=int, default=1,
-                        help="accepted for existing scripts; sweeps run in one "
-                        "process and the output does not depend on it")
-    parser.add_argument("--set", action="append", metavar="KEY=VALUE",
-                        help="override a config entry (repeatable)")
+class _Parser(argparse.ArgumentParser):
+    """A bad command line is a configuration error (exit 1), not exit 2."""
+
+    def error(self, message: str):
+        raise ConfigError(f"{self.prog}: {message}")
+
+
+#: the options shared between subcommands; each takes only those it reads
+_FLAGS: dict[str, dict] = {
+    "--config": dict(help=f"key-value config file (default: ${CONFIG_ENV_VAR})"),
+    "--set": dict(action="append", metavar="KEY=VALUE",
+                  help="override a config entry (repeatable)"),
+    "--out": dict(help="output CSV path (sidecar: <out>.meta)"),
+    "--workers": dict(type=int, default=1,
+                      help="accepted for existing scripts; the output is computed "
+                      "in one process and does not depend on it"),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="optomech",
         description="Dissipatively coupled optomechanical cavity design engine",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+
+    def add(name: str, help: str, *flags: str) -> argparse.ArgumentParser:
+        p = sub.add_parser(name, help=help)
+        for flag in flags:
+            p.add_argument(flag, **_FLAGS[flag])
+        return p
+
     for target in TARGETS:
-        p = sub.add_parser(target, help=f"sweep the {target} model")
-        _add_common(p)
-    p_fig = sub.add_parser("figure", help="reproduce a bundled figure dataset")
-    _add_common(p_fig)
+        add(target, f"sweep the {target} model", "--config", "--set", "--out", "--workers")
+    p_fig = add("figure", "reproduce a bundled figure dataset", "--out", "--workers")
     p_fig.add_argument("--id", required=True, choices=FIGURE_IDS, dest="figure_id")
-    p_cmp = sub.add_parser("compare", help="cross-system comparison table")
-    _add_common(p_cmp)
-    p_val = sub.add_parser("validate", help="run the oracle validation suite")
-    _add_common(p_val)
+    add("compare", "cross-system comparison table", "--config", "--set", "--out")
+    p_val = add("validate", "run the oracle validation suite")
     p_val.add_argument("--suite", choices=("fast", "full"), default="fast")
     p_val.add_argument("--tolerance-profile", choices=sorted(PROFILES),
                        default="default", help="validation tolerance profile")
@@ -151,14 +155,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         if args.command in TARGETS:
-            entries = _load_entries(args)
             out = args.out or f"{args.command}.csv"
-            spec = _build_scan_spec(args.command, entries, out)
-            dataset = run_scan(spec)
+            spec = _build_scan_spec(args.command, _load_entries(args), out)
+            dataset = run_scan(spec, workers=args.workers)
             print(f"wrote {out} ({dataset.n_rows} rows) and {out}.meta")
             return 0
         if args.command == "figure":
@@ -167,17 +169,7 @@ def main(argv: list[str] | None = None) -> int:
             print(f"wrote {out} ({dataset.n_rows} rows) and {out}.meta")
             return 0
         if args.command == "compare":
-            entries = _load_entries(args)
-            params: dict[str, float] = {}
-            for key in entries:
-                prefix, _, rest = key.partition(".")
-                if prefix == "compare" and rest:
-                    params[rest] = _as_float(entries, key)
-                elif rest and (prefix in TARGETS or prefix == "scan"):
-                    continue  # shared config files may carry sweep sections
-                else:
-                    raise ConfigError(f"unknown config key {key!r} (compare.* expected)")
-            table = compare_systems(params)
+            table = compare_systems(_section(_load_entries(args), "compare"))
             out = args.out or "compare.csv"
             table.write(out)
             for row in table.rows:
@@ -185,17 +177,14 @@ def main(argv: list[str] | None = None) -> int:
                 print(f"{row['system']}: {label}")
             print(f"wrote {out} and {out}.meta")
             return 0
-        if args.command == "validate":
-            report = run_validation(suite=args.suite,
-                                    profile=args.tolerance_profile)
-            for line in report.lines():
-                print(line)
-            return 0 if report.passed else 2
-        raise ConfigError(f"unknown command {args.command!r}")
+        report = run_validation(suite=args.suite, profile=args.tolerance_profile)
+        for line in report.lines():
+            print(line)
+        return 0 if report.passed else 2
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except OptomechError as exc:
+    except (OptomechError, ArithmeticError) as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable
+from typing import Callable, Iterable
 
 import numpy as np
 
@@ -34,10 +34,27 @@ FIGURE_PARAMS = {
 }
 
 
+#: what fails a sweep point or one system's comparison row: the package's
+#: errors, and the overflow (or underflow to a zero divisor) of a closed form
+#: at extreme parameters
+_ROW_ERRORS = (OptomechError, ArithmeticError)
+
+
 def format_value(value: object) -> str:
     if isinstance(value, float):
         return f"{value:.17g}"
     return str(value)
+
+
+def _write_table(path: str | Path, header: Iterable[str],
+                rows: Iterable[Iterable[object]], metadata: dict[str, object]) -> None:
+    """Write the CSV (header line, then rows of format_value cells) and its
+    sidecar "<path>.meta" of sorted "key = value" lines."""
+    lines = [",".join(header)]
+    lines.extend(",".join(map(format_value, row)) for row in rows)
+    Path(path).write_text("\n".join(lines) + "\n")
+    meta = [f"{key} = {format_value(metadata[key])}" for key in sorted(metadata)]
+    Path(f"{path}.meta").write_text("\n".join(meta) + "\n")
 
 
 @dataclass
@@ -64,17 +81,7 @@ class FigureDataset:
 
     def write(self, path: str | Path) -> None:
         """Write the CSV and its sidecar metadata file."""
-        path = Path(path)
-        names = list(self.columns)
-        series = [self.columns[n] for n in names]
-        lines = [",".join(names)]
-        for i in range(self.n_rows):
-            lines.append(",".join(format_value(col[i]) for col in series))
-        path.write_text("\n".join(lines) + "\n")
-        meta_lines = [
-            f"{key} = {format_value(self.metadata[key])}" for key in sorted(self.metadata)
-        ]
-        Path(str(path) + ".meta").write_text("\n".join(meta_lines) + "\n")
+        _write_table(path, self.columns, zip(*self.columns.values()), self.metadata)
 
 
 @dataclass(frozen=True)
@@ -187,6 +194,10 @@ def _mate_columns(fixed: dict[str, float], parameter: str, x) -> Columns:
 
 
 def _noise_columns(fixed: dict[str, float], parameter: str, xi) -> Columns:
+    if not fixed["gamma3_over_gamma"] >= 0.0:
+        raise InvalidParameter(
+            f"gamma3_over_gamma must be non-negative, got {fixed['gamma3_over_gamma']}"
+        )
     big_a = 1.0 + fixed["gamma3_over_gamma"] / 2.0
     return {
         "xi": xi,
@@ -259,11 +270,11 @@ def _evaluate(target: _Target, fixed: dict[str, float], parameter: str,
     with np.errstate(all="ignore"):  # non-finite values are reported below
         try:
             columns = target.columns(fixed, parameter, values)
-        except OptomechError:
+        except _ROW_ERRORS:
             for value in values.tolist():
                 try:
                     target.columns(fixed, parameter, value)
-                except OptomechError as exc:
+                except _ROW_ERRORS as exc:
                     raise type(exc)(
                         f"{exc} [at sweep point {parameter} = {value!r}]"
                     ) from exc
@@ -399,10 +410,6 @@ COMPARE_DEFAULTS: dict[str, float] = {
 #: compare parameters that are lengths, rates or the drive amplitude
 _COMPARE_POSITIVE = ("l", "wavelength", "x_zpf", "gamma_m", "a0", "omega_m", "mate_x")
 
-#: what fails one system's row: the package's errors, and the overflow (or
-#: underflow to a zero divisor) of a closed form at extreme parameters
-_ROW_ERRORS = (OptomechError, ArithmeticError)
-
 COMPARE_COLUMNS = (
     "system", "g_gamma0", "gamma", "cooperativity",
     "g_ratio_mos", "gamma_ratio_mos", "coop_ratio_mos", "error",
@@ -415,13 +422,9 @@ class ComparisonTable:
     metadata: dict[str, object]
 
     def write(self, path: str | Path) -> None:
-        path = Path(path)
-        lines = [",".join(COMPARE_COLUMNS)]
-        for row in self.rows:
-            lines.append(",".join(format_value(row.get(c, "")) for c in COMPARE_COLUMNS))
-        path.write_text("\n".join(lines) + "\n")
-        meta = [f"{k} = {format_value(v)}" for k, v in sorted(self.metadata.items())]
-        Path(str(path) + ".meta").write_text("\n".join(meta) + "\n")
+        _write_table(path, COMPARE_COLUMNS,
+                    ([row.get(c, "") for c in COMPARE_COLUMNS] for row in self.rows),
+                    self.metadata)
 
 
 def _store(row: dict[str, object], **values: float) -> None:

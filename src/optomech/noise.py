@@ -155,9 +155,22 @@ def force_noise_coefficients(
     hbar: float = HBAR,
 ) -> np.ndarray:
     """Noise coefficients of the backaction force over NOISE_BASIS."""
+    sol = solve_fluctuations(rates, drive, g_omega0, g_gamma0, x_signal=0.0)
+    return _force_coefficients(sol, rates, drive, g_omega0, g_gamma0, hbar)
+
+
+def _force_coefficients(
+    sol: FluctuationSolution,
+    rates: PortRates,
+    drive: DriveConfig,
+    g_omega0: float,
+    g_gamma0: float,
+    hbar: float,
+) -> np.ndarray:
+    # the cavity noise does not depend on the signal amplitude, so any
+    # solution of the same system serves
     if rates.gamma2 <= 0.0 and g_gamma0 != 0.0:
         raise ValueError("dissipative coupling requires gamma2 > 0")
-    sol = solve_fluctuations(rates, drive, g_omega0, g_gamma0, x_signal=0.0)
     coeffs = 2.0 * hbar * drive.a0 * g_omega0 * sol.cavity_noise[0].copy()
     if g_gamma0 != 0.0:
         coeffs[3] += -hbar * drive.a0 * g_gamma0 / math.sqrt(rates.gamma2)
@@ -182,7 +195,7 @@ def general_spectra(
     if gain == 0.0:
         raise ZeroCoupling(f"no signal transfer at homodyne angle theta={theta}")
     s_xx = sol.out1_psd(theta) / gain ** 2
-    f_coeffs = force_noise_coefficients(rates, drive, g_omega0, g_gamma0, hbar)
+    f_coeffs = _force_coefficients(sol, rates, drive, g_omega0, g_gamma0, hbar)
     s_ff = float(np.sum(np.abs(f_coeffs) ** 2))
     return s_xx, s_ff
 

@@ -189,10 +189,10 @@ def _check_response_derivatives(rng: np.random.Generator, tol: ToleranceProfile,
                        worst, tol.derivative_rel, "dT/dpsi, dmu/dpsi vs 5-point FD")
 
 
-def _check_msi_derivatives(rng: np.random.Generator, tol: ToleranceProfile) -> CheckResult:
+def _check_msi_derivatives(rng: np.random.Generator, tol: ToleranceProfile,
+                           k: float = 7.0e6, samples: int = 60) -> CheckResult:
     worst = 0.0
-    k = 7.0e6
-    for _ in range(60):
+    for _ in range(samples):
         cfg = msi_mod.MsiConfig.balanced(
             r_ms=float(rng.uniform(0.3, 0.95)),
             l=1e-4, k=k,
@@ -207,10 +207,10 @@ def _check_msi_derivatives(rng: np.random.Generator, tol: ToleranceProfile) -> C
             lambda x: float(np.angle(msi_mod.msi_effective_mirror(replace(cfg, x=x)).rho)),
             cfg.x, 1e-12,
         )
-        if abs(d_tau) > 1e-3 * 2 * k * cfg.r_ms:
-            worst = max(worst, abs(cpl.dtau_dx - d_tau) / abs(d_tau))
-        if abs(d_mu) > 1e-3 * 2 * k * cfg.r_ms:
-            worst = max(worst, abs(cpl.dmu_dx - d_mu) / abs(d_mu))
+        # a derivative near zero is compared against the scale 2 k r_ms
+        floor = 1e-3 * 2 * k * cfg.r_ms
+        worst = max(worst, abs(cpl.dtau_dx - d_tau) / max(abs(d_tau), floor),
+                    abs(cpl.dmu_dx - d_mu) / max(abs(d_mu), floor))
     return CheckResult("msi_derivatives_fd", worst <= tol.derivative_rel,
                        worst, tol.derivative_rel, "dtau/dx, dmu/dx vs 5-point FD")
 

@@ -19,6 +19,16 @@ from optomech.datasets import COMPARE_DEFAULTS, TARGETS, FigureDataset, format_v
 from optomech.errors import DegenerateDenominator, InvalidParameter
 
 
+#: (swept parameter, start, stop) of a sweep that succeeds at the defaults
+SWEEPS = {
+    "synthetic": ("psi", -3.0, 3.0),
+    "mos": ("phi_over_phi0", -4.0, 4.0),
+    "msi": ("x", 0.0, 1e-6),
+    "mate": ("x", 1e-7, 1e-6),
+    "noise": ("xi", -20.0, 20.0),
+}
+
+
 class TestScan:
     def test_mos_sweep_columns(self):
         spec = ScanSpec(target="mos", parameter="phi_over_phi0",
@@ -326,8 +336,9 @@ class TestCli:
         output = capsys.readouterr().out
         assert "profile=strict: 9/9 checks passed" in output and "FAIL" not in output
         # the profile is a validate flag only
-        with pytest.raises(SystemExit):
-            main(["mos", "--tolerance-profile", "strict"])
+        assert main(["mos", "--tolerance-profile", "strict"]) == 1
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1 and err.startswith("error:")
 
     def test_validate_corrupted_tolerance_fails(self, capsys, monkeypatch):
         # harness self-test: an impossible unitarity tolerance must be
@@ -376,13 +387,21 @@ class TestCli:
         (["compare", "--set", "compare.x_zpf=nan"], 1, "x_zpf must be finite"),
         (["compare", "--set", "compare.a0=inf"], 1, "a0 must be finite"),
         (["compare", "--set", "compare.t=nan"], 1, "t must be finite"),
+        (["mos", "--set", "mos.t=1e-300"], 1, "ZeroDivisionError"),
+        (["mos", "--set", "mos.t_m=5e-324"], 1, "ZeroDivisionError"),
+        (["mos", "--set", "mos.l=5e-324"], 1, "ZeroDivisionError"),
+        (["mos", "--set", "mos.t_m=1e-300"], 1, "ZeroDivisionError"),
+        (["msi", "--set", "msi.wavelength=0"], 1, "ZeroDivisionError"),
+        (["noise", "--set", "noise.gamma3_over_gamma=1e308"], 1, "OverflowError"),
+        (["noise", "--set", "noise.gamma3_over_gamma=-1"], 1,
+         "gamma3_over_gamma must be non-negative"),
     ])
     def test_bad_input_is_one_error_line(self, tmp_path, capsys, argv, code, message):
         # scans, and compare on a bad parameter, exit 1 with a single error
         # line and write nothing; compare reports a failing system in its
         # row's error column
         scan = {"synthetic": "psi", "mos": "phi_over_phi0", "msi": "x",
-                "mate": "x"}.get(argv[0])
+                "mate": "x", "noise": "xi"}.get(argv[0])
         if scan:
             argv = argv + ["--set", f"scan.parameter={scan}", "--set", "scan.start=0",
                      "--set", "scan.stop=1e-6", "--set", "scan.points=5"]
@@ -397,6 +416,63 @@ class TestCli:
         else:
             assert err == ""
             assert message in out.read_text().splitlines()
+
+    @pytest.mark.parametrize("argv, code", [
+        (["validate", "--out", "x.csv"], 1),
+        (["validate", "--set", "mos.t=5"], 1),
+        (["validate", "--config", "missing.cfg"], 1),
+        (["validate", "--workers", "2"], 1),
+        (["figure", "--id", "fig2", "--set", "mos.t=5"], 1),
+        (["figure", "--id", "fig2", "--config", "missing.cfg"], 1),
+        (["compare", "--workers", "2"], 1),
+        (["validate", "--suite", "ful"], 1),
+        (["figure", "--id", "fig3", "--workers", "1"], 0),
+        (["mos", "--workers", "2", "--set", "scan.parameter=x", "--set", "scan.start=1e-9",
+          "--set", "scan.stop=3e-7", "--set", "scan.points=5"], 0),
+    ])
+    def test_each_subcommand_takes_only_its_flags(self, tmp_path, monkeypatch, capsys,
+                                                  argv, code):
+        # a flag the subcommand does not read is a configuration error, like
+        # a bad choice; --workers stays on the sweeps and figure
+        monkeypatch.chdir(tmp_path)
+        assert main(argv) == code
+        err = capsys.readouterr().err
+        written = sorted(path.name for path in tmp_path.iterdir())
+        if code:
+            assert len(err.splitlines()) == 1 and err.startswith("error:")
+            assert written == []
+        else:
+            assert err == "" and len(written) == 2
+            assert written[1] == f"{written[0]}.meta"
+
+    @given(target_key=st.sampled_from(sorted(
+        (target, key) for target, spec in TARGETS.items() for key in spec.defaults
+    )), value=st.floats())
+    @settings(max_examples=300, deadline=None)
+    def test_sweep_boundary_property(self, target_key, value):
+        # one <target>.<key>=<float> on a sweep: either one error line, exit
+        # 1 and no file, or exit 0 and a dataset of finite values
+        target, key = target_key
+        parameter, start, stop = SWEEPS[target]
+        with tempfile.TemporaryDirectory() as tmp:
+            out = Path(tmp) / "scan.csv"
+            err = io.StringIO()
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+                code = main([target, "--set", f"{target}.{key}={value!r}",
+                             "--set", f"scan.parameter={parameter}",
+                             "--set", f"scan.start={start!r}", "--set", f"scan.stop={stop!r}",
+                             "--set", "scan.points=9", "--out", str(out)])
+            if code == 1:
+                lines = err.getvalue().splitlines()
+                assert len(lines) == 1 and lines[0].startswith("error:")
+                assert list(Path(tmp).iterdir()) == []
+                return
+            assert code == 0 and err.getvalue() == ""
+            header, *body = out.read_text().splitlines()
+            meta = Path(f"{out}.meta").read_text().splitlines()
+        assert len(body) == 9
+        assert all(math.isfinite(float(cell)) for line in body for cell in line.split(","))
+        assert f"param.{key} = {format_value(value)}" in meta
 
     @given(key=st.sampled_from(sorted(COMPARE_DEFAULTS)), value=st.floats())
     @settings(max_examples=300, deadline=None)

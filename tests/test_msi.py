@@ -17,6 +17,7 @@ from optomech import (
     msi_zero_dispersive,
 )
 from optomech.numerics import central_diff_5pt
+from optomech.validation import PROFILES, _check_msi_derivatives
 
 K_REF = 2 * math.pi / 0.85e-6
 L_REF = 1e-4
@@ -68,23 +69,9 @@ class TestCouplings:
         assert cpl.g_gamma0 == 0.0
 
     def test_derivatives_match_finite_differences(self):
-        rng = np.random.default_rng(17)
-        for _ in range(60):
-            cfg = make_cfg(
-                r_ms=rng.uniform(0.3, 0.95),
-                Tb_sq=rng.uniform(0.35, 0.65),
-                x=rng.uniform(0.15, 0.6) * math.pi / (2 * K_REF),
-            )
-            cpl = msi_couplings(cfg)
-            fd_tau = central_diff_5pt(
-                lambda x: msi_effective_mirror(replace(cfg, x=x)).tau, cfg.x, 1e-12
-            )
-            fd_mu = central_diff_5pt(
-                lambda x: float(np.angle(msi_effective_mirror(replace(cfg, x=x)).rho)),
-                cfg.x, 1e-12,
-            )
-            assert cpl.dtau_dx == pytest.approx(fd_tau, rel=1e-6)
-            assert cpl.dmu_dx == pytest.approx(fd_mu, rel=1e-6)
+        result = _check_msi_derivatives(np.random.default_rng(17), PROFILES["default"],
+                                        k=K_REF, samples=60)
+        assert result.passed, result.line()
 
     def test_decay_from_transmission(self):
         cfg = make_cfg(x=2e-7)
