@@ -245,9 +245,15 @@ TARGETS: dict[str, _Target] = {
 def _sweep_values(spec: ScanSpec) -> np.ndarray:
     # start + i * span / n, not np.linspace, whose rounding would move the
     # exact grid points (0.0, 1.0, ...) that anchors are read at
+    try:
+        index = np.arange(spec.points)
+        if index.size != spec.points:  # np.arange(2**63) comes back empty
+            raise ValueError("too many points")
+    except (ValueError, MemoryError) as exc:
+        raise ConfigError(f"cannot make {spec.points} sweep points: {exc}") from exc
     span = spec.stop - spec.start
     n = spec.points - 1
-    return spec.start + np.arange(spec.points) * span / n
+    return spec.start + index * span / n
 
 
 def _scan_metadata(spec: ScanSpec) -> dict[str, object]:
@@ -372,11 +378,10 @@ def reproduce_figure(figure_id: str, output_path: str | None = None) -> FigureDa
         spec = ScanSpec(target="noise", parameter="xi", start=-20.0, stop=20.0, points=801)
         xi = _sweep_values(spec)
         columns: dict[str, list[float]] = {"xi": xi.tolist()}
-        loss_fractions = (0.0, 0.5, 1.0)
-        for frac in loss_fractions:
-            big_a = 1.0 + frac / 2.0
+        for frac in (0.0, 0.5, 1.0):
+            loss = _noise_columns({"gamma3_over_gamma": frac}, "xi", xi)
             columns[f"product_normalized_loss{int(100 * frac)}"] = (
-                noise_mod.product_normalized(xi, big_a).tolist()
+                loss["product_normalized"].tolist()
             )
         dataset = FigureDataset(
             name="fig4",

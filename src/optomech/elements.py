@@ -38,8 +38,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateDenominator, InvalidElement
-from .numerics import any_true, cos_sin
+from .errors import DegenerateDenominator, InvalidElement, InvalidParameter
+from .numerics import any_true, cos_sin, require_finite
 
 TWO_PI = 2.0 * math.pi
 
@@ -102,11 +102,11 @@ class ElementSpec:
             phi_t = phi_r - math.pi / 2
         return cls(kind="membrane", t=t_m, r=r_m, phi_t=phi_t, phi_r=phi_r)
 
-    def validate(self, tol: float = CONSTRAINT_TOL) -> None:
+    def validate(self) -> None:
         """Raise InvalidElement on a constraint violation.
 
-        Checks 0 <= t, r <= 1, t^2 + r^2 = 1 (within tol) and, for
-        membranes, exp(2i(phi_r - phi_t)) = -1 (within tol).
+        Checks 0 <= t, r <= 1, t^2 + r^2 = 1 (within CONSTRAINT_TOL) and,
+        for membranes, exp(2i(phi_r - phi_t)) = -1 (within CONSTRAINT_TOL).
         """
         if self.kind not in ("mirror", "membrane"):
             raise InvalidElement(f"unknown element kind {self.kind!r}")
@@ -115,16 +115,16 @@ class ElementSpec:
                 f"amplitudes out of range: t={self.t}, r={self.r}"
             )
         defect = abs(self.t * self.t + self.r * self.r - 1.0)
-        if defect > tol:
+        if defect > CONSTRAINT_TOL:
             raise InvalidElement(
-                f"t^2 + r^2 deviates from 1 by {defect:.3e} (tol {tol:.1e})"
+                f"t^2 + r^2 deviates from 1 by {defect:.3e} (tol {CONSTRAINT_TOL:.1e})"
             )
         if self.kind == "membrane":
             phase_defect = abs(cmath.exp(2j * (self.phi_r - self.phi_t)) + 1.0)
-            if not phase_defect <= tol:  # a NaN phase fails too
+            if not phase_defect <= CONSTRAINT_TOL:  # a NaN phase fails too
                 raise InvalidElement(
                     "membrane phase constraint exp(2i(phi_r-phi_t)) = -1 "
-                    f"violated by {phase_defect:.3e} (tol {tol:.1e})"
+                    f"violated by {phase_defect:.3e} (tol {CONSTRAINT_TOL:.1e})"
                 )
 
 
@@ -155,9 +155,9 @@ class ScatteringMatrix:
         return abs(self.m11) ** 2
 
 
-def element_scattering(spec: ElementSpec, tol: float = CONSTRAINT_TOL) -> ScatteringMatrix:
+def element_scattering(spec: ElementSpec) -> ScatteringMatrix:
     """Scattering matrix of a single validated element."""
-    spec.validate(tol)
+    spec.validate()
     if spec.kind == "mirror":
         return ScatteringMatrix(1j * spec.t, -spec.r, -spec.r, 1j * spec.t)
     tm = spec.t * cmath.exp(1j * spec.phi_t)
@@ -165,18 +165,23 @@ def element_scattering(spec: ElementSpec, tol: float = CONSTRAINT_TOL) -> Scatte
     return ScatteringMatrix(tm, rm, rm, tm)
 
 
-def _check_tandem_args(mirror: ElementSpec, membrane: ElementSpec,
-                       x: float, k: float, tol: float) -> None:
-    mirror.validate(tol)
-    membrane.validate(tol)
+def _check_pair(mirror: ElementSpec, membrane: ElementSpec) -> None:
+    mirror.validate()
+    membrane.validate()
     if mirror.kind != "mirror" or membrane.kind != "membrane":
         raise InvalidElement(
             f"tandem needs (mirror, membrane), got ({mirror.kind}, {membrane.kind})"
         )
+
+
+def _check_tandem_args(mirror: ElementSpec, membrane: ElementSpec,
+                       x: float, k: float) -> None:
+    _check_pair(mirror, membrane)
+    require_finite(x=x, k=k)
     if x < 0.0:
-        raise ValueError(f"gap must be non-negative, got x={x}")
+        raise InvalidParameter(f"gap must be non-negative, got x={x}")
     if k <= 0.0:
-        raise ValueError(f"wavevector must be positive, got k={k}")
+        raise InvalidParameter(f"wavevector must be positive, got k={k}")
 
 
 def compose_synthetic(
@@ -184,7 +189,6 @@ def compose_synthetic(
     membrane: ElementSpec,
     x: float,
     k: float,
-    tol: float = CONSTRAINT_TOL,
 ) -> ScatteringMatrix:
     """Closed-form scattering matrix of the mirror+membrane tandem.
 
@@ -196,7 +200,7 @@ def compose_synthetic(
 
     The cavity-side reflection (mirror side) is m21.
     """
-    _check_tandem_args(mirror, membrane, x, k, tol)
+    _check_tandem_args(mirror, membrane, x, k)
     t, r = mirror.t, mirror.r
     t_m, r_m = membrane.t, membrane.r
     psi = 2.0 * k * x + membrane.phi_r
@@ -217,7 +221,6 @@ def compose_synthetic_by_elimination(
     membrane: ElementSpec,
     x: float,
     k: float,
-    tol: float = CONSTRAINT_TOL,
 ) -> ScatteringMatrix:
     """Tandem matrix obtained by numerically eliminating the internal waves.
 
@@ -227,7 +230,7 @@ def compose_synthetic_by_elimination(
     inputs on either port.  Serves as an independent route against the
     closed form of compose_synthetic.
     """
-    _check_tandem_args(mirror, membrane, x, k, tol)
+    _check_tandem_args(mirror, membrane, x, k)
     t, r = mirror.t, mirror.r
     tm_ph = membrane.t * cmath.exp(1j * membrane.phi_t)
     rm_ph = membrane.r * cmath.exp(1j * membrane.phi_r)
@@ -273,7 +276,6 @@ def synthetic_response(
     psi,
     mirror: ElementSpec,
     membrane: ElementSpec,
-    tol: float = CONSTRAINT_TOL,
 ) -> SyntheticMirrorResponse:
     """Closed-form synthetic-mirror response at tandem phase psi (a float,
     or a numpy array evaluated elementwise).
@@ -289,12 +291,7 @@ def synthetic_response(
     the quadrant making mu(psi) continuous on the reduced period and equal
     to arg(-m21) of compose_synthetic.
     """
-    mirror.validate(tol)
-    membrane.validate(tol)
-    if mirror.kind != "mirror" or membrane.kind != "membrane":
-        raise InvalidElement(
-            f"response needs (mirror, membrane), got ({mirror.kind}, {membrane.kind})"
-        )
+    _check_pair(mirror, membrane)
     t, r = mirror.t, mirror.r
     t_m, r_m = membrane.t, membrane.r
     psi_red = reduce_phase(psi)

@@ -27,11 +27,11 @@ from .constants import C_LIGHT
 from .elements import TWO_PI, ElementSpec, synthetic_response
 from .errors import BranchAmbiguity, InvalidParameter, NoRootInWindow
 from .numerics import (
+    RESONANCE_GAP_STEP,
     any_true,
-    bisect,
-    bracket_roots,
     central_diff_richardson,
     cos_sin,
+    grid_roots,
     require_finite,
 )
 
@@ -113,23 +113,14 @@ def mate_resonances(
     if not (0.0 < k_lo < k_hi):
         raise ValueError(f"bad window [{k_lo}, {k_hi}]")
     step = (math.pi / cfg.l) / SCAN_STEPS_PER_FSR
-    n_pts = max(2, int(math.ceil((k_hi - k_lo) / step)) + 1)
-    grid = [k_lo + i * (k_hi - k_lo) / (n_pts - 1) for i in range(n_pts)]
-    roots: list[float] = []
-    for a, b, fa, fb in bracket_roots(lambda k: resonance_residual(cfg, k), grid):
-        if a == b:
-            roots.append(a)
-        else:
-            roots.append(
-                bisect(lambda k: resonance_residual(cfg, k), a, b,
-                       f_lo=fa, f_hi=fb, ftol=residual_tol)
-            )
+    roots = grid_roots(lambda k: resonance_residual(cfg, k), k_lo, k_hi,
+                       max(1, math.ceil((k_hi - k_lo) / step)), ftol=residual_tol)
     if not roots:
         raise NoRootInWindow(
             f"no resonance in [{k_lo:.6e}, {k_hi:.6e}] (window spans "
             f"{(k_hi - k_lo) * cfg.l / math.pi:.2f} FSR)"
         )
-    return sorted(roots)
+    return roots
 
 
 @dataclass(frozen=True)
@@ -188,18 +179,13 @@ def branch_wavevector(
         return k * (2.0 * cfg.x - cfg.l) - branch.sign * beta - TWO_PI * branch.n
 
     half_fsr = math.pi / (2.0 * cfg.l)
-    lo, hi = k_near - half_fsr, k_near + half_fsr
-    grid = [lo + i * (hi - lo) / 200 for i in range(201)]
-    brackets = bracket_roots(h, grid)
-    if not brackets:
+    roots = grid_roots(h, k_near - half_fsr, k_near + half_fsr, 200, near=k_near,
+                       ftol=0.0, xtol=1e-12 * abs(k_near))
+    if not roots:
         raise NoRootInWindow(
             f"branch (sign={branch.sign}, n={branch.n}) has no root near k={k_near:.6e}"
         )
-    a, b, fa, fb = min(brackets, key=lambda br: abs(0.5 * (br[0] + br[1]) - k_near))
-    if a == b:
-        return a
-    return bisect(h, a, b, f_lo=fa, f_hi=fb, ftol=0.0, xtol=1e-12 * abs(k_near),
-                  max_iter=200)
+    return roots[0]
 
 
 @dataclass(frozen=True)
@@ -211,9 +197,7 @@ class MateDispersive:
     branch: MateBranch
 
 
-def mate_dispersive_constant(
-    cfg: MateConfig, k_c: float, branch: MateBranch | None = None
-) -> MateDispersive:
+def mate_dispersive_constant(cfg: MateConfig, k_c: float) -> MateDispersive:
     """Dispersive constant at a resonance k_c from the closed-form slope
 
         (dk/dx)^{-1} = (l / 2k) [1 - 2x/l
@@ -231,8 +215,6 @@ def mate_dispersive_constant(
         raise BranchAmbiguity(
             "membrane fully transparent (r_m = 0); slope branch degenerate"
         )
-    if branch is None:
-        branch = classify_branch(cfg, k_c)
     cos_val = math.cos(k_c * cfg.l - 2.0 * k_c * cfg.x)
     one_minus = 1.0 - cos_val * cos_val
     if one_minus <= 0.0:
@@ -251,7 +233,7 @@ def mate_dispersive_constant(
         g_omega0=-C_LIGHT * dk_dx,
         slope_sign=sign,
         radical=radical,
-        branch=branch,
+        branch=classify_branch(cfg, k_c),
     )
 
 
@@ -301,12 +283,8 @@ class MateExactDecay:
     dgamma_dx: float
     gamma_reduced: float      # synthetic-mirror form c T / (2 l)
     dgamma_dx_reduced: float  # (c k / l) 2 t^2 t_m^2 sin psi / B^2
-    stored_energy_ratio: float  # the 1/(1+A) correction's A
+    A: float                  # stored-energy ratio, the 1/(1+A) correction's A
     thin_membrane_regime: bool
-
-    @property
-    def A(self) -> float:
-        return self.stored_energy_ratio
 
 
 def mate_exact_decay(cfg: MateConfig, k: float) -> MateExactDecay:
@@ -351,15 +329,14 @@ def mate_exact_decay(cfg: MateConfig, k: float) -> MateExactDecay:
         dgamma_dx=dgamma,
         gamma_reduced=gamma_reduced,
         dgamma_dx_reduced=dgamma_reduced,
-        stored_energy_ratio=(cfg.x / cfg.l) * (cfg.t_m ** 2 / b_fac - 1.0),
+        A=(cfg.x / cfg.l) * (cfg.t_m ** 2 / b_fac - 1.0),
         thin_membrane_regime=cfg.t < cfg.t_m,
     )
 
 
-def dispersive_from_resonance(
-    cfg: MateConfig, k_c: float, h: float = 1e-12
-) -> float:
-    """Numerical dk/dx by re-solving the resonance at x +- h (Richardson).
+def dispersive_from_resonance(cfg: MateConfig, k_c: float) -> float:
+    """Numerical dk/dx by re-solving the resonance at x +- h, h =
+    RESONANCE_GAP_STEP (Richardson).
 
     Follows the root by bracketing within a quarter FSR of the previous
     position; intended as the oracle for mate_dispersive_constant.
@@ -370,4 +347,4 @@ def dispersive_from_resonance(
         roots = mate_resonances(cfg_x, (k_c - span, k_c + span), residual_tol=1e-13)
         return min(roots, key=lambda r: abs(r - k_c))
 
-    return central_diff_richardson(k_at, cfg.x, h)
+    return central_diff_richardson(k_at, cfg.x, RESONANCE_GAP_STEP)

@@ -35,14 +35,14 @@ from .constants import C_LIGHT
 from .elements import TWO_PI, ElementSpec, synthetic_response
 from .errors import InvalidParameter, NoRootInWindow, NoZeroDispersivePoint
 from .numerics import (
+    RESONANCE_GAP_STEP,
     any_true,
-    bisect,
-    bracket_roots,
     central_diff_richardson,
+    grid_roots,
     require_finite,
 )
 
-#: default margin interpreting the thin-tandem inequality x << l t_m^4/(4 t^2)
+#: margin interpreting the thin-tandem inequality x << l t_m^4/(4 t^2)
 THIN_TANDEM_MARGIN = 0.01
 
 
@@ -150,6 +150,11 @@ class MosConfig:
         }
 
 
+def _valid_thin_tandem(cfg: MosConfig):
+    """x < THIN_TANDEM_MARGIN * l t_m^4 / (4 t^2), elementwise over gaps."""
+    return cfg.x < THIN_TANDEM_MARGIN * cfg.thin_tandem_bound()
+
+
 @dataclass(frozen=True)
 class OperatingPoint:
     """MOS quantities at one gap or an array of gaps (thin-tandem forms)."""
@@ -164,15 +169,13 @@ class OperatingPoint:
     valid_thin_tandem: bool
 
 
-def operating_point(
-    cfg: MosConfig, thin_margin: float = THIN_TANDEM_MARGIN
-) -> OperatingPoint:
+def operating_point(cfg: MosConfig) -> OperatingPoint:
     """Decay rate and coupling constants at the configured gap.
 
     T is the exact synthetic-mirror transmission at psi = 2 k x + phi_r;
     gamma and the coupling constants use the Lorentzian thin-tandem forms
     in Phi/Phi0.  Out-of-regime inputs are flagged via valid_thin_tandem
-    (x < thin_margin * l t_m^4 / (4 t^2)), never rejected.
+    (x < THIN_TANDEM_MARGIN * l t_m^4 / (4 t^2)), never rejected.
     """
     u = cfg.phi / cfg.phi0
     lor = 1.0 + u * u
@@ -185,7 +188,7 @@ def operating_point(
         g_omega0=cfg.g_00 * (1.0 - u * u) / (lor * lor),
         g_gamma0=cfg.g_00 * 2.0 * u / (lor * lor),
         g_00=cfg.g_00,
-        valid_thin_tandem=cfg.x < thin_margin * cfg.thin_tandem_bound(),
+        valid_thin_tandem=_valid_thin_tandem(cfg),
     )
 
 
@@ -260,9 +263,7 @@ class ExactCorrections:
     valid_thin_tandem: bool
 
 
-def exact_corrections(
-    cfg: MosConfig, thin_margin: float = THIN_TANDEM_MARGIN
-) -> ExactCorrections:
+def exact_corrections(cfg: MosConfig) -> ExactCorrections:
     """Exact-in-x dispersive constant, decay rate, and decay derivative.
 
     With mu' = dmu/d(kx), T' = dT/dx evaluated from the exact tandem
@@ -293,7 +294,7 @@ def exact_corrections(
         g_omega_exact=g_omega,
         gamma_exact=gamma,
         dgamma_dx_exact=dgamma,
-        valid_thin_tandem=cfg.x < thin_margin * cfg.thin_tandem_bound(),
+        valid_thin_tandem=_valid_thin_tandem(cfg),
     )
 
 
@@ -329,6 +330,13 @@ def resonance_residual(cfg: MosConfig, k: float, n_mode: int) -> float:
     return 2.0 * cfg.l * k - math.pi - TWO_PI * n_mode + resp.mu
 
 
+def _mode_index(cfg: MosConfig) -> int:
+    """Index n of the resonance 2 l k = pi + 2 pi n - mu(k x) nearest the
+    configured k."""
+    mu0 = synthetic_response(cfg.psi, cfg.mirror, cfg.membrane).mu
+    return round((2.0 * cfg.l * cfg.k - math.pi + mu0) / TWO_PI)
+
+
 def solve_resonance(cfg: MosConfig, n_mode: int | None = None) -> float:
     """Resonance wavevector from 2 l k = pi + 2 pi n - mu(k x).
 
@@ -338,37 +346,27 @@ def solve_resonance(cfg: MosConfig, n_mode: int | None = None) -> float:
     """
     k0 = cfg.k
     if n_mode is None:
-        mu0 = synthetic_response(cfg.psi, cfg.mirror, cfg.membrane).mu
-        n_mode = round((2.0 * cfg.l * k0 - math.pi + mu0) / TWO_PI)
+        n_mode = _mode_index(cfg)
     fsr = math.pi / cfg.l
-    lo, hi = k0 - 2.0 * fsr, k0 + 2.0 * fsr
-    grid = [lo + i * (hi - lo) / 400 for i in range(401)]
-    brackets = bracket_roots(lambda k: resonance_residual(cfg, k, n_mode), grid)
-    if not brackets:
+    roots = grid_roots(lambda k: resonance_residual(cfg, k, n_mode),
+                       k0 - 2.0 * fsr, k0 + 2.0 * fsr, 400, near=k0, ftol=1e-12)
+    if not roots:
         raise NoRootInWindow(
             f"no resonance with index n={n_mode} within two FSR of k={k0:.6e}"
         )
-    # nearest bracket to the nominal k
-    a, b, fa, fb = min(brackets, key=lambda br: abs(0.5 * (br[0] + br[1]) - k0))
-    if a == b:
-        return a
-    return bisect(
-        lambda k: resonance_residual(cfg, k, n_mode),
-        a, b, f_lo=fa, f_hi=fb, ftol=1e-12,
-    )
+    return roots[0]
 
 
-def dispersive_from_resonance(cfg: MosConfig, h: float = 1e-12) -> float:
+def dispersive_from_resonance(cfg: MosConfig) -> float:
     """Dispersive constant from brute-force resonance solving.
 
-    Re-solves the resonance at gaps x +- h and x +- h/2 on the same mode
-    index and Richardson-extrapolates the central difference of
-    omega_c(x) = c k_c(x).
+    Re-solves the resonance at gaps x +- h and x +- h/2, h =
+    RESONANCE_GAP_STEP, on the same mode index and Richardson-extrapolates
+    the central difference of omega_c(x) = c k_c(x).
     """
-    mu0 = synthetic_response(cfg.psi, cfg.mirror, cfg.membrane).mu
-    n_mode = round((2.0 * cfg.l * cfg.k - math.pi + mu0) / TWO_PI)
+    n_mode = _mode_index(cfg)
 
     def omega_at(x: float) -> float:
         return C_LIGHT * solve_resonance(replace(cfg, x=x), n_mode=n_mode)
 
-    return central_diff_richardson(omega_at, cfg.x, h)
+    return central_diff_richardson(omega_at, cfg.x, RESONANCE_GAP_STEP)

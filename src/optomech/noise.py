@@ -35,7 +35,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .constants import C_LIGHT, HBAR
-from .errors import SingularSystem, ZeroCoupling
+from .errors import InvalidParameter, SingularSystem, ZeroCoupling
+from .numerics import require_finite
 
 #: index layout of the input-quadrature noise basis
 NOISE_BASIS = ("X_in1", "Y_in1", "X_in2", "Y_in2", "X_in3", "Y_in3")
@@ -51,10 +52,11 @@ class PortRates:
     gamma3: float = 0.0
 
     def __post_init__(self) -> None:
+        require_finite(gamma1=self.gamma1, gamma2=self.gamma2, gamma3=self.gamma3)
         if min(self.gamma1, self.gamma2, self.gamma3) < 0.0:
-            raise ValueError("decay rates must be non-negative")
+            raise InvalidParameter("decay rates must be non-negative")
         if self.total <= 0.0:
-            raise ValueError("total decay rate must be positive")
+            raise InvalidParameter("total decay rate must be positive")
 
     @property
     def total(self) -> float:
@@ -71,8 +73,11 @@ class DriveConfig:
     a0: float = 1.0
 
     def __post_init__(self) -> None:
+        # a cheap screen: the sum is finite unless a value is not, or it overflows
+        if not math.isfinite(self.delta + self.omega + self.a0):
+            require_finite(delta=self.delta, omega=self.omega, a0=self.a0)
         if self.a0 < 0.0:
-            raise ValueError("pump amplitude a0 must be non-negative")
+            raise InvalidParameter("pump amplitude a0 must be non-negative")
 
 
 @dataclass(frozen=True)
@@ -108,7 +113,6 @@ def solve_fluctuations(
     drive: DriveConfig,
     g_omega0: float,
     g_gamma0: float,
-    x_signal: float = 1.0,
 ) -> FluctuationSolution:
     """Solve the 2x2 intracavity system at arbitrary detuning and frequency
     and propagate to the detected port-1 output quadratures."""
@@ -126,10 +130,7 @@ def solve_fluctuations(
     for j, rate in enumerate((rates.gamma1, rates.gamma2, rates.gamma3)):
         b_noise[0, 2 * j] = math.sqrt(rate) / 2.0
         b_noise[1, 2 * j + 1] = math.sqrt(rate) / 2.0
-    b_signal = np.array(
-        [drive.a0 * g_gamma0 * x_signal, drive.a0 * g_omega0 * x_signal],
-        dtype=complex,
-    )
+    b_signal = np.array([drive.a0 * g_gamma0, drive.a0 * g_omega0], dtype=complex)
 
     cavity_noise = m_inv @ b_noise
     cavity_signal = m_inv @ b_signal
@@ -152,11 +153,10 @@ def force_noise_coefficients(
     drive: DriveConfig,
     g_omega0: float,
     g_gamma0: float,
-    hbar: float = HBAR,
 ) -> np.ndarray:
     """Noise coefficients of the backaction force over NOISE_BASIS."""
-    sol = solve_fluctuations(rates, drive, g_omega0, g_gamma0, x_signal=0.0)
-    return _force_coefficients(sol, rates, drive, g_omega0, g_gamma0, hbar)
+    sol = solve_fluctuations(rates, drive, g_omega0, g_gamma0)
+    return _force_coefficients(sol, rates, drive, g_omega0, g_gamma0)
 
 
 def _force_coefficients(
@@ -165,15 +165,13 @@ def _force_coefficients(
     drive: DriveConfig,
     g_omega0: float,
     g_gamma0: float,
-    hbar: float,
 ) -> np.ndarray:
-    # the cavity noise does not depend on the signal amplitude, so any
-    # solution of the same system serves
+    # reads only the cavity noise, which the signal does not enter
     if rates.gamma2 <= 0.0 and g_gamma0 != 0.0:
         raise ValueError("dissipative coupling requires gamma2 > 0")
-    coeffs = 2.0 * hbar * drive.a0 * g_omega0 * sol.cavity_noise[0].copy()
+    coeffs = 2.0 * HBAR * drive.a0 * g_omega0 * sol.cavity_noise[0].copy()
     if g_gamma0 != 0.0:
-        coeffs[3] += -hbar * drive.a0 * g_gamma0 / math.sqrt(rates.gamma2)
+        coeffs[3] += -HBAR * drive.a0 * g_gamma0 / math.sqrt(rates.gamma2)
     return coeffs
 
 
@@ -183,19 +181,18 @@ def general_spectra(
     g_omega0: float,
     g_gamma0: float,
     theta: float,
-    hbar: float = HBAR,
 ) -> tuple[float, float]:
     """(S_xx_imp, S_FF) from the general-frequency linear solver.
 
     S_xx_imp is the homodyne noise PSD at angle theta referred to the
     mechanical displacement; S_FF the backaction-force PSD.
     """
-    sol = solve_fluctuations(rates, drive, g_omega0, g_gamma0, x_signal=1.0)
+    sol = solve_fluctuations(rates, drive, g_omega0, g_gamma0)
     gain = abs(sol.out1_gain(theta))
     if gain == 0.0:
         raise ZeroCoupling(f"no signal transfer at homodyne angle theta={theta}")
     s_xx = sol.out1_psd(theta) / gain ** 2
-    f_coeffs = _force_coefficients(sol, rates, drive, g_omega0, g_gamma0, hbar)
+    f_coeffs = _force_coefficients(sol, rates, drive, g_omega0, g_gamma0)
     s_ff = float(np.sum(np.abs(f_coeffs) ** 2))
     return s_xx, s_ff
 
@@ -228,7 +225,7 @@ def homodyne_spectra(
     drive: DriveConfig,
     g_omega0: float,
     g_gamma0: float,
-    hbar: float = HBAR,
+    *,
     x_zpf: float | None = None,
     gamma_m: float | None = None,
 ) -> NoiseReport:
@@ -256,7 +253,7 @@ def homodyne_spectra(
     theta_opt = math.atan2(g_omega0, g_gamma0)
     s_xx = half_width ** 2 / (4.0 * drive.a0 ** 2 * gamma * g_sq)
     s_ff = (
-        hbar ** 2 * drive.a0 ** 2 * gamma / half_width ** 2
+        HBAR ** 2 * drive.a0 ** 2 * gamma / half_width ** 2
         * (big_a ** 2 * g_gamma0 ** 2 + 2.0 * big_a * g_omega0 ** 2)
     )
     xi = math.inf if g_gamma0 == 0.0 else g_omega0 / g_gamma0

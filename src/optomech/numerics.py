@@ -15,6 +15,12 @@ import numpy as np
 
 from .errors import InvalidParameter
 
+#: gap step (m) of the Richardson derivative of a re-solved resonance
+RESONANCE_GAP_STEP = 1e-12
+
+#: iteration cap of bisect
+BISECT_MAX_ITER = 200
+
 
 def any_true(condition) -> bool:
     """Whether a condition holds: a bool as is, an array anywhere (np.any
@@ -65,11 +71,11 @@ def bisect(
     f_hi: float | None = None,
     xtol: float = 0.0,
     ftol: float = 1e-12,
-    max_iter: int = 200,
 ) -> float:
     """Bisection on a bracketing interval [lo, hi].
 
-    Iterates until |f| <= ftol or the interval shrinks below xtol.
+    Iterates until |f| <= ftol or the interval shrinks below xtol, at most
+    BISECT_MAX_ITER times.
     Raises ValueError if [lo, hi] does not bracket a sign change.
     """
     a, b = float(lo), float(hi)
@@ -81,7 +87,7 @@ def bisect(
         return b
     if fa * fb > 0.0:
         raise ValueError(f"no sign change on [{lo}, {hi}]")
-    for _ in range(max_iter):
+    for _ in range(BISECT_MAX_ITER):
         m = 0.5 * (a + b)
         fm = f(m)
         if abs(fm) <= ftol or (b - a) <= xtol:
@@ -116,3 +122,20 @@ def bracket_roots(
     """Scan f on a monotone grid and return its sign-change brackets (see
     sign_change_brackets)."""
     return sign_change_brackets(grid, [f(x) for x in grid])
+
+
+def grid_roots(f: Callable[[float], float], lo: float, hi: float, steps: int,
+               near: float | None = None, **bisect_tol: float) -> list[float]:
+    """Roots of f on [lo, hi], in ascending order.
+
+    Samples f at lo + i (hi - lo) / steps for i = 0..steps, brackets each
+    sign change and refines it with bisect(**bisect_tol).  A node where f
+    is exactly zero is returned as is.  With near, only the bracket whose
+    midpoint lies closest to near is refined.  No sign change gives [].
+    """
+    grid = [lo + i * (hi - lo) / steps for i in range(steps + 1)]
+    brackets = bracket_roots(f, grid)
+    if near is not None and brackets:
+        brackets = [min(brackets, key=lambda br: abs(0.5 * (br[0] + br[1]) - near))]
+    return [a if a == b else bisect(f, a, b, f_lo=fa, f_hi=fb, **bisect_tol)
+            for a, b, fa, fb in brackets]

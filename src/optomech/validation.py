@@ -36,7 +36,6 @@ class ToleranceProfile:
 
     name: str = "default"
     unitarity: float = 1e-10
-    constraint: float = 1e-12
     matrix_vs_closed_T: float = 1e-10
     matrix_vs_closed_tan_mu: float = 1e-8
     elimination_entry: float = 1e-12

@@ -417,6 +417,19 @@ class TestCli:
             assert err == ""
             assert message in out.read_text().splitlines()
 
+    # counts numpy refuses, or returns no points for, before allocating
+    @pytest.mark.parametrize("points", ["100000000000000000000", str(2 ** 63)])
+    def test_oversized_scan_is_one_error_line(self, tmp_path, capsys, points):
+        out = tmp_path / "out.csv"
+        argv = ["mos", "--set", "scan.parameter=x", "--set", "scan.start=0",
+                "--set", "scan.stop=1e-6", "--set", f"scan.points={points}",
+                "--out", str(out)]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1
+        assert err.startswith(f"error: cannot make {points} sweep points")
+        assert not out.exists()
+
     @pytest.mark.parametrize("argv, code", [
         (["validate", "--out", "x.csv"], 1),
         (["validate", "--set", "mos.t=5"], 1),

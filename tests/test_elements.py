@@ -12,6 +12,7 @@ from optomech import (
     DegenerateDenominator,
     ElementSpec,
     InvalidElement,
+    InvalidParameter,
     compose_synthetic,
     compose_synthetic_by_elimination,
     element_scattering,
@@ -144,6 +145,21 @@ class TestCompose:
             compose_synthetic(mirror, membrane, -1e-9, K_REF)
         with pytest.raises(ValueError):
             compose_synthetic(mirror, membrane, 1e-7, 0.0)
+
+    @pytest.mark.parametrize("compose", [compose_synthetic, compose_synthetic_by_elimination])
+    @pytest.mark.parametrize("x, k", [(math.nan, K_REF), (math.inf, K_REF),
+                                      (1e-7, math.nan), (1e-7, math.inf)])
+    def test_rejects_non_finite_geometry(self, compose, x, k):
+        with pytest.raises(InvalidParameter, match="must be finite"):
+            compose(ElementSpec.mirror(0.5), ElementSpec.membrane(0.5), x, k)
+
+    def test_bad_geometry_is_invalid_parameter(self):
+        mirror = ElementSpec.mirror(0.5)
+        membrane = ElementSpec.membrane(0.5)
+        with pytest.raises(InvalidParameter):
+            compose_synthetic(mirror, membrane, -1e-9, K_REF)
+        with pytest.raises(InvalidParameter):
+            compose_synthetic_by_elimination(mirror, membrane, 1e-7, -K_REF)
 
 
 class TestSyntheticResponse:

@@ -9,6 +9,7 @@ import pytest
 
 from optomech import (
     DriveConfig,
+    InvalidParameter,
     PortRates,
     ZeroCoupling,
     cooperativity,
@@ -73,6 +74,28 @@ class TestFluctuationSolver:
             PortRates(0.0, 0.0, 0.0)
         with pytest.raises(ValueError):
             PortRates(-1.0, 2.0, 0.0)
+
+    @pytest.mark.parametrize("rates", [(math.nan, 1.0, 0.0), (1.0, math.nan, 0.0),
+                                       (1.0, 1.0, math.inf), (1.0, 1.0, -math.inf)])
+    def test_rates_must_be_finite(self, rates):
+        with pytest.raises(InvalidParameter, match="must be finite"):
+            PortRates(*rates)
+
+    @pytest.mark.parametrize("drive", [{"a0": math.nan}, {"a0": math.inf},
+                                       {"omega": math.nan}, {"delta": -math.inf}])
+    def test_drive_must_be_finite(self, drive):
+        with pytest.raises(InvalidParameter, match="must be finite"):
+            DriveConfig(**drive)
+
+    def test_out_of_range_noise_inputs_are_invalid_parameters(self):
+        with pytest.raises(InvalidParameter):
+            PortRates(-1.0, 2.0, 0.0)
+        with pytest.raises(InvalidParameter):
+            PortRates(0.0, 0.0, 0.0)
+        with pytest.raises(InvalidParameter):
+            DriveConfig(a0=-1.0)
+        # finite values whose sum overflows are accepted
+        assert DriveConfig(delta=1e308, omega=1e308).a0 == 1.0
 
 
 class TestHomodyneSpectra:
