@@ -23,6 +23,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 
+import numpy as np
+
 from .constants import C_LIGHT
 from .elements import TWO_PI, ElementSpec, synthetic_response
 from .errors import BranchAmbiguity, InvalidParameter, NoRootInWindow
@@ -91,11 +93,11 @@ class MateConfig:
         return self.l * self.t_m ** 2 / 4.0
 
 
-def resonance_residual(cfg: MateConfig, k: float) -> float:
-    """Residual of cos(k l + phi_r) + r_m cos(2 k x - k l)."""
-    return math.cos(k * cfg.l + cfg.phi_r) + cfg.r_m * math.cos(
-        2.0 * k * cfg.x - k * cfg.l
-    )
+def resonance_residual(cfg: MateConfig, k):
+    """Residual of cos(k l + phi_r) + r_m cos(2 k x - k l), elementwise for
+    an array k (numpy's cos for an array, math's for a float)."""
+    cos = np.cos if isinstance(k, np.ndarray) else math.cos
+    return cos(k * cfg.l + cfg.phi_r) + cfg.r_m * cos(2.0 * k * cfg.x - k * cfg.l)
 
 
 def mate_resonances(
@@ -173,9 +175,15 @@ def branch_wavevector(
 ) -> float:
     """Solve the branch equation k(2x-l) - sign*beta(k) - 2 pi n = 0 near k_near."""
 
-    def h(k: float) -> float:
-        arg = -math.cos(k * cfg.l + cfg.phi_r) / cfg.r_m
-        beta = math.acos(min(1.0, max(-1.0, arg)))
+    def h(k):
+        # np.arccos can differ from math.acos in the last bit; the grid
+        # passes on only its signs, and bisection calls h with floats
+        if isinstance(k, np.ndarray):
+            arg = -np.cos(k * cfg.l + cfg.phi_r) / cfg.r_m
+            beta = np.arccos(np.clip(arg, -1.0, 1.0))
+        else:
+            arg = -math.cos(k * cfg.l + cfg.phi_r) / cfg.r_m
+            beta = math.acos(min(1.0, max(-1.0, arg)))
         return k * (2.0 * cfg.x - cfg.l) - branch.sign * beta - TWO_PI * branch.n
 
     half_fsr = math.pi / (2.0 * cfg.l)

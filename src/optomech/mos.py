@@ -77,6 +77,8 @@ class MosConfig:
             raise InvalidParameter(f"wavelength must be positive, got {self.wavelength}")
         if not 0.0 < self.t_m <= 1.0:
             raise InvalidParameter(f"t_m must lie in (0, 1], got {self.t_m}")
+        if self.phi0 == 0.0:
+            raise InvalidParameter(f"phi0 = t_m^2/4 underflows to 0 at t_m={self.t_m}")
         if not 0.0 <= self.t <= 1.0:
             raise InvalidParameter(f"t must lie in [0, 1], got {self.t}")
         if any_true(self.x < 0.0):
@@ -322,8 +324,9 @@ def two_port_setpoint(cfg: MosConfig) -> TwoPortSetpoint:
     )
 
 
-def resonance_residual(cfg: MosConfig, k: float, n_mode: int) -> float:
-    """Residual of the resonance condition 2 l k = pi + 2 pi n - mu(k x)."""
+def resonance_residual(cfg: MosConfig, k, n_mode: int):
+    """Residual of the resonance condition 2 l k = pi + 2 pi n - mu(k x),
+    elementwise for an array k."""
     resp = synthetic_response(
         2.0 * k * cfg.x + cfg.phi_r, cfg.mirror, cfg.membrane
     )

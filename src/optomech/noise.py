@@ -25,6 +25,10 @@ theta = atan(g_omega0/g_gamma0) and
                       xi = g_omega0 / g_gamma0,
 
 bounded below by hbar^2/4 (reached only at xi = 0, A = 1).
+
+solve_fluctuations solves the 2x2 system in Python complex scalars, one
+frequency per call: on arrays this small, numpy's per-call overhead costs
+more than the arithmetic.
 """
 
 from __future__ import annotations
@@ -83,22 +87,50 @@ class DriveConfig:
 @dataclass(frozen=True)
 class FluctuationSolution:
     """Noise/signal decomposition of the intracavity and port-1 output
-    quadratures.
+    quadratures, kept as complex scalars.
 
-    Rows are (X, Y); noise columns follow NOISE_BASIS.  Power spectral
-    densities are sums of |coefficient|^2 over the basis (unit-white,
-    mutually uncorrelated vacuum inputs).
+    The inverse of the 2x2 drift matrix is [[diag, xy], [yx, diag]] with
+    diag = kappa/det, xy = -Delta/det and yx = Delta/det; port j drives both
+    quadratures with amplitude sqrt(gamma_j)/2.  Noise coefficients follow
+    NOISE_BASIS; power spectral densities are sums of |coefficient|^2 over
+    it (unit-white, mutually uncorrelated vacuum inputs).
     """
 
-    cavity_noise: np.ndarray   # (2, 6) complex
-    cavity_signal: np.ndarray  # (2,) complex, per unit mechanical amplitude
-    out1_noise: np.ndarray     # (2, 6) complex
-    out1_signal: np.ndarray    # (2,) complex
+    diag: complex
+    xy: complex
+    yx: complex
+    amplitudes: tuple[float, float, float]  # sqrt(gamma_j) / 2
+    out1_scale: float                       # 2 sqrt(gamma1)
+    out1_signal: tuple[complex, complex]    # (X, Y), per unit mechanical amplitude
+
+    def cavity_noise_rows(self) -> tuple[list[complex], list[complex]]:
+        """Intracavity (X, Y) noise coefficients over NOISE_BASIS."""
+        x_row: list[complex] = []
+        y_row: list[complex] = []
+        for amp in self.amplitudes:
+            x_row += (self.diag * amp, self.xy * amp)
+            y_row += (self.yx * amp, self.diag * amp)
+        return x_row, y_row
+
+    def out1_noise_rows(self) -> tuple[list[complex], list[complex]]:
+        """Port-1 output (X, Y) noise coefficients over NOISE_BASIS:
+        X_out1 = 2 sqrt(gamma1) X - X_in1, likewise for Y."""
+        x_row, y_row = self.cavity_noise_rows()
+        x_out = [self.out1_scale * c for c in x_row]
+        y_out = [self.out1_scale * c for c in y_row]
+        x_out[0] -= 1.0
+        y_out[1] -= 1.0
+        return x_out, y_out
+
+    @property
+    def out1_noise(self) -> np.ndarray:
+        """(2, 6) complex array of out1_noise_rows."""
+        return np.array(self.out1_noise_rows())
 
     def out1_psd(self, theta: float) -> float:
         """Noise PSD of the homodyne quadrature cos(theta) X + sin(theta) Y."""
-        combo = math.cos(theta) * self.out1_noise[0] + math.sin(theta) * self.out1_noise[1]
-        return float(np.sum(np.abs(combo) ** 2))
+        cos_t, sin_t = math.cos(theta), math.sin(theta)
+        return _psd([cos_t * x + sin_t * y for x, y in zip(*self.out1_noise_rows())])
 
     def out1_gain(self, theta: float) -> complex:
         """Signal transfer of the homodyne quadrature at angle theta."""
@@ -106,6 +138,15 @@ class FluctuationSolution:
             math.cos(theta) * self.out1_signal[0]
             + math.sin(theta) * self.out1_signal[1]
         )
+
+
+def _psd(coefficients: list[complex]) -> float:
+    """Sum of |c|^2 over noise coefficients, in order."""
+    total = 0.0
+    for c in coefficients:
+        mag = abs(c)
+        total += mag * mag
+    return total
 
 
 def solve_fluctuations(
@@ -122,29 +163,20 @@ def solve_fluctuations(
         raise SingularSystem(
             f"system determinant vanished (kappa={kappa}, delta={drive.delta})"
         )
-    m_inv = np.array(
-        [[kappa, -drive.delta], [drive.delta, kappa]], dtype=complex
-    ) / det
-
-    b_noise = np.zeros((2, 6), dtype=complex)
-    for j, rate in enumerate((rates.gamma1, rates.gamma2, rates.gamma3)):
-        b_noise[0, 2 * j] = math.sqrt(rate) / 2.0
-        b_noise[1, 2 * j + 1] = math.sqrt(rate) / 2.0
-    b_signal = np.array([drive.a0 * g_gamma0, drive.a0 * g_omega0], dtype=complex)
-
-    cavity_noise = m_inv @ b_noise
-    cavity_signal = m_inv @ b_signal
-
-    root_g1 = math.sqrt(rates.gamma1)
-    out1_noise = 2.0 * root_g1 * cavity_noise
-    out1_noise[0, 0] -= 1.0  # X_out1 = 2 sqrt(gamma1) X - X_in1
-    out1_noise[1, 1] -= 1.0
-    out1_signal = 2.0 * root_g1 * cavity_signal
+    diag, xy, yx = kappa / det, -drive.delta / det, drive.delta / det
+    signal_x, signal_y = drive.a0 * g_gamma0, drive.a0 * g_omega0
+    out1_scale = 2.0 * math.sqrt(rates.gamma1)
     return FluctuationSolution(
-        cavity_noise=cavity_noise,
-        cavity_signal=cavity_signal,
-        out1_noise=out1_noise,
-        out1_signal=out1_signal,
+        diag=diag,
+        xy=xy,
+        yx=yx,
+        amplitudes=(math.sqrt(rates.gamma1) / 2.0, math.sqrt(rates.gamma2) / 2.0,
+                    math.sqrt(rates.gamma3) / 2.0),
+        out1_scale=out1_scale,
+        out1_signal=(
+            out1_scale * (diag * signal_x + xy * signal_y),
+            out1_scale * (yx * signal_x + diag * signal_y),
+        ),
     )
 
 
@@ -156,7 +188,7 @@ def force_noise_coefficients(
 ) -> np.ndarray:
     """Noise coefficients of the backaction force over NOISE_BASIS."""
     sol = solve_fluctuations(rates, drive, g_omega0, g_gamma0)
-    return _force_coefficients(sol, rates, drive, g_omega0, g_gamma0)
+    return np.array(_force_coefficients(sol, rates, drive, g_omega0, g_gamma0))
 
 
 def _force_coefficients(
@@ -165,11 +197,12 @@ def _force_coefficients(
     drive: DriveConfig,
     g_omega0: float,
     g_gamma0: float,
-) -> np.ndarray:
+) -> list[complex]:
     # reads only the cavity noise, which the signal does not enter
     if rates.gamma2 <= 0.0 and g_gamma0 != 0.0:
         raise ValueError("dissipative coupling requires gamma2 > 0")
-    coeffs = 2.0 * HBAR * drive.a0 * g_omega0 * sol.cavity_noise[0].copy()
+    scale = 2.0 * HBAR * drive.a0 * g_omega0
+    coeffs = [scale * c for c in sol.cavity_noise_rows()[0]]
     if g_gamma0 != 0.0:
         coeffs[3] += -HBAR * drive.a0 * g_gamma0 / math.sqrt(rates.gamma2)
     return coeffs
@@ -192,8 +225,7 @@ def general_spectra(
     if gain == 0.0:
         raise ZeroCoupling(f"no signal transfer at homodyne angle theta={theta}")
     s_xx = sol.out1_psd(theta) / gain ** 2
-    f_coeffs = _force_coefficients(sol, rates, drive, g_omega0, g_gamma0)
-    s_ff = float(np.sum(np.abs(f_coeffs) ** 2))
+    s_ff = _psd(_force_coefficients(sol, rates, drive, g_omega0, g_gamma0))
     return s_xx, s_ff
 
 

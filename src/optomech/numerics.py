@@ -3,7 +3,8 @@
 These are used both by the library (resonance solvers) and by the
 validation suite, where they serve as independent oracles for the
 closed-form derivatives.  The first three helpers serve the closed forms
-that take either a float or a numpy array.
+that take either a float or a numpy array.  grid_roots samples its f on a
+whole grid in one call, so that f takes a float or a numpy array too.
 """
 
 from __future__ import annotations
@@ -124,17 +125,19 @@ def bracket_roots(
     return sign_change_brackets(grid, [f(x) for x in grid])
 
 
-def grid_roots(f: Callable[[float], float], lo: float, hi: float, steps: int,
+def grid_roots(f: Callable, lo: float, hi: float, steps: int,
                near: float | None = None, **bisect_tol: float) -> list[float]:
     """Roots of f on [lo, hi], in ascending order.
 
-    Samples f at lo + i (hi - lo) / steps for i = 0..steps, brackets each
-    sign change and refines it with bisect(**bisect_tol).  A node where f
-    is exactly zero is returned as is.  With near, only the bracket whose
-    midpoint lies closest to near is refined.  No sign change gives [].
+    f takes a float or a numpy array, elementwise.  It is evaluated once on
+    the whole grid lo + i (hi - lo) / steps, i = 0..steps, then each sign
+    change is bracketed and refined with bisect(**bisect_tol) through scalar
+    calls.  A node where f is exactly zero is returned as is.  With near,
+    only the bracket whose midpoint lies closest to near is refined.  No
+    sign change gives [].
     """
-    grid = [lo + i * (hi - lo) / steps for i in range(steps + 1)]
-    brackets = bracket_roots(f, grid)
+    grid = lo + np.arange(steps + 1) * (hi - lo) / steps
+    brackets = sign_change_brackets(grid.tolist(), f(grid).tolist())
     if near is not None and brackets:
         brackets = [min(brackets, key=lambda br: abs(0.5 * (br[0] + br[1]) - near))]
     return [a if a == b else bisect(f, a, b, f_lo=fa, f_hi=fb, **bisect_tol)

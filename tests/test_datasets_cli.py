@@ -388,9 +388,9 @@ class TestCli:
         (["compare", "--set", "compare.a0=inf"], 1, "a0 must be finite"),
         (["compare", "--set", "compare.t=nan"], 1, "t must be finite"),
         (["mos", "--set", "mos.t=1e-300"], 1, "ZeroDivisionError"),
-        (["mos", "--set", "mos.t_m=5e-324"], 1, "ZeroDivisionError"),
+        (["mos", "--set", "mos.t_m=5e-324"], 1, "phi0 = t_m^2/4 underflows to 0"),
         (["mos", "--set", "mos.l=5e-324"], 1, "ZeroDivisionError"),
-        (["mos", "--set", "mos.t_m=1e-300"], 1, "ZeroDivisionError"),
+        (["mos", "--set", "mos.t_m=1e-300"], 1, "phi0 = t_m^2/4 underflows to 0"),
         (["msi", "--set", "msi.wavelength=0"], 1, "ZeroDivisionError"),
         (["noise", "--set", "noise.gamma3_over_gamma=1e308"], 1, "OverflowError"),
         (["noise", "--set", "noise.gamma3_over_gamma=-1"], 1,

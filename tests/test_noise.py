@@ -69,6 +69,38 @@ class TestFluctuationSolver:
             for theta in (0.0, 0.7, math.pi / 2):
                 assert sol.out1_psd(theta) == pytest.approx(1.0, abs=1e-12)
 
+    def test_general_spectra_match_a_numpy_solve(self):
+        # the detuned, lossy, asymmetric terms, which neither the closed
+        # forms nor the design queries reach: the drift matrix and the input
+        # matrix of the module's equations, solved by np.linalg.solve
+        rng = np.random.default_rng(2026)
+        for _ in range(250):
+            g1, g2, g3 = rng.uniform(0.1, 2.0, 3) * GAMMA
+            delta, omega = rng.choice([-1.0, 1.0], 2) * rng.uniform(0.05, 2.0, 2) * GAMMA
+            a0, theta = rng.uniform(0.5, 2.0), rng.uniform(0.0, 2.0 * math.pi)
+            g_w, g_g = rng.choice([-1.0, 1.0], 2) * rng.uniform(0.5, 5.0, 2)
+            kappa = (g1 + g2 + g3) / 2.0 - 1j * omega
+            drift = np.array([[kappa, delta], [-delta, kappa]])
+            inputs = np.zeros((2, 6))
+            for j, rate in enumerate((g1, g2, g3)):
+                inputs[0, 2 * j] = inputs[1, 2 * j + 1] = math.sqrt(rate) / 2.0
+            noise = np.linalg.solve(drift, inputs)
+            signal = np.linalg.solve(drift, a0 * np.array([g_g, g_w]))
+            out_noise = 2.0 * math.sqrt(g1) * noise - np.eye(2, 6)
+            combo = math.cos(theta) * out_noise[0] + math.sin(theta) * out_noise[1]
+            gain = 2.0 * math.sqrt(g1) * (math.cos(theta) * signal[0]
+                                          + math.sin(theta) * signal[1])
+            force = 2.0 * HBAR * a0 * g_w * noise[0]
+            force[3] -= HBAR * a0 * g_g / math.sqrt(g2)
+
+            s_xx, s_ff = general_spectra(PortRates(g1, g2, g3),
+                                         DriveConfig(delta=delta, omega=omega, a0=a0),
+                                         g_w, g_g, theta)
+            # abs=0: approx's default 1e-12 absolute slack exceeds any S_FF
+            assert s_xx == pytest.approx(np.sum(np.abs(combo) ** 2) / abs(gain) ** 2,
+                                         rel=1e-12, abs=0.0)
+            assert s_ff == pytest.approx(np.sum(np.abs(force) ** 2), rel=1e-12, abs=0.0)
+
     def test_rates_must_be_positive(self):
         with pytest.raises(ValueError):
             PortRates(0.0, 0.0, 0.0)
