@@ -47,12 +47,10 @@ def format_value(value: object) -> str:
 
 
 def _write_table(path: str | Path, header: Iterable[str],
-                rows: Iterable[Iterable[object]], metadata: dict[str, object]) -> None:
-    """Write the CSV (header line, then rows of format_value cells) and its
+                lines: Iterable[str], metadata: dict[str, object]) -> None:
+    """Write the CSV (header line, then the formatted data lines) and its
     sidecar "<path>.meta" of sorted "key = value" lines."""
-    lines = [",".join(header)]
-    lines.extend(",".join(map(format_value, row)) for row in rows)
-    Path(path).write_text("\n".join(lines) + "\n")
+    Path(path).write_text("\n".join([",".join(header), *lines]) + "\n")
     meta = [f"{key} = {format_value(metadata[key])}" for key in sorted(metadata)]
     Path(f"{path}.meta").write_text("\n".join(meta) + "\n")
 
@@ -69,6 +67,8 @@ class FigureDataset:
         lengths = {len(v) for v in self.columns.values()}
         if len(lengths) > 1:
             raise ConfigError(f"ragged columns in dataset {self.name!r}: {lengths}")
+        if not self.columns:
+            raise ConfigError(f"dataset {self.name!r} has no columns")
         first = next(iter(self.columns.values()))
         if any(b <= a for a, b in zip(first, first[1:])):
             raise ConfigError(
@@ -80,8 +80,21 @@ class FigureDataset:
         return len(next(iter(self.columns.values())))
 
     def write(self, path: str | Path) -> None:
-        """Write the CSV and its sidecar metadata file."""
-        _write_table(path, self.columns, zip(*self.columns.values()), self.metadata)
+        """Write the CSV and its sidecar metadata file.
+
+        Each data line is one row template: a %.17g field for a column of
+        floats (the conversion format_value makes of a float), a %s field
+        holding the format_value text of any other column."""
+        fields, cells = [], []
+        for column in self.columns.values():
+            if set(map(type, column)) <= {float}:
+                fields.append("%.17g")
+                cells.append(column)
+            else:
+                fields.append("%s")
+                cells.append(list(map(format_value, column)))
+        lines = map(",".join(fields).__mod__, zip(*cells))
+        _write_table(path, self.columns, lines, self.metadata)
 
 
 @dataclass(frozen=True)
@@ -428,7 +441,8 @@ class ComparisonTable:
 
     def write(self, path: str | Path) -> None:
         _write_table(path, COMPARE_COLUMNS,
-                    ([row.get(c, "") for c in COMPARE_COLUMNS] for row in self.rows),
+                    (",".join(format_value(row.get(c, "")) for c in COMPARE_COLUMNS)
+                     for row in self.rows),
                     self.metadata)
 
 

@@ -15,7 +15,13 @@ from hypothesis import strategies as st
 
 from optomech import ConfigError, ScanSpec, compare_systems, reproduce_figure, run_scan
 from optomech.cli import main, read_config
-from optomech.datasets import COMPARE_DEFAULTS, TARGETS, FigureDataset, format_value
+from optomech.datasets import (
+    COMPARE_COLUMNS,
+    COMPARE_DEFAULTS,
+    TARGETS,
+    FigureDataset,
+    format_value,
+)
 from optomech.errors import DegenerateDenominator, InvalidParameter
 
 
@@ -142,6 +148,8 @@ class TestScan:
             FigureDataset(name="bad", columns={"a": [1.0, 2.0], "b": [1.0]})
         with pytest.raises(ConfigError):
             FigureDataset(name="bad", columns={"a": [2.0, 1.0]})
+        with pytest.raises(ConfigError, match="dataset 'x' has no columns"):
+            FigureDataset(name="x", columns={})
 
     def test_msi_mate_noise_targets(self):
         msi = run_scan(ScanSpec(target="msi", parameter="x",
@@ -211,7 +219,7 @@ class TestCompare:
         gamma_mate = rows["mate"]["gamma"]
         assert rows["mate"]["cooperativity"] == pytest.approx(
             rows["mos"]["cooperativity"] / 4 * 0.1 ** 4
-            * (2 * omega_m / gamma_mate) ** 2, rel=1e-10,
+            * (2 * omega_m / gamma_mate) ** 2, rel=1e-10, abs=0.0,
         )
 
     def test_infeasible_system_annotated(self):
@@ -231,6 +239,77 @@ class TestCompare:
         assert lines[0].startswith("system,g_gamma0,gamma,cooperativity")
         assert len(lines) == 4
         assert (tmp_path / "cmp.csv.meta").exists()
+
+
+def data_lines(path) -> list[str]:
+    return Path(path).read_text().splitlines()[1:]
+
+
+def format_rows(rows) -> list[str]:
+    return [",".join(map(format_value, row)) for row in rows]
+
+
+#: (swept parameter, start, stop, fixed) of a 7-point sweep whose grid holds
+#: the exact values 0.0 and 1.0; MATE needs 0 < x < l, so its grid holds 1.0
+#: only
+SMALL_SWEEPS = {
+    "synthetic": ("psi", -1.0, 2.0, {}),
+    "mos": ("phi_over_phi0", -1.0, 2.0, {}),
+    "msi": ("x", 0.0, 3.0, {}),
+    "mate": ("x", 0.5, 2.0, {"l": 3.0}),
+    "noise": ("xi", -1.0, 2.0, {}),
+}
+
+
+class TestCsvRows:
+    """Every data line is the format_value cells of its row, comma-joined."""
+
+    @pytest.mark.parametrize("target", sorted(SMALL_SWEEPS))
+    def test_scan_rows(self, tmp_path, target):
+        parameter, start, stop, fixed = SMALL_SWEEPS[target]
+        path = tmp_path / f"{target}.csv"
+        ds = run_scan(ScanSpec(target=target, parameter=parameter, start=start,
+                               stop=stop, points=7, fixed=fixed,
+                               output_path=str(path)))
+        grid = ds.columns[parameter]
+        assert 1.0 in grid and (target == "mate" or 0.0 in grid)
+        assert data_lines(path) == format_rows(zip(*ds.columns.values()))
+
+    @pytest.mark.parametrize("figure_id", ["fig2", "fig3", "fig4"])
+    def test_figure_rows(self, tmp_path, figure_id):
+        path = tmp_path / f"{figure_id}.csv"
+        ds = reproduce_figure(figure_id, output_path=str(path))
+        assert data_lines(path) == format_rows(zip(*ds.columns.values()))
+
+    @pytest.mark.parametrize("params", [{}, {"t": 0.0}])
+    def test_compare_rows(self, tmp_path, params):
+        path = tmp_path / "compare.csv"
+        table = compare_systems(params)
+        table.write(path)
+        rows = [[row.get(c, "") for c in COMPARE_COLUMNS] for row in table.rows]
+        assert data_lines(path) == format_rows(rows)
+        if params:  # the failed MOS row: empty cells, nan ratios, an error name
+            assert data_lines(path)[0] == "mos,,,,nan,nan,nan,InvalidParameter"
+
+    def test_non_float_cells_written_as_format_value(self, tmp_path):
+        # bools, ints, strs and float-like non-floats keep their str() text,
+        # also below a float in the same column; a %.17g field would write
+        # True as 1 and 10**20 as 1e+20
+        columns = {
+            "i": [1, 2],
+            "flag": [True, False],
+            "label": ["a", "b"],
+            "mixed": [0.25, 10 ** 20],
+            "f32": [np.float32(0.1), np.float32(2.5)],
+            "f64": [np.float64(1 / 3), 0.5],
+        }
+        path = tmp_path / "mixed.csv"
+        FigureDataset(name="mixed", columns=columns).write(path)
+        assert data_lines(path) == [
+            "1,True,a,0.25,0.1,0.33333333333333331",
+            "2,False,b,100000000000000000000,2.5,0.5",
+        ]
+        assert data_lines(path) == format_rows(zip(*columns.values()))
 
 
 class TestCli:

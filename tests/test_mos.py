@@ -271,7 +271,7 @@ class TestConfigValidation:
         cfg0 = MosConfig(l=1e-4, wavelength=0.85e-6, t=0.014, t_m=0.1, x=0.0, N=0)
         cfg3 = replace(cfg0, N=3)
         assert cfg3.x_tilde - cfg0.x_tilde == pytest.approx(
-            3 * cfg0.wavelength / 2, rel=1e-14
+            3 * cfg0.wavelength / 2, rel=1e-14, abs=0.0
         )
 
     def test_regime_subconditions_reported_separately(self, bench):

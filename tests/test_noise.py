@@ -148,7 +148,7 @@ class TestHomodyneSpectra:
         assert rep.A == pytest.approx(big_a)
         assert rep.s_ff == pytest.approx(
             HBAR ** 2 * 4.0 * GAMMA / half_width ** 2
-            * (big_a ** 2 * 16.0 + 2 * big_a * 9.0), rel=1e-14,
+            * (big_a ** 2 * 16.0 + 2 * big_a * 9.0), rel=1e-14, abs=0.0,
         )
         xi = 3.0 / 4.0
         assert rep.product / (HBAR ** 2 / 4) == pytest.approx(
@@ -157,7 +157,7 @@ class TestHomodyneSpectra:
 
     def test_product_floor_reached_without_loss(self):
         rep = homodyne_spectra(sym_rates(0.0), DriveConfig(a0=1.0), 0.0, 5.0)
-        assert rep.product == pytest.approx(HBAR ** 2 / 4, rel=1e-14)
+        assert rep.product == pytest.approx(HBAR ** 2 / 4, rel=1e-14, abs=0.0)
 
     def test_fig4_anchor_points(self):
         for frac, at_zero, asymptote in ((0.0, 1.0, 2.0), (0.5, 1.5625, 2.5),
@@ -213,8 +213,8 @@ class TestGeneralSolverAgreement:
             g_w, g_g, rep.theta_opt,
         )
         assert s_xx == pytest.approx(rep.s_xx_imp, rel=1e-4)
-        assert s_ff == pytest.approx(rep.s_ff, rel=1e-4)
-        assert s_xx * s_ff == pytest.approx(rep.product, rel=2e-4)
+        assert s_ff == pytest.approx(rep.s_ff, rel=1e-4, abs=0.0)
+        assert s_xx * s_ff == pytest.approx(rep.product, rel=2e-4, abs=0.0)
 
     def test_rotating_away_from_optimum(self):
         rates = sym_rates(0.3)
@@ -257,7 +257,7 @@ class TestGeneralSolverAgreement:
         coeffs = force_noise_coefficients(rates, drive, 0.0, 2.0)
         # pure dissipative force: only Y_in2 contributes
         expected = HBAR * 1.5 * 2.0 / math.sqrt(GAMMA)
-        assert abs(coeffs[3]) == pytest.approx(expected, rel=1e-14)
+        assert abs(coeffs[3]) == pytest.approx(expected, rel=1e-14, abs=0.0)
         assert np.sum(np.abs(np.delete(coeffs, 3))) == 0.0
 
 
@@ -282,7 +282,7 @@ class TestCooperativity:
             assert zero == 0.0
             one = cooperativity(system, **{**params, "a0": 1.0})
             two = cooperativity(system, **{**params, "a0": 2.0})
-            assert two == pytest.approx(4 * one, rel=1e-13)
+            assert two == pytest.approx(4 * one, rel=1e-13, abs=0.0)
 
     def test_mos_to_mate_ratio(self):
         gamma_mate = C_LIGHT * 0.014 ** 2 / (2 * 1e-4)
@@ -300,7 +300,7 @@ class TestCooperativity:
         k = 2 * math.pi / 0.85e-6
         m_scale = C_LIGHT * (k * 1e-15) ** 2 / (1e-4 * 0.1)
         assert value == pytest.approx(
-            2 * m_scale * 0.81 * (2 * omega_m / gamma_ms) ** 2, rel=1e-13
+            2 * m_scale * 0.81 * (2 * omega_m / gamma_ms) ** 2, rel=1e-13, abs=0.0
         )
 
     def test_unknown_system(self):
@@ -312,4 +312,4 @@ class TestCooperativity:
         rep = homodyne_spectra(sym_rates(), DriveConfig(a0=1.0), 0.0, 2.0e14,
                                x_zpf=1e-15, gamma_m=0.1)
         expected = (2.0e14 * 1e-15) ** 2 / (GAMMA * 0.1)
-        assert rep.cooperativity == pytest.approx(expected, rel=1e-14)
+        assert rep.cooperativity == pytest.approx(expected, rel=1e-14, abs=0.0)
