@@ -91,8 +91,7 @@ def _section(entries: dict[str, str], name: str) -> dict[str, float]:
     return values
 
 
-def _build_scan_spec(target: str, entries: dict[str, str],
-                     out_path: str | None) -> ScanSpec:
+def _build_scan_spec(target: str, entries: dict[str, str]) -> ScanSpec:
     fixed = _section(entries, target)
     missing = [k for k in SCAN_KEYS if f"scan.{k}" not in entries]
     if missing:
@@ -106,7 +105,6 @@ def _build_scan_spec(target: str, entries: dict[str, str],
         stop=_number("scan.stop", entries["scan.stop"]),
         points=_number("scan.points", entries["scan.points"], int),
         fixed=fixed,
-        output_path=out_path,
     )
 
 
@@ -157,15 +155,13 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     try:
         args = build_parser().parse_args(argv)
-        if args.command in TARGETS:
-            out = args.out or f"{args.command}.csv"
-            spec = _build_scan_spec(args.command, _load_entries(args), out)
-            dataset = run_scan(spec, workers=args.workers)
-            print(f"wrote {out} ({dataset.n_rows} rows) and {out}.meta")
-            return 0
-        if args.command == "figure":
-            out = args.out or f"{args.figure_id}.csv"
-            dataset = reproduce_figure(args.figure_id, output_path=out)
+        if args.command in TARGETS or args.command == "figure":
+            if args.command == "figure":
+                dataset = reproduce_figure(args.figure_id)
+            else:
+                dataset = run_scan(_build_scan_spec(args.command, _load_entries(args)))
+            out = args.out or f"{dataset.name}.csv"
+            dataset.write(out)
             print(f"wrote {out} ({dataset.n_rows} rows) and {out}.meta")
             return 0
         if args.command == "compare":

@@ -70,7 +70,7 @@ class FigureDataset:
         if not self.columns:
             raise ConfigError(f"dataset {self.name!r} has no columns")
         first = next(iter(self.columns.values()))
-        if any(b <= a for a, b in zip(first, first[1:])):
+        if any(not b > a for a, b in zip(first, first[1:])):  # a NaN fails too
             raise ConfigError(
                 f"abscissa of dataset {self.name!r} must be strictly increasing"
             )
@@ -107,7 +107,6 @@ class ScanSpec:
     stop: float
     points: int
     fixed: dict[str, float] = field(default_factory=dict)
-    output_path: str | None = None
 
 
 # ---------------------------------------------------------------------------
@@ -311,12 +310,12 @@ def _evaluate(target: _Target, fixed: dict[str, float], parameter: str,
     return {name: column.tolist() for name, column in columns.items()}
 
 
-def run_scan(spec: ScanSpec, workers: int = 1) -> FigureDataset:
-    """Evaluate a sweep and (optionally) write its dataset.
+def run_scan(spec: ScanSpec) -> FigureDataset:
+    """Evaluate a sweep into its dataset (FigureDataset.write writes it).
 
     Validates the spec (unknown target/parameter, point count < 2,
     non-finite bounds, swept parameter also fixed -> ConfigError), then
-    evaluates all points at once.  workers is accepted and ignored.
+    evaluates all points at once.
     """
     if spec.target not in TARGETS:
         raise ConfigError(
@@ -353,17 +352,14 @@ def run_scan(spec: ScanSpec, workers: int = 1) -> FigureDataset:
         metadata["normalizer.gamma0"] = cfg.gamma0
         metadata["normalizer.g_00"] = cfg.g_00
 
-    dataset = FigureDataset(name=spec.target, columns=columns, metadata=metadata)
-    if spec.output_path:
-        dataset.write(spec.output_path)
-    return dataset
+    return FigureDataset(name=spec.target, columns=columns, metadata=metadata)
 
 
 FIGURE_IDS = ("fig2", "fig3", "fig4")
 
 
-def reproduce_figure(figure_id: str, output_path: str | None = None) -> FigureDataset:
-    """Datasets behind the bundled figures.
+def reproduce_figure(figure_id: str) -> FigureDataset:
+    """Datasets behind the bundled figures (FigureDataset.write writes one).
 
     fig2: normalized coupling constants g_omega0/g_00 and g_gamma0/g_00
           versus Phi/Phi0 on [-4, 4], 801 points.
@@ -382,33 +378,29 @@ def reproduce_figure(figure_id: str, output_path: str | None = None) -> FigureDa
             keep = ("phi_over_phi0", "g_omega0_over_g00", "g_gamma0_over_g00")
         else:
             keep = ("phi_over_phi0", "gamma_over_gamma0")
-        dataset = FigureDataset(
+        return FigureDataset(
             name=figure_id,
             columns={k: scan.columns[k] for k in keep},
             metadata={**scan.metadata, "figure_id": figure_id},
         )
-    else:
-        spec = ScanSpec(target="noise", parameter="xi", start=-20.0, stop=20.0, points=801)
-        xi = _sweep_values(spec)
-        columns: dict[str, list[float]] = {"xi": xi.tolist()}
-        for frac in (0.0, 0.5, 1.0):
-            loss = _noise_columns({"gamma3_over_gamma": frac}, "xi", xi)
-            columns[f"product_normalized_loss{int(100 * frac)}"] = (
-                loss["product_normalized"].tolist()
-            )
-        dataset = FigureDataset(
-            name="fig4",
-            columns=columns,
-            metadata={
-                **_scan_metadata(spec),
-                "figure_id": "fig4",
-                "loss_fractions": "0,0.5,1",
-                "normalizer.product_unit": "hbar^2/4",
-            },
+    spec = ScanSpec(target="noise", parameter="xi", start=-20.0, stop=20.0, points=801)
+    xi = _sweep_values(spec)
+    columns: dict[str, list[float]] = {"xi": xi.tolist()}
+    for frac in (0.0, 0.5, 1.0):
+        loss = _noise_columns({"gamma3_over_gamma": frac}, "xi", xi)
+        columns[f"product_normalized_loss{int(100 * frac)}"] = (
+            loss["product_normalized"].tolist()
         )
-    if output_path:
-        dataset.write(output_path)
-    return dataset
+    return FigureDataset(
+        name="fig4",
+        columns=columns,
+        metadata={
+            **_scan_metadata(spec),
+            "figure_id": "fig4",
+            "loss_fractions": "0,0.5,1",
+            "normalizer.product_unit": "hbar^2/4",
+        },
+    )
 
 
 COMPARE_DEFAULTS: dict[str, float] = {

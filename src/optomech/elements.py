@@ -81,26 +81,15 @@ class ElementSpec:
     phi_r: float = 0.0
 
     @classmethod
-    def mirror(cls, t: float, r: float | None = None) -> "ElementSpec":
-        if r is None:
-            r = math.sqrt(max(0.0, 1.0 - t * t))
-        return cls(kind="mirror", t=t, r=r)
+    def mirror(cls, t: float) -> "ElementSpec":
+        return cls(kind="mirror", t=t, r=math.sqrt(max(0.0, 1.0 - t * t)))
 
     @classmethod
-    def membrane(
-        cls,
-        t_m: float,
-        phi_r: float = math.pi / 2,
-        phi_t: float | None = None,
-        r_m: float | None = None,
-    ) -> "ElementSpec":
-        """Membrane with reflection phase phi_r; phi_t defaults to
-        phi_r - pi/2 so the phase constraint holds identically."""
-        if r_m is None:
-            r_m = math.sqrt(max(0.0, 1.0 - t_m * t_m))
-        if phi_t is None:
-            phi_t = phi_r - math.pi / 2
-        return cls(kind="membrane", t=t_m, r=r_m, phi_t=phi_t, phi_r=phi_r)
+    def membrane(cls, t_m: float, phi_r: float = math.pi / 2) -> "ElementSpec":
+        """Membrane with reflection phase phi_r and phi_t = phi_r - pi/2, so
+        the phase constraint holds identically."""
+        r_m = math.sqrt(max(0.0, 1.0 - t_m * t_m))
+        return cls(kind="membrane", t=t_m, r=r_m, phi_t=phi_r - math.pi / 2, phi_r=phi_r)
 
     def validate(self) -> None:
         """Raise InvalidElement on a constraint violation.

@@ -113,7 +113,7 @@ def mate_resonances(
     """
     k_lo, k_hi = k_window
     if not (0.0 < k_lo < k_hi):
-        raise ValueError(f"bad window [{k_lo}, {k_hi}]")
+        raise InvalidParameter(f"bad window [{k_lo}, {k_hi}]")
     step = (math.pi / cfg.l) / SCAN_STEPS_PER_FSR
     roots = grid_roots(lambda k: resonance_residual(cfg, k), k_lo, k_hi,
                        max(1, math.ceil((k_hi - k_lo) / step)), ftol=residual_tol)
@@ -202,7 +202,6 @@ class MateDispersive:
     g_omega0: float    # dispersive constant, -c dk/dx
     slope_sign: int    # the +- selecting the radical term at this root
     radical: float     # r_m^{-1} sqrt(1 + t_m^2 c^2 / (1 - c^2))
-    branch: MateBranch
 
 
 def mate_dispersive_constant(cfg: MateConfig, k_c: float) -> MateDispersive:
@@ -241,7 +240,6 @@ def mate_dispersive_constant(cfg: MateConfig, k_c: float) -> MateDispersive:
         g_omega0=-C_LIGHT * dk_dx,
         slope_sign=sign,
         radical=radical,
-        branch=classify_branch(cfg, k_c),
     )
 
 

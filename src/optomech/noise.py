@@ -122,11 +122,6 @@ class FluctuationSolution:
         y_out[1] -= 1.0
         return x_out, y_out
 
-    @property
-    def out1_noise(self) -> np.ndarray:
-        """(2, 6) complex array of out1_noise_rows."""
-        return np.array(self.out1_noise_rows())
-
     def out1_psd(self, theta: float) -> float:
         """Noise PSD of the homodyne quadrature cos(theta) X + sin(theta) Y."""
         cos_t, sin_t = math.cos(theta), math.sin(theta)
@@ -180,17 +175,6 @@ def solve_fluctuations(
     )
 
 
-def force_noise_coefficients(
-    rates: PortRates,
-    drive: DriveConfig,
-    g_omega0: float,
-    g_gamma0: float,
-) -> np.ndarray:
-    """Noise coefficients of the backaction force over NOISE_BASIS."""
-    sol = solve_fluctuations(rates, drive, g_omega0, g_gamma0)
-    return np.array(_force_coefficients(sol, rates, drive, g_omega0, g_gamma0))
-
-
 def _force_coefficients(
     sol: FluctuationSolution,
     rates: PortRates,
@@ -200,7 +184,7 @@ def _force_coefficients(
 ) -> list[complex]:
     # reads only the cavity noise, which the signal does not enter
     if rates.gamma2 <= 0.0 and g_gamma0 != 0.0:
-        raise ValueError("dissipative coupling requires gamma2 > 0")
+        raise InvalidParameter("dissipative coupling requires gamma2 > 0")
     scale = 2.0 * HBAR * drive.a0 * g_omega0
     coeffs = [scale * c for c in sol.cavity_noise_rows()[0]]
     if g_gamma0 != 0.0:
@@ -270,13 +254,13 @@ def homodyne_spectra(
     (g_gamma0 x_zpf a0)^2 / (gamma gamma_m).
     """
     if drive.delta != 0.0:
-        raise ValueError("closed forms hold at resonant drive (delta = 0)")
+        raise InvalidParameter("closed forms hold at resonant drive (delta = 0)")
     if rates.gamma1 != rates.gamma2:
-        raise ValueError("closed forms hold for a symmetric cavity (gamma1 = gamma2)")
+        raise InvalidParameter("closed forms hold for a symmetric cavity (gamma1 = gamma2)")
     if g_omega0 == 0.0 and g_gamma0 == 0.0:
         raise ZeroCoupling("both coupling constants are zero")
     if drive.a0 <= 0.0:
-        raise ValueError("imprecision diverges without a pump (a0 = 0)")
+        raise InvalidParameter("imprecision diverges without a pump (a0 = 0)")
     gamma = rates.gamma1
     half_width = gamma + rates.gamma3 / 2.0
     big_a = 1.0 + rates.gamma3 / (2.0 * gamma)
@@ -358,5 +342,5 @@ def cooperativity(system: str, **params: float) -> float:
     try:
         func = table[system.lower()]
     except KeyError:
-        raise ValueError(f"unknown system {system!r}; expected mos, msi, or mate")
+        raise InvalidParameter(f"unknown system {system!r}; expected mos, msi, or mate")
     return func(**params)

@@ -27,7 +27,8 @@ from .elements import (
     element_scattering,
     synthetic_response,
 )
-from .numerics import bisect, central_diff_5pt, sign_change_brackets
+from .errors import InvalidParameter
+from .numerics import central_diff_5pt, grid_roots
 
 
 @dataclass(frozen=True)
@@ -225,17 +226,10 @@ def _check_locus_oracle(rng: np.random.Generator, tol: ToleranceProfile,
         membrane = ElementSpec.membrane(t_m)
         locus = mos_mod.zero_dispersive_locus(t, t_m)
 
-        def dmu(psi: float) -> float:
+        def dmu(psi):
             return synthetic_response(psi, mirror, membrane).dmu_dpsi
 
-        grid = np.linspace(1e-3, 2.0 * math.pi - 1e-3, 4001)
-        brackets = sign_change_brackets(
-            grid.tolist(), synthetic_response(grid, mirror, membrane).dmu_dpsi.tolist()
-        )
-        roots = sorted(
-            bisect(dmu, a, b, f_lo=fa, f_hi=fb, ftol=0.0, xtol=1e-13)
-            for a, b, fa, fb in brackets
-        )
+        roots = grid_roots(dmu, 1e-3, 2.0 * math.pi - 1e-3, 4000, ftol=0.0, xtol=1e-13)
         if len(roots) != 2:
             return CheckResult("zero_dispersive_locus_oracle", False,
                                float(len(roots)), 2.0,
@@ -412,9 +406,9 @@ def run_validation(
         try:
             profile = PROFILES[profile]
         except KeyError:
-            raise ValueError(f"unknown tolerance profile {profile!r}")
+            raise InvalidParameter(f"unknown tolerance profile {profile!r}")
     if suite not in ("fast", "full"):
-        raise ValueError(f"unknown suite {suite!r}; expected 'fast' or 'full'")
+        raise InvalidParameter(f"unknown suite {suite!r}; expected 'fast' or 'full'")
     rng = np.random.default_rng(seed)
     checks = [
         _check_unitarity(rng, profile, samples=1000 if suite == "full" else 300),

@@ -63,7 +63,7 @@ class TestZeroDispersiveLocus:
         r2, rm2 = 1 - t * t, 1 - t_m * t_m
         locus = zero_dispersive_locus(t, t_m)
         assert locus.T_star == pytest.approx(
-            t * t * (1 + rm2) / (1 - r2 * rm2), rel=1e-13
+            t * t * (1 + rm2) / (1 - r2 * rm2), rel=1e-13, abs=0.0
         )
 
 

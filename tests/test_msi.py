@@ -98,7 +98,8 @@ class TestZeroDispersive:
         zd = msi_zero_dispersive(make_cfg(r_ms=0.9, Tb_sq=0.48))
         assert zd.tau_star == pytest.approx(-0.0917662935482, abs=1e-12)
         # exact identity tau* = (T_b^2 - R_b^2)/t_ms
-        assert zd.tau_star == pytest.approx((0.48 - 0.52) / math.sqrt(0.19), rel=1e-12)
+        assert zd.tau_star == pytest.approx((0.48 - 0.52) / math.sqrt(0.19),
+                                            rel=1e-12, abs=0.0)
 
     def test_mu_slope_vanishes_at_locus(self):
         cfg = make_cfg(r_ms=0.9, Tb_sq=0.48)
@@ -138,7 +139,7 @@ class TestZeroDispersive:
         cfg = make_cfg(r_ms=0.9, Tb_sq=0.49)
         zd = msi_zero_dispersive(cfg)
         # T_b^2 - R_b^2 = tau* t_ms exactly
-        assert 0.49 - 0.51 == pytest.approx(zd.tau_star * cfg.t_ms, rel=1e-12)
+        assert 0.49 - 0.51 == pytest.approx(zd.tau_star * cfg.t_ms, rel=1e-12, abs=0.0)
         # |cos 2kx*| = |r_ms tau*| to first order in the imbalance
         assert abs(zd.cos_2kx_star) == pytest.approx(
             abs(cfg.r_ms * zd.tau_star), rel=2 * abs(zd.tau_star) + 1e-3
