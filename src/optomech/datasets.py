@@ -132,17 +132,7 @@ def _synthetic_columns(fixed: dict[str, float], parameter: str, psi) -> Columns:
 
 
 def _mos_config(fixed: dict[str, float], parameter: str, value) -> mos_mod.MosConfig:
-    if not float(fixed["N"]).is_integer():
-        raise InvalidParameter(f"branch index N must be an integer, got {fixed['N']}")
-    base = mos_mod.MosConfig(
-        l=fixed["l"],
-        wavelength=fixed["wavelength"],
-        t=fixed["t"],
-        t_m=fixed["t_m"],
-        x=0.0 if parameter != "x" else value,
-        phi_r=fixed["phi_r"],
-        N=int(fixed["N"]),
-    )
+    base = mos_mod.MosConfig(x=value if parameter == "x" else 0.0, **fixed)
     if parameter == "x":
         return base
     return base.at_phi(value * base.phi0)
@@ -168,10 +158,14 @@ def _mos_columns(fixed: dict[str, float], parameter: str, value) -> Columns:
 
 
 def _msi_columns(fixed: dict[str, float], parameter: str, x) -> Columns:
+    wavelength = fixed["wavelength"]
+    require_finite(wavelength=wavelength)
+    if wavelength <= 0.0:
+        raise InvalidParameter(f"wavelength must be positive, got {wavelength}")
     cfg = msi_mod.MsiConfig.balanced(
         r_ms=fixed["r_ms"],
         l=fixed["l"],
-        k=2.0 * math.pi / fixed["wavelength"],
+        k=2.0 * math.pi / wavelength,
         x=x,
         Tb_sq=fixed["Tb_sq"],
     )
@@ -187,14 +181,7 @@ def _msi_columns(fixed: dict[str, float], parameter: str, x) -> Columns:
 
 
 def _mate_columns(fixed: dict[str, float], parameter: str, x) -> Columns:
-    cfg = mate_mod.MateConfig(
-        l=fixed["l"],
-        x=x,
-        t=fixed["t"],
-        t_m=fixed["t_m"],
-        wavelength=fixed["wavelength"],
-        phi_r=fixed["phi_r"],
-    )
+    cfg = mate_mod.MateConfig(x=x, **fixed)
     dec = mate_mod.mate_exact_decay(cfg, cfg.k)
     return {
         "x": x,

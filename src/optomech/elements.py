@@ -1,5 +1,6 @@
 """Exact scattering algebra for lossless mirrors, membranes, and the
-mirror+membrane tandem ("synthetic mirror").
+mirror+membrane tandem ("synthetic mirror"), and the tandem cavity
+geometry that the MOS and MATE models share.
 
 Conventions
 -----------
@@ -35,9 +36,11 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
+from .constants import C_LIGHT
 from .errors import DegenerateDenominator, InvalidElement, InvalidParameter
 from .numerics import any_true, cos_sin, require_finite
 
@@ -117,6 +120,63 @@ class ElementSpec:
                 )
 
 
+@dataclass(frozen=True, kw_only=True)
+class TandemCavity:
+    """Mirror+membrane geometry shared by the MOS and MATE cavities.
+
+    l          cavity length (m)
+    wavelength vacuum wavelength (m); k = 2 pi / wavelength
+    t          mirror amplitude transmission
+    t_m        membrane amplitude transmission
+    x          mirror-membrane distance (m); a numpy array of distances
+               makes the distance-dependent quantities elementwise
+    phi_r      membrane reflection phase (rad)
+
+    Keyword-only, so that subclasses may add fields and change defaults
+    without a positional call silently binding a value to another field.
+    """
+
+    l: float
+    wavelength: float
+    t: float
+    t_m: float
+    x: float
+    phi_r: float = math.pi / 2
+
+    def __post_init__(self) -> None:
+        require_finite(l=self.l, wavelength=self.wavelength, t=self.t,
+                       t_m=self.t_m, x=self.x, phi_r=self.phi_r)
+        if self.l <= 0.0:
+            raise InvalidParameter(f"cavity length must be positive, got {self.l}")
+        if self.wavelength <= 0.0:
+            raise InvalidParameter(f"wavelength must be positive, got {self.wavelength}")
+        if not 0.0 < self.t_m <= 1.0:
+            raise InvalidParameter(f"t_m must lie in (0, 1], got {self.t_m}")
+        if not 0.0 <= self.t <= 1.0:
+            raise InvalidParameter(f"t must lie in [0, 1], got {self.t}")
+
+    @property
+    def k(self) -> float:
+        return TWO_PI / self.wavelength
+
+    @property
+    def omega_c(self) -> float:
+        """Cavity resonance frequency, taken as c k."""
+        return C_LIGHT * self.k
+
+    @property
+    def phi0(self) -> float:
+        return self.t_m ** 2 / 4.0
+
+    @cached_property
+    def mirror(self) -> ElementSpec:
+        return ElementSpec.mirror(self.t)
+
+    @cached_property
+    def membrane(self) -> ElementSpec:
+        return ElementSpec.membrane(self.t_m, phi_r=self.phi_r)
+
+
 @dataclass(frozen=True)
 class ScatteringMatrix:
     """2x2 complex scattering matrix, (out_far, out_near) = S (in_near, in_far).
@@ -137,11 +197,6 @@ class ScatteringMatrix:
         """Max entrywise deviation of S^dagger S from the identity."""
         s = self.as_array()
         return float(np.max(np.abs(s.conj().T @ s - np.eye(2))))
-
-    @property
-    def transmission(self) -> float:
-        """Power transmission |m11|^2 (identical in both directions)."""
-        return abs(self.m11) ** 2
 
 
 def element_scattering(spec: ElementSpec) -> ScatteringMatrix:

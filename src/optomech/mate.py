@@ -26,7 +26,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .constants import C_LIGHT
-from .elements import TWO_PI, ElementSpec, synthetic_response
+from .elements import TWO_PI, TandemCavity, synthetic_response
 from .errors import BranchAmbiguity, InvalidParameter, NoRootInWindow
 from .numerics import (
     RESONANCE_GAP_STEP,
@@ -34,59 +34,33 @@ from .numerics import (
     central_diff_richardson,
     cos_sin,
     grid_roots,
-    require_finite,
 )
 
 #: resonance-scan grid step, as a fraction of the free spectral range pi/l
 SCAN_STEPS_PER_FSR = 50
 
+#: margin interpreting the near-edge inequality x << l t_m^2 / 4
+NEAR_EDGE_MARGIN = 0.01
 
-@dataclass(frozen=True)
-class MateConfig:
-    """Membrane-at-the-edge geometry.
 
-    l           cavity length (m)
-    x           membrane distance from the input mirror (m), 0 < x < l; a
-                numpy array of distances makes mate_exact_decay elementwise
-    t, t_m      mirror / membrane amplitude transmissions
-    phi_r       membrane reflection phase (rad)
-    wavelength  nominal vacuum wavelength (m), sets omega_c = 2 pi c / wavelength
+@dataclass(frozen=True, kw_only=True)
+class MateConfig(TandemCavity):
+    """Membrane-at-the-edge cavity: the tandem geometry
+    (elements.TandemCavity) with the membrane inside the cavity at
+    distance 0 < x < l from the input mirror, and phi_r = pi by default;
+    the wavelength sets the nominal omega_c.
     """
 
-    l: float
-    x: float
-    t: float
-    t_m: float
-    wavelength: float
     phi_r: float = math.pi
 
     def __post_init__(self) -> None:
-        require_finite(l=self.l, x=self.x, t=self.t, t_m=self.t_m,
-                       wavelength=self.wavelength, phi_r=self.phi_r)
+        super().__post_init__()
         if any_true((self.x <= 0.0) | (self.x >= self.l)):
             raise InvalidParameter(f"need 0 < x < l, got x={self.x}, l={self.l}")
-        if not 0.0 < self.t_m <= 1.0:
-            raise InvalidParameter(f"t_m must lie in (0, 1], got {self.t_m}")
-        if not 0.0 <= self.t <= 1.0:
-            raise InvalidParameter(f"t must lie in [0, 1], got {self.t}")
-        if self.wavelength <= 0.0:
-            raise InvalidParameter(f"wavelength must be positive, got {self.wavelength}")
 
     @property
     def r_m(self) -> float:
-        return math.sqrt(max(0.0, 1.0 - self.t_m ** 2))
-
-    @property
-    def k(self) -> float:
-        return TWO_PI / self.wavelength
-
-    @property
-    def omega_c(self) -> float:
-        return C_LIGHT * self.k
-
-    @property
-    def phi0(self) -> float:
-        return self.t_m ** 2 / 4.0
+        return self.membrane.r
 
     def near_edge_bound(self) -> float:
         """Distance scale l t_m^2 / 4 below which the membrane is at the edge."""
@@ -201,7 +175,6 @@ class MateDispersive:
     dk_dx: float
     g_omega0: float    # dispersive constant, -c dk/dx
     slope_sign: int    # the +- selecting the radical term at this root
-    radical: float     # r_m^{-1} sqrt(1 + t_m^2 c^2 / (1 - c^2))
 
 
 def mate_dispersive_constant(cfg: MateConfig, k_c: float) -> MateDispersive:
@@ -239,7 +212,6 @@ def mate_dispersive_constant(cfg: MateConfig, k_c: float) -> MateDispersive:
         dk_dx=dk_dx,
         g_omega0=-C_LIGHT * dk_dx,
         slope_sign=sign,
-        radical=radical,
     )
 
 
@@ -262,8 +234,8 @@ def mate_zero_dispersive(cfg: MateConfig) -> MateZeroDispersive:
         gamma_mate  = c t^2 / (2 l)
         ratio_to_mos = |g_gamma0^MOS(Phi0)| / |g_gamma0^MATE(Phi*)| = 2 / t_m^3
 
-    near_edge flags x << l t_m^2 / 4 (margin 0.01), the regime in which the
-    closed forms hold.
+    near_edge flags x << l t_m^2 / 4 (margin NEAR_EDGE_MARGIN), the regime
+    in which the closed forms hold.
     """
     phi_star = cfg.t_m / 2.0
     return MateZeroDispersive(
@@ -271,7 +243,7 @@ def mate_zero_dispersive(cfg: MateConfig) -> MateZeroDispersive:
         g_gamma0_mag=cfg.omega_c * cfg.t ** 2 / (cfg.l * cfg.t_m),
         gamma_mate=C_LIGHT * cfg.t ** 2 / (2.0 * cfg.l),
         ratio_to_mos=2.0 / cfg.t_m ** 3,
-        near_edge=cfg.x < 0.01 * cfg.near_edge_bound(),
+        near_edge=cfg.x < NEAR_EDGE_MARGIN * cfg.near_edge_bound(),
     )
 
 
@@ -323,9 +295,7 @@ def mate_exact_decay(cfg: MateConfig, k: float) -> MateExactDecay:
         / (cfg.l * b_fac - 2.0 * cfg.x * slow) ** 2
     )
 
-    resp = synthetic_response(
-        psi, ElementSpec.mirror(cfg.t), ElementSpec.membrane(cfg.t_m, phi_r=cfg.phi_r)
-    )
+    resp = synthetic_response(psi, cfg.mirror, cfg.membrane)
     gamma_reduced = C_LIGHT * resp.T / (2.0 * cfg.l)
     dgamma_reduced = (
         (C_LIGHT * k / cfg.l) * 2.0 * t2tm2 * sin_psi / (b_fac * b_fac)

@@ -32,74 +32,38 @@ import math
 from dataclasses import dataclass, replace
 
 from .constants import C_LIGHT
-from .elements import TWO_PI, ElementSpec, synthetic_response
+from .elements import TWO_PI, TandemCavity, synthetic_response
 from .errors import InvalidParameter, NoRootInWindow, NoZeroDispersivePoint
 from .numerics import (
     RESONANCE_GAP_STEP,
     any_true,
     central_diff_richardson,
     grid_roots,
-    require_finite,
 )
 
 #: margin interpreting the thin-tandem inequality x << l t_m^4/(4 t^2)
 THIN_TANDEM_MARGIN = 0.01
 
 
-@dataclass(frozen=True)
-class MosConfig:
-    """Geometry and element parameters of a membrane-outside cavity.
+@dataclass(frozen=True, kw_only=True)
+class MosConfig(TandemCavity):
+    """Membrane-outside cavity: the tandem geometry of
+    elements.TandemCavity, with x >= 0 the membrane-mirror gap, and
 
-    l          cavity length (m)
-    wavelength vacuum wavelength (m); k = 2 pi / wavelength
-    t          mirror amplitude transmission
-    t_m        membrane amplitude transmission
-    phi_r      membrane reflection phase (rad)
-    x          membrane-mirror gap (m); a numpy array of gaps makes the
-               gap-dependent properties and operating_point elementwise
-    N          branch index of the maximal-transparency gap x_tilde
+    N          branch index of the maximal-transparency gap x_tilde; a
+               float is accepted if its value is whole
     """
 
-    l: float
-    wavelength: float
-    t: float
-    t_m: float
-    x: float
-    phi_r: float = math.pi / 2
     N: int = 0
 
     def __post_init__(self) -> None:
-        require_finite(l=self.l, wavelength=self.wavelength, t=self.t,
-                       t_m=self.t_m, x=self.x, phi_r=self.phi_r)
-        if self.l <= 0.0:
-            raise InvalidParameter(f"cavity length must be positive, got {self.l}")
-        if self.wavelength <= 0.0:
-            raise InvalidParameter(f"wavelength must be positive, got {self.wavelength}")
-        if not 0.0 < self.t_m <= 1.0:
-            raise InvalidParameter(f"t_m must lie in (0, 1], got {self.t_m}")
+        if not float(self.N).is_integer():
+            raise InvalidParameter(f"branch index N must be an integer, got {self.N}")
+        super().__post_init__()
         if self.phi0 == 0.0:
             raise InvalidParameter(f"phi0 = t_m^2/4 underflows to 0 at t_m={self.t_m}")
-        if not 0.0 <= self.t <= 1.0:
-            raise InvalidParameter(f"t must lie in [0, 1], got {self.t}")
         if any_true(self.x < 0.0):
             raise InvalidParameter(f"gap must be non-negative, got {self.x}")
-
-    @property
-    def k(self) -> float:
-        return TWO_PI / self.wavelength
-
-    @property
-    def omega_c(self) -> float:
-        """Cavity resonance frequency, taken as c k."""
-        return C_LIGHT * self.k
-
-    @property
-    def mirror(self) -> ElementSpec:
-        return ElementSpec.mirror(self.t)
-
-    @property
-    def membrane(self) -> ElementSpec:
-        return ElementSpec.membrane(self.t_m, phi_r=self.phi_r)
 
     @property
     def x_tilde(self) -> float:
@@ -114,10 +78,6 @@ class MosConfig:
     @property
     def phi(self) -> float:
         return self.k * (self.x - self.x_tilde)
-
-    @property
-    def phi0(self) -> float:
-        return self.t_m ** 2 / 4.0
 
     @property
     def gamma0(self) -> float:
@@ -201,7 +161,6 @@ class ZeroDispersiveLocus:
 
     psi_star: tuple[float, float]
     T_star: float
-    cos_psi_star: float
 
 
 def zero_dispersive_locus(t: float, t_m: float) -> ZeroDispersiveLocus:
@@ -222,9 +181,7 @@ def zero_dispersive_locus(t: float, t_m: float) -> ZeroDispersiveLocus:
         )
     psi_1 = math.acos(cos_star)
     t_star = t * t * (1.0 + r_m * r_m) / (1.0 - r * r * r_m * r_m)
-    return ZeroDispersiveLocus(
-        psi_star=(psi_1, TWO_PI - psi_1), T_star=t_star, cos_psi_star=cos_star
-    )
+    return ZeroDispersiveLocus(psi_star=(psi_1, TWO_PI - psi_1), T_star=t_star)
 
 
 def dissipative_constant_exact(t: float, t_m: float, k: float, l: float) -> float:

@@ -233,7 +233,6 @@ class NoiseReport:
     product: float
     xi: float
     A: float
-    cooperativity: float | None = None
 
 
 def homodyne_spectra(
@@ -241,17 +240,12 @@ def homodyne_spectra(
     drive: DriveConfig,
     g_omega0: float,
     g_gamma0: float,
-    *,
-    x_zpf: float | None = None,
-    gamma_m: float | None = None,
 ) -> NoiseReport:
     """Closed-form optimal-angle spectra for the symmetric two-sided cavity.
 
     Preconditions (asserted): resonant drive (delta = 0), symmetric ports
     (gamma1 = gamma2); the forms are the low-frequency limit, drive.omega
-    is ignored.  Raises ZeroCoupling if both constants vanish.  If x_zpf
-    and gamma_m are given, the report carries the cooperativity
-    (g_gamma0 x_zpf a0)^2 / (gamma gamma_m).
+    is ignored.  Raises ZeroCoupling if both constants vanish.
     """
     if drive.delta != 0.0:
         raise InvalidParameter("closed forms hold at resonant drive (delta = 0)")
@@ -273,9 +267,6 @@ def homodyne_spectra(
         * (big_a ** 2 * g_gamma0 ** 2 + 2.0 * big_a * g_omega0 ** 2)
     )
     xi = math.inf if g_gamma0 == 0.0 else g_omega0 / g_gamma0
-    coop = None
-    if x_zpf is not None and gamma_m is not None:
-        coop = (g_gamma0 * x_zpf * drive.a0) ** 2 / (gamma * gamma_m)
     return NoiseReport(
         theta_opt=theta_opt,
         s_xx_imp=s_xx,
@@ -283,7 +274,6 @@ def homodyne_spectra(
         product=s_xx * s_ff,
         xi=xi,
         A=big_a,
-        cooperativity=coop,
     )
 
 

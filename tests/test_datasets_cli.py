@@ -468,10 +468,11 @@ class TestCli:
         (["mos", "--set", "mos.t_m=5e-324"], 1, "phi0 = t_m^2/4 underflows to 0"),
         (["mos", "--set", "mos.l=5e-324"], 1, "ZeroDivisionError"),
         (["mos", "--set", "mos.t_m=1e-300"], 1, "phi0 = t_m^2/4 underflows to 0"),
-        (["msi", "--set", "msi.wavelength=0"], 1, "ZeroDivisionError"),
+        (["msi", "--set", "msi.wavelength=0"], 1, "wavelength must be positive"),
         (["noise", "--set", "noise.gamma3_over_gamma=1e308"], 1, "OverflowError"),
         (["noise", "--set", "noise.gamma3_over_gamma=-1"], 1,
          "gamma3_over_gamma must be non-negative"),
+        (["msi", "--set", "msi.wavelength=-1"], 1, "wavelength must be positive"),
     ])
     def test_bad_input_is_one_error_line(self, tmp_path, capsys, argv, code, message):
         # scans, and compare on a bad parameter, exit 1 with a single error

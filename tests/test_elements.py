@@ -1,7 +1,9 @@
 """Scattering-core tests: element matrices, tandem composition against the
-elimination oracle, closed-form response, and derivative checks."""
+elimination oracle, closed-form response, derivative checks, and the
+cavity geometry MOS and MATE share."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -13,6 +15,8 @@ from optomech import (
     ElementSpec,
     InvalidElement,
     InvalidParameter,
+    MateConfig,
+    MosConfig,
     compose_synthetic,
     compose_synthetic_by_elimination,
     element_scattering,
@@ -304,3 +308,49 @@ class TestSyntheticResponse:
             membrane = ElementSpec.membrane(rng.uniform(0.01, 1))
             resp = synthetic_response(rng.uniform(-10, 10), mirror, membrane)
             assert 0.0 <= resp.T <= 1.0 + 1e-15
+
+
+#: a geometry valid for both cavities (MATE needs 0 < x < l)
+GEOMETRY = {"l": 1e-4, "wavelength": 0.85e-6, "t": 0.014, "t_m": 0.1, "x": 1e-6}
+
+#: (field, bad value, message) for each shared check
+BAD_GEOMETRY = [
+    ("t", 1.5, "t must lie in [0, 1], got 1.5"),
+    ("t", -0.1, "t must lie in [0, 1], got -0.1"),
+    ("t_m", 0.0, "t_m must lie in (0, 1], got 0.0"),
+    ("t_m", 1.5, "t_m must lie in (0, 1], got 1.5"),
+    ("wavelength", 0.0, "wavelength must be positive, got 0.0"),
+    ("wavelength", -1e-6, "wavelength must be positive, got -1e-06"),
+    ("l", 0.0, "cavity length must be positive, got 0.0"),
+    ("l", -1.0, "cavity length must be positive, got -1.0"),
+    ("l", math.nan, "l must be finite, got nan"),
+    ("wavelength", math.inf, "wavelength must be finite, got inf"),
+    ("t", math.nan, "t must be finite, got nan"),
+    ("t_m", -math.inf, "t_m must be finite, got -inf"),
+    ("x", math.inf, "x must be finite, got inf"),
+    ("phi_r", math.nan, "phi_r must be finite, got nan"),
+]
+
+
+@pytest.mark.parametrize("cls", [MosConfig, MateConfig])
+class TestTandemCavity:
+    @pytest.mark.parametrize("field, value, message", BAD_GEOMETRY,
+                             ids=[f"{f}={v}" for f, v, _ in BAD_GEOMETRY])
+    def test_shared_checks_and_messages(self, cls, field, value, message):
+        with pytest.raises(InvalidParameter) as err:
+            cls(**{**GEOMETRY, field: value})
+        assert str(err.value) == message
+
+    def test_keyword_only(self, cls):
+        # MOS and MATE once ordered their fields differently; a positional
+        # call must not bind x to the wavelength
+        with pytest.raises(TypeError):
+            cls(*GEOMETRY.values())
+
+    def test_replace_rebuilds_elements(self, cls):
+        cfg = cls(**GEOMETRY)
+        assert cfg.mirror is cfg.mirror and cfg.membrane is cfg.membrane
+        assert (cfg.mirror.t, cfg.membrane.t) == (0.014, 0.1)
+        assert replace(cfg, t_m=0.2).membrane.t == 0.2
+        assert replace(cfg, t=0.02).mirror.t == 0.02
+        assert replace(cfg, phi_r=1.0).membrane.phi_r == 1.0

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from optomech import (
+    InvalidParameter,
     MosConfig,
     NoZeroDispersivePoint,
     dissipative_constant_asymptotic,
@@ -273,6 +274,14 @@ class TestConfigValidation:
         assert cfg3.x_tilde - cfg0.x_tilde == pytest.approx(
             3 * cfg0.wavelength / 2, rel=1e-14, abs=0.0
         )
+
+    def test_branch_index_must_be_whole(self, bench):
+        # a fractional N would put at_phi(0) half a branch off transparency
+        with pytest.raises(InvalidParameter, match="branch index N must be an integer"):
+            replace(bench, N=0.7)
+        whole = replace(bench, N=2.0)  # a float from a config file is fine
+        assert operating_point(whole.at_phi(0.0)).T == pytest.approx(
+            operating_point(bench.at_phi(0.0)).T, rel=1e-9)
 
     def test_regime_subconditions_reported_separately(self, bench):
         flags = bench.regime()

@@ -311,9 +311,3 @@ class TestCooperativity:
         with pytest.raises(ValueError):
             cooperativity("mim", t=0.1, t_m=0.2, l=1e-4, wavelength=1e-6,
                           x_zpf=1e-15, gamma_m=0.1)
-
-    def test_report_carries_cooperativity(self):
-        rep = homodyne_spectra(sym_rates(), DriveConfig(a0=1.0), 0.0, 2.0e14,
-                               x_zpf=1e-15, gamma_m=0.1)
-        expected = (2.0e14 * 1e-15) ** 2 / (GAMMA * 0.1)
-        assert rep.cooperativity == pytest.approx(expected, rel=1e-14, abs=0.0)

@@ -1,9 +1,13 @@
-"""The public surface: bad arguments raise package errors, and every name
-and command line the benchmark harness (perfbench/) uses still exists."""
+"""The public surface: bad arguments raise package errors, every name
+and command line the benchmark harness (perfbench/) uses still exists, and
+the README's library quick start runs."""
 
 import importlib
 import importlib.util
 import math
+import os
+import re
+import subprocess
 import sys
 from pathlib import Path
 
@@ -22,7 +26,8 @@ from optomech import (
 )
 from optomech.cli import build_parser
 
-PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+ROOT = Path(__file__).resolve().parents[1]
+PERFBENCH = ROOT / "perfbench"
 
 GAMMA = 1.0e8
 MATE = MateConfig(l=1e-4, x=1e-6, t=0.014, t_m=0.1, wavelength=0.85e-6, phi_r=math.pi)
@@ -70,3 +75,15 @@ def test_every_sweep_command_line_parses(tmp_path):
     parser = build_parser()
     for _, argv in _load("workloads").sweep_ops(tmp_path):
         parser.parse_args(argv)  # a bad command line raises ConfigError
+
+
+def test_readme_quick_start_runs(tmp_path):
+    blocks = re.findall(r"```python\n(.*?)```", (ROOT / "README.md").read_text(), re.S)
+    assert len(blocks) == 1
+    path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+    done = subprocess.run([sys.executable, "-c", blocks[0]], cwd=tmp_path,
+                          env={**os.environ, "PYTHONPATH": path},
+                          capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+    for name in ("mos.csv", "fig2.csv", "mos.csv.meta", "fig2.csv.meta"):
+        assert (tmp_path / name).stat().st_size > 0, name
