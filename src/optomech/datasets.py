@@ -20,7 +20,7 @@ from . import mate as mate_mod
 from . import mos as mos_mod
 from . import msi as msi_mod
 from . import noise as noise_mod
-from .elements import CONSTRAINT_TOL, ElementSpec, synthetic_response
+from .elements import CONSTRAINT_TOL, ElementSpec, synthetic_response, wavevector
 from .errors import ConfigError, InvalidParameter, OptomechError
 from .numerics import require_finite
 
@@ -158,14 +158,10 @@ def _mos_columns(fixed: dict[str, float], parameter: str, value) -> Columns:
 
 
 def _msi_columns(fixed: dict[str, float], parameter: str, x) -> Columns:
-    wavelength = fixed["wavelength"]
-    require_finite(wavelength=wavelength)
-    if wavelength <= 0.0:
-        raise InvalidParameter(f"wavelength must be positive, got {wavelength}")
     cfg = msi_mod.MsiConfig.balanced(
         r_ms=fixed["r_ms"],
         l=fixed["l"],
-        k=2.0 * math.pi / wavelength,
+        k=wavevector(fixed["wavelength"]),
         x=x,
         Tb_sq=fixed["Tb_sq"],
     )
@@ -454,7 +450,7 @@ def compare_systems(params: dict[str, float] | None = None) -> ComparisonTable:
     for key in _COMPARE_POSITIVE:
         if key in given and not given[key] > 0.0:
             raise InvalidParameter(f"compare.{key} must be positive, got {given[key]}")
-    k = 2.0 * math.pi / p["wavelength"]
+    k = wavevector(p["wavelength"])
     mech = dict(
         l=p["l"], wavelength=p["wavelength"], x_zpf=p["x_zpf"],
         gamma_m=p["gamma_m"], a0=p["a0"],

@@ -35,7 +35,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -48,6 +48,15 @@ TWO_PI = 2.0 * math.pi
 
 #: losslessness / phase-constraint tolerance (see ElementSpec.validate)
 CONSTRAINT_TOL = 1e-12
+
+
+def wavevector(wavelength: float) -> float:
+    """k = 2 pi / wavelength of a finite, positive wavelength (m)."""
+    if not math.isfinite(wavelength):
+        raise InvalidParameter(f"wavelength must be finite, got {wavelength}")
+    if wavelength <= 0.0:
+        raise InvalidParameter(f"wavelength must be positive, got {wavelength}")
+    return TWO_PI / wavelength
 
 
 def reduce_phase(psi):
@@ -125,7 +134,7 @@ class TandemCavity:
     """Mirror+membrane geometry shared by the MOS and MATE cavities.
 
     l          cavity length (m)
-    wavelength vacuum wavelength (m); k = 2 pi / wavelength
+    wavelength vacuum wavelength (m); k = 2 pi / wavelength, derived
     t          mirror amplitude transmission
     t_m        membrane amplitude transmission
     x          mirror-membrane distance (m); a numpy array of distances
@@ -142,22 +151,19 @@ class TandemCavity:
     t_m: float
     x: float
     phi_r: float = math.pi / 2
+    k: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         require_finite(l=self.l, wavelength=self.wavelength, t=self.t,
                        t_m=self.t_m, x=self.x, phi_r=self.phi_r)
         if self.l <= 0.0:
             raise InvalidParameter(f"cavity length must be positive, got {self.l}")
-        if self.wavelength <= 0.0:
-            raise InvalidParameter(f"wavelength must be positive, got {self.wavelength}")
+        # derived once; a frozen instance sets it past its own __setattr__
+        object.__setattr__(self, "k", wavevector(self.wavelength))
         if not 0.0 < self.t_m <= 1.0:
             raise InvalidParameter(f"t_m must lie in (0, 1], got {self.t_m}")
         if not 0.0 <= self.t <= 1.0:
             raise InvalidParameter(f"t must lie in [0, 1], got {self.t}")
-
-    @property
-    def k(self) -> float:
-        return TWO_PI / self.wavelength
 
     @property
     def omega_c(self) -> float:
@@ -195,8 +201,13 @@ class ScatteringMatrix:
 
     def unitarity_defect(self) -> float:
         """Max entrywise deviation of S^dagger S from the identity."""
-        s = self.as_array()
-        return float(np.max(np.abs(s.conj().T @ s - np.eye(2))))
+        return unitarity_defect(self.as_array())
+
+
+def unitarity_defect(s: np.ndarray) -> float:
+    """Max entrywise deviation of S^dagger S from the identity over a 2x2
+    matrix or a (..., 2, 2) stack of them."""
+    return float(np.max(np.abs(np.conj(np.swapaxes(s, -1, -2)) @ s - np.eye(2))))
 
 
 def element_scattering(spec: ElementSpec) -> ScatteringMatrix:

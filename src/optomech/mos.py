@@ -169,7 +169,12 @@ def zero_dispersive_locus(t: float, t_m: float) -> ZeroDispersiveLocus:
     Exists only for a membrane less reflective than the mirror (r_m <= r);
     at r_m = r the two solutions merge at psi* = pi.  The transmission at
     either solution is T* = t^2 (1 + r_m^2) / (1 - r^2 r_m^2).
+    InvalidParameter unless t lies in [0, 1] and t_m in (0, 1].
     """
+    if not (math.isfinite(t) and 0.0 <= t <= 1.0):
+        raise InvalidParameter(f"t must lie in [0, 1], got {t}")
+    if not (math.isfinite(t_m) and 0.0 < t_m <= 1.0):
+        raise InvalidParameter(f"t_m must lie in (0, 1], got {t_m}")
     r = math.sqrt(max(0.0, 1.0 - t * t))
     r_m = math.sqrt(max(0.0, 1.0 - t_m * t_m))
     if r == 0.0:

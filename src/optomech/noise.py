@@ -39,6 +39,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .constants import C_LIGHT, HBAR
+from .elements import wavevector
 from .errors import InvalidParameter, SingularSystem, ZeroCoupling
 from .numerics import require_finite
 
@@ -277,11 +278,22 @@ def homodyne_spectra(
     )
 
 
+def _require_positive(**values: float) -> None:
+    """Raise InvalidParameter naming the first value that is not > 0 (the
+    callers screen with plain comparisons first: the design path calls
+    each cooperativity several times per query)."""
+    for name, value in values.items():
+        if not value > 0.0:
+            raise InvalidParameter(f"{name} must be positive, got {value}")
+
+
 def mechanical_scale(
     wavelength: float, l: float, x_zpf: float, gamma_m: float, a0: float = 1.0
 ) -> float:
     """Cooperativity prefactor M = c (k a0 x_zpf)^2 / (l gamma_m)."""
-    k = 2.0 * math.pi / wavelength
+    k = wavevector(wavelength)
+    if not (l > 0.0 and gamma_m > 0.0):
+        _require_positive(l=l, gamma_m=gamma_m)
     return C_LIGHT * (k * a0 * x_zpf) ** 2 / (l * gamma_m)
 
 
@@ -293,6 +305,8 @@ def cooperativity_mos(
     at its dissipative operating point: C = M 4 t^2 / t_m^6.  No
     sideband-resolution factor enters (dissipative coupling through the
     non-feeding port)."""
+    if not t_m > 0.0:
+        _require_positive(t_m=t_m)
     return mechanical_scale(wavelength, l, x_zpf, gamma_m, a0) * 4.0 * t ** 2 / t_m ** 6
 
 
@@ -302,6 +316,8 @@ def cooperativity_msi(
 ) -> float:
     """MSI cooperativity in the unresolved-sideband regime:
     C = 2 M r_ms^2 (2 omega_m / gamma_ms)^2."""
+    if not gamma_ms > 0.0:
+        _require_positive(gamma_ms=gamma_ms)
     m_scale = mechanical_scale(wavelength, l, x_zpf, gamma_m, a0)
     return 2.0 * m_scale * r_ms ** 2 * (2.0 * omega_m / gamma_ms) ** 2
 
@@ -313,8 +329,10 @@ def cooperativity_mate(
     """MATE cooperativity at its zero-dispersive point in the
     unresolved-sideband regime: C = M (t^2/t_m^2) (2 omega_m / gamma_mate)^2
     with gamma_mate = c t^2 / (2 l)."""
-    gamma_mate = C_LIGHT * t ** 2 / (2.0 * l)
     m_scale = mechanical_scale(wavelength, l, x_zpf, gamma_m, a0)
+    if not (t > 0.0 and t_m > 0.0):
+        _require_positive(t=t, t_m=t_m)
+    gamma_mate = C_LIGHT * t ** 2 / (2.0 * l)
     return m_scale * (t / t_m) ** 2 * (2.0 * omega_m / gamma_mate) ** 2
 
 

@@ -105,15 +105,26 @@ def sign_change_brackets(
 ) -> list[tuple[float, float, float, float]]:
     """Sign-change brackets of values sampled on a monotone grid.
 
-    Each bracket is (lo, hi, f(lo), f(hi)), in grid order.  Exact zeros at a
-    grid node are returned as a degenerate bracket (node, node, 0, 0).
+    Each bracket is (lo, hi, f(lo), f(hi)), in grid order: node i closes
+    one where values[i-1] * values[i] < 0 (a product that underflows to
+    -0.0 closes none).  Exact zeros at a grid node are returned as a
+    degenerate bracket (node, node, 0, 0).  One numpy pass selects the
+    zeros and the nodes whose sign bit differs from the node before; only
+    those become Python floats, where the product test runs as written
+    (numpy's product would warn on overflow).
     """
+    g = np.asarray(grid, dtype=float)
+    v = np.asarray(values, dtype=float)
+    sign = np.signbit(v)
+    hit = v == 0.0
+    hit[1:] |= sign[1:] != sign[:-1]
     brackets: list[tuple[float, float, float, float]] = []
-    for i, fx in enumerate(values):
+    for i in hit.nonzero()[0].tolist():
+        fx = v.item(i)
         if fx == 0.0:
-            brackets.append((grid[i], grid[i], 0.0, 0.0))
-        elif i and values[i - 1] * fx < 0.0:
-            brackets.append((grid[i - 1], grid[i], values[i - 1], fx))
+            brackets.append((g.item(i), g.item(i), 0.0, 0.0))
+        elif v.item(i - 1) * fx < 0.0:
+            brackets.append((g.item(i - 1), g.item(i), v.item(i - 1), fx))
     return brackets
 
 
@@ -137,7 +148,7 @@ def grid_roots(f: Callable, lo: float, hi: float, steps: int,
     sign change gives [].
     """
     grid = lo + np.arange(steps + 1) * (hi - lo) / steps
-    brackets = sign_change_brackets(grid.tolist(), f(grid).tolist())
+    brackets = sign_change_brackets(grid, f(grid))
     if near is not None and brackets:
         brackets = [min(brackets, key=lambda br: abs(0.5 * (br[0] + br[1]) - near))]
     return [a if a == b else bisect(f, a, b, f_lo=fa, f_hi=fb, **bisect_tol)

@@ -26,6 +26,7 @@ from .elements import (
     compose_synthetic_by_elimination,
     element_scattering,
     synthetic_response,
+    unitarity_defect,
 )
 from .errors import InvalidParameter
 from .numerics import central_diff_5pt, grid_roots
@@ -103,25 +104,35 @@ class ValidationReport:
         return out
 
 
-def _random_pair(rng: np.random.Generator) -> tuple[ElementSpec, ElementSpec]:
-    t = float(rng.uniform(0.01, 0.99))
-    t_m = float(rng.uniform(0.01, 0.99))
-    phi_r = float(rng.uniform(-math.pi, math.pi))
-    return ElementSpec.mirror(t), ElementSpec.membrane(t_m, phi_r=phi_r)
+def _uniform_columns(rng: np.random.Generator, samples: int,
+                     *bounds: tuple[float, float]) -> list[list[float]]:
+    """samples rounds of rng.uniform(lo, hi), one draw per (lo, hi) of
+    bounds in each round, drawn as one block: column j holds the j-th draw
+    of every round, equal bit for bit to the scalar calls, and the
+    generator ends in the same state.  A bound that depends on an earlier
+    draw takes (0.0, 1.0) here and is scaled by the caller in Python
+    floats, as lo + (hi - lo) * u."""
+    u = rng.random((samples, len(bounds)))
+    return [(lo + (hi - lo) * u[:, j]).tolist() for j, (lo, hi) in enumerate(bounds)]
+
+
+#: draw ranges of (t, t_m, phi_r, x, k) of a random mirror+membrane tandem
+_TANDEM_BOUNDS = ((0.01, 0.99), (0.01, 0.99), (-math.pi, math.pi), (0.0, 2e-6), (1e6, 1e7))
 
 
 def _check_unitarity(rng: np.random.Generator, tol: ToleranceProfile,
                      samples: int) -> CheckResult:
-    worst = 0.0
-    for _ in range(samples):
-        mirror, membrane = _random_pair(rng)
-        worst = max(worst, element_scattering(mirror).unitarity_defect())
-        worst = max(worst, element_scattering(membrane).unitarity_defect())
-        s = compose_synthetic(
-            mirror, membrane,
-            x=float(rng.uniform(0.0, 2e-6)), k=float(rng.uniform(1e6, 1e7)),
-        )
-        worst = max(worst, s.unitarity_defect())
+    # one stack per kind (mirror, membrane, tandem): the defect's temporary
+    # arrays stay a third the size of one stack of all three
+    stacks = np.empty((3, samples, 4), dtype=complex)
+    draws = zip(*_uniform_columns(rng, samples, *_TANDEM_BOUNDS))
+    for i, (t, t_m, phi_r, x, k) in enumerate(draws):
+        mirror = ElementSpec.mirror(t)
+        membrane = ElementSpec.membrane(t_m, phi_r=phi_r)
+        stacks[:, i] = [(s.m11, s.m12, s.m21, s.m22) for s in (
+            element_scattering(mirror), element_scattering(membrane),
+            compose_synthetic(mirror, membrane, x=x, k=k))]
+    worst = max(unitarity_defect(kind.reshape(-1, 2, 2)) for kind in stacks)
     return CheckResult("unitarity", worst <= tol.unitarity, worst, tol.unitarity,
                        f"{samples} random element/tandem matrices")
 
@@ -129,10 +140,9 @@ def _check_unitarity(rng: np.random.Generator, tol: ToleranceProfile,
 def _check_elimination(rng: np.random.Generator, tol: ToleranceProfile,
                        samples: int = 200) -> CheckResult:
     worst = 0.0
-    for _ in range(samples):
-        mirror, membrane = _random_pair(rng)
-        x = float(rng.uniform(0.0, 2e-6))
-        k = float(rng.uniform(1e6, 1e7))
+    for t, t_m, phi_r, x, k in zip(*_uniform_columns(rng, samples, *_TANDEM_BOUNDS)):
+        mirror = ElementSpec.mirror(t)
+        membrane = ElementSpec.membrane(t_m, phi_r=phi_r)
         a = compose_synthetic(mirror, membrane, x, k).as_array()
         b = compose_synthetic_by_elimination(mirror, membrane, x, k).as_array()
         worst = max(worst, float(np.max(np.abs(a - b))))
@@ -144,10 +154,9 @@ def _check_closed_vs_matrix(rng: np.random.Generator, tol: ToleranceProfile) -> 
     worst_t = 0.0
     worst_mu = 0.0
     k = 7.0e6
-    for _ in range(1000):
-        t_m = float(rng.uniform(0.2, 0.9))
-        t = float(rng.uniform(0.05, 0.8)) * t_m
-        psi = float(rng.uniform(0.0, 2.0 * math.pi))
+    for t_m, t_frac, psi in zip(*_uniform_columns(
+            rng, 1000, (0.2, 0.9), (0.05, 0.8), (0.0, 2.0 * math.pi))):
+        t = t_frac * t_m
         mirror = ElementSpec.mirror(t)
         membrane = ElementSpec.membrane(t_m)
         x = (psi - membrane.phi_r) / (2.0 * k) % (math.pi / k)
@@ -168,13 +177,12 @@ def _check_closed_vs_matrix(rng: np.random.Generator, tol: ToleranceProfile) -> 
 def _check_response_derivatives(rng: np.random.Generator, tol: ToleranceProfile,
                                 samples: int = 60) -> CheckResult:
     worst = 0.0
-    for _ in range(samples):
-        t_m = float(rng.uniform(0.2, 0.9))
-        t = float(rng.uniform(0.1, 0.8)) * t_m
+    for t_m, t_frac, psi, coin in zip(*_uniform_columns(
+            rng, samples, (0.2, 0.9), (0.1, 0.8), (0.4, math.pi - 0.4), (0.0, 1.0))):
+        t = t_frac * t_m
         mirror = ElementSpec.mirror(t)
         membrane = ElementSpec.membrane(t_m)
-        psi = float(rng.uniform(0.4, math.pi - 0.4))
-        if rng.uniform() < 0.5:
+        if coin < 0.5:
             psi += math.pi  # sample both halves, away from sin(psi) = 0
         resp = synthetic_response(psi, mirror, membrane)
         d_t = central_diff_5pt(
@@ -192,12 +200,10 @@ def _check_response_derivatives(rng: np.random.Generator, tol: ToleranceProfile,
 def _check_msi_derivatives(rng: np.random.Generator, tol: ToleranceProfile,
                            k: float = 7.0e6, samples: int = 60) -> CheckResult:
     worst = 0.0
-    for _ in range(samples):
+    for r_ms, x_frac, tb_sq in zip(*_uniform_columns(
+            rng, samples, (0.3, 0.95), (0.15, 0.6), (0.35, 0.65))):
         cfg = msi_mod.MsiConfig.balanced(
-            r_ms=float(rng.uniform(0.3, 0.95)),
-            l=1e-4, k=k,
-            x=float(rng.uniform(0.15, 0.6)) * math.pi / (2.0 * k),
-            Tb_sq=float(rng.uniform(0.35, 0.65)),
+            r_ms=r_ms, l=1e-4, k=k, x=x_frac * math.pi / (2.0 * k), Tb_sq=tb_sq,
         )
         cpl = msi_mod.msi_couplings(cfg)
         d_tau = central_diff_5pt(
@@ -219,9 +225,11 @@ def _check_locus_oracle(rng: np.random.Generator, tol: ToleranceProfile,
                         samples: int) -> CheckResult:
     worst_psi = 0.0
     worst_phi = 0.0
-    for _ in range(samples):
-        t_m = float(rng.uniform(0.03, 0.15))
-        t = float(rng.uniform(1.05 * t_m ** 2, 0.2 * t_m))
+    # a failing sample returns at once, with the generator already past the
+    # draws of the samples after it
+    for t_m, u in zip(*_uniform_columns(rng, samples, (0.03, 0.15), (0.0, 1.0))):
+        lo, hi = 1.05 * t_m ** 2, 0.2 * t_m
+        t = lo + (hi - lo) * u
         mirror = ElementSpec.mirror(t)
         membrane = ElementSpec.membrane(t_m)
         locus = mos_mod.zero_dispersive_locus(t, t_m)

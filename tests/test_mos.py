@@ -54,6 +54,15 @@ class TestZeroDispersiveLocus:
         with pytest.raises(NoZeroDispersivePoint):
             zero_dispersive_locus(t=0.1, t_m=0.014)
 
+    @pytest.mark.parametrize("t, t_m, name", [
+        (0.01, math.nan, "t_m"), (0.01, math.inf, "t_m"), (0.01, 0.0, "t_m"),
+        (0.01, -0.1, "t_m"), (0.01, 1.5, "t_m"), (math.nan, 0.1, "t"),
+        (math.inf, 0.1, "t"), (1.5, 0.1, "t"), (-0.01, 0.1, "t"),
+    ])
+    def test_out_of_range_inputs_are_invalid_parameters(self, t, t_m, name):
+        with pytest.raises(InvalidParameter, match=f"^{name} must lie in"):
+            zero_dispersive_locus(t, t_m)
+
     def test_equal_elements_merge_at_pi(self):
         locus = zero_dispersive_locus(0.05, 0.05)
         assert locus.psi_star[0] == pytest.approx(math.pi, abs=1e-12)

@@ -19,7 +19,7 @@ from optomech import (
     solve_fluctuations,
 )
 from optomech.constants import C_LIGHT, HBAR
-from optomech.noise import _force_coefficients
+from optomech.noise import _force_coefficients, mechanical_scale
 
 GAMMA = 1.0e8
 
@@ -306,6 +306,30 @@ class TestCooperativity:
         assert value == pytest.approx(
             2 * m_scale * 0.81 * (2 * omega_m / gamma_ms) ** 2, rel=1e-13, abs=0.0
         )
+
+    @pytest.mark.parametrize("system, name, value", [
+        ("mos", "wavelength", 0.0), ("mos", "t_m", 0.0), ("mos", "l", 0.0),
+        ("mos", "gamma_m", 0.0), ("msi", "wavelength", 0.0), ("msi", "l", 0.0),
+        ("msi", "gamma_m", 0.0), ("msi", "gamma_ms", 0.0), ("mate", "wavelength", 0.0),
+        ("mate", "t_m", 0.0), ("mate", "t", 0.0), ("mate", "l", 0.0),
+        ("mate", "gamma_m", 0.0), ("mos", "wavelength", -1e-6), ("mos", "l", -1e-4),
+    ])
+    def test_zero_divisor_is_an_invalid_parameter(self, system, name, value):
+        params = {**self.BENCH, "omega_m": 1e6}
+        if system == "msi":
+            params.update(r_ms=0.9, gamma_ms=1e9)
+            del params["t"], params["t_m"]
+        if system == "mos":
+            del params["omega_m"]
+        params[name] = value
+        with pytest.raises(InvalidParameter, match=f"^{name} must be positive"):
+            cooperativity(system, **params)
+
+    def test_mechanical_scale_checks_its_divisors(self):
+        args = dict(wavelength=0.85e-6, l=1e-4, x_zpf=1e-15, gamma_m=0.1)
+        for name in ("wavelength", "l", "gamma_m"):
+            with pytest.raises(InvalidParameter, match=f"^{name} must be positive"):
+                mechanical_scale(**{**args, name: 0.0})
 
     def test_unknown_system(self):
         with pytest.raises(ValueError):

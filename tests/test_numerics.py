@@ -56,6 +56,51 @@ def test_tolerances_reach_bisect():
     assert loose == [0.5]  # the first midpoint already meets |f| <= 0.2
 
 
+def _loop_brackets(grid, values):
+    # the scalar loop that sign_change_brackets replaced, kept as its reference
+    brackets = []
+    for i, fx in enumerate(values):
+        if fx == 0.0:
+            brackets.append((grid[i], grid[i], 0.0, 0.0))
+        elif i and values[i - 1] * fx < 0.0:
+            brackets.append((grid[i - 1], grid[i], values[i - 1], fx))
+    return brackets
+
+
+def _hex(brackets):
+    return [tuple(float.hex(float(v)) for v in bracket) for bracket in brackets]
+
+
+@pytest.mark.parametrize("values", [
+    [0.0, 1.0, -1.0, 2.0, 0.0],                 # zeros at the first and last node
+    [1.0, 0.0, 0.0, -1.0, 0.0, 0.0, 2.0],       # consecutive zeros
+    [-0.0, 3.0, -0.0],                          # signed zeros are zeros
+    [1e-200, -1e-200, 1e-200, 2.0, -3.0],       # products that underflow to -0.0
+    [1.0, math.nan, -1.0, 2.0, math.nan, math.nan, -2.0],  # NaN closes no bracket
+    [math.inf, -1.0, -math.inf, 5e-324, -5e-324],
+    [1e300, -1e300, math.inf, 0.0, -math.inf],  # overflowing and inf * 0 products
+    [2.0],
+    [0.0],
+])
+@pytest.mark.filterwarnings("error")  # and, like the loop, warn of nothing
+def test_sign_change_brackets_equal_the_scalar_loop_on_edge_cases(values):
+    grid = [0.5 * i - 1.0 for i in range(len(values))]
+    expected = _hex(_loop_brackets(grid, values))
+    assert _hex(numerics.sign_change_brackets(grid, values)) == expected
+    assert _hex(numerics.sign_change_brackets(np.array(grid), np.array(values))) == expected
+
+
+def test_sign_change_brackets_equal_the_scalar_loop_on_random_arrays():
+    rng = np.random.default_rng(11)
+    for n in (2, 3, 20, 201, 4001):
+        for _ in range(20):
+            values = rng.standard_normal(n) * 10.0 ** rng.integers(-200, 200, n)
+            values[rng.random(n) < 0.05] = 0.0
+            grid = np.sort(rng.uniform(-1.0, 1.0, n))
+            expected = _loop_brackets(grid.tolist(), values.tolist())
+            assert _hex(numerics.sign_change_brackets(grid, values)) == _hex(expected)
+
+
 def _design_draws(n):
     # the ranges of the design queries: t_m^2 < t < t_m, l log-uniform
     rng = np.random.default_rng(2024)
