@@ -26,9 +26,12 @@ theta = atan(g_omega0/g_gamma0) and
 
 bounded below by hbar^2/4 (reached only at xi = 0, A = 1).
 
-solve_fluctuations solves the 2x2 system in Python complex scalars, one
-frequency per call: on arrays this small, numpy's per-call overhead costs
-more than the arithmetic.
+general_spectra makes one pass over the three ports in Python complex
+scalars, one frequency per call (on arrays this small, numpy's per-call
+overhead costs more than the arithmetic), and sums both spectra in it.
+solve_fluctuations gives the reference decomposition into intracavity and
+port-1 noise rows (FluctuationSolution) and _force_coefficients the force
+row; general_spectra equals them bit for bit.
 """
 
 from __future__ import annotations
@@ -145,6 +148,19 @@ def _psd(coefficients: list[complex]) -> float:
     return total
 
 
+def _drift_inverse(
+    rates: PortRates, drive: DriveConfig
+) -> tuple[complex, complex, complex]:
+    """(diag, xy, yx) of the inverse 2x2 drift matrix [[diag, xy], [yx, diag]]."""
+    kappa = complex(rates.total / 2.0, -drive.omega)
+    det = kappa * kappa + drive.delta ** 2
+    if abs(det) < 1e-300:
+        raise SingularSystem(
+            f"system determinant vanished (kappa={kappa}, delta={drive.delta})"
+        )
+    return kappa / det, -drive.delta / det, drive.delta / det
+
+
 def solve_fluctuations(
     rates: PortRates,
     drive: DriveConfig,
@@ -153,13 +169,7 @@ def solve_fluctuations(
 ) -> FluctuationSolution:
     """Solve the 2x2 intracavity system at arbitrary detuning and frequency
     and propagate to the detected port-1 output quadratures."""
-    kappa = complex(rates.total / 2.0, -drive.omega)
-    det = kappa * kappa + drive.delta ** 2
-    if abs(det) < 1e-300:
-        raise SingularSystem(
-            f"system determinant vanished (kappa={kappa}, delta={drive.delta})"
-        )
-    diag, xy, yx = kappa / det, -drive.delta / det, drive.delta / det
+    diag, xy, yx = _drift_inverse(rates, drive)
     signal_x, signal_y = drive.a0 * g_gamma0, drive.a0 * g_omega0
     out1_scale = 2.0 * math.sqrt(rates.gamma1)
     return FluctuationSolution(
@@ -203,15 +213,43 @@ def general_spectra(
     """(S_xx_imp, S_FF) from the general-frequency linear solver.
 
     S_xx_imp is the homodyne noise PSD at angle theta referred to the
-    mechanical displacement; S_FF the backaction-force PSD.
+    mechanical displacement; S_FF the backaction-force PSD.  One pass over
+    the ports gives both, with the operations, in their order, of
+    FluctuationSolution.out1_psd / out1_gain and _force_coefficients.
     """
-    sol = solve_fluctuations(rates, drive, g_omega0, g_gamma0)
-    gain = abs(sol.out1_gain(theta))
+    diag, xy, yx = _drift_inverse(rates, drive)
+    out1_scale = 2.0 * math.sqrt(rates.gamma1)
+    signal_x, signal_y = drive.a0 * g_gamma0, drive.a0 * g_omega0
+    cos_t, sin_t = math.cos(theta), math.sin(theta)
+    gain = abs(
+        cos_t * (out1_scale * (diag * signal_x + xy * signal_y))
+        + sin_t * (out1_scale * (yx * signal_x + diag * signal_y))
+    )
     if gain == 0.0:
         raise ZeroCoupling(f"no signal transfer at homodyne angle theta={theta}")
-    s_xx = sol.out1_psd(theta) / gain ** 2
-    s_ff = _psd(_force_coefficients(sol, rates, drive, g_omega0, g_gamma0))
-    return s_xx, s_ff
+    if rates.gamma2 <= 0.0 and g_gamma0 != 0.0:
+        raise InvalidParameter("dissipative coupling requires gamma2 > 0")
+    force_scale = 2.0 * HBAR * drive.a0 * g_omega0
+    s_out = s_ff = 0.0
+    for port, gamma in enumerate((rates.gamma1, rates.gamma2, rates.gamma3)):
+        # the port's (X_in, Y_in) drive X with (diag, xy) amp, Y with (yx, diag) amp
+        amp = math.sqrt(gamma) / 2.0
+        x_x, x_y, y_x = diag * amp, xy * amp, yx * amp
+        out_diag = out1_scale * x_x
+        if port == 0:  # X_out1 = 2 sqrt(gamma1) X - X_in1, likewise for Y
+            out_diag -= 1.0
+        m = abs(cos_t * out_diag + sin_t * (out1_scale * y_x))
+        s_out += m * m
+        m = abs(cos_t * (out1_scale * x_y) + sin_t * out_diag)
+        s_out += m * m
+        m = abs(force_scale * x_x)
+        s_ff += m * m
+        force_y = force_scale * x_y
+        if port == 1 and g_gamma0 != 0.0:
+            force_y += -HBAR * drive.a0 * g_gamma0 / math.sqrt(rates.gamma2)
+        m = abs(force_y)
+        s_ff += m * m
+    return s_out / gain ** 2, s_ff
 
 
 def product_normalized(xi, big_a: float):
@@ -280,8 +318,9 @@ def homodyne_spectra(
 
 def _require_positive(**values: float) -> None:
     """Raise InvalidParameter naming the first value that is not > 0 (the
-    callers screen with plain comparisons first: the design path calls
-    each cooperativity several times per query)."""
+    callers screen with plain comparisons first, and screen finiteness
+    with one math.isfinite of a sum, as DriveConfig does: the design path
+    calls each cooperativity several times per query)."""
     for name, value in values.items():
         if not value > 0.0:
             raise InvalidParameter(f"{name} must be positive, got {value}")
@@ -291,6 +330,8 @@ def mechanical_scale(
     wavelength: float, l: float, x_zpf: float, gamma_m: float, a0: float = 1.0
 ) -> float:
     """Cooperativity prefactor M = c (k a0 x_zpf)^2 / (l gamma_m)."""
+    if not math.isfinite(wavelength + l + x_zpf + gamma_m + a0):
+        require_finite(wavelength=wavelength, l=l, x_zpf=x_zpf, gamma_m=gamma_m, a0=a0)
     k = wavevector(wavelength)
     if not (l > 0.0 and gamma_m > 0.0):
         _require_positive(l=l, gamma_m=gamma_m)
@@ -305,6 +346,8 @@ def cooperativity_mos(
     at its dissipative operating point: C = M 4 t^2 / t_m^6.  No
     sideband-resolution factor enters (dissipative coupling through the
     non-feeding port)."""
+    if not math.isfinite(t + t_m):
+        require_finite(t=t, t_m=t_m)
     if not t_m > 0.0:
         _require_positive(t_m=t_m)
     return mechanical_scale(wavelength, l, x_zpf, gamma_m, a0) * 4.0 * t ** 2 / t_m ** 6
@@ -316,6 +359,8 @@ def cooperativity_msi(
 ) -> float:
     """MSI cooperativity in the unresolved-sideband regime:
     C = 2 M r_ms^2 (2 omega_m / gamma_ms)^2."""
+    if not math.isfinite(r_ms + gamma_ms + omega_m):
+        require_finite(r_ms=r_ms, gamma_ms=gamma_ms, omega_m=omega_m)
     if not gamma_ms > 0.0:
         _require_positive(gamma_ms=gamma_ms)
     m_scale = mechanical_scale(wavelength, l, x_zpf, gamma_m, a0)
@@ -329,6 +374,8 @@ def cooperativity_mate(
     """MATE cooperativity at its zero-dispersive point in the
     unresolved-sideband regime: C = M (t^2/t_m^2) (2 omega_m / gamma_mate)^2
     with gamma_mate = c t^2 / (2 l)."""
+    if not math.isfinite(t + t_m + omega_m):
+        require_finite(t=t, t_m=t_m, omega_m=omega_m)
     m_scale = mechanical_scale(wavelength, l, x_zpf, gamma_m, a0)
     if not (t > 0.0 and t_m > 0.0):
         _require_positive(t=t, t_m=t_m)

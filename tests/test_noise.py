@@ -11,6 +11,7 @@ from optomech import (
     DriveConfig,
     InvalidParameter,
     PortRates,
+    SingularSystem,
     ZeroCoupling,
     cooperativity,
     general_spectra,
@@ -19,7 +20,7 @@ from optomech import (
     solve_fluctuations,
 )
 from optomech.constants import C_LIGHT, HBAR
-from optomech.noise import _force_coefficients, mechanical_scale
+from optomech.noise import _force_coefficients, _psd, mechanical_scale
 
 GAMMA = 1.0e8
 
@@ -129,6 +130,56 @@ class TestFluctuationSolver:
             DriveConfig(a0=-1.0)
         # finite values whose sum overflows are accepted
         assert DriveConfig(delta=1e308, omega=1e308).a0 == 1.0
+
+
+def reference_spectra(rates, drive, g_omega0, g_gamma0, theta):
+    """general_spectra through the public row decomposition."""
+    sol = solve_fluctuations(rates, drive, g_omega0, g_gamma0)
+    if abs(sol.out1_gain(theta)) == 0.0:
+        raise ZeroCoupling("no signal transfer")
+    s_xx = sol.out1_psd(theta) / abs(sol.out1_gain(theta)) ** 2
+    s_ff = _psd(_force_coefficients(sol, rates, drive, g_omega0, g_gamma0))
+    return s_xx, s_ff
+
+
+class TestFusedSpectra:
+    """general_spectra's one pass over the ports against the row
+    decomposition of solve_fluctuations, bit for bit."""
+
+    def test_bit_identical_to_the_row_decomposition(self):
+        rng = np.random.default_rng(11)
+        cases = 0
+        for gamma3_zero in (False, True):
+            for g_zero in ("none", "g_gamma0", "g_omega0"):
+                for omega_scale in (0.0, 1.0, 1e6):  # static, in-band, far above the band
+                    for _ in range(40):
+                        g1, g2, g3 = (float(v) for v in rng.uniform(0.05, 3.0, 3) * GAMMA)
+                        if gamma3_zero:
+                            g3 = 0.0
+                        delta = float(rng.choice([0.0, rng.uniform(-2.0, 2.0) * GAMMA]))
+                        omega = omega_scale * float(rng.uniform(0.01, 2.0)) * GAMMA
+                        a0, theta = float(rng.uniform(0.1, 3.0)), float(rng.uniform(-4.0, 4.0))
+                        g_w, g_g = (float(v) for v in rng.uniform(-5.0, 5.0, 2))
+                        if g_zero == "g_gamma0":
+                            g_g = 0.0
+                        elif g_zero == "g_omega0":
+                            g_w = 0.0
+                        args = (PortRates(g1, g2, g3),
+                                DriveConfig(delta=delta, omega=omega, a0=a0), g_w, g_g, theta)
+                        assert general_spectra(*args) == reference_spectra(*args)
+                        cases += delta != 0.0
+        assert cases > 100  # the detuned drift inverse is exercised
+
+    def test_errors_keep_their_order(self):
+        # each case also breaks every later condition; the first one raised wins
+        singular = (PortRates(1e-320, 0.0, 0.0), DriveConfig(a0=0.0), 0.0, 1.0, 0.0)
+        no_gain = (PortRates(1.0, 0.0, 0.0), DriveConfig(a0=0.0), 0.0, 1.0, 0.0)
+        no_port2 = (PortRates(1.0, 0.0, 0.0), DriveConfig(a0=1.0), 0.0, 1.0, 0.0)
+        for args, error in ((singular, SingularSystem), (no_gain, ZeroCoupling),
+                            (no_port2, InvalidParameter)):
+            for spectra in (general_spectra, reference_spectra):
+                with pytest.raises(error):
+                    spectra(*args)
 
 
 class TestHomodyneSpectra:
@@ -323,6 +374,21 @@ class TestCooperativity:
             del params["omega_m"]
         params[name] = value
         with pytest.raises(InvalidParameter, match=f"^{name} must be positive"):
+            cooperativity(system, **params)
+
+    @pytest.mark.parametrize("system, name, value", [
+        ("mos", "x_zpf", math.nan), ("mos", "t", math.nan),
+        ("msi", "a0", math.nan), ("mate", "omega_m", math.inf),
+    ])
+    def test_non_finite_argument_is_an_invalid_parameter(self, system, name, value):
+        params = {**self.BENCH, "omega_m": 1e6}
+        if system == "msi":
+            params.update(r_ms=0.9, gamma_ms=1e9)
+            del params["t"], params["t_m"]
+        if system == "mos":
+            del params["omega_m"]
+        params[name] = value
+        with pytest.raises(InvalidParameter, match=f"^{name} must be finite"):
             cooperativity(system, **params)
 
     def test_mechanical_scale_checks_its_divisors(self):
