@@ -83,8 +83,7 @@ class ElementSpec:
 
     t, r are amplitude transmission/reflection magnitudes with t^2 + r^2 = 1.
     Phases are only meaningful for membranes; the mirror matrix has its
-    phases built in.  Checked once, when built (see validate): a frozen
-    instance stays valid, so the functions taking one do not re-check it.
+    phases built in.
     """
 
     kind: str  # "mirror" | "membrane"
@@ -103,9 +102,6 @@ class ElementSpec:
         the phase constraint holds identically."""
         r_m = math.sqrt(max(0.0, 1.0 - t_m * t_m))
         return cls(kind="membrane", t=t_m, r=r_m, phi_t=phi_r - math.pi / 2, phi_r=phi_r)
-
-    def __post_init__(self) -> None:
-        self.validate()
 
     def validate(self) -> None:
         """Raise InvalidElement on a constraint violation.
@@ -215,7 +211,8 @@ def unitarity_defect(s: np.ndarray) -> float:
 
 
 def element_scattering(spec: ElementSpec) -> ScatteringMatrix:
-    """Scattering matrix of a single element."""
+    """Scattering matrix of a single validated element."""
+    spec.validate()
     if spec.kind == "mirror":
         return ScatteringMatrix(1j * spec.t, -spec.r, -spec.r, 1j * spec.t)
     tm = spec.t * cmath.exp(1j * spec.phi_t)
@@ -224,7 +221,8 @@ def element_scattering(spec: ElementSpec) -> ScatteringMatrix:
 
 
 def _check_pair(mirror: ElementSpec, membrane: ElementSpec) -> None:
-    # each element checked itself when built; only the pairing is left
+    mirror.validate()
+    membrane.validate()
     if mirror.kind != "mirror" or membrane.kind != "membrane":
         raise InvalidElement(
             f"tandem needs (mirror, membrane), got ({mirror.kind}, {membrane.kind})"
