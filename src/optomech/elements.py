@@ -345,10 +345,20 @@ def synthetic_response(
     mu is resolved with atan2 on the rationalized reflection, which picks
     the quadrant making mu(psi) continuous on the reduced period and equal
     to arg(-m21) of compose_synthetic.
+
+    The pair is checked here; the closed forms themselves are
+    _response_closed_form, which also takes arrays of amplitudes.
     """
     _check_pair(mirror, membrane)
-    t, r = mirror.t, mirror.r
-    t_m, r_m = membrane.t, membrane.r
+    return _response_closed_form(psi, mirror.t, mirror.r, membrane.t, membrane.r)
+
+
+def _response_closed_form(psi, t, r, t_m, r_m) -> SyntheticMirrorResponse:
+    """synthetic_response's closed forms with no element checks, elementwise
+    over psi and the amplitudes of valid (mirror, membrane) pairs: floats,
+    or numpy arrays that broadcast (a draw of many tandems at once).  Each
+    element equals the float call on it bit for bit where numpy's float64
+    cos, sin and arctan2 agree with the C library's, as the tests check."""
     psi_red = reduce_phase(psi)
     cos_psi, sin_psi = cos_sin(psi_red)
 

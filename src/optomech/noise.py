@@ -38,6 +38,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -326,6 +327,21 @@ def _require_positive(**values: float) -> None:
             raise InvalidParameter(f"{name} must be positive, got {value}")
 
 
+def _in_float_range(name: str, formula: Callable[[], float]) -> float:
+    """formula(), or InvalidParameter naming name where finite arguments
+    drive it out of the float range: a power that overflows, a divisor that
+    underflows to 0, or a result that is not finite.  Free unless it
+    raises, so the design path pays nothing for it."""
+    try:
+        value = formula()
+    except (ZeroDivisionError, OverflowError) as exc:
+        raise InvalidParameter(
+            f"{name} leaves the float range ({type(exc).__name__})") from exc
+    if not math.isfinite(value):
+        raise InvalidParameter(f"{name} leaves the float range ({value})")
+    return value
+
+
 def mechanical_scale(
     wavelength: float, l: float, x_zpf: float, gamma_m: float, a0: float = 1.0
 ) -> float:
@@ -335,7 +351,8 @@ def mechanical_scale(
     k = wavevector(wavelength)
     if not (l > 0.0 and gamma_m > 0.0):
         _require_positive(l=l, gamma_m=gamma_m)
-    return C_LIGHT * (k * a0 * x_zpf) ** 2 / (l * gamma_m)
+    return _in_float_range(
+        "mechanical_scale", lambda: C_LIGHT * (k * a0 * x_zpf) ** 2 / (l * gamma_m))
 
 
 def cooperativity_mos(
@@ -350,7 +367,8 @@ def cooperativity_mos(
         require_finite(t=t, t_m=t_m)
     if not t_m > 0.0:
         _require_positive(t_m=t_m)
-    return mechanical_scale(wavelength, l, x_zpf, gamma_m, a0) * 4.0 * t ** 2 / t_m ** 6
+    m_scale = mechanical_scale(wavelength, l, x_zpf, gamma_m, a0)
+    return _in_float_range("cooperativity_mos", lambda: m_scale * 4.0 * t ** 2 / t_m ** 6)
 
 
 def cooperativity_msi(
@@ -364,7 +382,9 @@ def cooperativity_msi(
     if not gamma_ms > 0.0:
         _require_positive(gamma_ms=gamma_ms)
     m_scale = mechanical_scale(wavelength, l, x_zpf, gamma_m, a0)
-    return 2.0 * m_scale * r_ms ** 2 * (2.0 * omega_m / gamma_ms) ** 2
+    return _in_float_range(
+        "cooperativity_msi",
+        lambda: 2.0 * m_scale * r_ms ** 2 * (2.0 * omega_m / gamma_ms) ** 2)
 
 
 def cooperativity_mate(
@@ -379,8 +399,12 @@ def cooperativity_mate(
     m_scale = mechanical_scale(wavelength, l, x_zpf, gamma_m, a0)
     if not (t > 0.0 and t_m > 0.0):
         _require_positive(t=t, t_m=t_m)
-    gamma_mate = C_LIGHT * t ** 2 / (2.0 * l)
-    return m_scale * (t / t_m) ** 2 * (2.0 * omega_m / gamma_mate) ** 2
+
+    def formula() -> float:
+        gamma_mate = C_LIGHT * t ** 2 / (2.0 * l)
+        return m_scale * (t / t_m) ** 2 * (2.0 * omega_m / gamma_mate) ** 2
+
+    return _in_float_range("cooperativity_mate", formula)
 
 
 def cooperativity(system: str, **params: float) -> float:

@@ -3,8 +3,10 @@
 These are used both by the library (resonance solvers) and by the
 validation suite, where they serve as independent oracles for the
 closed-form derivatives.  The first three helpers serve the closed forms
-that take either a float or a numpy array.  grid_roots samples its f on a
-whole grid in one call, so that f takes a float or a numpy array too.
+that take either a float or a numpy array.  grid_brackets and grid_roots
+sample their f on a whole grid in one call, so that f takes a float or a
+numpy array too.  bisect refines one bracket of floats, or an array of
+brackets at once, each element by the same steps as the float path.
 """
 
 from __future__ import annotations
@@ -78,7 +80,14 @@ def bisect(
     Iterates until |f| <= ftol or the interval shrinks below xtol, at most
     BISECT_MAX_ITER times.
     Raises ValueError if [lo, hi] does not bracket a sign change.
+
+    lo and hi may instead be numpy arrays of brackets (f_lo, f_hi likewise),
+    with f mapping an array of that shape elementwise: every bracket is then
+    refined at once and the result is an array, each element equal to the
+    float call on its bracket (see _bisect_array).
     """
+    if isinstance(lo, np.ndarray):
+        return _bisect_array(f, lo, hi, f_lo, f_hi, xtol, ftol)
     a, b = float(lo), float(hi)
     fa = f(a) if f_lo is None else f_lo
     fb = f(b) if f_hi is None else f_hi
@@ -98,6 +107,39 @@ def bisect(
         else:
             a, fa = m, fm
     return 0.5 * (a + b)
+
+
+def _bisect_array(f: Callable, lo: np.ndarray, hi: np.ndarray, f_lo, f_hi,
+                  xtol: float, ftol: float) -> np.ndarray:
+    """bisect over an array of brackets.  Each element takes the float
+    path's steps: a zero endpoint is the root, the midpoint is the root once
+    |f(mid)| <= ftol or b - a <= xtol, the side is [a, mid] where
+    fa * f(mid) <= 0, and the midpoint of what is left after
+    BISECT_MAX_ITER steps.  f sees every element at each step; a finished
+    element's value is kept and its later midpoints are ignored.  Products
+    over- and underflow silently, as they do in floats."""
+    a = np.array(lo, dtype=float)
+    b = np.array(hi, dtype=float)
+    fa = f(a) if f_lo is None else np.asarray(f_lo, dtype=float)
+    fb = f(b) if f_hi is None else np.asarray(f_hi, dtype=float)
+    root = np.where(fa == 0.0, a, b)
+    done = (fa == 0.0) | (fb == 0.0)
+    with np.errstate(over="ignore", under="ignore", invalid="ignore"):
+        no_change = ~done & (fa * fb > 0.0)
+        if no_change.any():
+            i = int(no_change.argmax())
+            raise ValueError(f"no sign change on [{a.item(i)}, {b.item(i)}]")
+        for _ in range(BISECT_MAX_ITER):
+            if done.all():
+                return root
+            m = 0.5 * (a + b)
+            fm = f(m)
+            stop = ~done & ((np.abs(fm) <= ftol) | (b - a <= xtol))
+            root[stop] = m[stop]
+            done |= stop
+            left = fa * fm <= 0.0
+            a, b, fa = np.where(left, a, m), np.where(left, m, b), np.where(left, fa, fm)
+    return np.where(done, root, 0.5 * (a + b))
 
 
 def sign_change_brackets(
@@ -136,19 +178,25 @@ def bracket_roots(
     return sign_change_brackets(grid, [f(x) for x in grid])
 
 
+def grid_brackets(f: Callable, lo: float, hi: float,
+                  steps: int) -> list[tuple[float, float, float, float]]:
+    """Sign-change brackets (see sign_change_brackets) of f evaluated once on
+    the whole grid lo + i (hi - lo) / steps, i = 0..steps; f takes a float
+    or a numpy array, elementwise."""
+    grid = lo + np.arange(steps + 1) * (hi - lo) / steps
+    return sign_change_brackets(grid, f(grid))
+
+
 def grid_roots(f: Callable, lo: float, hi: float, steps: int,
                near: float | None = None, **bisect_tol: float) -> list[float]:
     """Roots of f on [lo, hi], in ascending order.
 
-    f takes a float or a numpy array, elementwise.  It is evaluated once on
-    the whole grid lo + i (hi - lo) / steps, i = 0..steps, then each sign
-    change is bracketed and refined with bisect(**bisect_tol) through scalar
-    calls.  A node where f is exactly zero is returned as is.  With near,
-    only the bracket whose midpoint lies closest to near is refined.  No
-    sign change gives [].
+    Each sign change of f on the grid of grid_brackets is refined with
+    bisect(**bisect_tol) through scalar calls.  A node where f is exactly
+    zero is returned as is.  With near, only the bracket whose midpoint
+    lies closest to near is refined.  No sign change gives [].
     """
-    grid = lo + np.arange(steps + 1) * (hi - lo) / steps
-    brackets = sign_change_brackets(grid, f(grid))
+    brackets = grid_brackets(f, lo, hi, steps)
     if near is not None and brackets:
         brackets = [min(brackets, key=lambda br: abs(0.5 * (br[0] + br[1]) - near))]
     return [a if a == b else bisect(f, a, b, f_lo=fa, f_hi=fb, **bisect_tol)

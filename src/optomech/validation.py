@@ -22,6 +22,7 @@ from .constants import C_LIGHT
 from .datasets import reproduce_figure
 from .elements import (
     ElementSpec,
+    _response_closed_form,
     compose_synthetic,
     compose_synthetic_by_elimination,
     element_scattering,
@@ -29,7 +30,7 @@ from .elements import (
     unitarity_defect,
 )
 from .errors import InvalidParameter
-from .numerics import central_diff_5pt, grid_roots
+from .numerics import bisect, central_diff_5pt, grid_brackets
 
 
 @dataclass(frozen=True)
@@ -74,6 +75,11 @@ class CheckResult:
     measured: float
     tolerance: float
     detail: str = ""
+
+    def __post_init__(self) -> None:
+        # plain Python values, whatever numpy scalar a check computed them as
+        object.__setattr__(self, "passed", bool(self.passed))
+        object.__setattr__(self, "measured", float(self.measured))
 
     def line(self) -> str:
         status = "PASS" if self.passed else "FAIL"
@@ -151,21 +157,24 @@ def _check_elimination(rng: np.random.Generator, tol: ToleranceProfile,
 
 
 def _check_closed_vs_matrix(rng: np.random.Generator, tol: ToleranceProfile) -> CheckResult:
-    worst_t = 0.0
-    worst_mu = 0.0
+    # the matrices tandem by tandem, the closed-form responses in one call
     k = 7.0e6
-    for t_m, t_frac, psi in zip(*_uniform_columns(
-            rng, 1000, (0.2, 0.9), (0.05, 0.8), (0.0, 2.0 * math.pi))):
-        t = t_frac * t_m
-        mirror = ElementSpec.mirror(t)
+    samples = 1000
+    # rows: psi, t, r, t_m, r_m, |m11|^2, tan(arg(-m21))
+    columns = np.empty((7, samples))
+    for i, (t_m, t_frac, psi) in enumerate(zip(*_uniform_columns(
+            rng, samples, (0.2, 0.9), (0.05, 0.8), (0.0, 2.0 * math.pi)))):
+        mirror = ElementSpec.mirror(t_frac * t_m)
         membrane = ElementSpec.membrane(t_m)
         x = (psi - membrane.phi_r) / (2.0 * k) % (math.pi / k)
         s = compose_synthetic(mirror, membrane, x, k)
-        resp = synthetic_response(2.0 * k * x + membrane.phi_r, mirror, membrane)
-        worst_t = max(worst_t, abs(resp.T - abs(s.m11) ** 2))
-        worst_mu = max(
-            worst_mu, abs(math.tan(resp.mu) - math.tan(np.angle(-s.m21)))
-        )
+        columns[:, i] = (2.0 * k * x + membrane.phi_r, mirror.t, mirror.r, membrane.t,
+                         membrane.r, abs(s.m11) ** 2, math.tan(np.angle(-s.m21)))
+    resp = _response_closed_form(*columns[:5])
+    worst_t = max(0.0, *np.abs(resp.T - columns[5]).tolist())
+    # math.tan, not np.tan: the two differ in the last bit for some angles
+    worst_mu = max(0.0, *(abs(math.tan(mu) - tan_mu)
+                          for mu, tan_mu in zip(resp.mu.tolist(), columns[6].tolist())))
     ok = worst_t <= tol.matrix_vs_closed_T and worst_mu <= tol.matrix_vs_closed_tan_mu
     return CheckResult(
         "closed_form_vs_matrix", ok, max(worst_t, worst_mu),
@@ -176,23 +185,21 @@ def _check_closed_vs_matrix(rng: np.random.Generator, tol: ToleranceProfile) -> 
 
 def _check_response_derivatives(rng: np.random.Generator, tol: ToleranceProfile,
                                 samples: int = 60) -> CheckResult:
-    worst = 0.0
-    for t_m, t_frac, psi, coin in zip(*_uniform_columns(
-            rng, samples, (0.2, 0.9), (0.1, 0.8), (0.4, math.pi - 0.4), (0.0, 1.0))):
-        t = t_frac * t_m
-        mirror = ElementSpec.mirror(t)
+    # rows: psi, t, r, t_m, r_m
+    columns = np.empty((5, samples))
+    for i, (t_m, t_frac, psi, coin) in enumerate(zip(*_uniform_columns(
+            rng, samples, (0.2, 0.9), (0.1, 0.8), (0.4, math.pi - 0.4), (0.0, 1.0)))):
+        mirror = ElementSpec.mirror(t_frac * t_m)
         membrane = ElementSpec.membrane(t_m)
         if coin < 0.5:
             psi += math.pi  # sample both halves, away from sin(psi) = 0
-        resp = synthetic_response(psi, mirror, membrane)
-        d_t = central_diff_5pt(
-            lambda p: synthetic_response(p, mirror, membrane).T, psi, 1e-4
-        )
-        d_mu = central_diff_5pt(
-            lambda p: synthetic_response(p, mirror, membrane).mu, psi, 1e-4
-        )
-        worst = max(worst, abs(resp.dT_dpsi - d_t) / abs(d_t))
-        worst = max(worst, abs(resp.dmu_dpsi - d_mu) / abs(d_mu))
+        columns[:, i] = (psi, mirror.t, mirror.r, membrane.t, membrane.r)
+    psi, *amplitudes = columns
+    resp = _response_closed_form(psi, *amplitudes)
+    d_t = central_diff_5pt(lambda p: _response_closed_form(p, *amplitudes).T, psi, 1e-4)
+    d_mu = central_diff_5pt(lambda p: _response_closed_form(p, *amplitudes).mu, psi, 1e-4)
+    worst = max(0.0, *(np.abs(resp.dT_dpsi - d_t) / np.abs(d_t)).tolist(),
+                *(np.abs(resp.dmu_dpsi - d_mu) / np.abs(d_mu)).tolist())
     return CheckResult("response_derivatives_fd", worst <= tol.derivative_rel,
                        worst, tol.derivative_rel, "dT/dpsi, dmu/dpsi vs 5-point FD")
 
@@ -223,8 +230,10 @@ def _check_msi_derivatives(rng: np.random.Generator, tol: ToleranceProfile,
 
 def _check_locus_oracle(rng: np.random.Generator, tol: ToleranceProfile,
                         samples: int) -> CheckResult:
-    worst_psi = 0.0
-    worst_phi = 0.0
+    # each sample's dmu/dpsi grid in one call, then every bracket of every
+    # sample in one array bisection
+    drawn = []
+    brackets = []  # lo, hi, f(lo), f(hi), then t, r, t_m, r_m of the sample
     # a failing sample returns at once, with the generator already past the
     # draws of the samples after it
     for t_m, u in zip(*_uniform_columns(rng, samples, (0.03, 0.15), (0.0, 1.0))):
@@ -233,19 +242,27 @@ def _check_locus_oracle(rng: np.random.Generator, tol: ToleranceProfile,
         mirror = ElementSpec.mirror(t)
         membrane = ElementSpec.membrane(t_m)
         locus = mos_mod.zero_dispersive_locus(t, t_m)
-
-        def dmu(psi):
-            return synthetic_response(psi, mirror, membrane).dmu_dpsi
-
-        roots = grid_roots(dmu, 1e-3, 2.0 * math.pi - 1e-3, 4000, ftol=0.0, xtol=1e-13)
-        if len(roots) != 2:
+        found = grid_brackets(lambda psi: synthetic_response(psi, mirror, membrane).dmu_dpsi,
+                              1e-3, 2.0 * math.pi - 1e-3, 4000)
+        if len(found) != 2:
             return CheckResult("zero_dispersive_locus_oracle", False,
-                               float(len(roots)), 2.0,
-                               f"expected 2 sign changes of dmu/dpsi, found {len(roots)}")
+                               float(len(found)), 2.0,
+                               f"expected 2 sign changes of dmu/dpsi, found {len(found)}")
+        drawn.append((t, t_m, locus))
+        brackets += [(*bracket, mirror.t, mirror.r, membrane.t, membrane.r)
+                     for bracket in found]
+    lo, hi, f_lo, f_hi, *amplitudes = np.array(brackets, dtype=float).reshape(-1, 8).T
+    # a degenerate bracket (an exact zero at a node) has f_lo = 0 and is
+    # returned as is
+    roots = bisect(lambda psi: _response_closed_form(psi, *amplitudes).dmu_dpsi,
+                   lo, hi, f_lo=f_lo, f_hi=f_hi, ftol=0.0, xtol=1e-13)
+    worst_psi = 0.0
+    worst_phi = 0.0
+    for (t, t_m, locus), (left, right) in zip(drawn, roots.reshape(-1, 2).tolist()):
         worst_psi = max(
             worst_psi,
-            abs(roots[0] - locus.psi_star[0]),
-            abs(roots[1] - locus.psi_star[1]),
+            abs(left - locus.psi_star[0]),
+            abs(right - locus.psi_star[1]),
         )
         phi0 = t_m ** 2 / 4.0
         half = (locus.psi_star[1] - math.pi) / 2.0

@@ -22,7 +22,7 @@ from optomech import (
     element_scattering,
     synthetic_response,
 )
-from optomech.elements import reduce_phase
+from optomech.elements import _response_closed_form, reduce_phase
 from optomech.validation import PROFILES, _check_elimination, _check_response_derivatives
 
 K_REF = 2 * math.pi / 0.85e-6
@@ -201,6 +201,28 @@ class TestSyntheticResponse:
                 getattr(resp, name), pointwise, rtol=0.0,
                 atol=4 * np.finfo(float).eps * np.max(np.abs(pointwise)),
             )
+
+    def test_kernel_equals_the_float_response_bit_for_bit(self):
+        # the closed forms over columns of phases and amplitudes at once, as
+        # the validation checks call them, against synthetic_response on
+        # each float, with phases outside (-pi, pi] and at exactly +-pi
+        rng = np.random.default_rng(12)
+        n = 3000
+        t_m = rng.uniform(0.01, 0.99, n)
+        t = rng.uniform(0.0, 1.0, n) * t_m
+        psi = np.concatenate([
+            rng.uniform(-20.0, 20.0, n - 8),
+            [math.pi, -math.pi, 3 * math.pi, -3 * math.pi, 2 * math.pi, 0.0, -0.0, 1e6],
+        ])
+        pairs = [(ElementSpec.mirror(a), ElementSpec.membrane(b))
+                 for a, b in zip(t.tolist(), t_m.tolist())]
+        amplitudes = [np.array(col) for col in zip(*((m.t, m.r, mb.t, mb.r)
+                                                     for m, mb in pairs))]
+        resp = _response_closed_form(psi, *amplitudes)
+        points = [synthetic_response(p, m, mb) for p, (m, mb) in zip(psi.tolist(), pairs)]
+        for name in ("psi", "T", "mu", "dT_dpsi", "dmu_dpsi"):
+            pointwise = np.array([getattr(one, name) for one in points])
+            assert getattr(resp, name).tobytes() == pointwise.tobytes(), name
 
     def test_array_degenerate_point_raises(self):
         # one degenerate phase in a column raises, as it does alone

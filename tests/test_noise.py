@@ -391,6 +391,25 @@ class TestCooperativity:
         with pytest.raises(InvalidParameter, match=f"^{name} must be finite"):
             cooperativity(system, **params)
 
+    @pytest.mark.parametrize("system, params", [
+        ("mos", dict(t=1e-3, t_m=1e-60)),                # t_m^6 underflows to 0
+        ("mos", dict(t=1e200, t_m=0.1)),                 # t^2 overflows
+        ("mate", dict(t=1e-200, t_m=0.1, omega_m=1e6)),  # gamma_mate underflows to 0
+        ("msi", dict(r_ms=0.9, gamma_ms=1e-200, omega_m=1e200)),  # inf
+        ("msi", dict(r_ms=0.9, gamma_ms=1e-10, omega_m=1e150)),   # a square overflows
+    ])
+    def test_result_out_of_float_range_is_an_invalid_parameter(self, system, params):
+        mech = dict(l=1e-4, wavelength=0.85e-6, x_zpf=1e-15, gamma_m=0.1)
+        with pytest.raises(InvalidParameter,
+                           match=f"^cooperativity_{system} leaves the float range"):
+            cooperativity(system, **params, **mech)
+
+    def test_mechanical_scale_out_of_float_range_is_an_invalid_parameter(self):
+        with pytest.raises(InvalidParameter, match="^mechanical_scale leaves the float range"):
+            mechanical_scale(wavelength=0.85e-6, l=1e-4, x_zpf=1e200, gamma_m=0.1)
+        with pytest.raises(InvalidParameter, match="^mechanical_scale leaves the float range"):
+            mechanical_scale(wavelength=0.85e-6, l=1e-200, x_zpf=1e-15, gamma_m=1e-200)
+
     def test_mechanical_scale_checks_its_divisors(self):
         args = dict(wavelength=0.85e-6, l=1e-4, x_zpf=1e-15, gamma_m=0.1)
         for name in ("wavelength", "l", "gamma_m"):

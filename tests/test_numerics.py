@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from optomech import mate, mos, numerics
-from optomech.numerics import grid_roots
+from optomech.numerics import BISECT_MAX_ITER, bisect, grid_roots
 
 
 def test_roots_of_every_sign_change_in_ascending_order():
@@ -157,3 +157,88 @@ def test_residuals_on_an_array_equal_their_scalar_calls_bit_for_bit(monkeypatch)
     for _, _, _, h, grid in grids["branch"]:
         scalar = np.array([h(k) for k in grid.tolist()])
         assert np.array_equal(np.sign(h(grid)), np.sign(scalar))
+
+
+def _bisect_each(slope, root, lo, hi, **kwargs):
+    # the float path on each bracket of f(x) = slope (x - root)
+    return np.array([bisect(lambda x, c=c, r=r: c * (x - r), a, b, **kwargs)
+                     for c, r, a, b in zip(slope.tolist(), root.tolist(),
+                                           lo.tolist(), hi.tolist())])
+
+
+def _seeded_brackets(n, seed=13):
+    rng = np.random.default_rng(seed)
+    root = rng.uniform(-1.0, 1.0, n)
+    lo = root - rng.uniform(1e-6, 2.0, n)
+    hi = root + rng.uniform(1e-6, 2.0, n)
+    # slopes down to 1e-200, where fa * f(mid) underflows to a signed zero
+    slope = rng.choice([-1.0, 1.0], n) * 10.0 ** rng.uniform(-200.0, 8.0, n)
+    return slope, root, lo, hi
+
+
+@pytest.mark.parametrize("tol", [
+    dict(ftol=0.0, xtol=1e-13),    # the locus oracle's: stops on the width
+    dict(ftol=1e-6),               # stops on |f|, after a count set by the slope
+    dict(ftol=1e-3, xtol=1e-9),    # either stop, whichever comes first
+    dict(),                        # the defaults
+])
+def test_array_bisect_equals_the_float_path_on_each_bracket(tol):
+    slope, root, lo, hi = _seeded_brackets(500)
+    got = bisect(lambda x: slope * (x - root), lo, hi, **tol)
+    assert got.tobytes() == _bisect_each(slope, root, lo, hi, **tol).tobytes()
+    # with the endpoint values given, as the grid brackets pass them
+    given = bisect(lambda x: slope * (x - root), lo, hi, f_lo=slope * (lo - root),
+                   f_hi=slope * (hi - root), **tol)
+    assert given.tobytes() == got.tobytes()
+
+
+def test_array_bisect_stops_on_a_width_equal_to_xtol_as_the_float_path_does():
+    # dyadic brackets halve exactly, so the width meets xtol with equality
+    slope, root = np.array([1.0, -3.0, 0.5]), np.array([1.0 / 3.0, 2.2, 0.1])
+    lo, hi = np.array([0.0, 1.0, -4.0]), np.array([1.0, 3.0, 4.0])
+    got = bisect(lambda x: slope * (x - root), lo, hi, ftol=0.0, xtol=2.0 ** -20)
+    assert got.tobytes() == _bisect_each(slope, root, lo, hi, ftol=0.0,
+                                         xtol=2.0 ** -20).tobytes()
+
+
+def test_array_bisect_takes_the_iteration_cap_as_the_float_path_does():
+    # sqrt 2 is no float, so |f| never reaches 0 and the width never 0
+    # either: both paths stop at BISECT_MAX_ITER midpoints
+    lo, hi = np.array([1.0, 0.0, 1.4]), np.array([2.0, 3.0, 1.5])
+    calls = []
+
+    def f(x):
+        calls.append(x)
+        return x * x - 2.0
+
+    got = bisect(f, lo, hi, ftol=0.0, xtol=0.0)
+    assert len(calls) == 2 + BISECT_MAX_ITER
+    want = [bisect(lambda x: x * x - 2.0, a, b, ftol=0.0, xtol=0.0)
+            for a, b in zip(lo.tolist(), hi.tolist())]
+    assert got.tolist() == want
+
+
+def test_array_bisect_returns_zero_endpoints_as_the_float_path_does():
+    lo, hi = np.array([0.0, -1.0, 0.25, 0.1, 0.3]), np.array([1.0, 0.3, 0.25, 0.9, 0.7])
+    f_lo = lo - 0.3
+    f_hi = hi - 0.3
+    f_lo[2] = f_hi[2] = 0.0  # a degenerate bracket: a node that is a root
+    got = bisect(lambda x: x - 0.3, lo, hi, f_lo=f_lo, f_hi=f_hi, ftol=0.0, xtol=1e-12)
+    want = [bisect(lambda x: x - 0.3, a, b, f_lo=fa, f_hi=fb, ftol=0.0, xtol=1e-12)
+            for a, b, fa, fb in zip(lo.tolist(), hi.tolist(), f_lo.tolist(), f_hi.tolist())]
+    assert got.tolist() == want
+    assert got[1] == 0.3 and got[2] == 0.25 and got[4] == 0.3
+
+
+def test_array_bisect_of_no_brackets_is_empty():
+    got = bisect(lambda x: x, np.empty(0), np.empty(0))
+    assert got.shape == (0,)
+
+
+def test_array_bracket_without_a_sign_change_raises_as_the_float_path_does():
+    lo, hi = np.array([-1.0, 0.5, 2.0]), np.array([1.0, 0.75, 3.0])
+    with pytest.raises(ValueError) as scalar:
+        bisect(lambda x: x, 0.5, 0.75)
+    with pytest.raises(ValueError) as array:
+        bisect(lambda x: x, lo, hi)
+    assert str(array.value) == str(scalar.value) == "no sign change on [0.5, 0.75]"

@@ -3,13 +3,15 @@ report measured errors, and corrupted tolerances fail loudly."""
 
 import math
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from optomech import PROFILES, ToleranceProfile, run_validation
-from optomech import validation
-from optomech.elements import ScatteringMatrix, unitarity_defect
+from optomech import mos, validation
+from optomech.elements import ElementSpec, ScatteringMatrix, compose_synthetic, unitarity_defect
+from optomech.numerics import central_diff_5pt, grid_roots
 
 
 def test_fast_suite_passes_quickly():
@@ -145,3 +147,163 @@ def test_stacked_unitarity_defect_is_the_largest_per_matrix_defect():
     per_matrix = [ScatteringMatrix(*s.ravel().tolist()).unitarity_defect() for s in stack]
     assert unitarity_defect(stack) == max(per_matrix)
     assert unitarity_defect(stack[7]) == per_matrix[7]
+
+
+# The scalar loops that the array checks replaced, kept as their reference:
+# one synthetic_response per draw, and one float bisection per locus bracket.
+# They look synthetic_response up in validation, so a test can patch it for
+# both.
+
+def _loop_closed_vs_matrix(rng, tol):
+    worst_t = 0.0
+    worst_mu = 0.0
+    k = 7.0e6
+    for t_m, t_frac, psi in zip(*validation._uniform_columns(
+            rng, 1000, (0.2, 0.9), (0.05, 0.8), (0.0, 2.0 * math.pi))):
+        t = t_frac * t_m
+        mirror = ElementSpec.mirror(t)
+        membrane = ElementSpec.membrane(t_m)
+        x = (psi - membrane.phi_r) / (2.0 * k) % (math.pi / k)
+        s = compose_synthetic(mirror, membrane, x, k)
+        resp = validation.synthetic_response(2.0 * k * x + membrane.phi_r, mirror, membrane)
+        worst_t = max(worst_t, abs(resp.T - abs(s.m11) ** 2))
+        worst_mu = max(
+            worst_mu, abs(math.tan(resp.mu) - math.tan(np.angle(-s.m21)))
+        )
+    ok = worst_t <= tol.matrix_vs_closed_T and worst_mu <= tol.matrix_vs_closed_tan_mu
+    return validation.CheckResult(
+        "closed_form_vs_matrix", ok, max(worst_t, worst_mu),
+        max(tol.matrix_vs_closed_T, tol.matrix_vs_closed_tan_mu),
+        f"T defect {worst_t:.2e}, tan(mu) defect {worst_mu:.2e}",
+    )
+
+
+def _loop_response_derivatives(rng, tol, samples=60):
+    worst = 0.0
+    for t_m, t_frac, psi, coin in zip(*validation._uniform_columns(
+            rng, samples, (0.2, 0.9), (0.1, 0.8), (0.4, math.pi - 0.4), (0.0, 1.0))):
+        t = t_frac * t_m
+        mirror = ElementSpec.mirror(t)
+        membrane = ElementSpec.membrane(t_m)
+        if coin < 0.5:
+            psi += math.pi
+        resp = validation.synthetic_response(psi, mirror, membrane)
+        d_t = central_diff_5pt(
+            lambda p: validation.synthetic_response(p, mirror, membrane).T, psi, 1e-4
+        )
+        d_mu = central_diff_5pt(
+            lambda p: validation.synthetic_response(p, mirror, membrane).mu, psi, 1e-4
+        )
+        worst = max(worst, abs(resp.dT_dpsi - d_t) / abs(d_t))
+        worst = max(worst, abs(resp.dmu_dpsi - d_mu) / abs(d_mu))
+    return validation.CheckResult("response_derivatives_fd", worst <= tol.derivative_rel,
+                                  worst, tol.derivative_rel,
+                                  "dT/dpsi, dmu/dpsi vs 5-point FD")
+
+
+def _loop_locus_oracle(rng, tol, samples):
+    worst_psi = 0.0
+    worst_phi = 0.0
+    for t_m, u in zip(*validation._uniform_columns(rng, samples, (0.03, 0.15), (0.0, 1.0))):
+        lo, hi = 1.05 * t_m ** 2, 0.2 * t_m
+        t = lo + (hi - lo) * u
+        mirror = ElementSpec.mirror(t)
+        membrane = ElementSpec.membrane(t_m)
+        locus = mos.zero_dispersive_locus(t, t_m)
+
+        def dmu(psi):
+            return validation.synthetic_response(psi, mirror, membrane).dmu_dpsi
+
+        roots = grid_roots(dmu, 1e-3, 2.0 * math.pi - 1e-3, 4000, ftol=0.0, xtol=1e-13)
+        if len(roots) != 2:
+            return validation.CheckResult(
+                "zero_dispersive_locus_oracle", False, float(len(roots)), 2.0,
+                f"expected 2 sign changes of dmu/dpsi, found {len(roots)}")
+        worst_psi = max(
+            worst_psi,
+            abs(roots[0] - locus.psi_star[0]),
+            abs(roots[1] - locus.psi_star[1]),
+        )
+        phi0 = t_m ** 2 / 4.0
+        half = (locus.psi_star[1] - math.pi) / 2.0
+        worst_phi = max(worst_phi, abs(half - phi0) / phi0 / (t ** 2 / t_m ** 2))
+    ok = worst_psi <= tol.locus_psi and worst_phi <= tol.locus_phi0_scale
+    return validation.CheckResult(
+        "zero_dispersive_locus_oracle", ok, worst_psi, tol.locus_psi,
+        f"|dpsi| {worst_psi:.2e}; (psi*-pi)/2 vs Phi0 within "
+        f"{worst_phi:.2f} x t^2/t_m^2 (limit {tol.locus_phi0_scale})",
+    )
+
+
+#: (array check, its scalar reference loop, keyword arguments)
+ARRAY_CHECKS = [
+    (validation._check_closed_vs_matrix, _loop_closed_vs_matrix, {}),
+    (validation._check_response_derivatives, _loop_response_derivatives, {}),
+    (validation._check_locus_oracle, _loop_locus_oracle, {"samples": 20}),
+    (validation._check_locus_oracle, _loop_locus_oracle, {"samples": 100}),
+]
+
+
+def _fields(check):
+    return (check.name, check.passed, check.measured, check.tolerance, check.detail)
+
+
+@pytest.mark.parametrize("profile", sorted(PROFILES))
+@pytest.mark.parametrize("seed", [20240817, 1, 7, 99, 12345, 2024])
+def test_array_checks_equal_their_scalar_loops(seed, profile):
+    tol = PROFILES[profile]
+    for check, loop, kwargs in ARRAY_CHECKS:
+        rng, loop_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        got, want = check(rng, tol, **kwargs), loop(loop_rng, tol, **kwargs)
+        assert _fields(got) == _fields(want), check.__name__
+        assert float.hex(got.measured) == float.hex(want.measured)
+        assert rng.bit_generator.state == loop_rng.bit_generator.state
+
+
+def test_locus_sample_without_two_roots_fails_as_the_loop_does(monkeypatch):
+    # the third sample's grid sees dmu/dpsi > 0 everywhere: no sign change
+    real = validation.synthetic_response
+    grids = []
+
+    def flattened_third_grid(psi, mirror, membrane):
+        resp = real(psi, mirror, membrane)
+        if isinstance(psi, np.ndarray):
+            grids.append(psi)
+            if len(grids) % 3 == 0:
+                return replace(resp, dmu_dpsi=np.abs(resp.dmu_dpsi) + 1.0)
+        return resp
+
+    monkeypatch.setattr(validation, "synthetic_response", flattened_third_grid)
+    tol = PROFILES["default"]
+    rng, loop_rng = np.random.default_rng(20240817), np.random.default_rng(20240817)
+    got = validation._check_locus_oracle(rng, tol, samples=20)
+    want = _loop_locus_oracle(loop_rng, tol, samples=20)
+    assert _fields(got) == _fields(want) == (
+        "zero_dispersive_locus_oracle", False, 0.0, 2.0,
+        "expected 2 sign changes of dmu/dpsi, found 0")
+    assert rng.bit_generator.state == loop_rng.bit_generator.state
+
+
+@pytest.mark.parametrize("suite", ["fast", "full"])
+def test_every_check_reports_a_bool_and_a_float(suite):
+    for check in run_validation(suite).checks:
+        assert type(check.passed) is bool, check.name
+        assert type(check.measured) is float, check.name
+
+
+def test_every_module_level_check_runs_and_returns_a_check_result(monkeypatch):
+    # the benchmark's tracer wraps every validation._check_* and names its
+    # span from the CheckResult it returns, so a helper named _check_* that
+    # the suite does not call, or that returns anything else, breaks it
+    returned = {}
+    names = [name for name in vars(validation) if name.startswith("_check_")]
+    for name in names:
+        def spy(*args, _name=name, _fn=getattr(validation, name), **kwargs):
+            result = _fn(*args, **kwargs)
+            returned.setdefault(_name, []).append(result)
+            return result
+        monkeypatch.setattr(validation, name, spy)
+    assert run_validation("full").passed
+    assert sorted(returned) == sorted(names)
+    for name, results in returned.items():
+        assert all(isinstance(r, validation.CheckResult) for r in results), name
