@@ -46,7 +46,8 @@ from .numerics import any_true, cos_sin, require_finite
 
 TWO_PI = 2.0 * math.pi
 
-#: losslessness / phase-constraint tolerance (see ElementSpec.validate)
+#: losslessness / phase-constraint tolerance of every element (see
+#: ElementSpec.validate and msi.MsiConfig)
 CONSTRAINT_TOL = 1e-12
 
 
@@ -83,7 +84,8 @@ class ElementSpec:
 
     t, r are amplitude transmission/reflection magnitudes with t^2 + r^2 = 1.
     Phases are only meaningful for membranes; the mirror matrix has its
-    phases built in.
+    phases built in.  Checked once, when built: an instance is frozen, so
+    every instance is valid.
     """
 
     kind: str  # "mirror" | "membrane"
@@ -91,6 +93,9 @@ class ElementSpec:
     r: float
     phi_t: float = 0.0
     phi_r: float = 0.0
+
+    def __post_init__(self) -> None:
+        self.validate()
 
     @classmethod
     def mirror(cls, t: float) -> "ElementSpec":
@@ -211,8 +216,7 @@ def unitarity_defect(s: np.ndarray) -> float:
 
 
 def element_scattering(spec: ElementSpec) -> ScatteringMatrix:
-    """Scattering matrix of a single validated element."""
-    spec.validate()
+    """Scattering matrix of a single element (valid since it was built)."""
     if spec.kind == "mirror":
         return ScatteringMatrix(1j * spec.t, -spec.r, -spec.r, 1j * spec.t)
     tm = spec.t * cmath.exp(1j * spec.phi_t)
@@ -221,8 +225,7 @@ def element_scattering(spec: ElementSpec) -> ScatteringMatrix:
 
 
 def _check_pair(mirror: ElementSpec, membrane: ElementSpec) -> None:
-    mirror.validate()
-    membrane.validate()
+    # each element was checked when built; only their kinds are left
     if mirror.kind != "mirror" or membrane.kind != "membrane":
         raise InvalidElement(
             f"tandem needs (mirror, membrane), got ({mirror.kind}, {membrane.kind})"
@@ -346,8 +349,9 @@ def synthetic_response(
     the quadrant making mu(psi) continuous on the reduced period and equal
     to arg(-m21) of compose_synthetic.
 
-    The pair is checked here; the closed forms themselves are
-    _response_closed_form, which also takes arrays of amplitudes.
+    Only the element kinds are checked here (each element was checked when
+    built); the closed forms themselves are _response_closed_form, which
+    also takes arrays of amplitudes.
     """
     _check_pair(mirror, membrane)
     return _response_closed_form(psi, mirror.t, mirror.r, membrane.t, membrane.r)

@@ -39,6 +39,8 @@ from .numerics import (
     any_true,
     central_diff_richardson,
     grid_roots,
+    in_float_range,
+    require_finite,
 )
 
 #: margin interpreting the thin-tandem inequality x << l t_m^4/(4 t^2)
@@ -163,20 +165,34 @@ class ZeroDispersiveLocus:
     T_star: float
 
 
+def _reflectivities(t: float, t_m: float) -> tuple[float, float]:
+    """(r, r_m) of a mirror t in [0, 1] and a membrane t_m in (0, 1];
+    InvalidParameter otherwise."""
+    if not (math.isfinite(t) and 0.0 <= t <= 1.0):
+        raise InvalidParameter(f"t must lie in [0, 1], got {t}")
+    if not (math.isfinite(t_m) and 0.0 < t_m <= 1.0):
+        raise InvalidParameter(f"t_m must lie in (0, 1], got {t_m}")
+    return math.sqrt(max(0.0, 1.0 - t * t)), math.sqrt(max(0.0, 1.0 - t_m * t_m))
+
+
+def _rate_scale(k: float, l: float) -> float:
+    """c k / l of a finite, positive wavevector k and length l."""
+    require_finite(k=k, l=l)
+    if not (k > 0.0 and l > 0.0):
+        raise InvalidParameter(f"k and l must be positive, got k={k}, l={l}")
+    return C_LIGHT * k / l
+
+
 def zero_dispersive_locus(t: float, t_m: float) -> ZeroDispersiveLocus:
     """Phases psi* with dmu/dpsi = 0:  cos psi* = -r_m (1+r^2) / (r (1+r_m^2)).
 
     Exists only for a membrane less reflective than the mirror (r_m <= r);
     at r_m = r the two solutions merge at psi* = pi.  The transmission at
     either solution is T* = t^2 (1 + r_m^2) / (1 - r^2 r_m^2).
-    InvalidParameter unless t lies in [0, 1] and t_m in (0, 1].
+    InvalidParameter unless t lies in [0, 1] and t_m in (0, 1], or where
+    T* leaves the float range.
     """
-    if not (math.isfinite(t) and 0.0 <= t <= 1.0):
-        raise InvalidParameter(f"t must lie in [0, 1], got {t}")
-    if not (math.isfinite(t_m) and 0.0 < t_m <= 1.0):
-        raise InvalidParameter(f"t_m must lie in (0, 1], got {t_m}")
-    r = math.sqrt(max(0.0, 1.0 - t * t))
-    r_m = math.sqrt(max(0.0, 1.0 - t_m * t_m))
+    r, r_m = _reflectivities(t, t_m)
     if r == 0.0:
         raise NoZeroDispersivePoint("mirror is fully transparent (r = 0)")
     cos_star = -r_m * (1.0 + r * r) / (r * (1.0 + r_m * r_m))
@@ -185,7 +201,9 @@ def zero_dispersive_locus(t: float, t_m: float) -> ZeroDispersiveLocus:
             f"membrane at least as reflective as the mirror (r_m={r_m:.6g} > r={r:.6g})"
         )
     psi_1 = math.acos(cos_star)
-    t_star = t * t * (1.0 + r_m * r_m) / (1.0 - r * r * r_m * r_m)
+    # 1 - r^2 r_m^2 rounds to 0 once t and t_m are both tiny
+    t_star = in_float_range("zero_dispersive_locus",
+                            lambda: t * t * (1.0 + r_m * r_m) / (1.0 - r * r * r_m * r_m))
     return ZeroDispersiveLocus(psi_star=(psi_1, TWO_PI - psi_1), T_star=t_star)
 
 
@@ -194,27 +212,32 @@ def dissipative_constant_exact(t: float, t_m: float, k: float, l: float) -> floa
 
         (c k / l) (t^2/t_m^2) * 2 r_m (1+r_m^2) / (1 - r_m^2 r^2)
                               * sqrt((r^2 - r_m^2) / (1 - r_m^2 r^2))
+
+    InvalidParameter unless t lies in [0, 1], t_m in (0, 1] and k, l are
+    finite and positive, or where the result leaves the float range.
     """
-    r = math.sqrt(max(0.0, 1.0 - t * t))
-    r_m = math.sqrt(max(0.0, 1.0 - t_m * t_m))
+    r, r_m = _reflectivities(t, t_m)
+    scale = _rate_scale(k, l)
     if r_m > r:
         raise NoZeroDispersivePoint(
             f"membrane more reflective than the mirror (r_m={r_m:.6g} > r={r:.6g})"
         )
     one_minus = 1.0 - r_m * r_m * r * r
-    return (
-        (C_LIGHT * k / l)
+    return in_float_range("dissipative_constant_exact", lambda: (
+        scale
         * (t / t_m) ** 2
         * 2.0 * r_m * (1.0 + r_m * r_m) / one_minus
         * math.sqrt((r * r - r_m * r_m) / one_minus)
-    )
+    ))
 
 
 def dissipative_constant_asymptotic(t: float, t_m: float, k: float, l: float) -> float:
     """Thin-membrane limit of dissipative_constant_exact:
-    (c k / l) (t^2/t_m^4) * 2 r_m (1 + r_m^2)."""
-    r_m = math.sqrt(max(0.0, 1.0 - t_m * t_m))
-    return (C_LIGHT * k / l) * (t ** 2 / t_m ** 4) * 2.0 * r_m * (1.0 + r_m * r_m)
+    (c k / l) (t^2/t_m^4) * 2 r_m (1 + r_m^2), with the same input checks."""
+    _, r_m = _reflectivities(t, t_m)
+    scale = _rate_scale(k, l)
+    return in_float_range("dissipative_constant_asymptotic", lambda: (
+        scale * (t ** 2 / t_m ** 4) * 2.0 * r_m * (1.0 + r_m * r_m)))
 
 
 @dataclass(frozen=True)

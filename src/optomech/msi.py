@@ -19,6 +19,7 @@ import math
 from dataclasses import dataclass
 
 from .constants import C_LIGHT
+from .elements import CONSTRAINT_TOL
 from .errors import (
     DegenerateDenominator,
     InvalidElement,
@@ -26,8 +27,6 @@ from .errors import (
     NoZeroDispersivePoint,
 )
 from .numerics import any_true, cos_sin, require_finite
-
-COEFF_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -59,9 +58,9 @@ class MsiConfig:
                 raise InvalidElement(f"{name} must lie in [0, 1], got {val}")
         bs = abs(self.R_b ** 2 + self.T_b ** 2 - 1.0)
         ms = abs(self.r_ms ** 2 + self.t_ms ** 2 - 1.0)
-        if bs > COEFF_TOL:
+        if bs > CONSTRAINT_TOL:
             raise InvalidElement(f"beam splitter R_b^2 + T_b^2 deviates from 1 by {bs:.3e}")
-        if ms > COEFF_TOL:
+        if ms > CONSTRAINT_TOL:
             raise InvalidElement(f"membrane r_ms^2 + t_ms^2 deviates from 1 by {ms:.3e}")
         if self.l <= 0.0 or self.k <= 0.0:
             raise InvalidParameter(f"l and k must be positive, got l={self.l}, k={self.k}")

@@ -38,14 +38,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
 from .constants import C_LIGHT, HBAR
 from .elements import wavevector
 from .errors import InvalidParameter, SingularSystem, ZeroCoupling
-from .numerics import require_finite
+from .numerics import in_float_range, require_finite
 
 #: index layout of the input-quadrature noise basis
 NOISE_BASIS = ("X_in1", "Y_in1", "X_in2", "Y_in2", "X_in3", "Y_in3")
@@ -327,21 +326,6 @@ def _require_positive(**values: float) -> None:
             raise InvalidParameter(f"{name} must be positive, got {value}")
 
 
-def _in_float_range(name: str, formula: Callable[[], float]) -> float:
-    """formula(), or InvalidParameter naming name where finite arguments
-    drive it out of the float range: a power that overflows, a divisor that
-    underflows to 0, or a result that is not finite.  Free unless it
-    raises, so the design path pays nothing for it."""
-    try:
-        value = formula()
-    except (ZeroDivisionError, OverflowError) as exc:
-        raise InvalidParameter(
-            f"{name} leaves the float range ({type(exc).__name__})") from exc
-    if not math.isfinite(value):
-        raise InvalidParameter(f"{name} leaves the float range ({value})")
-    return value
-
-
 def mechanical_scale(
     wavelength: float, l: float, x_zpf: float, gamma_m: float, a0: float = 1.0
 ) -> float:
@@ -351,7 +335,7 @@ def mechanical_scale(
     k = wavevector(wavelength)
     if not (l > 0.0 and gamma_m > 0.0):
         _require_positive(l=l, gamma_m=gamma_m)
-    return _in_float_range(
+    return in_float_range(
         "mechanical_scale", lambda: C_LIGHT * (k * a0 * x_zpf) ** 2 / (l * gamma_m))
 
 
@@ -368,7 +352,7 @@ def cooperativity_mos(
     if not t_m > 0.0:
         _require_positive(t_m=t_m)
     m_scale = mechanical_scale(wavelength, l, x_zpf, gamma_m, a0)
-    return _in_float_range("cooperativity_mos", lambda: m_scale * 4.0 * t ** 2 / t_m ** 6)
+    return in_float_range("cooperativity_mos", lambda: m_scale * 4.0 * t ** 2 / t_m ** 6)
 
 
 def cooperativity_msi(
@@ -382,7 +366,7 @@ def cooperativity_msi(
     if not gamma_ms > 0.0:
         _require_positive(gamma_ms=gamma_ms)
     m_scale = mechanical_scale(wavelength, l, x_zpf, gamma_m, a0)
-    return _in_float_range(
+    return in_float_range(
         "cooperativity_msi",
         lambda: 2.0 * m_scale * r_ms ** 2 * (2.0 * omega_m / gamma_ms) ** 2)
 
@@ -404,7 +388,7 @@ def cooperativity_mate(
         gamma_mate = C_LIGHT * t ** 2 / (2.0 * l)
         return m_scale * (t / t_m) ** 2 * (2.0 * omega_m / gamma_mate) ** 2
 
-    return _in_float_range("cooperativity_mate", formula)
+    return in_float_range("cooperativity_mate", formula)
 
 
 def cooperativity(system: str, **params: float) -> float:

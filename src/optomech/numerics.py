@@ -3,10 +3,11 @@
 These are used both by the library (resonance solvers) and by the
 validation suite, where they serve as independent oracles for the
 closed-form derivatives.  The first three helpers serve the closed forms
-that take either a float or a numpy array.  grid_brackets and grid_roots
-sample their f on a whole grid in one call, so that f takes a float or a
-numpy array too.  bisect refines one bracket of floats, or an array of
-brackets at once, each element by the same steps as the float path.
+that take either a float or a numpy array; in_float_range screens the
+result of a scalar closed form.  grid_brackets and grid_roots sample their
+f on a whole grid in one call, so that f takes a float or a numpy array
+too.  bisect refines one bracket of floats, or an array of brackets at
+once, each element by the same steps as the float path.
 """
 
 from __future__ import annotations
@@ -51,6 +52,21 @@ def require_finite(**values) -> None:
             finite = math.isfinite(value)
         if not finite:
             raise InvalidParameter(f"{name} must be finite, got {value}")
+
+
+def in_float_range(name: str, formula: Callable[[], float]) -> float:
+    """formula(), or InvalidParameter naming name where finite arguments
+    drive it out of the float range: a power that overflows, a divisor that
+    underflows to 0, or a result that is not finite.  Free unless it
+    raises, so the design path pays nothing for it."""
+    try:
+        value = formula()
+    except (ZeroDivisionError, OverflowError) as exc:
+        raise InvalidParameter(
+            f"{name} leaves the float range ({type(exc).__name__})") from exc
+    if not math.isfinite(value):
+        raise InvalidParameter(f"{name} leaves the float range ({value})")
+    return value
 
 
 def central_diff_5pt(f: Callable[[float], float], x: float, h: float) -> float:

@@ -122,6 +122,13 @@ def _uniform_columns(rng: np.random.Generator, samples: int,
     return [(lo + (hi - lo) * u[:, j]).tolist() for j, (lo, hi) in enumerate(bounds)]
 
 
+def _worst(*errors) -> float:
+    """The largest of the errors (floats or arrays of them; 0.0 if there are
+    none), or NaN if any is NaN: Python's max keeps a NaN only when it comes
+    first, so a NaN from the closed form would pass as a small error."""
+    return float(np.max(np.hstack((0.0, *errors))))
+
+
 #: draw ranges of (t, t_m, phi_r, x, k) of a random mirror+membrane tandem
 _TANDEM_BOUNDS = ((0.01, 0.99), (0.01, 0.99), (-math.pi, math.pi), (0.0, 2e-6), (1e6, 1e7))
 
@@ -138,20 +145,21 @@ def _check_unitarity(rng: np.random.Generator, tol: ToleranceProfile,
         stacks[:, i] = [(s.m11, s.m12, s.m21, s.m22) for s in (
             element_scattering(mirror), element_scattering(membrane),
             compose_synthetic(mirror, membrane, x=x, k=k))]
-    worst = max(unitarity_defect(kind.reshape(-1, 2, 2)) for kind in stacks)
+    worst = _worst(*(unitarity_defect(kind.reshape(-1, 2, 2)) for kind in stacks))
     return CheckResult("unitarity", worst <= tol.unitarity, worst, tol.unitarity,
                        f"{samples} random element/tandem matrices")
 
 
 def _check_elimination(rng: np.random.Generator, tol: ToleranceProfile,
                        samples: int = 200) -> CheckResult:
-    worst = 0.0
+    errors = []
     for t, t_m, phi_r, x, k in zip(*_uniform_columns(rng, samples, *_TANDEM_BOUNDS)):
         mirror = ElementSpec.mirror(t)
         membrane = ElementSpec.membrane(t_m, phi_r=phi_r)
         a = compose_synthetic(mirror, membrane, x, k).as_array()
         b = compose_synthetic_by_elimination(mirror, membrane, x, k).as_array()
-        worst = max(worst, float(np.max(np.abs(a - b))))
+        errors.append(np.abs(a - b).ravel())
+    worst = _worst(*errors)
     return CheckResult("tandem_closed_vs_elimination", worst <= tol.elimination_entry,
                        worst, tol.elimination_entry)
 
@@ -171,13 +179,13 @@ def _check_closed_vs_matrix(rng: np.random.Generator, tol: ToleranceProfile) -> 
         columns[:, i] = (2.0 * k * x + membrane.phi_r, mirror.t, mirror.r, membrane.t,
                          membrane.r, abs(s.m11) ** 2, math.tan(np.angle(-s.m21)))
     resp = _response_closed_form(*columns[:5])
-    worst_t = max(0.0, *np.abs(resp.T - columns[5]).tolist())
+    worst_t = _worst(np.abs(resp.T - columns[5]))
     # math.tan, not np.tan: the two differ in the last bit for some angles
-    worst_mu = max(0.0, *(abs(math.tan(mu) - tan_mu)
-                          for mu, tan_mu in zip(resp.mu.tolist(), columns[6].tolist())))
+    worst_mu = _worst([abs(math.tan(mu) - tan_mu)
+                       for mu, tan_mu in zip(resp.mu.tolist(), columns[6].tolist())])
     ok = worst_t <= tol.matrix_vs_closed_T and worst_mu <= tol.matrix_vs_closed_tan_mu
     return CheckResult(
-        "closed_form_vs_matrix", ok, max(worst_t, worst_mu),
+        "closed_form_vs_matrix", ok, _worst(worst_t, worst_mu),
         max(tol.matrix_vs_closed_T, tol.matrix_vs_closed_tan_mu),
         f"T defect {worst_t:.2e}, tan(mu) defect {worst_mu:.2e}",
     )
@@ -198,15 +206,15 @@ def _check_response_derivatives(rng: np.random.Generator, tol: ToleranceProfile,
     resp = _response_closed_form(psi, *amplitudes)
     d_t = central_diff_5pt(lambda p: _response_closed_form(p, *amplitudes).T, psi, 1e-4)
     d_mu = central_diff_5pt(lambda p: _response_closed_form(p, *amplitudes).mu, psi, 1e-4)
-    worst = max(0.0, *(np.abs(resp.dT_dpsi - d_t) / np.abs(d_t)).tolist(),
-                *(np.abs(resp.dmu_dpsi - d_mu) / np.abs(d_mu)).tolist())
+    worst = _worst(np.abs(resp.dT_dpsi - d_t) / np.abs(d_t),
+                   np.abs(resp.dmu_dpsi - d_mu) / np.abs(d_mu))
     return CheckResult("response_derivatives_fd", worst <= tol.derivative_rel,
                        worst, tol.derivative_rel, "dT/dpsi, dmu/dpsi vs 5-point FD")
 
 
 def _check_msi_derivatives(rng: np.random.Generator, tol: ToleranceProfile,
                            k: float = 7.0e6, samples: int = 60) -> CheckResult:
-    worst = 0.0
+    errors = []
     for r_ms, x_frac, tb_sq in zip(*_uniform_columns(
             rng, samples, (0.3, 0.95), (0.15, 0.6), (0.35, 0.65))):
         cfg = msi_mod.MsiConfig.balanced(
@@ -222,8 +230,9 @@ def _check_msi_derivatives(rng: np.random.Generator, tol: ToleranceProfile,
         )
         # a derivative near zero is compared against the scale 2 k r_ms
         floor = 1e-3 * 2 * k * cfg.r_ms
-        worst = max(worst, abs(cpl.dtau_dx - d_tau) / max(abs(d_tau), floor),
-                    abs(cpl.dmu_dx - d_mu) / max(abs(d_mu), floor))
+        errors += [abs(cpl.dtau_dx - d_tau) / max(abs(d_tau), floor),
+                   abs(cpl.dmu_dx - d_mu) / max(abs(d_mu), floor)]
+    worst = _worst(errors)
     return CheckResult("msi_derivatives_fd", worst <= tol.derivative_rel,
                        worst, tol.derivative_rel, "dtau/dx, dmu/dx vs 5-point FD")
 
@@ -256,17 +265,15 @@ def _check_locus_oracle(rng: np.random.Generator, tol: ToleranceProfile,
     # returned as is
     roots = bisect(lambda psi: _response_closed_form(psi, *amplitudes).dmu_dpsi,
                    lo, hi, f_lo=f_lo, f_hi=f_hi, ftol=0.0, xtol=1e-13)
-    worst_psi = 0.0
-    worst_phi = 0.0
+    psi_errors = []
+    phi_errors = []
     for (t, t_m, locus), (left, right) in zip(drawn, roots.reshape(-1, 2).tolist()):
-        worst_psi = max(
-            worst_psi,
-            abs(left - locus.psi_star[0]),
-            abs(right - locus.psi_star[1]),
-        )
+        psi_errors += [abs(left - locus.psi_star[0]), abs(right - locus.psi_star[1])]
         phi0 = t_m ** 2 / 4.0
         half = (locus.psi_star[1] - math.pi) / 2.0
-        worst_phi = max(worst_phi, abs(half - phi0) / phi0 / (t ** 2 / t_m ** 2))
+        phi_errors.append(abs(half - phi0) / phi0 / (t ** 2 / t_m ** 2))
+    worst_psi = _worst(psi_errors)
+    worst_phi = _worst(phi_errors)
     ok = worst_psi <= tol.locus_psi and worst_phi <= tol.locus_phi0_scale
     return CheckResult(
         "zero_dispersive_locus_oracle", ok, worst_psi, tol.locus_psi,
@@ -277,24 +284,23 @@ def _check_locus_oracle(rng: np.random.Generator, tol: ToleranceProfile,
 
 def _check_mos_limits(tol: ToleranceProfile) -> CheckResult:
     cfg = mos_mod.MosConfig(l=1e-4, wavelength=0.85e-6, t=0.014, t_m=0.1, x=0.0)
-    worst = 0.0
     at0 = mos_mod.operating_point(cfg.at_phi(0.0))
-    worst = max(worst, abs(at0.g_omega0 / at0.g_00 - 1.0), abs(at0.g_gamma0),
-                abs(at0.gamma / cfg.gamma0 - 1.0))
     at1 = mos_mod.operating_point(cfg.at_phi(cfg.phi0))
-    worst = max(worst, abs(at1.g_omega0 / at1.g_00), abs(at1.g_gamma0 / at1.g_00 - 0.5),
-                abs(at1.gamma / cfg.gamma0 - 0.5))
     sp = mos_mod.two_port_setpoint(cfg)
-    worst = max(worst, abs(sp.T_sym - 2.0 * cfg.t ** 2 / cfg.t_m ** 2),
-                abs(sp.finesse * sp.T_sym / math.pi - 1.0),
-                abs(cfg.k * sp.delta_x - cfg.phi0))
+    worst = _worst(abs(at0.g_omega0 / at0.g_00 - 1.0), abs(at0.g_gamma0),
+                   abs(at0.gamma / cfg.gamma0 - 1.0),
+                   abs(at1.g_omega0 / at1.g_00), abs(at1.g_gamma0 / at1.g_00 - 0.5),
+                   abs(at1.gamma / cfg.gamma0 - 0.5),
+                   abs(sp.T_sym - 2.0 * cfg.t ** 2 / cfg.t_m ** 2),
+                   abs(sp.finesse * sp.T_sym / math.pi - 1.0),
+                   abs(cfg.k * sp.delta_x - cfg.phi0))
     return CheckResult("mos_limit_values", worst <= tol.limit_values, worst,
                        tol.limit_values, "Phi=0 and Phi=Phi0 reductions, two-port setpoint")
 
 
 def _check_noise_general(tol: ToleranceProfile) -> CheckResult:
     gamma = 1.0e8
-    worst = 0.0
+    errors = []
     for g_w, g_g, g3 in ((0.0, 5.0, 0.0), (3.0, 4.0, 0.5 * gamma), (7.0, 2.0, gamma)):
         rates = noise_mod.PortRates(gamma, gamma, g3)
         report = noise_mod.homodyne_spectra(
@@ -304,8 +310,8 @@ def _check_noise_general(tol: ToleranceProfile) -> CheckResult:
             rates, noise_mod.DriveConfig(delta=0.0, omega=1e-6 * gamma, a0=1.0),
             g_w, g_g, report.theta_opt,
         )
-        worst = max(worst, abs(s_xx / report.s_xx_imp - 1.0),
-                    abs(s_ff / report.s_ff - 1.0))
+        errors += [abs(s_xx / report.s_xx_imp - 1.0), abs(s_ff / report.s_ff - 1.0)]
+    worst = _worst(errors)
     return CheckResult("noise_general_vs_closed", worst <= tol.noise_general_rel,
                        worst, tol.noise_general_rel,
                        "general solver at omega = 1e-6 gamma")
@@ -315,19 +321,18 @@ def _check_figures(tol: ToleranceProfile) -> CheckResult:
     fig2 = reproduce_figure("fig2")
     fig3 = reproduce_figure("fig3")
     fig4 = reproduce_figure("fig4")
-    worst = 0.0
     u = fig2.columns["phi_over_phi0"]
     mid = u.index(0.0)
     one = u.index(1.0)
-    worst = max(worst, abs(fig2.columns["g_omega0_over_g00"][mid] - 1.0))
-    worst = max(worst, abs(fig2.columns["g_omega0_over_g00"][one]))
-    worst = max(worst, abs(fig2.columns["g_gamma0_over_g00"][one] - 0.5))
-    worst = max(worst, abs(fig3.columns["gamma_over_gamma0"][one] - 0.5))
-    xi = fig4.columns["xi"]
-    zero = xi.index(0.0)
-    for frac, value in ((0.0, 1.0), (0.5, 1.5625), (1.0, 2.25)):
-        col = fig4.columns[f"product_normalized_loss{int(100 * frac)}"]
-        worst = max(worst, abs(col[zero] - value))
+    zero = fig4.columns["xi"].index(0.0)
+    worst = _worst(
+        abs(fig2.columns["g_omega0_over_g00"][mid] - 1.0),
+        abs(fig2.columns["g_omega0_over_g00"][one]),
+        abs(fig2.columns["g_gamma0_over_g00"][one] - 0.5),
+        abs(fig3.columns["gamma_over_gamma0"][one] - 0.5),
+        *(abs(fig4.columns[f"product_normalized_loss{int(100 * frac)}"][zero] - value)
+          for frac, value in ((0.0, 1.0), (0.5, 1.5625), (1.0, 2.25))),
+    )
     return CheckResult("figure_values", worst <= tol.limit_values, worst,
                        tol.limit_values, "fig2/fig3/fig4 anchor points")
 
@@ -338,12 +343,13 @@ def _check_mate_resonances(tol: ToleranceProfile) -> CheckResult:
     fsr = math.pi / cfg.l
     k0 = cfg.k
     roots = mate_mod.mate_resonances(cfg, (k0 - fsr, k0 + fsr))
-    worst_res = max(abs(mate_mod.resonance_residual(cfg, r)) for r in roots)
-    worst_k = 0.0
+    worst_res = _worst(*(abs(mate_mod.resonance_residual(cfg, r)) for r in roots))
+    k_errors = []
     for root in roots:
         branch = mate_mod.classify_branch(cfg, root)
         k_branch = mate_mod.branch_wavevector(cfg, branch, root)
-        worst_k = max(worst_k, abs(k_branch - root) / root)
+        k_errors.append(abs(k_branch - root) / root)
+    worst_k = _worst(k_errors)
     ok = worst_res <= 1e-12 and worst_k <= tol.resonance_k_rel
     return CheckResult(
         "mate_resonance_oracle", ok, worst_k, tol.resonance_k_rel,
@@ -356,11 +362,12 @@ def _check_mate_dkdx(tol: ToleranceProfile) -> CheckResult:
                               wavelength=0.85e-6, phi_r=math.pi)
     fsr = math.pi / cfg.l
     roots = mate_mod.mate_resonances(cfg, (cfg.k - fsr, cfg.k + fsr))
-    worst = 0.0
+    errors = []
     for root in roots:
         closed = mate_mod.mate_dispersive_constant(cfg, root).dk_dx
         numeric = mate_mod.dispersive_from_resonance(cfg, root)
-        worst = max(worst, abs(closed - numeric) / abs(numeric))
+        errors.append(abs(closed - numeric) / abs(numeric))
+    worst = _worst(errors)
     return CheckResult("mate_dkdx_oracle", worst <= tol.mate_dkdx_rel, worst,
                        tol.mate_dkdx_rel, "closed-form slope vs re-solved resonance")
 
@@ -370,7 +377,7 @@ def _check_mos_resonance(tol: ToleranceProfile) -> CheckResult:
         l=1e-4, wavelength=0.85e-6, t=0.0006, t_m=0.02, x=0.0,
         phi_r=math.pi - 1e-3,
     )
-    worst = 0.0
+    errors = []
     in_regime = True  # x below 0.001 of the thin-tandem bound
     for frac in (0.0, 0.25, -0.5):
         cfg = base.at_phi(frac * base.phi0)
@@ -380,8 +387,8 @@ def _check_mos_resonance(tol: ToleranceProfile) -> CheckResult:
         brute = mos_mod.dispersive_from_resonance(cfg)
         closed = mos_mod.operating_point(at_root).g_omega0
         exact = mos_mod.exact_corrections(at_root).g_omega_exact
-        worst = max(worst, abs(brute / closed - 1.0))
-        worst = max(worst, abs(brute / exact - 1.0))
+        errors += [abs(brute / closed - 1.0), abs(brute / exact - 1.0)]
+    worst = _worst(errors)
     return CheckResult("mos_resonance_oracle",
                        in_regime and worst <= tol.mos_resonance_rel,
                        worst, tol.mos_resonance_rel,
@@ -393,7 +400,7 @@ def _check_regime(rng: np.random.Generator, tol: ToleranceProfile,
     # gap grows in half-wavelength steps (branch N) at fixed tandem phase,
     # staying below 0.9 x 0.01 of the thin-tandem bound (checked below
     # 0.01 of it); long cavity so many branches fit under the bound
-    worst = 0.0
+    errors = []
     wavelength = 0.85e-6
     length = 0.1
     in_regime = True
@@ -413,8 +420,9 @@ def _check_regime(rng: np.random.Generator, tol: ToleranceProfile,
         thin_gamma = C_LIGHT * resp.T / (2.0 * cfg.l)
         thin_g = -(C_LIGHT * cfg.k / cfg.l) * resp.dmu_dpsi
         corr = mos_mod.exact_corrections(cfg)
-        worst = max(worst, abs(corr.gamma_exact / thin_gamma - 1.0))
-        worst = max(worst, abs(corr.g_omega_exact / thin_g - 1.0))
+        errors += [abs(corr.gamma_exact / thin_gamma - 1.0),
+                   abs(corr.g_omega_exact / thin_g - 1.0)]
+    worst = _worst(errors)
     return CheckResult("thin_tandem_regime", in_regime and worst <= tol.regime_rel,
                        worst, tol.regime_rel,
                        "finite-gap corrections below 1e-2 under the gap bound")

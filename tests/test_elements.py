@@ -61,8 +61,8 @@ class TestElementMatrices:
             ElementSpec(kind="mirror", t=0.5, r=0.5).validate()
 
     def test_membrane_phase_constraint(self):
-        bad = ElementSpec(kind="membrane", t=0.6, r=0.8, phi_t=0.0, phi_r=0.3)
         with pytest.raises(InvalidElement):
+            bad = ElementSpec(kind="membrane", t=0.6, r=0.8, phi_t=0.0, phi_r=0.3)
             bad.validate()
         # phi_r - phi_t = pi/2 + n*pi all satisfy it
         ElementSpec(kind="membrane", t=0.6, r=0.8, phi_t=0.2,
@@ -81,6 +81,35 @@ class TestElementMatrices:
     def test_elements_unitary(self, t, t_m, phi_r):
         for spec in (ElementSpec.mirror(t), ElementSpec.membrane(t_m, phi_r=phi_r)):
             assert element_scattering(spec).unitarity_defect() < 1e-12
+
+
+class TestConstructionChecks:
+    @pytest.mark.parametrize("fields, message", [
+        ({"kind": "beamsplitter", "t": 0.6, "r": 0.8}, "unknown element kind"),
+        ({"kind": "mirror", "t": 1.2, "r": 0.0}, "amplitudes out of range"),
+        ({"kind": "mirror", "t": 0.6, "r": 0.7}, r"t\^2 \+ r\^2 deviates"),
+        ({"kind": "membrane", "t": 0.6, "r": 0.8, "phi_t": 0.0, "phi_r": 0.3},
+         "membrane phase constraint"),
+        ({"kind": "membrane", "t": 0.6, "r": 0.8, "phi_t": 0.0, "phi_r": math.nan},
+         "membrane phase constraint"),
+    ], ids=["kind", "t>1", "lossy", "phase", "nan-phase"])
+    def test_building_an_invalid_element_raises(self, fields, message):
+        with pytest.raises(InvalidElement, match=message):
+            ElementSpec(**fields)
+
+    def test_built_elements_are_not_checked_again(self, monkeypatch):
+        mirror, membrane = ElementSpec.mirror(0.3), ElementSpec.membrane(0.4, phi_r=0.7)
+        calls = []
+        monkeypatch.setattr(ElementSpec, "validate", lambda self: calls.append(self))
+        synthetic_response(1.0, mirror, membrane)
+        synthetic_response(np.linspace(-3.0, 3.0, 7), mirror, membrane)
+        compose_synthetic(mirror, membrane, 1e-7, K_REF)
+        compose_synthetic_by_elimination(mirror, membrane, 1e-7, K_REF)
+        element_scattering(mirror)
+        element_scattering(membrane)
+        assert calls == []
+        built = ElementSpec.mirror(0.3)  # the counter does see a build
+        assert len(calls) == 1 and calls[0] is built
 
 
 class TestCompose:

@@ -63,6 +63,11 @@ class TestZeroDispersiveLocus:
         with pytest.raises(InvalidParameter, match=f"^{name} must lie in"):
             zero_dispersive_locus(t, t_m)
 
+    def test_tandem_beyond_the_float_range_is_an_invalid_parameter(self):
+        # r and r_m both round to 1, so 1 - r^2 r_m^2 is 0
+        with pytest.raises(InvalidParameter, match="leaves the float range"):
+            zero_dispersive_locus(1e-100, 1e-52)
+
     def test_equal_elements_merge_at_pi(self):
         locus = zero_dispersive_locus(0.05, 0.05)
         assert locus.psi_star[0] == pytest.approx(math.pi, abs=1e-12)
@@ -159,6 +164,36 @@ class TestDissipativeConstant:
     def test_infeasible_for_reflective_membrane(self, bench):
         with pytest.raises(NoZeroDispersivePoint):
             dissipative_constant_exact(0.1, 0.014, bench.k, bench.l)
+
+    @pytest.mark.parametrize("function", [dissipative_constant_exact,
+                                          dissipative_constant_asymptotic])
+    @pytest.mark.parametrize("args, message", [
+        ({"t_m": math.nan}, "t_m must lie in"),
+        ({"t_m": 1.5}, "t_m must lie in"),
+        ({"t": math.nan}, "t must lie in"),
+        ({"l": 0.0}, "k and l must be positive"),
+        ({"l": -1e-4}, "k and l must be positive"),
+        ({"k": math.inf}, "k must be finite"),
+    ], ids=["t_m=nan", "t_m=1.5", "t=nan", "l=0", "l<0", "k=inf"])
+    def test_bad_inputs_are_invalid_parameters(self, bench, function, args, message):
+        kwargs = {"t": 0.014, "t_m": 0.1, "k": bench.k, "l": bench.l, **args}
+        with pytest.raises(InvalidParameter, match=message):
+            function(**kwargs)
+
+    @pytest.mark.parametrize("function, t, t_m, k, l", [
+        # 1 - r^2 r_m^2 rounds to 0
+        (dissipative_constant_exact, 1e-100, 1e-52, 7e6, 1e-4),
+        # t_m^4 underflows to 0
+        (dissipative_constant_asymptotic, 1e-100, 1e-90, 7e6, 1e-4),
+        # c k / l overflows
+        (dissipative_constant_exact, 0.01, 0.1, 1e300, 1e-300),
+        (dissipative_constant_asymptotic, 0.01, 0.1, 1e300, 1e-300),
+    ], ids=["exact-r-rounds", "asymptotic-t_m-underflows",
+            "exact-overflows", "asymptotic-overflows"])
+    def test_results_beyond_the_float_range_are_invalid_parameters(
+            self, function, t, t_m, k, l):
+        with pytest.raises(InvalidParameter, match="leaves the float range"):
+            function(t, t_m, k, l)
 
 
 class TestExactCorrections:

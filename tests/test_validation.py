@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from optomech import PROFILES, ToleranceProfile, run_validation
-from optomech import mos, validation
+from optomech import elements, mos, validation
 from optomech.elements import ElementSpec, ScatteringMatrix, compose_synthetic, unitarity_defect
 from optomech.numerics import central_diff_5pt, grid_roots
 
@@ -307,3 +307,35 @@ def test_every_module_level_check_runs_and_returns_a_check_result(monkeypatch):
     assert sorted(returned) == sorted(names)
     for name, results in returned.items():
         assert all(isinstance(r, validation.CheckResult) for r in results), name
+
+
+def test_worst_error_keeps_a_nan():
+    assert validation._worst() == 0.0
+    assert validation._worst(0.5, np.array([0.25, 2.0])) == 2.0
+    assert math.isnan(validation._worst(0.5, np.array([math.nan, 0.25])))
+    assert math.isnan(validation._worst([0.5, math.nan]))
+
+
+def test_nan_response_fails_the_response_checks(monkeypatch):
+    def nan_kernel(psi, t, r, t_m, r_m):
+        nan = np.full(np.broadcast(psi, t, r, t_m, r_m).shape, math.nan)
+        return elements.SyntheticMirrorResponse(psi=psi, T=nan, mu=nan,
+                                                dT_dpsi=nan, dmu_dpsi=nan)
+
+    monkeypatch.setattr(validation, "_response_closed_form", nan_kernel)
+    monkeypatch.setattr(elements, "_response_closed_form", nan_kernel)
+    tol = PROFILES["default"]
+    for check in (validation._check_closed_vs_matrix(np.random.default_rng(7), tol),
+                  validation._check_response_derivatives(np.random.default_rng(7), tol),
+                  validation._check_locus_oracle(np.random.default_rng(7), tol, samples=20)):
+        assert not check.passed, check.line()
+
+
+def test_nan_locus_fails_the_locus_oracle(monkeypatch):
+    def nan_locus(t, t_m):
+        return mos.ZeroDispersiveLocus(psi_star=(math.nan, math.nan), T_star=math.nan)
+
+    monkeypatch.setattr(mos, "zero_dispersive_locus", nan_locus)
+    check = validation._check_locus_oracle(np.random.default_rng(7), PROFILES["default"],
+                                           samples=20)
+    assert not check.passed and math.isnan(check.measured), check.line()
