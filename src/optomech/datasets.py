@@ -20,7 +20,7 @@ from . import mate as mate_mod
 from . import mos as mos_mod
 from . import msi as msi_mod
 from . import noise as noise_mod
-from .elements import CONSTRAINT_TOL, ElementSpec, synthetic_response, wavevector
+from .elements import ElementSpec, synthetic_response, wavevector
 from .errors import ConfigError, InvalidParameter, OptomechError
 from .numerics import require_finite
 
@@ -158,7 +158,7 @@ def _mos_columns(fixed: dict[str, float], parameter: str, value) -> Columns:
 
 
 def _msi_columns(fixed: dict[str, float], parameter: str, x) -> Columns:
-    cfg = msi_mod.MsiConfig.balanced(
+    cfg = msi_mod.MsiConfig(
         r_ms=fixed["r_ms"],
         l=fixed["l"],
         k=wavevector(fixed["wavelength"]),
@@ -260,7 +260,6 @@ def _scan_metadata(spec: ScanSpec) -> dict[str, object]:
         "stop": spec.stop,
         "points": spec.points,
         "version": __version__,
-        "tolerance.element_constraint": CONSTRAINT_TOL,
     }
 
 
@@ -474,7 +473,7 @@ def compare_systems(params: dict[str, float] | None = None) -> ComparisonTable:
 
     msi_row: dict[str, object] = {"system": "msi", "error": ""}
     try:
-        msi_cfg = msi_mod.MsiConfig.balanced(
+        msi_cfg = msi_mod.MsiConfig(
             r_ms=p["msi_r_ms"], l=p["l"], k=k, Tb_sq=p["msi_Tb_sq"]
         )
         zd = msi_mod.msi_zero_dispersive(msi_cfg)

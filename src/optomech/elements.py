@@ -16,9 +16,10 @@ The mirror matrix is fixed to
     [[ i t, -r ],
      [ -r , i t]]
 
-(transmission phase pi/2, reflection phase pi).  The membrane carries free
-transmission/reflection phases phi_t, phi_r constrained by
-exp(2i(phi_r - phi_t)) = -1, and its matrix is
+(transmission phase pi/2, reflection phase pi).  The membrane carries a free
+reflection phase phi_r; losslessness fixes its transmission phase to
+phi_t = phi_r - pi/2 (any phi_r - phi_t = pi/2 mod pi would do), and its
+matrix is
 
     [[ t_m e^{i phi_t}, r_m e^{i phi_r} ],
      [ r_m e^{i phi_r}, t_m e^{i phi_t} ]].
@@ -46,9 +47,11 @@ from .numerics import any_true, cos_sin, require_finite
 
 TWO_PI = 2.0 * math.pi
 
-#: losslessness / phase-constraint tolerance of every element (see
-#: ElementSpec.validate and msi.MsiConfig)
-CONSTRAINT_TOL = 1e-12
+
+def reflectivity(a: float) -> float:
+    """Partner amplitude sqrt(1 - a^2) of a lossless element's amplitude a
+    in [0, 1]: r of a transmission t, or t of a reflection r."""
+    return math.sqrt(max(0.0, 1.0 - a * a))
 
 
 def wavevector(wavelength: float) -> float:
@@ -78,60 +81,48 @@ def reduce_phase(psi):
     return out
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, kw_only=True)
 class ElementSpec:
     """Lossless optical element: a fixed-phase mirror or a phased membrane.
 
-    t, r are amplitude transmission/reflection magnitudes with t^2 + r^2 = 1.
-    Phases are only meaningful for membranes; the mirror matrix has its
+    A caller sets the amplitude transmission t and, for a membrane, the
+    reflection phase phi_r; the reflection r = sqrt(1 - t^2) and a
+    membrane's transmission phase phi_t = phi_r - pi/2 are derived, so
+    every element is lossless by construction.  The mirror matrix has its
     phases built in.  Checked once, when built: an instance is frozen, so
     every instance is valid.
     """
 
     kind: str  # "mirror" | "membrane"
     t: float
-    r: float
-    phi_t: float = 0.0
     phi_r: float = 0.0
+    r: float = field(init=False, repr=False, compare=False)
+    phi_t: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         self.validate()
+        # derived once; a frozen instance sets them past its own __setattr__
+        object.__setattr__(self, "r", reflectivity(self.t))
+        object.__setattr__(self, "phi_t",
+                           self.phi_r - math.pi / 2 if self.kind == "membrane" else 0.0)
 
     @classmethod
     def mirror(cls, t: float) -> "ElementSpec":
-        return cls(kind="mirror", t=t, r=math.sqrt(max(0.0, 1.0 - t * t)))
+        return cls(kind="mirror", t=t)
 
     @classmethod
     def membrane(cls, t_m: float, phi_r: float = math.pi / 2) -> "ElementSpec":
-        """Membrane with reflection phase phi_r and phi_t = phi_r - pi/2, so
-        the phase constraint holds identically."""
-        r_m = math.sqrt(max(0.0, 1.0 - t_m * t_m))
-        return cls(kind="membrane", t=t_m, r=r_m, phi_t=phi_r - math.pi / 2, phi_r=phi_r)
+        return cls(kind="membrane", t=t_m, phi_r=phi_r)
 
     def validate(self) -> None:
-        """Raise InvalidElement on a constraint violation.
-
-        Checks 0 <= t, r <= 1, t^2 + r^2 = 1 (within CONSTRAINT_TOL) and,
-        for membranes, exp(2i(phi_r - phi_t)) = -1 (within CONSTRAINT_TOL).
-        """
+        """Raise InvalidElement unless the kind is known, 0 <= t <= 1 and
+        phi_r is finite."""
         if self.kind not in ("mirror", "membrane"):
             raise InvalidElement(f"unknown element kind {self.kind!r}")
-        if not (0.0 <= self.t <= 1.0 and 0.0 <= self.r <= 1.0):
-            raise InvalidElement(
-                f"amplitudes out of range: t={self.t}, r={self.r}"
-            )
-        defect = abs(self.t * self.t + self.r * self.r - 1.0)
-        if defect > CONSTRAINT_TOL:
-            raise InvalidElement(
-                f"t^2 + r^2 deviates from 1 by {defect:.3e} (tol {CONSTRAINT_TOL:.1e})"
-            )
-        if self.kind == "membrane":
-            phase_defect = abs(cmath.exp(2j * (self.phi_r - self.phi_t)) + 1.0)
-            if not phase_defect <= CONSTRAINT_TOL:  # a NaN phase fails too
-                raise InvalidElement(
-                    "membrane phase constraint exp(2i(phi_r-phi_t)) = -1 "
-                    f"violated by {phase_defect:.3e} (tol {CONSTRAINT_TOL:.1e})"
-                )
+        if not 0.0 <= self.t <= 1.0:
+            raise InvalidElement(f"t must lie in [0, 1], got {self.t}")
+        if not math.isfinite(self.phi_r):
+            raise InvalidElement(f"phi_r must be finite, got {self.phi_r}")
 
 
 @dataclass(frozen=True, kw_only=True)

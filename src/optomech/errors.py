@@ -10,7 +10,8 @@ class InvalidParameter(OptomechError, ValueError):
 
 
 class InvalidElement(OptomechError):
-    """An optical element violates losslessness or its phase constraint."""
+    """An optical element has an unknown kind, an amplitude outside [0, 1]
+    or a non-finite phase."""
 
 
 class DegenerateDenominator(OptomechError):

@@ -74,6 +74,12 @@ def resonance_residual(cfg: MateConfig, k):
     return cos(k * cfg.l + cfg.phi_r) + cfg.r_m * cos(2.0 * k * cfg.x - k * cfg.l)
 
 
+def _check_wavevector(k: float) -> None:
+    """InvalidParameter unless the wavevector k is finite and positive."""
+    if not 0.0 < k < math.inf:  # a NaN fails too
+        raise InvalidParameter(f"wavevector must be finite and positive, got k={k}")
+
+
 def mate_resonances(
     cfg: MateConfig,
     k_window: tuple[float, float],
@@ -86,11 +92,17 @@ def mate_resonances(
     |residual| < residual_tol.  Raises NoRootInWindow if none are found.
     """
     k_lo, k_hi = k_window
-    if not (0.0 < k_lo < k_hi):
+    if not (0.0 < k_lo < k_hi < math.inf):
         raise InvalidParameter(f"bad window [{k_lo}, {k_hi}]")
     step = (math.pi / cfg.l) / SCAN_STEPS_PER_FSR
-    roots = grid_roots(lambda k: resonance_residual(cfg, k), k_lo, k_hi,
-                       max(1, math.ceil((k_hi - k_lo) / step)), ftol=residual_tol)
+    steps = max(1, math.ceil((k_hi - k_lo) / step))
+    try:
+        roots = grid_roots(lambda k: resonance_residual(cfg, k), k_lo, k_hi,
+                           steps, ftol=residual_tol)
+    except (ValueError, MemoryError) as exc:  # numpy refuses the grid
+        raise InvalidParameter(
+            f"cannot scan window [{k_lo}, {k_hi}] in {steps} steps: {exc}"
+        ) from exc
     if not roots:
         raise NoRootInWindow(
             f"no resonance in [{k_lo:.6e}, {k_hi:.6e}] (window spans "
@@ -124,6 +136,7 @@ def classify_branch(cfg: MateConfig, k_c: float) -> MateBranch:
 
     and to the physical subcavity ("x" or "l-x") it derives from.
     """
+    _check_wavevector(k_c)
     if cfg.r_m < 1e-15:
         raise BranchAmbiguity(
             "membrane fully transparent (r_m = 0); branch family degenerate"
@@ -191,6 +204,7 @@ def mate_dispersive_constant(cfg: MateConfig, k_c: float) -> MateDispersive:
     The constant g_omega0 = -c_light * dk/dx is positive for modes derived
     from the x subcavity and negative for those from the l-x part.
     """
+    _check_wavevector(k_c)
     if cfg.r_m < 1e-15:
         raise BranchAmbiguity(
             "membrane fully transparent (r_m = 0); slope branch degenerate"
@@ -278,6 +292,7 @@ def mate_exact_decay(cfg: MateConfig, k: float) -> MateExactDecay:
     and the slow (non-sinusoidal) numerator terms; gamma_reduced uses the
     exact tandem transmission T(psi).
     """
+    _check_wavevector(k)
     r_m = cfg.r_m
     psi = 2.0 * k * cfg.x + cfg.phi_r
     cos_psi, sin_psi = cos_sin(psi)

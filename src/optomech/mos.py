@@ -32,7 +32,7 @@ import math
 from dataclasses import dataclass, replace
 
 from .constants import C_LIGHT
-from .elements import TWO_PI, TandemCavity, synthetic_response
+from .elements import TWO_PI, TandemCavity, reflectivity, synthetic_response
 from .errors import InvalidParameter, NoRootInWindow, NoZeroDispersivePoint
 from .numerics import (
     RESONANCE_GAP_STEP,
@@ -168,11 +168,11 @@ class ZeroDispersiveLocus:
 def _reflectivities(t: float, t_m: float) -> tuple[float, float]:
     """(r, r_m) of a mirror t in [0, 1] and a membrane t_m in (0, 1];
     InvalidParameter otherwise."""
-    if not (math.isfinite(t) and 0.0 <= t <= 1.0):
+    if not 0.0 <= t <= 1.0:  # a NaN fails too
         raise InvalidParameter(f"t must lie in [0, 1], got {t}")
-    if not (math.isfinite(t_m) and 0.0 < t_m <= 1.0):
+    if not 0.0 < t_m <= 1.0:
         raise InvalidParameter(f"t_m must lie in (0, 1], got {t_m}")
-    return math.sqrt(max(0.0, 1.0 - t * t)), math.sqrt(max(0.0, 1.0 - t_m * t_m))
+    return reflectivity(t), reflectivity(t_m)
 
 
 def _rate_scale(k: float, l: float) -> float:
@@ -302,6 +302,10 @@ def two_port_setpoint(cfg: MosConfig) -> TwoPortSetpoint:
         finesse = pi / T_sym
     """
     t_sym = 2.0 * cfg.t ** 2 / cfg.t_m ** 2
+    if t_sym == 0.0:
+        raise InvalidParameter(
+            f"the two-port setpoint needs T_sym = 2 t^2 / t_m^2 > 0, got t={cfg.t}"
+        )
     return TwoPortSetpoint(
         delta_x=cfg.wavelength * cfg.t_m ** 2 / (8.0 * math.pi),
         T_sym=t_sym,

@@ -2,7 +2,9 @@
 
 The beam splitter (real coefficients R_b, T_b) and membrane (r_ms, t_ms)
 reduce to an effective input mirror whose reflection rho and transmission
-tau depend on the membrane displacement x:
+tau depend on the membrane displacement x.  A config sets the membrane
+reflectivity r_ms and the splitter's power transmission Tb_sq = T_b^2; R_b,
+T_b and t_ms are derived from them, so both are lossless by construction:
 
     rho = -2 R_b T_b t_ms - (R_b^2 - T_b^2) r_ms cos 2kx + i r_ms sin 2kx
     tau =  t_ms (T_b^2 - R_b^2) + 2 R_b T_b r_ms cos 2kx
@@ -16,10 +18,10 @@ c tau^2 / (2 l); the coupling constants follow from mu = arg rho and tau:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
 
 from .constants import C_LIGHT
-from .elements import CONSTRAINT_TOL
+from .elements import reflectivity
 from .errors import (
     DegenerateDenominator,
     InvalidElement,
@@ -29,57 +31,50 @@ from .errors import (
 from .numerics import any_true, cos_sin, require_finite
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, kw_only=True)
 class MsiConfig:
-    """Beam-splitter / membrane amplitudes, optical length and wavevector.
+    """Membrane reflectivity, beam-splitter ratio, optical length and
+    wavevector.
 
-    R_b, T_b    real beam-splitter reflection/transmission amplitudes
-    r_ms, t_ms  real membrane reflection/transmission amplitudes
-    l           effective optical length (m)
-    k           wavevector (1/m)
-    x           membrane displacement from the symmetric position (m); an
-                array of them makes msi_couplings elementwise
+    r_ms    real membrane reflection amplitude, in [0, 1]
+    l       effective optical length (m)
+    k       wavevector (1/m)
+    x       membrane displacement from the symmetric position (m); an
+            array of them makes msi_couplings elementwise
+    Tb_sq   beam-splitter power transmission T_b^2, in [0, 1]
+
+    Derived once: R_b = sqrt(1 - Tb_sq), T_b = sqrt(Tb_sq) and
+    t_ms = sqrt(1 - r_ms^2).
     """
 
-    R_b: float
-    T_b: float
     r_ms: float
-    t_ms: float
     l: float
     k: float
     x: float = 0.0
+    Tb_sq: float = 0.5
+    R_b: float = field(init=False, repr=False, compare=False)
+    T_b: float = field(init=False, repr=False, compare=False)
+    t_ms: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        require_finite(R_b=self.R_b, T_b=self.T_b, r_ms=self.r_ms,
-                       t_ms=self.t_ms, l=self.l, k=self.k, x=self.x)
-        for name, val in (("R_b", self.R_b), ("T_b", self.T_b),
-                          ("r_ms", self.r_ms), ("t_ms", self.t_ms)):
-            if not 0.0 <= val <= 1.0:
-                raise InvalidElement(f"{name} must lie in [0, 1], got {val}")
-        bs = abs(self.R_b ** 2 + self.T_b ** 2 - 1.0)
-        ms = abs(self.r_ms ** 2 + self.t_ms ** 2 - 1.0)
-        if bs > CONSTRAINT_TOL:
-            raise InvalidElement(f"beam splitter R_b^2 + T_b^2 deviates from 1 by {bs:.3e}")
-        if ms > CONSTRAINT_TOL:
-            raise InvalidElement(f"membrane r_ms^2 + t_ms^2 deviates from 1 by {ms:.3e}")
+        if not 0.0 <= self.Tb_sq <= 1.0:
+            raise InvalidParameter(f"Tb_sq must lie in [0, 1], got {self.Tb_sq}")
+        require_finite(r_ms=self.r_ms, l=self.l, k=self.k, x=self.x)
+        if not 0.0 <= self.r_ms <= 1.0:
+            raise InvalidElement(f"r_ms must lie in [0, 1], got {self.r_ms}")
         if self.l <= 0.0 or self.k <= 0.0:
             raise InvalidParameter(f"l and k must be positive, got l={self.l}, k={self.k}")
+        # derived once; a frozen instance sets them past its own __setattr__
+        object.__setattr__(self, "R_b", math.sqrt(1.0 - self.Tb_sq))
+        object.__setattr__(self, "T_b", math.sqrt(self.Tb_sq))
+        object.__setattr__(self, "t_ms", reflectivity(self.r_ms))
 
     @classmethod
     def balanced(cls, r_ms: float, l: float, k: float, x: float = 0.0,
                  Tb_sq: float = 0.5) -> "MsiConfig":
-        """Config from power splitting ratio Tb_sq and membrane reflectivity."""
-        if not 0.0 <= Tb_sq <= 1.0:
-            raise InvalidParameter(f"Tb_sq must lie in [0, 1], got {Tb_sq}")
-        return cls(
-            R_b=math.sqrt(1.0 - Tb_sq),
-            T_b=math.sqrt(Tb_sq),
-            r_ms=r_ms,
-            t_ms=math.sqrt(max(0.0, 1.0 - r_ms * r_ms)),
-            l=l,
-            k=k,
-            x=x,
-        )
+        """MsiConfig(r_ms=r_ms, l=l, k=k, x=x, Tb_sq=Tb_sq); kept because the
+        design workload of perfbench/workloads.py calls it by this name."""
+        return cls(r_ms=r_ms, l=l, k=k, x=x, Tb_sq=Tb_sq)
 
     @property
     def omega_c(self) -> float:
@@ -164,7 +159,10 @@ def msi_zero_dispersive(cfg: MsiConfig, branch: int = 0) -> MsiZeroDispersive:
     branch=0 returns the solution nearest 2kx = pi/2; other branches shift
     2kx* by multiples of 2 pi (even branch) or mirror it (odd branch).
     The dissipative-constant benchmark there is r_ms sqrt(T_ms) omega_c/l.
+    A float branch is accepted if its value is whole.
     """
+    if not float(branch).is_integer():
+        raise InvalidParameter(f"branch must be an integer, got {branch}")
     denom = 2.0 * cfg.t_ms * cfg.R_b * cfg.T_b
     if denom == 0.0:
         raise NoZeroDispersivePoint(
@@ -180,15 +178,13 @@ def msi_zero_dispersive(cfg: MsiConfig, branch: int = 0) -> MsiZeroDispersive:
         two_kx = theta + math.pi * branch
     else:
         two_kx = -theta + math.pi * (branch + 1)
-    at_star = msi_couplings(
-        MsiConfig(cfg.R_b, cfg.T_b, cfg.r_ms, cfg.t_ms, cfg.l, cfg.k,
-                  x=two_kx / (2.0 * cfg.k))
-    )
+    x_star = two_kx / (2.0 * cfg.k)
+    at_star = msi_couplings(replace(cfg, x=x_star))
     # at the locus tau collapses to (T_b^2 - R_b^2) / t_ms
     tau_star = (cfg.T_b ** 2 - cfg.R_b ** 2) / cfg.t_ms
     t_ms_power = tau_star ** 2
     return MsiZeroDispersive(
-        x_star=two_kx / (2.0 * cfg.k),
+        x_star=x_star,
         tau_star=tau_star,
         T_ms=t_ms_power,
         gamma_ms=C_LIGHT * t_ms_power / (2.0 * cfg.l),

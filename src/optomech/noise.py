@@ -217,6 +217,10 @@ def general_spectra(
     the ports gives both, with the operations, in their order, of
     FluctuationSolution.out1_psd / out1_gain and _force_coefficients.
     """
+    # a cheap screen, as in DriveConfig: the sum is finite unless a value is
+    # not, or it overflows
+    if not math.isfinite(g_omega0 + g_gamma0 + theta):
+        require_finite(g_omega0=g_omega0, g_gamma0=g_gamma0, theta=theta)
     diag, xy, yx = _drift_inverse(rates, drive)
     out1_scale = 2.0 * math.sqrt(rates.gamma1)
     signal_x, signal_y = drive.a0 * g_gamma0, drive.a0 * g_omega0
@@ -290,6 +294,8 @@ def homodyne_spectra(
         raise InvalidParameter("closed forms hold at resonant drive (delta = 0)")
     if rates.gamma1 != rates.gamma2:
         raise InvalidParameter("closed forms hold for a symmetric cavity (gamma1 = gamma2)")
+    if not math.isfinite(g_omega0 + g_gamma0):
+        require_finite(g_omega0=g_omega0, g_gamma0=g_gamma0)
     if g_omega0 == 0.0 and g_gamma0 == 0.0:
         raise ZeroCoupling("both coupling constants are zero")
     if drive.a0 <= 0.0:
@@ -326,6 +332,14 @@ def _require_positive(**values: float) -> None:
             raise InvalidParameter(f"{name} must be positive, got {value}")
 
 
+def _require_amplitudes(**values: float) -> None:
+    """Raise InvalidParameter naming the first value outside [0, 1] (the
+    callers screen with plain comparisons first, as for _require_positive)."""
+    for name, value in values.items():
+        if not 0.0 <= value <= 1.0:
+            raise InvalidParameter(f"{name} must lie in [0, 1], got {value}")
+
+
 def mechanical_scale(
     wavelength: float, l: float, x_zpf: float, gamma_m: float, a0: float = 1.0
 ) -> float:
@@ -333,8 +347,10 @@ def mechanical_scale(
     if not math.isfinite(wavelength + l + x_zpf + gamma_m + a0):
         require_finite(wavelength=wavelength, l=l, x_zpf=x_zpf, gamma_m=gamma_m, a0=a0)
     k = wavevector(wavelength)
-    if not (l > 0.0 and gamma_m > 0.0):
-        _require_positive(l=l, gamma_m=gamma_m)
+    if not (l > 0.0 and gamma_m > 0.0 and x_zpf > 0.0):
+        _require_positive(l=l, gamma_m=gamma_m, x_zpf=x_zpf)
+    if a0 < 0.0:
+        raise InvalidParameter(f"pump amplitude a0 must be non-negative, got {a0}")
     return in_float_range(
         "mechanical_scale", lambda: C_LIGHT * (k * a0 * x_zpf) ** 2 / (l * gamma_m))
 
@@ -351,6 +367,8 @@ def cooperativity_mos(
         require_finite(t=t, t_m=t_m)
     if not t_m > 0.0:
         _require_positive(t_m=t_m)
+    if not (0.0 <= t <= 1.0 and t_m <= 1.0):
+        _require_amplitudes(t=t, t_m=t_m)
     m_scale = mechanical_scale(wavelength, l, x_zpf, gamma_m, a0)
     return in_float_range("cooperativity_mos", lambda: m_scale * 4.0 * t ** 2 / t_m ** 6)
 
@@ -365,6 +383,8 @@ def cooperativity_msi(
         require_finite(r_ms=r_ms, gamma_ms=gamma_ms, omega_m=omega_m)
     if not gamma_ms > 0.0:
         _require_positive(gamma_ms=gamma_ms)
+    if not 0.0 <= r_ms <= 1.0:
+        _require_amplitudes(r_ms=r_ms)
     m_scale = mechanical_scale(wavelength, l, x_zpf, gamma_m, a0)
     return in_float_range(
         "cooperativity_msi",
@@ -383,6 +403,8 @@ def cooperativity_mate(
     m_scale = mechanical_scale(wavelength, l, x_zpf, gamma_m, a0)
     if not (t > 0.0 and t_m > 0.0):
         _require_positive(t=t, t_m=t_m)
+    if not (t <= 1.0 and t_m <= 1.0):
+        _require_amplitudes(t=t, t_m=t_m)
 
     def formula() -> float:
         gamma_mate = C_LIGHT * t ** 2 / (2.0 * l)

@@ -217,7 +217,7 @@ def _check_msi_derivatives(rng: np.random.Generator, tol: ToleranceProfile,
     errors = []
     for r_ms, x_frac, tb_sq in zip(*_uniform_columns(
             rng, samples, (0.3, 0.95), (0.15, 0.6), (0.35, 0.65))):
-        cfg = msi_mod.MsiConfig.balanced(
+        cfg = msi_mod.MsiConfig(
             r_ms=r_ms, l=1e-4, k=k, x=x_frac * math.pi / (2.0 * k), Tb_sq=tb_sq,
         )
         cpl = msi_mod.msi_couplings(cfg)

@@ -209,7 +209,7 @@ def test_cross_system_benchmark():
     k = 2 * math.pi / 0.85e-6
     msi_bounded = True
     for _ in range(200):
-        msi_cfg = MsiConfig.balanced(
+        msi_cfg = MsiConfig(
             r_ms=float(rng.uniform(0.05, 0.999)), l=1e-4, k=k,
             Tb_sq=float(rng.uniform(0.25, 0.75)),
         )

@@ -454,7 +454,7 @@ class TestCli:
          "mate,,,,nan,nan,nan,InvalidParameter"),
         (["compare", "--set", "compare.t_m=0"], 0,
          "mate,,,,nan,nan,nan,InvalidParameter"),
-        (["synthetic", "--set", "synthetic.phi_r=nan"], 1, "membrane phase constraint"),
+        (["synthetic", "--set", "synthetic.phi_r=nan"], 1, "phi_r must be finite"),
         (["compare", "--set", "compare.t=0"], 0, "mos,,,,nan,nan,nan,InvalidParameter"),
         (["compare", "--set", "compare.wavelength=0"], 1, "wavelength must be positive"),
         (["compare", "--set", "compare.gamma_m=0"], 1, "gamma_m must be positive"),
@@ -494,6 +494,17 @@ class TestCli:
         else:
             assert err == ""
             assert message in out.read_text().splitlines()
+
+    @pytest.mark.parametrize("phi_r", ["1e4", "-1e4", "1e6"])
+    def test_large_membrane_phase_scans(self, tmp_path, capsys, phi_r):
+        # phi_t = phi_r - pi/2 rounds at this size; the membrane stays lossless
+        out = tmp_path / "mos.csv"
+        assert main(["mos", "--set", f"mos.phi_r={phi_r}",
+                     "--set", "scan.parameter=phi_over_phi0", "--set", "scan.start=-2",
+                     "--set", "scan.stop=2", "--set", "scan.points=5",
+                     "--out", str(out)]) == 0
+        assert capsys.readouterr().err == ""
+        assert len(out.read_text().splitlines()) == 6
 
     # counts numpy refuses, or returns no points for, before allocating
     @pytest.mark.parametrize("points", ["100000000000000000000", str(2 ** 63)])

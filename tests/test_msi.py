@@ -3,13 +3,14 @@ zero-dispersive displacement, derivative oracles, and the benchmark
 against the membrane-outside dissipative constant."""
 
 import math
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
 
 from optomech import (
     InvalidElement,
+    InvalidParameter,
     MsiConfig,
     NoZeroDispersivePoint,
     msi_couplings,
@@ -24,7 +25,7 @@ L_REF = 1e-4
 
 
 def make_cfg(r_ms=0.9, Tb_sq=0.48, x=0.0):
-    return MsiConfig.balanced(r_ms=r_ms, l=L_REF, k=K_REF, x=x, Tb_sq=Tb_sq)
+    return MsiConfig(r_ms=r_ms, l=L_REF, k=K_REF, x=x, Tb_sq=Tb_sq)
 
 
 class TestEffectiveMirror:
@@ -48,9 +49,23 @@ class TestEffectiveMirror:
 
     def test_coefficient_validation(self):
         with pytest.raises(InvalidElement):
-            MsiConfig(R_b=0.9, T_b=0.9, r_ms=0.6, t_ms=0.8, l=L_REF, k=K_REF)
-        with pytest.raises(InvalidElement):
-            MsiConfig(R_b=0.6, T_b=0.8, r_ms=1.2, t_ms=0.0, l=L_REF, k=K_REF)
+            MsiConfig(r_ms=1.2, l=L_REF, k=K_REF)
+
+    def test_a_caller_sets_only_r_ms_l_k_x_and_tb_sq(self):
+        init = [f for f in fields(MsiConfig) if f.init]
+        assert [f.name for f in init] == ["r_ms", "l", "k", "x", "Tb_sq"]
+        assert all(f.kw_only for f in init)
+
+    @pytest.mark.parametrize("name, value", [("R_b", 0.6), ("T_b", 0.8), ("t_ms", 0.8)])
+    def test_derived_fields_cannot_be_set(self, name, value):
+        with pytest.raises(TypeError, match=f"unexpected keyword argument '{name}'"):
+            MsiConfig(r_ms=0.6, l=L_REF, k=K_REF, Tb_sq=0.64, **{name: value})
+
+    def test_derived_fields(self):
+        cfg = MsiConfig(r_ms=0.9, l=L_REF, k=K_REF, x=1e-7, Tb_sq=0.48)
+        assert (cfg.R_b, cfg.T_b, cfg.t_ms) == (
+            math.sqrt(1.0 - 0.48), math.sqrt(0.48), math.sqrt(1.0 - 0.9 * 0.9))
+        assert MsiConfig.balanced(0.9, L_REF, K_REF, 1e-7, 0.48) == cfg
 
     def test_fully_transmissive_effective_mirror(self):
         # reflective membrane + balanced splitter at the symmetric point:
@@ -93,6 +108,17 @@ class TestZeroDispersive:
             assert 2 * K_REF * other.x_star == pytest.approx(phase, abs=1e-9)
             at = msi_couplings(replace(make_cfg(Tb_sq=0.5), x=other.x_star))
             assert abs(at.dmu_dx) < 1e-8 * 2 * K_REF
+
+    @pytest.mark.parametrize("branch", [0, 1, 2, 3.0, -1])
+    def test_g_gamma0_is_the_exact_coupling_at_the_point(self, branch):
+        cfg = make_cfg(r_ms=0.9, Tb_sq=0.48)
+        zd = msi_zero_dispersive(cfg, branch=branch)
+        assert zd.g_gamma0 == msi_couplings(replace(cfg, x=zd.x_star)).g_gamma0
+
+    @pytest.mark.parametrize("branch", [1.5, 0.25, math.inf, math.nan])
+    def test_fractional_branch_rejected(self, branch):
+        with pytest.raises(InvalidParameter, match="branch must be an integer"):
+            msi_zero_dispersive(make_cfg(), branch=branch)
 
     def test_tau_at_locus(self):
         zd = msi_zero_dispersive(make_cfg(r_ms=0.9, Tb_sq=0.48))
@@ -149,7 +175,7 @@ class TestZeroDispersive:
     def test_infeasible_condition(self):
         # strongly unbalanced splitter with a nearly opaque membrane:
         # |cos 2kx| would exceed 1
-        cfg = MsiConfig.balanced(r_ms=0.9999, l=L_REF, k=K_REF, Tb_sq=0.05)
+        cfg = MsiConfig(r_ms=0.9999, l=L_REF, k=K_REF, Tb_sq=0.05)
         with pytest.raises(NoZeroDispersivePoint):
             msi_zero_dispersive(cfg)
 

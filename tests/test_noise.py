@@ -393,7 +393,6 @@ class TestCooperativity:
 
     @pytest.mark.parametrize("system, params", [
         ("mos", dict(t=1e-3, t_m=1e-60)),                # t_m^6 underflows to 0
-        ("mos", dict(t=1e200, t_m=0.1)),                 # t^2 overflows
         ("mate", dict(t=1e-200, t_m=0.1, omega_m=1e6)),  # gamma_mate underflows to 0
         ("msi", dict(r_ms=0.9, gamma_ms=1e-200, omega_m=1e200)),  # inf
         ("msi", dict(r_ms=0.9, gamma_ms=1e-10, omega_m=1e150)),   # a square overflows
@@ -403,6 +402,29 @@ class TestCooperativity:
         with pytest.raises(InvalidParameter,
                            match=f"^cooperativity_{system} leaves the float range"):
             cooperativity(system, **params, **mech)
+
+    @pytest.mark.parametrize("system, name, value, message", [
+        ("mos", "t", 2.0, r"t must lie in \[0, 1\]"),
+        ("mos", "t", -0.1, r"t must lie in \[0, 1\]"),
+        ("mos", "t_m", 1.5, r"t_m must lie in \[0, 1\]"),
+        ("mate", "t", 2.0, r"t must lie in \[0, 1\]"),
+        ("msi", "r_ms", 1.2, r"r_ms must lie in \[0, 1\]"),
+        ("mos", "x_zpf", -1e-15, "x_zpf must be positive"),
+        ("msi", "x_zpf", 0.0, "x_zpf must be positive"),
+        ("mos", "a0", -1.0, "a0 must be non-negative"),
+        ("mate", "a0", -1.0, "a0 must be non-negative"),
+    ])
+    def test_argument_out_of_range_is_an_invalid_parameter(self, system, name, value,
+                                                           message):
+        params = {**self.BENCH, "omega_m": 1e6}
+        if system == "msi":
+            params.update(r_ms=0.9, gamma_ms=1e9)
+            del params["t"], params["t_m"]
+        if system == "mos":
+            del params["omega_m"]
+        params[name] = value
+        with pytest.raises(InvalidParameter, match=message):
+            cooperativity(system, **params)
 
     def test_mechanical_scale_out_of_float_range_is_an_invalid_parameter(self):
         with pytest.raises(InvalidParameter, match="^mechanical_scale leaves the float range"):

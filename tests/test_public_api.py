@@ -15,14 +15,19 @@ import pytest
 
 from optomech import (
     DriveConfig,
+    InvalidParameter,
     MateConfig,
-    OptomechError,
+    MosConfig,
     PortRates,
+    classify_branch,
     cooperativity,
     general_spectra,
     homodyne_spectra,
+    mate_dispersive_constant,
+    mate_exact_decay,
     mate_resonances,
     run_validation,
+    two_port_setpoint,
 )
 from optomech.cli import build_parser
 
@@ -42,11 +47,24 @@ MATE = MateConfig(l=1e-4, x=1e-6, t=0.014, t_m=0.1, wavelength=0.85e-6, phi_r=ma
     lambda: cooperativity("mim", t=0.014, t_m=0.1),
     lambda: run_validation(profile="lenient"),
     lambda: run_validation(suite="ful"),
+    lambda: mate_resonances(MATE, (1.0e7, math.inf)),
+    # a grid numpy refuses to allocate
+    lambda: mate_resonances(MATE, (1.0e7, 1.0e300)),
+    lambda: classify_branch(MATE, math.inf),
+    lambda: mate_dispersive_constant(MATE, math.nan),
+    lambda: mate_exact_decay(MATE, math.nan),
+    lambda: two_port_setpoint(MosConfig(l=1e-4, wavelength=0.85e-6, t=0.0, t_m=0.1, x=0.0)),
+    lambda: general_spectra(PortRates(GAMMA, GAMMA), DriveConfig(), 1.0, 1.0, math.nan),
+    lambda: general_spectra(PortRates(GAMMA, GAMMA), DriveConfig(), math.nan, 1.0, 0.0),
+    lambda: general_spectra(PortRates(GAMMA, GAMMA), DriveConfig(), 0.0, math.inf, 0.0),
+    lambda: homodyne_spectra(PortRates(GAMMA, GAMMA), DriveConfig(), math.nan, 1.0),
 ], ids=["mate_window", "force_gamma2", "homodyne_delta", "homodyne_symmetry",
         "homodyne_pump", "cooperativity_system", "validation_profile",
-        "validation_suite"])
+        "validation_suite", "mate_window_inf", "mate_window_huge", "classify_inf",
+        "mate_slope_nan", "mate_decay_nan", "setpoint_t0", "spectra_theta_nan",
+        "spectra_coupling_nan", "spectra_coupling_inf", "homodyne_coupling_nan"])
 def test_bad_argument_is_a_package_error(call):
-    with pytest.raises(OptomechError):
+    with pytest.raises(InvalidParameter):
         call()
 
 
@@ -75,6 +93,15 @@ def test_every_sweep_command_line_parses(tmp_path):
     parser = build_parser()
     for _, argv in _load("workloads").sweep_ops(tmp_path):
         parser.parse_args(argv)  # a bad command line raises ConfigError
+
+
+def test_design_workload_passes_its_gate():
+    # the seed-7 designs include infeasible ones (t > t_m)
+    workloads = _load("workloads")
+    designs = workloads.make_designs(7, 32)
+    assert not all(d.feasible for d in designs)
+    for d in designs:
+        assert workloads.check_design(workloads.evaluate_design(d)) == "", d
 
 
 def test_readme_quick_start_runs(tmp_path):
