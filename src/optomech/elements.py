@@ -48,10 +48,19 @@ from .numerics import any_true, cos_sin, require_finite
 TWO_PI = 2.0 * math.pi
 
 
-def reflectivity(a: float) -> float:
+def reflectivity(a):
     """Partner amplitude sqrt(1 - a^2) of a lossless element's amplitude a
-    in [0, 1]: r of a transmission t, or t of a reflection r."""
+    in [0, 1] (or of each amplitude of an array): r of a transmission t, or
+    t of a reflection r."""
+    if isinstance(a, np.ndarray):
+        return np.sqrt(np.maximum(0.0, 1.0 - a * a))
     return math.sqrt(max(0.0, 1.0 - a * a))
+
+
+def transmission_phase(phi_r):
+    """Transmission phase phi_t = phi_r - pi/2 that losslessness gives a
+    membrane of reflection phase phi_r (a float, or an array elementwise)."""
+    return phi_r - math.pi / 2
 
 
 def wavevector(wavelength: float) -> float:
@@ -104,7 +113,7 @@ class ElementSpec:
         # derived once; a frozen instance sets them past its own __setattr__
         object.__setattr__(self, "r", reflectivity(self.t))
         object.__setattr__(self, "phi_t",
-                           self.phi_r - math.pi / 2 if self.kind == "membrane" else 0.0)
+                           transmission_phase(self.phi_r) if self.kind == "membrane" else 0.0)
 
     @classmethod
     def mirror(cls, t: float) -> "ElementSpec":
@@ -183,8 +192,9 @@ class TandemCavity:
 class ScatteringMatrix:
     """2x2 complex scattering matrix, (out_far, out_near) = S (in_near, in_far).
 
-    For lossless elements S is unitary; |m11| = |m22| (the two power
-    transmissions are equal) and |m12| = |m21|.
+    Each entry is a complex, or for an array of gaps a complex array, all
+    four of one shape.  For lossless elements S is unitary; |m11| = |m22|
+    (the two power transmissions are equal) and |m12| = |m21|.
     """
 
     m11: complex
@@ -193,7 +203,9 @@ class ScatteringMatrix:
     m22: complex
 
     def as_array(self) -> np.ndarray:
-        return np.array([[self.m11, self.m12], [self.m21, self.m22]])
+        """The 2x2 matrix, or the (..., 2, 2) stack of an array of them."""
+        entries = np.broadcast_arrays(self.m11, self.m12, self.m21, self.m22)
+        return np.stack(entries, axis=-1).reshape(entries[0].shape + (2, 2))
 
     def unitarity_defect(self) -> float:
         """Max entrywise deviation of S^dagger S from the identity."""
@@ -206,13 +218,97 @@ def unitarity_defect(s: np.ndarray) -> float:
     return float(np.max(np.abs(np.conj(np.swapaxes(s, -1, -2)) @ s - np.eye(2))))
 
 
+# The matrix kernels below hold the formulas of element_scattering,
+# compose_synthetic and compose_synthetic_by_elimination, elementwise over
+# floats or numpy arrays that broadcast (a whole validation draw at once).
+# They compute in real arithmetic on (real, imag) pairs, step for step as
+# CPython 3.11 evaluates the complex expressions of the scalar formulas, so
+# that each element equals the scalar cmath evaluation bit for bit:
+#
+# - a float operand is the complex (f, 0.0), as CPython converts it;
+# - a product is _Py_c_prod, (ar br - ai bi, ar bi + ai br);
+# - a quotient is _Py_c_quot, which scales by the larger part of the divisor
+#   and so takes one of two branches on abs(b.real) >= abs(b.imag);
+# - cmath.exp(1j * theta) is (cos(0.0 + theta), sin(0.0 + theta)), as the
+#   real part of 1j * theta is a signed zero and exp of it is 1.0.
+#
+# numpy's own complex arithmetic would not do: on AVX-512 hosts its complex
+# product and quotient round differently from CPython's in the last bit for
+# about 44% and 43% of random operands, and np.abs from abs for 36%, while
+# numpy's float64 cos, sin and hypot agree with the C library's.
+
+def _cmul(a, b):
+    """CPython's complex product of (real, imag) pairs."""
+    (ar, ai), (br, bi) = a, b
+    return ar * br - ai * bi, ar * bi + ai * br
+
+
+def _cquot(a, b):
+    """CPython's complex quotient of (real, imag) pairs; b never vanishes.
+    A float divisor takes its branch as CPython does, an array divisor
+    both, each element keeping its own."""
+    br, bi = b
+    if not isinstance(br, np.ndarray):
+        return _quot_by_real(a, b) if abs(br) >= abs(bi) else _quot_by_imag(a, b)
+    by_real = np.abs(br) >= np.abs(bi)  # False for a NaN part: NaN either way
+    with np.errstate(divide="ignore", invalid="ignore"):  # the branch not taken
+        return tuple(np.where(by_real, p, q)
+                     for p, q in zip(_quot_by_real(a, b), _quot_by_imag(a, b)))
+
+
+def _quot_by_real(a, b):
+    """a / b with b scaled by its real part."""
+    (ar, ai), (br, bi) = a, b
+    ratio = bi / br
+    denom = br + bi * ratio
+    return (ar + ai * ratio) / denom, (ai - ar * ratio) / denom
+
+
+def _quot_by_imag(a, b):
+    """a / b with b scaled by its imaginary part."""
+    (ar, ai), (br, bi) = a, b
+    ratio = br / bi
+    denom = br * ratio + bi
+    return (ar * ratio + ai) / denom, (ai * ratio - ar) / denom
+
+
+def _cexp_i(theta):
+    """cmath.exp(1j * theta) of a finite real theta, as a (real, imag) pair."""
+    return cos_sin(0.0 + theta)
+
+
+def _complex(z):
+    """The Python complex of a pair of floats, or the complex array of a
+    pair with an array, bit for bit."""
+    re, im = z
+    if not isinstance(re, np.ndarray) and not isinstance(im, np.ndarray):
+        return complex(float(re), float(im))
+    re, im = np.broadcast_arrays(re, im)
+    out = np.empty(re.shape, dtype=complex)
+    out.real, out.imag = re, im
+    return out
+
+
+def _mirror_matrix(t, r) -> ScatteringMatrix:
+    """[[i t, -r], [-r, i t]] of mirrors of amplitudes (t, r)."""
+    trans = _complex(_cmul((0.0, 1.0), (t, 0.0)))
+    refl = _complex((-r, 0.0))
+    return ScatteringMatrix(trans, refl, refl, trans)
+
+
+def _membrane_matrix(t_m, r_m, phi_r, phi_t) -> ScatteringMatrix:
+    """[[t_m e^{i phi_t}, r_m e^{i phi_r}], [r_m e^{i phi_r}, t_m e^{i phi_t}]]
+    of membranes of amplitudes (t_m, r_m) and phases (phi_r, phi_t)."""
+    trans = _complex(_cmul((t_m, 0.0), _cexp_i(phi_t)))
+    refl = _complex(_cmul((r_m, 0.0), _cexp_i(phi_r)))
+    return ScatteringMatrix(trans, refl, refl, trans)
+
+
 def element_scattering(spec: ElementSpec) -> ScatteringMatrix:
     """Scattering matrix of a single element (valid since it was built)."""
     if spec.kind == "mirror":
-        return ScatteringMatrix(1j * spec.t, -spec.r, -spec.r, 1j * spec.t)
-    tm = spec.t * cmath.exp(1j * spec.phi_t)
-    rm = spec.r * cmath.exp(1j * spec.phi_r)
-    return ScatteringMatrix(tm, rm, rm, tm)
+        return _mirror_matrix(spec.t, spec.r)
+    return _membrane_matrix(spec.t, spec.r, spec.phi_r, spec.phi_t)
 
 
 def _check_pair(mirror: ElementSpec, membrane: ElementSpec) -> None:
@@ -223,23 +319,25 @@ def _check_pair(mirror: ElementSpec, membrane: ElementSpec) -> None:
         )
 
 
-def _check_tandem_args(mirror: ElementSpec, membrane: ElementSpec,
-                       x: float, k: float) -> None:
+def _check_tandem_args(mirror: ElementSpec, membrane: ElementSpec, x, k) -> None:
     _check_pair(mirror, membrane)
     require_finite(x=x, k=k)
-    if x < 0.0:
+    if any_true(x < 0.0):
         raise InvalidParameter(f"gap must be non-negative, got x={x}")
-    if k <= 0.0:
+    if any_true(k <= 0.0):
         raise InvalidParameter(f"wavevector must be positive, got k={k}")
 
 
-def compose_synthetic(
-    mirror: ElementSpec,
-    membrane: ElementSpec,
-    x: float,
-    k: float,
-) -> ScatteringMatrix:
-    """Closed-form scattering matrix of the mirror+membrane tandem.
+def _pair_args(mirror: ElementSpec, membrane: ElementSpec) -> tuple:
+    """(t, r, t_m, r_m, phi_r, phi_t) of a (mirror, membrane) pair, the
+    leading arguments of the tandem kernels."""
+    return mirror.t, mirror.r, membrane.t, membrane.r, membrane.phi_r, membrane.phi_t
+
+
+def compose_synthetic(mirror: ElementSpec, membrane: ElementSpec, x, k: float
+                      ) -> ScatteringMatrix:
+    """Closed-form scattering matrix of the mirror+membrane tandem at gap x
+    (a float, or a numpy array of gaps evaluated elementwise).
 
     With psi = 2 k x + phi_r and D = 1 + r r_m e^{i psi}:
 
@@ -247,31 +345,38 @@ def compose_synthetic(
         m12 = e^{2 i phi_r} (r + r_m e^{-i psi}) / D
         m21 = -(r + r_m e^{i psi}) / D
 
-    The cavity-side reflection (mirror side) is m21.
+    The cavity-side reflection (mirror side) is m21.  The formulas are
+    _tandem_closed_form, which also takes arrays of amplitudes and phases.
     """
     _check_tandem_args(mirror, membrane, x, k)
-    t, r = mirror.t, mirror.r
-    t_m, r_m = membrane.t, membrane.r
-    psi = 2.0 * k * x + membrane.phi_r
-    e_psi = cmath.exp(1j * psi)
-    denom = 1.0 + r * r_m * e_psi
-    if abs(denom) < 1e-150:
+    return _tandem_closed_form(*_pair_args(mirror, membrane), x, k)
+
+
+def _tandem_closed_form(t, r, t_m, r_m, phi_r, phi_t, x, k) -> ScatteringMatrix:
+    """compose_synthetic's closed form with no argument checks, elementwise
+    over valid (mirror, membrane, x, k): floats, or arrays that broadcast.
+    Raises DegenerateDenominator if D vanishes anywhere."""
+    psi = 2.0 * k * x + phi_r
+    e_psi = _cexp_i(psi)
+    rr_e = _cmul((r * r_m, 0.0), e_psi)
+    denom = (1.0 + rr_e[0], 0.0 + rr_e[1])
+    if any_true(np.hypot(*denom) < 1e-150):
         raise DegenerateDenominator(
             "tandem denominator vanishes (perfect reflectors in anti-resonance)"
         )
-    trans = 1j * t * t_m * cmath.exp(1j * membrane.phi_t) / denom
-    m12 = cmath.exp(2j * membrane.phi_r) * (r + r_m / e_psi) / denom
-    m21 = -(r + r_m * e_psi) / denom
-    return ScatteringMatrix(trans, m12, m21, trans)
+    trans = _cmul(_cmul(_cmul((0.0, 1.0), (t, 0.0)), (t_m, 0.0)), _cexp_i(phi_t))
+    trans = _complex(_cquot(trans, denom))
+    back = _cquot((r_m, 0.0), e_psi)  # r_m e^{-i psi}
+    m12 = _cquot(_cmul(_cexp_i(2.0 * phi_r), (r + back[0], 0.0 + back[1])), denom)
+    fwd = _cmul((r_m, 0.0), e_psi)
+    m21 = _cquot((-(r + fwd[0]), -(0.0 + fwd[1])), denom)
+    return ScatteringMatrix(trans, _complex(m12), _complex(m21), trans)
 
 
-def compose_synthetic_by_elimination(
-    mirror: ElementSpec,
-    membrane: ElementSpec,
-    x: float,
-    k: float,
-) -> ScatteringMatrix:
-    """Tandem matrix obtained by numerically eliminating the internal waves.
+def compose_synthetic_by_elimination(mirror: ElementSpec, membrane: ElementSpec, x,
+                                     k: float) -> ScatteringMatrix:
+    """Tandem matrix obtained by numerically eliminating the internal waves
+    (at a float gap x, or elementwise over an array of gaps).
 
     Sets up the four amplitude relations at the mirror plane -- mirror
     scattering, membrane scattering, and the e^{+-ikx} propagation phases
@@ -280,33 +385,44 @@ def compose_synthetic_by_elimination(
     closed form of compose_synthetic.
     """
     _check_tandem_args(mirror, membrane, x, k)
-    t, r = mirror.t, mirror.r
-    tm_ph = membrane.t * cmath.exp(1j * membrane.phi_t)
-    rm_ph = membrane.r * cmath.exp(1j * membrane.phi_r)
-    prop = cmath.exp(1j * k * x)
+    return _tandem_by_elimination(*_pair_args(mirror, membrane), x, k)
+
+
+def _tandem_by_elimination(t, r, t_m, r_m, phi_r, phi_t, x, k) -> ScatteringMatrix:
+    """compose_synthetic_by_elimination with no argument checks, elementwise
+    over valid (mirror, membrane, x, k): floats, or arrays that broadcast.
+    The 4x4 systems of all elements are solved as one stack per input port,
+    each system as np.linalg.solve solves it alone."""
+    tm_ph = _cmul((t_m, 0.0), _cexp_i(phi_t))
+    rm_ph = _cmul((r_m, 0.0), _cexp_i(phi_r))
+    prop = _cexp_i(k * x)  # 1j * k * x is (0.0, 0.0 + k x), as 1j * (k x) is
+    neg_tm, neg_rm = (-tm_ph[0], -tm_ph[1]), (-rm_ph[0], -rm_ph[1])
 
     # unknowns w = [g1, u1, u3, g2]; inputs (u2, g3) at the mirror plane
     #   g1 = i t u2 - r u1                  (mirror, toward membrane)
     #   g2 = -r u2 + i t u1                 (mirror, back out)
     #   u3 * prop = tm g1 prop + rm g3 / prop   (membrane, transmitted out)
     #   u1 = prop * (rm g1 prop + tm g3 / prop) (membrane, back toward mirror)
-    a = np.array(
-        [
-            [1.0, r, 0.0, 0.0],
-            [0.0, -1j * t, 0.0, 1.0],
-            [-tm_ph * prop, 0.0, prop, 0.0],
-            [-rm_ph * prop * prop, 1.0, 0.0, 0.0],
-        ],
-        dtype=complex,
-    )
+    shape = np.broadcast_shapes(*(np.shape(v) for v in (t, r, t_m, r_m, phi_r, phi_t, x, k)))
+    a = np.zeros(shape + (4, 4), dtype=complex)
+    a[..., 0, 0] = a[..., 1, 3] = a[..., 3, 1] = 1.0
+    a[..., 0, 1] = r
+    a[..., 1, 1] = _complex(_cmul((-0.0, -1.0), (t, 0.0)))  # -1j * t
+    a[..., 2, 0] = _complex(_cmul(neg_tm, prop))
+    a[..., 2, 2] = _complex(prop)
+    a[..., 3, 0] = _complex(_cmul(_cmul(neg_rm, prop), prop))
+    i_t = _cmul((0.0, 1.0), (t, 0.0))
     cols = []
     for u2, g3 in ((1.0, 0.0), (0.0, 1.0)):
-        b = np.array(
-            [1j * t * u2, -r * u2, rm_ph * g3 / prop, tm_ph * g3], dtype=complex
-        )
-        w = np.linalg.solve(a, b)
-        cols.append((w[2], w[3]))  # (u3, g2)
-    return ScatteringMatrix(cols[0][0], cols[1][0], cols[0][1], cols[1][1])
+        b = np.empty(shape + (4, 1), dtype=complex)
+        b[..., 0, 0] = _complex(_cmul(i_t, (u2, 0.0)))
+        b[..., 1, 0] = -r * u2
+        b[..., 2, 0] = _complex(_cquot(_cmul(rm_ph, (g3, 0.0)), prop))
+        b[..., 3, 0] = _complex(_cmul(tm_ph, (g3, 0.0)))
+        w = np.linalg.solve(a, b)[..., 0]
+        cols.append((w[..., 2], w[..., 3]))  # (u3, g2)
+    (u3_in, g2_in), (u3_far, g2_far) = cols
+    return ScatteringMatrix(u3_in, u3_far, g2_in, g2_far)
 
 
 @dataclass(frozen=True)

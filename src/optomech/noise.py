@@ -44,7 +44,7 @@ import numpy as np
 from .constants import C_LIGHT, HBAR
 from .elements import wavevector
 from .errors import InvalidParameter, SingularSystem, ZeroCoupling
-from .numerics import in_float_range, require_finite
+from .numerics import in_float_range, out_of_float_range, require_finite
 
 #: index layout of the input-quadrature noise basis
 NOISE_BASIS = ("X_in1", "Y_in1", "X_in2", "Y_in2", "X_in3", "Y_in3")
@@ -221,39 +221,43 @@ def general_spectra(
     # not, or it overflows
     if not math.isfinite(g_omega0 + g_gamma0 + theta):
         require_finite(g_omega0=g_omega0, g_gamma0=g_gamma0, theta=theta)
-    diag, xy, yx = _drift_inverse(rates, drive)
-    out1_scale = 2.0 * math.sqrt(rates.gamma1)
-    signal_x, signal_y = drive.a0 * g_gamma0, drive.a0 * g_omega0
-    cos_t, sin_t = math.cos(theta), math.sin(theta)
-    gain = abs(
-        cos_t * (out1_scale * (diag * signal_x + xy * signal_y))
-        + sin_t * (out1_scale * (yx * signal_x + diag * signal_y))
-    )
-    if gain == 0.0:
-        raise ZeroCoupling(f"no signal transfer at homodyne angle theta={theta}")
-    if rates.gamma2 <= 0.0 and g_gamma0 != 0.0:
-        raise InvalidParameter("dissipative coupling requires gamma2 > 0")
-    force_scale = 2.0 * HBAR * drive.a0 * g_omega0
-    s_out = s_ff = 0.0
-    for port, gamma in enumerate((rates.gamma1, rates.gamma2, rates.gamma3)):
-        # the port's (X_in, Y_in) drive X with (diag, xy) amp, Y with (yx, diag) amp
-        amp = math.sqrt(gamma) / 2.0
-        x_x, x_y, y_x = diag * amp, xy * amp, yx * amp
-        out_diag = out1_scale * x_x
-        if port == 0:  # X_out1 = 2 sqrt(gamma1) X - X_in1, likewise for Y
-            out_diag -= 1.0
-        m = abs(cos_t * out_diag + sin_t * (out1_scale * y_x))
-        s_out += m * m
-        m = abs(cos_t * (out1_scale * x_y) + sin_t * out_diag)
-        s_out += m * m
-        m = abs(force_scale * x_x)
-        s_ff += m * m
-        force_y = force_scale * x_y
-        if port == 1 and g_gamma0 != 0.0:
-            force_y += -HBAR * drive.a0 * g_gamma0 / math.sqrt(rates.gamma2)
-        m = abs(force_y)
-        s_ff += m * m
-    return s_out / gain ** 2, s_ff
+    try:
+        diag, xy, yx = _drift_inverse(rates, drive)
+        out1_scale = 2.0 * math.sqrt(rates.gamma1)
+        signal_x, signal_y = drive.a0 * g_gamma0, drive.a0 * g_omega0
+        cos_t, sin_t = math.cos(theta), math.sin(theta)
+        gain = abs(
+            cos_t * (out1_scale * (diag * signal_x + xy * signal_y))
+            + sin_t * (out1_scale * (yx * signal_x + diag * signal_y))
+        )
+        if gain == 0.0:
+            raise ZeroCoupling(f"no signal transfer at homodyne angle theta={theta}")
+        if rates.gamma2 <= 0.0 and g_gamma0 != 0.0:
+            raise InvalidParameter("dissipative coupling requires gamma2 > 0")
+        force_scale = 2.0 * HBAR * drive.a0 * g_omega0
+        s_out = s_ff = 0.0
+        for port, gamma in enumerate((rates.gamma1, rates.gamma2, rates.gamma3)):
+            # the port's (X_in, Y_in) drive X with (diag, xy) amp, Y with (yx, diag) amp
+            amp = math.sqrt(gamma) / 2.0
+            x_x, x_y, y_x = diag * amp, xy * amp, yx * amp
+            out_diag = out1_scale * x_x
+            if port == 0:  # X_out1 = 2 sqrt(gamma1) X - X_in1, likewise for Y
+                out_diag -= 1.0
+            m = abs(cos_t * out_diag + sin_t * (out1_scale * y_x))
+            s_out += m * m
+            m = abs(cos_t * (out1_scale * x_y) + sin_t * out_diag)
+            s_out += m * m
+            m = abs(force_scale * x_x)
+            s_ff += m * m
+            force_y = force_scale * x_y
+            if port == 1 and g_gamma0 != 0.0:
+                force_y += -HBAR * drive.a0 * g_gamma0 / math.sqrt(rates.gamma2)
+            m = abs(force_y)
+            s_ff += m * m
+        return s_out / gain ** 2, s_ff
+    except (ZeroDivisionError, OverflowError) as exc:
+        # free unless it raises: general_spectra is on the design path
+        raise out_of_float_range("general_spectra", exc) from exc
 
 
 def product_normalized(xi, big_a: float):
@@ -303,20 +307,25 @@ def homodyne_spectra(
     gamma = rates.gamma1
     half_width = gamma + rates.gamma3 / 2.0
     big_a = 1.0 + rates.gamma3 / (2.0 * gamma)
-    g_sq = g_gamma0 ** 2 + g_omega0 ** 2
-
+    try:
+        g_sq = g_gamma0 ** 2 + g_omega0 ** 2
+        s_xx = half_width ** 2 / (4.0 * drive.a0 ** 2 * gamma * g_sq)
+        s_ff = (
+            HBAR ** 2 * drive.a0 ** 2 * gamma / half_width ** 2
+            * (big_a ** 2 * g_gamma0 ** 2 + 2.0 * big_a * g_omega0 ** 2)
+        )
+        product = s_xx * s_ff
+    except (ZeroDivisionError, OverflowError) as exc:
+        raise out_of_float_range("homodyne_spectra", exc) from exc
+    if not math.isfinite(product):  # one spectrum overflowed, the other underflowed
+        raise InvalidParameter(f"homodyne_spectra leaves the float range ({product})")
     theta_opt = math.atan2(g_omega0, g_gamma0)
-    s_xx = half_width ** 2 / (4.0 * drive.a0 ** 2 * gamma * g_sq)
-    s_ff = (
-        HBAR ** 2 * drive.a0 ** 2 * gamma / half_width ** 2
-        * (big_a ** 2 * g_gamma0 ** 2 + 2.0 * big_a * g_omega0 ** 2)
-    )
     xi = math.inf if g_gamma0 == 0.0 else g_omega0 / g_gamma0
     return NoiseReport(
         theta_opt=theta_opt,
         s_xx_imp=s_xx,
         s_ff=s_ff,
-        product=s_xx * s_ff,
+        product=product,
         xi=xi,
         A=big_a,
     )

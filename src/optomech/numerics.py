@@ -54,6 +54,12 @@ def require_finite(**values) -> None:
             raise InvalidParameter(f"{name} must be finite, got {value}")
 
 
+def out_of_float_range(name: str, exc: ArithmeticError) -> InvalidParameter:
+    """The InvalidParameter for a formula that finite arguments drove out
+    of the float range with exc, a ZeroDivisionError or an OverflowError."""
+    return InvalidParameter(f"{name} leaves the float range ({type(exc).__name__})")
+
+
 def in_float_range(name: str, formula: Callable[[], float]) -> float:
     """formula(), or InvalidParameter naming name where finite arguments
     drive it out of the float range: a power that overflows, a divisor that
@@ -62,8 +68,7 @@ def in_float_range(name: str, formula: Callable[[], float]) -> float:
     try:
         value = formula()
     except (ZeroDivisionError, OverflowError) as exc:
-        raise InvalidParameter(
-            f"{name} leaves the float range ({type(exc).__name__})") from exc
+        raise out_of_float_range(name, exc) from exc
     if not math.isfinite(value):
         raise InvalidParameter(f"{name} leaves the float range ({value})")
     return value

@@ -21,12 +21,14 @@ from . import noise as noise_mod
 from .constants import C_LIGHT
 from .datasets import reproduce_figure
 from .elements import (
-    ElementSpec,
+    _membrane_matrix,
+    _mirror_matrix,
     _response_closed_form,
-    compose_synthetic,
-    compose_synthetic_by_elimination,
-    element_scattering,
+    _tandem_by_elimination,
+    _tandem_closed_form,
+    reflectivity,
     synthetic_response,
+    transmission_phase,
     unitarity_defect,
 )
 from .errors import InvalidParameter
@@ -110,16 +112,22 @@ class ValidationReport:
         return out
 
 
-def _uniform_columns(rng: np.random.Generator, samples: int,
-                     *bounds: tuple[float, float]) -> list[list[float]]:
+def _uniform_block(rng: np.random.Generator, samples: int,
+                   *bounds: tuple[float, float]) -> list[np.ndarray]:
     """samples rounds of rng.uniform(lo, hi), one draw per (lo, hi) of
-    bounds in each round, drawn as one block: column j holds the j-th draw
+    bounds in each round, drawn as one block: array j holds the j-th draw
     of every round, equal bit for bit to the scalar calls, and the
     generator ends in the same state.  A bound that depends on an earlier
     draw takes (0.0, 1.0) here and is scaled by the caller in Python
     floats, as lo + (hi - lo) * u."""
     u = rng.random((samples, len(bounds)))
-    return [(lo + (hi - lo) * u[:, j]).tolist() for j, (lo, hi) in enumerate(bounds)]
+    return [lo + (hi - lo) * u[:, j] for j, (lo, hi) in enumerate(bounds)]
+
+
+def _uniform_columns(rng: np.random.Generator, samples: int,
+                     *bounds: tuple[float, float]) -> list[list[float]]:
+    """_uniform_block's draws as lists of Python floats."""
+    return [column.tolist() for column in _uniform_block(rng, samples, *bounds)]
 
 
 def _worst(*errors) -> float:
@@ -133,56 +141,55 @@ def _worst(*errors) -> float:
 _TANDEM_BOUNDS = ((0.01, 0.99), (0.01, 0.99), (-math.pi, math.pi), (0.0, 2e-6), (1e6, 1e7))
 
 
+def _tandem_draw(rng: np.random.Generator, samples: int) -> tuple[np.ndarray, ...]:
+    """(t, r, t_m, r_m, phi_r, phi_t, x, k) of samples random tandems, the
+    arguments of the tandem kernels, with r, r_m and phi_t derived as
+    ElementSpec derives them."""
+    t, t_m, phi_r, x, k = _uniform_block(rng, samples, *_TANDEM_BOUNDS)
+    return t, reflectivity(t), t_m, reflectivity(t_m), phi_r, transmission_phase(phi_r), x, k
+
+
 def _check_unitarity(rng: np.random.Generator, tol: ToleranceProfile,
                      samples: int) -> CheckResult:
-    # one stack per kind (mirror, membrane, tandem): the defect's temporary
-    # arrays stay a third the size of one stack of all three
-    stacks = np.empty((3, samples, 4), dtype=complex)
-    draws = zip(*_uniform_columns(rng, samples, *_TANDEM_BOUNDS))
-    for i, (t, t_m, phi_r, x, k) in enumerate(draws):
-        mirror = ElementSpec.mirror(t)
-        membrane = ElementSpec.membrane(t_m, phi_r=phi_r)
-        stacks[:, i] = [(s.m11, s.m12, s.m21, s.m22) for s in (
-            element_scattering(mirror), element_scattering(membrane),
-            compose_synthetic(mirror, membrane, x=x, k=k))]
-    worst = _worst(*(unitarity_defect(kind.reshape(-1, 2, 2)) for kind in stacks))
+    t, r, t_m, r_m, phi_r, phi_t, x, k = _tandem_draw(rng, samples)
+    # one defect per kind (mirror, membrane, tandem): its temporary arrays
+    # stay a third the size of one stack of all three
+    worst = _worst(*(unitarity_defect(s.as_array()) for s in (
+        _mirror_matrix(t, r), _membrane_matrix(t_m, r_m, phi_r, phi_t),
+        _tandem_closed_form(t, r, t_m, r_m, phi_r, phi_t, x, k))))
     return CheckResult("unitarity", worst <= tol.unitarity, worst, tol.unitarity,
                        f"{samples} random element/tandem matrices")
 
 
 def _check_elimination(rng: np.random.Generator, tol: ToleranceProfile,
                        samples: int = 200) -> CheckResult:
-    errors = []
-    for t, t_m, phi_r, x, k in zip(*_uniform_columns(rng, samples, *_TANDEM_BOUNDS)):
-        mirror = ElementSpec.mirror(t)
-        membrane = ElementSpec.membrane(t_m, phi_r=phi_r)
-        a = compose_synthetic(mirror, membrane, x, k).as_array()
-        b = compose_synthetic_by_elimination(mirror, membrane, x, k).as_array()
-        errors.append(np.abs(a - b).ravel())
-    worst = _worst(*errors)
+    draw = _tandem_draw(rng, samples)
+    closed = _tandem_closed_form(*draw).as_array()
+    eliminated = _tandem_by_elimination(*draw).as_array()
+    worst = _worst(np.abs(closed - eliminated).ravel())
     return CheckResult("tandem_closed_vs_elimination", worst <= tol.elimination_entry,
                        worst, tol.elimination_entry)
 
 
 def _check_closed_vs_matrix(rng: np.random.Generator, tol: ToleranceProfile) -> CheckResult:
-    # the matrices tandem by tandem, the closed-form responses in one call
     k = 7.0e6
     samples = 1000
-    # rows: psi, t, r, t_m, r_m, |m11|^2, tan(arg(-m21))
-    columns = np.empty((7, samples))
-    for i, (t_m, t_frac, psi) in enumerate(zip(*_uniform_columns(
-            rng, samples, (0.2, 0.9), (0.05, 0.8), (0.0, 2.0 * math.pi)))):
-        mirror = ElementSpec.mirror(t_frac * t_m)
-        membrane = ElementSpec.membrane(t_m)
-        x = (psi - membrane.phi_r) / (2.0 * k) % (math.pi / k)
-        s = compose_synthetic(mirror, membrane, x, k)
-        columns[:, i] = (2.0 * k * x + membrane.phi_r, mirror.t, mirror.r, membrane.t,
-                         membrane.r, abs(s.m11) ** 2, math.tan(np.angle(-s.m21)))
-    resp = _response_closed_form(*columns[:5])
-    worst_t = _worst(np.abs(resp.T - columns[5]))
+    t_m, t_frac, psi = _uniform_block(rng, samples, (0.2, 0.9), (0.05, 0.8),
+                                      (0.0, 2.0 * math.pi))
+    t = t_frac * t_m
+    r, r_m = reflectivity(t), reflectivity(t_m)
+    phi_r = math.pi / 2  # ElementSpec.membrane's default
+    # numpy's % on floats is Python's, bit for bit
+    x = (psi - phi_r) / (2.0 * k) % (math.pi / k)
+    s = _tandem_closed_form(t, r, t_m, r_m, phi_r, transmission_phase(phi_r), x, k)
+    resp = _response_closed_form(2.0 * k * x + phi_r, t, r, t_m, r_m)
+    # abs(m11) ** 2 in Python floats: pow(h, 2.0) and h * h differ in the
+    # last bit for some h
+    power = np.array([h ** 2 for h in np.hypot(s.m11.real, s.m11.imag).tolist()])
+    worst_t = _worst(np.abs(resp.T - power))
     # math.tan, not np.tan: the two differ in the last bit for some angles
-    worst_mu = _worst([abs(math.tan(mu) - tan_mu)
-                       for mu, tan_mu in zip(resp.mu.tolist(), columns[6].tolist())])
+    worst_mu = _worst([abs(math.tan(mu) - math.tan(arg)) for mu, arg in
+                       zip(resp.mu.tolist(), np.angle(-s.m21).tolist())])
     ok = worst_t <= tol.matrix_vs_closed_T and worst_mu <= tol.matrix_vs_closed_tan_mu
     return CheckResult(
         "closed_form_vs_matrix", ok, _worst(worst_t, worst_mu),
@@ -193,16 +200,11 @@ def _check_closed_vs_matrix(rng: np.random.Generator, tol: ToleranceProfile) -> 
 
 def _check_response_derivatives(rng: np.random.Generator, tol: ToleranceProfile,
                                 samples: int = 60) -> CheckResult:
-    # rows: psi, t, r, t_m, r_m
-    columns = np.empty((5, samples))
-    for i, (t_m, t_frac, psi, coin) in enumerate(zip(*_uniform_columns(
-            rng, samples, (0.2, 0.9), (0.1, 0.8), (0.4, math.pi - 0.4), (0.0, 1.0)))):
-        mirror = ElementSpec.mirror(t_frac * t_m)
-        membrane = ElementSpec.membrane(t_m)
-        if coin < 0.5:
-            psi += math.pi  # sample both halves, away from sin(psi) = 0
-        columns[:, i] = (psi, mirror.t, mirror.r, membrane.t, membrane.r)
-    psi, *amplitudes = columns
+    t_m, t_frac, psi, coin = _uniform_block(
+        rng, samples, (0.2, 0.9), (0.1, 0.8), (0.4, math.pi - 0.4), (0.0, 1.0))
+    psi = np.where(coin < 0.5, psi + math.pi, psi)  # both halves, away from sin(psi) = 0
+    t = t_frac * t_m
+    amplitudes = (t, reflectivity(t), t_m, reflectivity(t_m))
     resp = _response_closed_form(psi, *amplitudes)
     d_t = central_diff_5pt(lambda p: _response_closed_form(p, *amplitudes).T, psi, 1e-4)
     d_mu = central_diff_5pt(lambda p: _response_closed_form(p, *amplitudes).mu, psi, 1e-4)
@@ -248,18 +250,16 @@ def _check_locus_oracle(rng: np.random.Generator, tol: ToleranceProfile,
     for t_m, u in zip(*_uniform_columns(rng, samples, (0.03, 0.15), (0.0, 1.0))):
         lo, hi = 1.05 * t_m ** 2, 0.2 * t_m
         t = lo + (hi - lo) * u
-        mirror = ElementSpec.mirror(t)
-        membrane = ElementSpec.membrane(t_m)
+        amplitudes = (t, reflectivity(t), t_m, reflectivity(t_m))
         locus = mos_mod.zero_dispersive_locus(t, t_m)
-        found = grid_brackets(lambda psi: synthetic_response(psi, mirror, membrane).dmu_dpsi,
+        found = grid_brackets(lambda psi: _response_closed_form(psi, *amplitudes).dmu_dpsi,
                               1e-3, 2.0 * math.pi - 1e-3, 4000)
         if len(found) != 2:
             return CheckResult("zero_dispersive_locus_oracle", False,
                                float(len(found)), 2.0,
                                f"expected 2 sign changes of dmu/dpsi, found {len(found)}")
         drawn.append((t, t_m, locus))
-        brackets += [(*bracket, mirror.t, mirror.r, membrane.t, membrane.r)
-                     for bracket in found]
+        brackets += [(*bracket, *amplitudes) for bracket in found]
     lo, hi, f_lo, f_hi, *amplitudes = np.array(brackets, dtype=float).reshape(-1, 8).T
     # a degenerate bracket (an exact zero at a node) has f_lo = 0 and is
     # returned as is

@@ -2,6 +2,7 @@
 elimination oracle, closed-form response, derivative checks, and the
 cavity geometry MOS and MATE share."""
 
+import cmath
 import math
 from dataclasses import fields, replace
 
@@ -22,8 +23,19 @@ from optomech import (
     element_scattering,
     synthetic_response,
 )
-from optomech.elements import _response_closed_form, reduce_phase
+from optomech.elements import (
+    _membrane_matrix,
+    _mirror_matrix,
+    _response_closed_form,
+    _tandem_by_elimination,
+    _tandem_closed_form,
+    reduce_phase,
+    reflectivity,
+    transmission_phase,
+)
 from optomech.validation import PROFILES, _check_elimination, _check_response_derivatives
+
+import scalar_reference
 
 K_REF = 2 * math.pi / 0.85e-6
 DEFAULT = PROFILES["default"]
@@ -194,6 +206,126 @@ class TestCompose:
             compose_synthetic(mirror, membrane, -1e-9, K_REF)
         with pytest.raises(InvalidParameter):
             compose_synthetic_by_elimination(mirror, membrane, 1e-7, -K_REF)
+
+
+def _hex(entries):
+    """float.hex of the real and imaginary part of each complex entry."""
+    return [(float.hex(z.real), float.hex(z.imag)) for z in map(complex, entries)]
+
+
+def _entries(s):
+    return (s.m11, s.m12, s.m21, s.m22)
+
+
+class TestMatrixKernels:
+    """The array kernels against the scalar cmath formulas, entry by entry
+    and bit for bit, over draws that take both branches of CPython's complex
+    quotient, perfect and transparent mirrors, transparent and opaque
+    membranes, and membrane phases up to 1e6."""
+
+    N = 10000
+
+    @pytest.fixture(scope="class")
+    def draws(self):
+        rng = np.random.default_rng(15)
+        n = self.N
+        t = rng.uniform(0.0, 1.0, n)
+        t[:100], t[100:200] = 0.0, 1.0
+        t_m = rng.uniform(0.0, 1.0, n)
+        t_m[200:300], t_m[300:400] = 1.0, 0.0
+        phi_r = np.concatenate([rng.uniform(-math.pi, math.pi, n // 2),
+                                rng.uniform(-1e6, 1e6, n - n // 2)])
+        x = rng.uniform(0.0, 2e-6, n)
+        x[400:500] = 0.0
+        k = rng.uniform(1e6, 1e7, n)
+        pairs = [(ElementSpec.mirror(a), ElementSpec.membrane(b, phi_r=p))
+                 for a, b, p in zip(t.tolist(), t_m.tolist(), phi_r.tolist())]
+        args = (t, reflectivity(t), t_m, reflectivity(t_m), phi_r, transmission_phase(phi_r),
+                x, k)
+        return pairs, args, list(zip(x.tolist(), k.tolist()))
+
+    def test_draws_cover_both_quotient_branches(self, draws):
+        # the divisors are the closed form's 1 + r r_m e^{i psi} and e^{i psi},
+        # and the elimination's propagation phase e^{i k x}
+        pairs, _, gaps = draws
+        for divisor in (lambda m, mb, x, k: scalar_reference.denominator(m, mb, x, k),
+                        lambda m, mb, x, k: cmath.exp(1j * (2.0 * k * x + mb.phi_r)),
+                        lambda m, mb, x, k: cmath.exp(1j * k * x)):
+            branches = {abs(d.real) >= abs(d.imag)
+                        for d in (divisor(*pair, *gap) for pair, gap in zip(pairs, gaps))}
+            assert branches == {True, False}
+
+    def test_derived_amplitudes_are_the_built_elements(self, draws):
+        pairs, (t, r, t_m, r_m, phi_r, phi_t, *_), _ = draws
+        assert r.tolist() == [m.r for m, _ in pairs]
+        assert r_m.tolist() == [mb.r for _, mb in pairs]
+        assert phi_t.tolist() == [mb.phi_t for _, mb in pairs]
+
+    @pytest.mark.parametrize("kernel, reference", [
+        (_tandem_closed_form, scalar_reference.compose_synthetic),
+        (_tandem_by_elimination, scalar_reference.compose_synthetic_by_elimination),
+    ], ids=["closed_form", "elimination"])
+    def test_tandem_kernel_equals_the_cmath_formulas(self, draws, kernel, reference):
+        pairs, args, gaps = draws
+        got = kernel(*args)
+        want = [reference(*pair, *gap) for pair, gap in zip(pairs, gaps)]
+        for j, entry in enumerate(_entries(got)):
+            assert entry.shape == (self.N,)
+            assert _hex(entry.tolist()) == _hex(_entries(w)[j] for w in want)
+
+    def test_element_kernels_equal_the_cmath_formulas(self, draws):
+        pairs, (t, r, t_m, r_m, phi_r, phi_t, *_), _ = draws
+        for got, specs in ((_mirror_matrix(t, r), [m for m, _ in pairs]),
+                           (_membrane_matrix(t_m, r_m, phi_r, phi_t), [mb for _, mb in pairs])):
+            want = [scalar_reference.element_scattering(spec) for spec in specs]
+            for j, entry in enumerate(_entries(got)):
+                assert _hex(entry.tolist()) == _hex(_entries(w)[j] for w in want)
+
+    def test_scalar_calls_equal_the_cmath_formulas(self, draws):
+        pairs, _, gaps = draws
+        for (mirror, membrane), (x, k) in list(zip(pairs, gaps))[::5]:
+            for public, reference, args in (
+                    (compose_synthetic, scalar_reference.compose_synthetic,
+                     (mirror, membrane, x, k)),
+                    (compose_synthetic_by_elimination,
+                     scalar_reference.compose_synthetic_by_elimination, (mirror, membrane, x, k)),
+                    (element_scattering, scalar_reference.element_scattering, (mirror,)),
+                    (element_scattering, scalar_reference.element_scattering, (membrane,))):
+                assert _hex(_entries(public(*args))) == _hex(_entries(reference(*args)))
+
+
+@pytest.mark.parametrize("compose", [compose_synthetic, compose_synthetic_by_elimination])
+class TestArrayGaps:
+    MIRROR = ElementSpec.mirror(0.3)
+    MEMBRANE = ElementSpec.membrane(0.4, phi_r=-2.5)
+
+    def test_array_of_gaps_equals_the_scalar_calls(self, compose):
+        x = np.concatenate([np.random.default_rng(16).uniform(0.0, 5e-6, 500), [0.0, -0.0]])
+        got = compose(self.MIRROR, self.MEMBRANE, x, K_REF)
+        points = [compose(self.MIRROR, self.MEMBRANE, gap, K_REF) for gap in x.tolist()]
+        for j, entry in enumerate(_entries(got)):
+            assert entry.shape == x.shape
+            assert _hex(entry.tolist()) == _hex(_entries(p)[j] for p in points)
+        assert got.as_array().shape == (x.size, 2, 2)
+        assert got.unitarity_defect() == max(p.unitarity_defect() for p in points)
+
+    @pytest.mark.parametrize("bad, message", [
+        (-1e-9, "gap must be non-negative"), (math.nan, "x must be finite"),
+        (math.inf, "x must be finite")])
+    def test_one_bad_gap_anywhere_is_an_invalid_parameter(self, compose, bad, message):
+        x = np.array([1e-7, 2e-7, bad, 3e-7])
+        with pytest.raises(InvalidParameter, match=message):
+            compose(self.MIRROR, self.MEMBRANE, x, K_REF)
+
+    def test_perfect_reflectors_at_anti_resonance_as_alone(self, compose):
+        # t = t_m = 0 at psi = pi: cos(pi) rounds to -1 but sin(pi) to 1.2e-16,
+        # so 1 + r r_m e^{i psi} stays far above the degenerate bound and the
+        # point gives in an array what it gives alone
+        mirror, membrane = ElementSpec.mirror(0.0), ElementSpec.membrane(0.0, phi_r=math.pi)
+        x = np.array([1e-7, 0.0, 2e-7])
+        got = compose(mirror, membrane, x, K_REF)
+        alone = compose(mirror, membrane, 0.0, K_REF)
+        assert _hex(entry[1] for entry in _entries(got)) == _hex(_entries(alone))
 
 
 class TestSyntheticResponse:

@@ -255,6 +255,26 @@ class TestHomodyneSpectra:
             homodyne_spectra(sym_rates(), DriveConfig(a0=0.0), 1.0, 1.0)
 
 
+#: finite couplings whose spectra leave the float range: a square that
+#: overflows, a coupling sum that underflows to a zero divisor, and a product
+#: of one overflowed and one underflowed spectrum
+OUT_OF_RANGE_SPECTRA = [
+    (general_spectra, (1e200, 1e200, 0.7)),
+    (general_spectra, (1e-200, 1e-200, 0.7)),
+    (homodyne_spectra, (1e200, 1e200)),
+    (homodyne_spectra, (1e-200, 1e-200)),
+    (homodyne_spectra, (1e-160, 1e-160)),
+    (homodyne_spectra, (1e154, 0.0)),
+]
+
+
+@pytest.mark.parametrize("spectra, couplings", OUT_OF_RANGE_SPECTRA,
+                         ids=[f"{f.__name__}{args}" for f, args in OUT_OF_RANGE_SPECTRA])
+def test_spectra_out_of_float_range_are_an_invalid_parameter(spectra, couplings):
+    with pytest.raises(InvalidParameter, match=f"^{spectra.__name__} leaves the float range"):
+        spectra(sym_rates(), DriveConfig(), *couplings)
+
+
 class TestGeneralSolverAgreement:
     @pytest.mark.parametrize("g_w,g_g,frac", [
         (0.0, 5.0, 0.0), (3.0, 4.0, 0.5), (7.0, 2.0, 1.0), (1.0, 1.0, 0.25),

@@ -1,17 +1,21 @@
 """Validation-suite tests: both suites pass on default tolerances, checks
 report measured errors, and corrupted tolerances fail loudly."""
 
+import json
 import math
 import time
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from optomech import PROFILES, ToleranceProfile, run_validation
 from optomech import elements, mos, validation
-from optomech.elements import ElementSpec, ScatteringMatrix, compose_synthetic, unitarity_defect
+from optomech.elements import ElementSpec, ScatteringMatrix, unitarity_defect
 from optomech.numerics import central_diff_5pt, grid_roots
+
+import scalar_reference
 
 
 def test_fast_suite_passes_quickly():
@@ -89,6 +93,20 @@ def _hex(values):
     return [float.hex(v) for v in values]
 
 
+#: every check of fast/full x default/strict at seeds 20240817 and 7, as the
+#: scalar oracles (one ElementSpec and one tandem call per draw) reported it
+REFERENCE = json.loads((Path(__file__).parent / "data" / "validate_reference.json").read_text())
+
+
+@pytest.mark.parametrize("run", REFERENCE,
+                         ids=[f"{r['suite']}-{r['profile']}-{r['seed']}" for r in REFERENCE])
+def test_checks_equal_the_recorded_reference(run):
+    report = run_validation(run["suite"], run["profile"], seed=run["seed"])
+    assert [{"name": c.name, "passed": c.passed, "measured": float.hex(c.measured),
+             "tolerance": float.hex(c.tolerance), "detail": c.detail}
+            for c in report.checks] == run["checks"]
+
+
 def test_block_draws_equal_the_scalar_draws_bit_for_bit():
     bounds = ((0.01, 0.99), (-math.pi, math.pi), (0.0, 2e-6), (1e6, 1e7),
               (0.4, math.pi - 0.4), (0.0, 1.0))
@@ -141,6 +159,18 @@ def test_sampling_checks_leave_the_generator_where_the_scalar_loop_did(
     assert rng.bit_generator.state == scalar_rng.bit_generator.state
 
 
+def test_array_gap_reduction_equals_python_float_modulo():
+    # closed_form_vs_matrix reduces its gaps with numpy's %, the loop did
+    # with Python's: both are fmod with the sign of the divisor
+    rng = np.random.default_rng(9)
+    k = 7.0e6
+    psi = np.concatenate([rng.uniform(0.0, 2.0 * math.pi, 100000),
+                          rng.uniform(-1e3, 1e3, 100000), [math.pi / 2, 0.0, -0.0]])
+    got = (psi - math.pi / 2) / (2.0 * k) % (math.pi / k)
+    want = [(p - math.pi / 2) / (2.0 * k) % (math.pi / k) for p in psi.tolist()]
+    assert _hex(got.tolist()) == _hex(want)
+
+
 def test_stacked_unitarity_defect_is_the_largest_per_matrix_defect():
     rng = np.random.default_rng(8)
     stack = rng.standard_normal((50, 2, 2)) + 1j * rng.standard_normal((50, 2, 2))
@@ -150,9 +180,41 @@ def test_stacked_unitarity_defect_is_the_largest_per_matrix_defect():
 
 
 # The scalar loops that the array checks replaced, kept as their reference:
-# one synthetic_response per draw, and one float bisection per locus bracket.
-# They look synthetic_response up in validation, so a test can patch it for
-# both.
+# one pair of elements and one cmath tandem matrix per draw, one
+# synthetic_response per draw, and one float bisection per locus bracket.
+# They look synthetic_response up in validation, whose _response_closed_form
+# lives in elements, so a test can patch _response_closed_form in both
+# modules for the loops and the checks alike.
+
+def _loop_unitarity(rng, tol, samples):
+    worst = 0.0
+    for t, t_m, phi_r, x, k in zip(*validation._uniform_columns(
+            rng, samples, *validation._TANDEM_BOUNDS)):
+        mirror = ElementSpec.mirror(t)
+        membrane = ElementSpec.membrane(t_m, phi_r=phi_r)
+        for s in (scalar_reference.element_scattering(mirror),
+                  scalar_reference.element_scattering(membrane),
+                  scalar_reference.compose_synthetic(mirror, membrane, x, k)):
+            worst = max(worst, s.unitarity_defect())
+    return validation.CheckResult("unitarity", worst <= tol.unitarity, worst, tol.unitarity,
+                                  f"{samples} random element/tandem matrices")
+
+
+def _loop_elimination(rng, tol):
+    worst = 0.0
+    for t, t_m, phi_r, x, k in zip(*validation._uniform_columns(
+            rng, 200, *validation._TANDEM_BOUNDS)):
+        mirror = ElementSpec.mirror(t)
+        membrane = ElementSpec.membrane(t_m, phi_r=phi_r)
+        a = scalar_reference.compose_synthetic(mirror, membrane, x, k)
+        b = scalar_reference.compose_synthetic_by_elimination(mirror, membrane, x, k)
+        worst = max(worst, float(np.max(np.abs(
+            np.array([[a.m11, a.m12], [a.m21, a.m22]])
+            - np.array([[b.m11, b.m12], [b.m21, b.m22]])))))
+    return validation.CheckResult("tandem_closed_vs_elimination",
+                                  worst <= tol.elimination_entry, worst,
+                                  tol.elimination_entry)
+
 
 def _loop_closed_vs_matrix(rng, tol):
     worst_t = 0.0
@@ -164,7 +226,7 @@ def _loop_closed_vs_matrix(rng, tol):
         mirror = ElementSpec.mirror(t)
         membrane = ElementSpec.membrane(t_m)
         x = (psi - membrane.phi_r) / (2.0 * k) % (math.pi / k)
-        s = compose_synthetic(mirror, membrane, x, k)
+        s = scalar_reference.compose_synthetic(mirror, membrane, x, k)
         resp = validation.synthetic_response(2.0 * k * x + membrane.phi_r, mirror, membrane)
         worst_t = max(worst_t, abs(resp.T - abs(s.m11) ** 2))
         worst_mu = max(
@@ -237,6 +299,9 @@ def _loop_locus_oracle(rng, tol, samples):
 
 #: (array check, its scalar reference loop, keyword arguments)
 ARRAY_CHECKS = [
+    (validation._check_unitarity, _loop_unitarity, {"samples": 300}),
+    (validation._check_unitarity, _loop_unitarity, {"samples": 1000}),
+    (validation._check_elimination, _loop_elimination, {}),
     (validation._check_closed_vs_matrix, _loop_closed_vs_matrix, {}),
     (validation._check_response_derivatives, _loop_response_derivatives, {}),
     (validation._check_locus_oracle, _loop_locus_oracle, {"samples": 20}),
@@ -262,18 +327,19 @@ def test_array_checks_equal_their_scalar_loops(seed, profile):
 
 def test_locus_sample_without_two_roots_fails_as_the_loop_does(monkeypatch):
     # the third sample's grid sees dmu/dpsi > 0 everywhere: no sign change
-    real = validation.synthetic_response
+    real = elements._response_closed_form
     grids = []
 
-    def flattened_third_grid(psi, mirror, membrane):
-        resp = real(psi, mirror, membrane)
+    def flattened_third_grid(psi, *amplitudes):
+        resp = real(psi, *amplitudes)
         if isinstance(psi, np.ndarray):
             grids.append(psi)
             if len(grids) % 3 == 0:
                 return replace(resp, dmu_dpsi=np.abs(resp.dmu_dpsi) + 1.0)
         return resp
 
-    monkeypatch.setattr(validation, "synthetic_response", flattened_third_grid)
+    monkeypatch.setattr(validation, "_response_closed_form", flattened_third_grid)
+    monkeypatch.setattr(elements, "_response_closed_form", flattened_third_grid)
     tol = PROFILES["default"]
     rng, loop_rng = np.random.default_rng(20240817), np.random.default_rng(20240817)
     got = validation._check_locus_oracle(rng, tol, samples=20)
