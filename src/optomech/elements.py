@@ -30,11 +30,21 @@ negated cavity-side reflection amplitude, -m21; with psi reduced to
 (-pi, pi] this branch is continuous over one period and vanishes at the
 transparency maximum psi = pi when the membrane is less reflective than
 the mirror (r_m < r).
+
+Each formula lives in one private kernel that works elementwise over
+floats or broadcast numpy arrays: _mirror_matrix and _membrane_matrix
+behind element_scattering, _tandem_closed_form behind compose_synthetic,
+_tandem_by_elimination behind compose_synthetic_by_elimination and
+_response_closed_form behind synthetic_response.  The public functions
+check their elements and geometry and call the kernel, so the tandem
+functions take a float gap or an array of gaps; the validation suite calls
+the kernels on a whole draw at once.  The matrix kernels compute in real
+arithmetic that mirrors CPython's complex product and quotient, so an
+array element equals the scalar cmath evaluation bit for bit.
 """
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass, field
 from functools import cached_property

@@ -250,16 +250,16 @@ def _check_locus_oracle(rng: np.random.Generator, tol: ToleranceProfile,
     for t_m, u in zip(*_uniform_columns(rng, samples, (0.03, 0.15), (0.0, 1.0))):
         lo, hi = 1.05 * t_m ** 2, 0.2 * t_m
         t = lo + (hi - lo) * u
-        amplitudes = (t, reflectivity(t), t_m, reflectivity(t_m))
+        pair = (t, reflectivity(t), t_m, reflectivity(t_m))
         locus = mos_mod.zero_dispersive_locus(t, t_m)
-        found = grid_brackets(lambda psi: _response_closed_form(psi, *amplitudes).dmu_dpsi,
+        found = grid_brackets(lambda psi: _response_closed_form(psi, *pair).dmu_dpsi,
                               1e-3, 2.0 * math.pi - 1e-3, 4000)
         if len(found) != 2:
             return CheckResult("zero_dispersive_locus_oracle", False,
                                float(len(found)), 2.0,
                                f"expected 2 sign changes of dmu/dpsi, found {len(found)}")
         drawn.append((t, t_m, locus))
-        brackets += [(*bracket, *amplitudes) for bracket in found]
+        brackets += [(*bracket, *pair) for bracket in found]
     lo, hi, f_lo, f_hi, *amplitudes = np.array(brackets, dtype=float).reshape(-1, 8).T
     # a degenerate bracket (an exact zero at a node) has f_lo = 0 and is
     # returned as is
