@@ -164,8 +164,8 @@ def test_array_gap_reduction_equals_python_float_modulo():
     # with Python's: both are fmod with the sign of the divisor
     rng = np.random.default_rng(9)
     k = 7.0e6
-    psi = np.concatenate([rng.uniform(0.0, 2.0 * math.pi, 100000),
-                          rng.uniform(-1e3, 1e3, 100000), [math.pi / 2, 0.0, -0.0]])
+    psi = np.concatenate([rng.uniform(0.0, 2.0 * math.pi, 20000),
+                          rng.uniform(-1e3, 1e3, 20000), [math.pi / 2, 0.0, -0.0]])
     got = (psi - math.pi / 2) / (2.0 * k) % (math.pi / k)
     want = [(p - math.pi / 2) / (2.0 * k) % (math.pi / k) for p in psi.tolist()]
     assert _hex(got.tolist()) == _hex(want)
