@@ -365,7 +365,10 @@ def compose_synthetic(mirror: ElementSpec, membrane: ElementSpec, x, k: float
 def _tandem_closed_form(t, r, t_m, r_m, phi_r, phi_t, x, k) -> ScatteringMatrix:
     """compose_synthetic's closed form with no argument checks, elementwise
     over valid (mirror, membrane, x, k): floats, or arrays that broadcast.
-    Raises DegenerateDenominator if D vanishes anywhere."""
+    Raises DegenerateDenominator if D vanishes anywhere.  Its real
+    arithmetic mirrors CPython 3.11's complex product and quotient (see the
+    note above _cmul), so each element is the scalar cmath value bit for
+    bit, which numpy's complex * and / would not give."""
     psi = 2.0 * k * x + phi_r
     e_psi = _cexp_i(psi)
     rr_e = _cmul((r * r_m, 0.0), e_psi)
