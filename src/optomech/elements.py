@@ -17,12 +17,14 @@ The mirror matrix is fixed to
      [ -r , i t]]
 
 (transmission phase pi/2, reflection phase pi).  The membrane carries a free
-reflection phase phi_r; losslessness fixes its transmission phase to
-phi_t = phi_r - pi/2 (any phi_r - phi_t = pi/2 mod pi would do), and its
-matrix is
+reflection phase phi_r; losslessness puts its transmission a quarter turn
+behind (any quarter turn would do), and its matrix is
 
-    [[ t_m e^{i phi_t}, r_m e^{i phi_r} ],
-     [ r_m e^{i phi_r}, t_m e^{i phi_t} ]].
+    [[ -i t_m e^{i phi_r}, r_m e^{i phi_r} ],
+     [ r_m e^{i phi_r}, -i t_m e^{i phi_r} ]],
+
+built from the one factor e^{i phi_r}, so it is unitary to rounding at any
+phi_r.
 
 The tandem phase is psi = 2 k x + phi_r, with x the mirror-membrane gap.
 The reflection phase of the tandem, mu(psi), is the argument of the
@@ -38,9 +40,9 @@ _tandem_by_elimination behind compose_synthetic_by_elimination and
 _response_closed_form behind synthetic_response.  The public functions
 check their elements and geometry and call the kernel, so the tandem
 functions take a float gap or an array of gaps; the validation suite calls
-the kernels on a whole draw at once.  The matrix kernels compute in real
-arithmetic that mirrors CPython's complex product and quotient, so an
-array element equals the scalar cmath evaluation bit for bit.
+the kernels on a whole draw at once.  The matrix kernels are numpy complex
+expressions, so their entries are numpy complex scalars on floats and
+complex arrays on arrays.
 """
 
 from __future__ import annotations
@@ -65,12 +67,6 @@ def reflectivity(a):
     if isinstance(a, np.ndarray):
         return np.sqrt(np.maximum(0.0, 1.0 - a * a))
     return math.sqrt(max(0.0, 1.0 - a * a))
-
-
-def transmission_phase(phi_r):
-    """Transmission phase phi_t = phi_r - pi/2 that losslessness gives a
-    membrane of reflection phase phi_r (a float, or an array elementwise)."""
-    return phi_r - math.pi / 2
 
 
 def wavevector(wavelength: float) -> float:
@@ -105,25 +101,21 @@ class ElementSpec:
     """Lossless optical element: a fixed-phase mirror or a phased membrane.
 
     A caller sets the amplitude transmission t and, for a membrane, the
-    reflection phase phi_r; the reflection r = sqrt(1 - t^2) and a
-    membrane's transmission phase phi_t = phi_r - pi/2 are derived, so
-    every element is lossless by construction.  The mirror matrix has its
-    phases built in.  Checked once, when built: an instance is frozen, so
-    every instance is valid.
+    reflection phase phi_r; the reflection r = sqrt(1 - t^2) is derived,
+    and the matrices have the transmission phases built in, so every
+    element is lossless by construction.  Checked once, when built: an
+    instance is frozen, so every instance is valid.
     """
 
     kind: str  # "mirror" | "membrane"
     t: float
     phi_r: float = 0.0
     r: float = field(init=False, repr=False, compare=False)
-    phi_t: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         self.validate()
-        # derived once; a frozen instance sets them past its own __setattr__
+        # derived once; a frozen instance sets it past its own __setattr__
         object.__setattr__(self, "r", reflectivity(self.t))
-        object.__setattr__(self, "phi_t",
-                           transmission_phase(self.phi_r) if self.kind == "membrane" else 0.0)
 
     @classmethod
     def mirror(cls, t: float) -> "ElementSpec":
@@ -228,89 +220,20 @@ def unitarity_defect(s: np.ndarray) -> float:
     return float(np.max(np.abs(np.conj(np.swapaxes(s, -1, -2)) @ s - np.eye(2))))
 
 
-# The matrix kernels below hold the formulas of element_scattering,
-# compose_synthetic and compose_synthetic_by_elimination, elementwise over
-# floats or numpy arrays that broadcast (a whole validation draw at once).
-# They compute in real arithmetic on (real, imag) pairs, step for step as
-# CPython 3.11 evaluates the complex expressions of the scalar formulas, so
-# that each element equals the scalar cmath evaluation bit for bit:
-#
-# - a float operand is the complex (f, 0.0), as CPython converts it;
-# - a product is _Py_c_prod, (ar br - ai bi, ar bi + ai br);
-# - a quotient is _Py_c_quot, which scales by the larger part of the divisor
-#   and so takes one of two branches on abs(b.real) >= abs(b.imag);
-# - cmath.exp(1j * theta) is (cos(0.0 + theta), sin(0.0 + theta)), as the
-#   real part of 1j * theta is a signed zero and exp of it is 1.0.
-#
-# numpy's own complex arithmetic would not do: on AVX-512 hosts its complex
-# product and quotient round differently from CPython's in the last bit for
-# about 44% and 43% of random operands, and np.abs from abs for 36%, while
-# numpy's float64 cos, sin and hypot agree with the C library's.
-
-def _cmul(a, b):
-    """CPython's complex product of (real, imag) pairs."""
-    (ar, ai), (br, bi) = a, b
-    return ar * br - ai * bi, ar * bi + ai * br
-
-
-def _cquot(a, b):
-    """CPython's complex quotient of (real, imag) pairs; b never vanishes.
-    A float divisor takes its branch as CPython does, an array divisor
-    both, each element keeping its own."""
-    br, bi = b
-    if not isinstance(br, np.ndarray):
-        return _quot_by_real(a, b) if abs(br) >= abs(bi) else _quot_by_imag(a, b)
-    by_real = np.abs(br) >= np.abs(bi)  # False for a NaN part: NaN either way
-    with np.errstate(divide="ignore", invalid="ignore"):  # the branch not taken
-        return tuple(np.where(by_real, p, q)
-                     for p, q in zip(_quot_by_real(a, b), _quot_by_imag(a, b)))
-
-
-def _quot_by_real(a, b):
-    """a / b with b scaled by its real part."""
-    (ar, ai), (br, bi) = a, b
-    ratio = bi / br
-    denom = br + bi * ratio
-    return (ar + ai * ratio) / denom, (ai - ar * ratio) / denom
-
-
-def _quot_by_imag(a, b):
-    """a / b with b scaled by its imaginary part."""
-    (ar, ai), (br, bi) = a, b
-    ratio = br / bi
-    denom = br * ratio + bi
-    return (ar * ratio + ai) / denom, (ai * ratio - ar) / denom
-
-
-def _cexp_i(theta):
-    """cmath.exp(1j * theta) of a finite real theta, as a (real, imag) pair."""
-    return cos_sin(0.0 + theta)
-
-
-def _complex(z):
-    """The Python complex of a pair of floats, or the complex array of a
-    pair with an array, bit for bit."""
-    re, im = z
-    if not isinstance(re, np.ndarray) and not isinstance(im, np.ndarray):
-        return complex(float(re), float(im))
-    re, im = np.broadcast_arrays(re, im)
-    out = np.empty(re.shape, dtype=complex)
-    out.real, out.imag = re, im
-    return out
-
-
 def _mirror_matrix(t, r) -> ScatteringMatrix:
     """[[i t, -r], [-r, i t]] of mirrors of amplitudes (t, r)."""
-    trans = _complex(_cmul((0.0, 1.0), (t, 0.0)))
-    refl = _complex((-r, 0.0))
+    # ufuncs, so that floats give numpy complex scalars, as in the other kernels
+    trans = np.multiply(1j, t)
+    refl = np.negative(r, dtype=complex)
     return ScatteringMatrix(trans, refl, refl, trans)
 
 
-def _membrane_matrix(t_m, r_m, phi_r, phi_t) -> ScatteringMatrix:
-    """[[t_m e^{i phi_t}, r_m e^{i phi_r}], [r_m e^{i phi_r}, t_m e^{i phi_t}]]
-    of membranes of amplitudes (t_m, r_m) and phases (phi_r, phi_t)."""
-    trans = _complex(_cmul((t_m, 0.0), _cexp_i(phi_t)))
-    refl = _complex(_cmul((r_m, 0.0), _cexp_i(phi_r)))
+def _membrane_matrix(t_m, r_m, phi_r) -> ScatteringMatrix:
+    """[[-i t_m e^{i phi_r}, r_m e^{i phi_r}], [r_m e^{i phi_r}, -i t_m e^{i phi_r}]]
+    of membranes of amplitudes (t_m, r_m) and reflection phase phi_r."""
+    e_phi = np.exp(1j * phi_r)
+    trans = -1j * t_m * e_phi
+    refl = r_m * e_phi
     return ScatteringMatrix(trans, refl, refl, trans)
 
 
@@ -318,7 +241,7 @@ def element_scattering(spec: ElementSpec) -> ScatteringMatrix:
     """Scattering matrix of a single element (valid since it was built)."""
     if spec.kind == "mirror":
         return _mirror_matrix(spec.t, spec.r)
-    return _membrane_matrix(spec.t, spec.r, spec.phi_r, spec.phi_t)
+    return _membrane_matrix(spec.t, spec.r, spec.phi_r)
 
 
 def _check_pair(mirror: ElementSpec, membrane: ElementSpec) -> None:
@@ -339,9 +262,9 @@ def _check_tandem_args(mirror: ElementSpec, membrane: ElementSpec, x, k) -> None
 
 
 def _pair_args(mirror: ElementSpec, membrane: ElementSpec) -> tuple:
-    """(t, r, t_m, r_m, phi_r, phi_t) of a (mirror, membrane) pair, the
-    leading arguments of the tandem kernels."""
-    return mirror.t, mirror.r, membrane.t, membrane.r, membrane.phi_r, membrane.phi_t
+    """(t, r, t_m, r_m, phi_r) of a (mirror, membrane) pair, the leading
+    arguments of the tandem kernels."""
+    return mirror.t, mirror.r, membrane.t, membrane.r, membrane.phi_r
 
 
 def compose_synthetic(mirror: ElementSpec, membrane: ElementSpec, x, k: float
@@ -351,7 +274,7 @@ def compose_synthetic(mirror: ElementSpec, membrane: ElementSpec, x, k: float
 
     With psi = 2 k x + phi_r and D = 1 + r r_m e^{i psi}:
 
-        m11 = m22 = i t t_m e^{i phi_t} / D
+        m11 = m22 = t t_m e^{i phi_r} / D
         m12 = e^{2 i phi_r} (r + r_m e^{-i psi}) / D
         m21 = -(r + r_m e^{i psi}) / D
 
@@ -362,28 +285,17 @@ def compose_synthetic(mirror: ElementSpec, membrane: ElementSpec, x, k: float
     return _tandem_closed_form(*_pair_args(mirror, membrane), x, k)
 
 
-def _tandem_closed_form(t, r, t_m, r_m, phi_r, phi_t, x, k) -> ScatteringMatrix:
+def _tandem_closed_form(t, r, t_m, r_m, phi_r, x, k) -> ScatteringMatrix:
     """compose_synthetic's closed form with no argument checks, elementwise
-    over valid (mirror, membrane, x, k): floats, or arrays that broadcast.
-    Raises DegenerateDenominator if D vanishes anywhere.  Its real
-    arithmetic mirrors CPython 3.11's complex product and quotient (see the
-    note above _cmul), so each element is the scalar cmath value bit for
-    bit, which numpy's complex * and / would not give."""
+    over valid (mirror, membrane, x, k): floats, or arrays that broadcast."""
     psi = 2.0 * k * x + phi_r
-    e_psi = _cexp_i(psi)
-    rr_e = _cmul((r * r_m, 0.0), e_psi)
-    denom = (1.0 + rr_e[0], 0.0 + rr_e[1])
-    if any_true(np.hypot(*denom) < 1e-150):
-        raise DegenerateDenominator(
-            "tandem denominator vanishes (perfect reflectors in anti-resonance)"
-        )
-    trans = _cmul(_cmul(_cmul((0.0, 1.0), (t, 0.0)), (t_m, 0.0)), _cexp_i(phi_t))
-    trans = _complex(_cquot(trans, denom))
-    back = _cquot((r_m, 0.0), e_psi)  # r_m e^{-i psi}
-    m12 = _cquot(_cmul(_cexp_i(2.0 * phi_r), (r + back[0], 0.0 + back[1])), denom)
-    fwd = _cmul((r_m, 0.0), e_psi)
-    m21 = _cquot((-(r + fwd[0]), -(0.0 + fwd[1])), denom)
-    return ScatteringMatrix(trans, _complex(m12), _complex(m21), trans)
+    e_psi = np.exp(1j * psi)
+    denom = 1.0 + r * r_m * e_psi
+    # (i t) (-i t_m e^{i phi_r}): the mirror's transmission times the membrane's
+    trans = t * t_m * np.exp(1j * phi_r) / denom
+    m12 = np.exp(2j * phi_r) * (r + r_m * np.conj(e_psi)) / denom
+    m21 = -(r + r_m * e_psi) / denom
+    return ScatteringMatrix(trans, m12, m21, trans)
 
 
 def compose_synthetic_by_elimination(mirror: ElementSpec, membrane: ElementSpec, x,
@@ -401,41 +313,36 @@ def compose_synthetic_by_elimination(mirror: ElementSpec, membrane: ElementSpec,
     return _tandem_by_elimination(*_pair_args(mirror, membrane), x, k)
 
 
-def _tandem_by_elimination(t, r, t_m, r_m, phi_r, phi_t, x, k) -> ScatteringMatrix:
+def _tandem_by_elimination(t, r, t_m, r_m, phi_r, x, k) -> ScatteringMatrix:
     """compose_synthetic_by_elimination with no argument checks, elementwise
     over valid (mirror, membrane, x, k): floats, or arrays that broadcast.
-    The 4x4 systems of all elements are solved as one stack per input port,
-    each system as np.linalg.solve solves it alone."""
-    tm_ph = _cmul((t_m, 0.0), _cexp_i(phi_t))
-    rm_ph = _cmul((r_m, 0.0), _cexp_i(phi_r))
-    prop = _cexp_i(k * x)  # 1j * k * x is (0.0, 0.0 + k x), as 1j * (k x) is
-    neg_tm, neg_rm = (-tm_ph[0], -tm_ph[1]), (-rm_ph[0], -rm_ph[1])
+    The 4x4 systems of all elements are solved as one stack, both input
+    ports at once."""
+    mirror, membrane = _mirror_matrix(t, r), _membrane_matrix(t_m, r_m, phi_r)
+    prop = np.exp(1j * k * x)
 
-    # unknowns w = [g1, u1, u3, g2]; inputs (u2, g3) at the mirror plane
-    #   g1 = i t u2 - r u1                  (mirror, toward membrane)
-    #   g2 = -r u2 + i t u1                 (mirror, back out)
-    #   u3 * prop = tm g1 prop + rm g3 / prop   (membrane, transmitted out)
-    #   u1 = prop * (rm g1 prop + tm g3 / prop) (membrane, back toward mirror)
-    shape = np.broadcast_shapes(*(np.shape(v) for v in (t, r, t_m, r_m, phi_r, phi_t, x, k)))
+    # unknowns w = [g1, u1, u3, g2]; inputs (u2, g3) at the mirror plane;
+    # M is the mirror's matrix and N the membrane's
+    #   g1 = M11 u2 + M12 u1                      (mirror, toward membrane)
+    #   g2 = M21 u2 + M22 u1                      (mirror, back out)
+    #   u3 * prop = N11 g1 prop + N12 g3 / prop   (membrane, transmitted out)
+    #   u1 = prop * (N21 g1 prop + N22 g3 / prop) (membrane, back toward mirror)
+    shape = np.broadcast_shapes(*(np.shape(v) for v in (t, r, t_m, r_m, phi_r, x, k)))
     a = np.zeros(shape + (4, 4), dtype=complex)
     a[..., 0, 0] = a[..., 1, 3] = a[..., 3, 1] = 1.0
-    a[..., 0, 1] = r
-    a[..., 1, 1] = _complex(_cmul((-0.0, -1.0), (t, 0.0)))  # -1j * t
-    a[..., 2, 0] = _complex(_cmul(neg_tm, prop))
-    a[..., 2, 2] = _complex(prop)
-    a[..., 3, 0] = _complex(_cmul(_cmul(neg_rm, prop), prop))
-    i_t = _cmul((0.0, 1.0), (t, 0.0))
-    cols = []
-    for u2, g3 in ((1.0, 0.0), (0.0, 1.0)):
-        b = np.empty(shape + (4, 1), dtype=complex)
-        b[..., 0, 0] = _complex(_cmul(i_t, (u2, 0.0)))
-        b[..., 1, 0] = -r * u2
-        b[..., 2, 0] = _complex(_cquot(_cmul(rm_ph, (g3, 0.0)), prop))
-        b[..., 3, 0] = _complex(_cmul(tm_ph, (g3, 0.0)))
-        w = np.linalg.solve(a, b)[..., 0]
-        cols.append((w[..., 2], w[..., 3]))  # (u3, g2)
-    (u3_in, g2_in), (u3_far, g2_far) = cols
-    return ScatteringMatrix(u3_in, u3_far, g2_in, g2_far)
+    a[..., 0, 1] = -mirror.m12
+    a[..., 1, 1] = -mirror.m22
+    a[..., 2, 0] = -membrane.m11 * prop
+    a[..., 2, 2] = prop
+    a[..., 3, 0] = -membrane.m21 * prop * prop
+    b = np.zeros(shape + (4, 2), dtype=complex)  # column 0: u2 = 1; column 1: g3 = 1
+    b[..., 0, 0] = mirror.m11
+    b[..., 1, 0] = mirror.m21
+    b[..., 2, 1] = membrane.m12 / prop
+    b[..., 3, 1] = membrane.m22
+    # rows (g1, u1, u3, g2) first, so a float gap gives numpy scalars
+    u3, g2 = np.moveaxis(np.linalg.solve(a, b), (-2, -1), (0, 1))[2:]
+    return ScatteringMatrix(u3[0], u3[1], g2[0], g2[1])
 
 
 @dataclass(frozen=True)

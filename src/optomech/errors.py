@@ -15,8 +15,11 @@ class InvalidElement(OptomechError):
 
 
 class DegenerateDenominator(OptomechError):
-    """A closed-form denominator is numerically zero (perfect reflectors in
-    anti-resonance)."""
+    """A closed-form denominator is zero.  synthetic_response raises it when
+    its transmission denominator vanishes (r = r_m = 1 at psi = pi) or its
+    reflection amplitude does (r = r_m at psi = pi, where mu is undefined);
+    msi_couplings raises it when the effective mirror's reflection rho is
+    zero."""
 
 
 class NoZeroDispersivePoint(OptomechError):

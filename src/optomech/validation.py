@@ -28,7 +28,6 @@ from .elements import (
     _tandem_closed_form,
     reflectivity,
     synthetic_response,
-    transmission_phase,
     unitarity_defect,
 )
 from .errors import InvalidParameter
@@ -142,21 +141,21 @@ _TANDEM_BOUNDS = ((0.01, 0.99), (0.01, 0.99), (-math.pi, math.pi), (0.0, 2e-6), 
 
 
 def _tandem_draw(rng: np.random.Generator, samples: int) -> tuple[np.ndarray, ...]:
-    """(t, r, t_m, r_m, phi_r, phi_t, x, k) of samples random tandems, the
-    arguments of the tandem kernels, with r, r_m and phi_t derived as
-    ElementSpec derives them."""
+    """(t, r, t_m, r_m, phi_r, x, k) of samples random tandems, the
+    arguments of the tandem kernels, with r and r_m derived as ElementSpec
+    derives them."""
     t, t_m, phi_r, x, k = _uniform_block(rng, samples, *_TANDEM_BOUNDS)
-    return t, reflectivity(t), t_m, reflectivity(t_m), phi_r, transmission_phase(phi_r), x, k
+    return t, reflectivity(t), t_m, reflectivity(t_m), phi_r, x, k
 
 
 def _check_unitarity(rng: np.random.Generator, tol: ToleranceProfile,
                      samples: int) -> CheckResult:
-    t, r, t_m, r_m, phi_r, phi_t, x, k = _tandem_draw(rng, samples)
+    t, r, t_m, r_m, phi_r, x, k = _tandem_draw(rng, samples)
     # one defect per kind (mirror, membrane, tandem): its temporary arrays
     # stay a third the size of one stack of all three
     worst = _worst(*(unitarity_defect(s.as_array()) for s in (
-        _mirror_matrix(t, r), _membrane_matrix(t_m, r_m, phi_r, phi_t),
-        _tandem_closed_form(t, r, t_m, r_m, phi_r, phi_t, x, k))))
+        _mirror_matrix(t, r), _membrane_matrix(t_m, r_m, phi_r),
+        _tandem_closed_form(t, r, t_m, r_m, phi_r, x, k))))
     return CheckResult("unitarity", worst <= tol.unitarity, worst, tol.unitarity,
                        f"{samples} random element/tandem matrices")
 
@@ -181,15 +180,10 @@ def _check_closed_vs_matrix(rng: np.random.Generator, tol: ToleranceProfile) -> 
     phi_r = math.pi / 2  # ElementSpec.membrane's default
     # numpy's % on floats is Python's, bit for bit
     x = (psi - phi_r) / (2.0 * k) % (math.pi / k)
-    s = _tandem_closed_form(t, r, t_m, r_m, phi_r, transmission_phase(phi_r), x, k)
+    s = _tandem_closed_form(t, r, t_m, r_m, phi_r, x, k)
     resp = _response_closed_form(2.0 * k * x + phi_r, t, r, t_m, r_m)
-    # abs(m11) ** 2 in Python floats: pow(h, 2.0) and h * h differ in the
-    # last bit for some h
-    power = np.array([h ** 2 for h in np.hypot(s.m11.real, s.m11.imag).tolist()])
-    worst_t = _worst(np.abs(resp.T - power))
-    # math.tan, not np.tan: the two differ in the last bit for some angles
-    worst_mu = _worst([abs(math.tan(mu) - math.tan(arg)) for mu, arg in
-                       zip(resp.mu.tolist(), np.angle(-s.m21).tolist())])
+    worst_t = _worst(np.abs(resp.T - np.abs(s.m11) ** 2))
+    worst_mu = _worst(np.abs(np.tan(resp.mu) - np.tan(np.angle(-s.m21))))
     ok = worst_t <= tol.matrix_vs_closed_T and worst_mu <= tol.matrix_vs_closed_tan_mu
     return CheckResult(
         "closed_form_vs_matrix", ok, _worst(worst_t, worst_mu),

@@ -497,7 +497,6 @@ class TestCli:
 
     @pytest.mark.parametrize("phi_r", ["1e4", "-1e4", "1e6"])
     def test_large_membrane_phase_scans(self, tmp_path, capsys, phi_r):
-        # phi_t = phi_r - pi/2 rounds at this size; the membrane stays lossless
         out = tmp_path / "mos.csv"
         assert main(["mos", "--set", f"mos.phi_r={phi_r}",
                      "--set", "scan.parameter=phi_over_phi0", "--set", "scan.start=-2",

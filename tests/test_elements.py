@@ -2,7 +2,6 @@
 elimination oracle, closed-form response, derivative checks, and the
 cavity geometry MOS and MATE share."""
 
-import cmath
 import math
 from dataclasses import fields, replace
 
@@ -31,7 +30,7 @@ from optomech.elements import (
     _tandem_closed_form,
     reduce_phase,
     reflectivity,
-    transmission_phase,
+    unitarity_defect,
 )
 from optomech.validation import PROFILES, _check_elimination, _check_response_derivatives
 
@@ -103,12 +102,12 @@ class TestConstructionChecks:
         with pytest.raises(TypeError, match=f"unexpected keyword argument '{name}'"):
             ElementSpec(kind="membrane", t=0.6, phi_r=0.3, **{name: value})
 
-    @pytest.mark.parametrize("phi_r", [1e4, -1e4, 1e6])
+    @pytest.mark.parametrize("phi_r", [1e3, 1e4, -1e4, 1e6])
     def test_membrane_with_a_large_phase_is_lossless(self, phi_r):
+        # both entries carry the one factor e^{i phi_r}, so no phase is
+        # rounded apart from the other, however large phi_r is
         membrane = ElementSpec.membrane(0.1, phi_r=phi_r)
-        assert membrane.phi_t == phi_r - math.pi / 2
-        # phi_r - phi_t is pi/2 up to the rounding of phi_t, below ulp(phi_r)
-        assert element_scattering(membrane).unitarity_defect() < math.ulp(phi_r)
+        assert element_scattering(membrane).unitarity_defect() < 1e-15
 
     def test_built_elements_are_not_checked_again(self, monkeypatch):
         mirror, membrane = ElementSpec.mirror(0.3), ElementSpec.membrane(0.4, phi_r=0.7)
@@ -208,20 +207,28 @@ class TestCompose:
             compose_synthetic_by_elimination(mirror, membrane, 1e-7, -K_REF)
 
 
-def _hex(entries):
-    """float.hex of the real and imaginary part of each complex entry."""
-    return [(float.hex(z.real), float.hex(z.imag)) for z in map(complex, entries)]
-
-
 def _entries(s):
     return (s.m11, s.m12, s.m21, s.m22)
 
 
+def _gap(got, want):
+    """Largest |got - want| over matching complex entries (scalars, lists or
+    arrays)."""
+    return float(np.max(np.abs(np.asarray(got, dtype=complex)
+                               - np.asarray(want, dtype=complex))))
+
+
+#: largest |kernel entry - cmath entry| allowed.  On TestMatrixKernels'
+#: draws the element kernels give the cmath entries exactly, the closed
+#: form is within 3.5e-16 on m11 and m21 and 2.6e-15 on m12, where
+#: r + r_m e^{-i psi} cancels, and the elimination is within 4.6e-15.
+ENTRY_BOUND = 1e-14
+
+
 class TestMatrixKernels:
     """The array kernels against the scalar cmath formulas, entry by entry
-    and bit for bit, over draws that take both branches of CPython's complex
-    quotient, perfect and transparent mirrors, transparent and opaque
-    membranes, and membrane phases up to 1e6."""
+    within ENTRY_BOUND, over draws with perfect and transparent mirrors,
+    transparent and opaque membranes, and membrane phases up to 1e6."""
 
     N = 10000
 
@@ -240,26 +247,13 @@ class TestMatrixKernels:
         k = rng.uniform(1e6, 1e7, n)
         pairs = [(ElementSpec.mirror(a), ElementSpec.membrane(b, phi_r=p))
                  for a, b, p in zip(t.tolist(), t_m.tolist(), phi_r.tolist())]
-        args = (t, reflectivity(t), t_m, reflectivity(t_m), phi_r, transmission_phase(phi_r),
-                x, k)
+        args = (t, reflectivity(t), t_m, reflectivity(t_m), phi_r, x, k)
         return pairs, args, list(zip(x.tolist(), k.tolist()))
 
-    def test_draws_cover_both_quotient_branches(self, draws):
-        # the divisors are the closed form's 1 + r r_m e^{i psi} and e^{i psi},
-        # and the elimination's propagation phase e^{i k x}
-        pairs, _, gaps = draws
-        for divisor in (lambda m, mb, x, k: scalar_reference.denominator(m, mb, x, k),
-                        lambda m, mb, x, k: cmath.exp(1j * (2.0 * k * x + mb.phi_r)),
-                        lambda m, mb, x, k: cmath.exp(1j * k * x)):
-            branches = {abs(d.real) >= abs(d.imag)
-                        for d in (divisor(*pair, *gap) for pair, gap in zip(pairs, gaps))}
-            assert branches == {True, False}
-
     def test_derived_amplitudes_are_the_built_elements(self, draws):
-        pairs, (t, r, t_m, r_m, phi_r, phi_t, *_), _ = draws
+        pairs, (t, r, t_m, r_m, *_), _ = draws
         assert r.tolist() == [m.r for m, _ in pairs]
         assert r_m.tolist() == [mb.r for _, mb in pairs]
-        assert phi_t.tolist() == [mb.phi_t for _, mb in pairs]
 
     @pytest.mark.parametrize("kernel, reference", [
         (_tandem_closed_form, scalar_reference.compose_synthetic),
@@ -271,15 +265,15 @@ class TestMatrixKernels:
         want = [reference(*pair, *gap) for pair, gap in zip(pairs, gaps)]
         for j, entry in enumerate(_entries(got)):
             assert entry.shape == (self.N,)
-            assert _hex(entry.tolist()) == _hex(_entries(w)[j] for w in want)
+            assert _gap(entry, [_entries(w)[j] for w in want]) <= ENTRY_BOUND
 
     def test_element_kernels_equal_the_cmath_formulas(self, draws):
-        pairs, (t, r, t_m, r_m, phi_r, phi_t, *_), _ = draws
+        pairs, (t, r, t_m, r_m, phi_r, *_), _ = draws
         for got, specs in ((_mirror_matrix(t, r), [m for m, _ in pairs]),
-                           (_membrane_matrix(t_m, r_m, phi_r, phi_t), [mb for _, mb in pairs])):
+                           (_membrane_matrix(t_m, r_m, phi_r), [mb for _, mb in pairs])):
             want = [scalar_reference.element_scattering(spec) for spec in specs]
             for j, entry in enumerate(_entries(got)):
-                assert _hex(entry.tolist()) == _hex(_entries(w)[j] for w in want)
+                assert _gap(entry, [_entries(w)[j] for w in want]) <= ENTRY_BOUND
 
     def test_scalar_calls_equal_the_cmath_formulas(self, draws):
         pairs, _, gaps = draws
@@ -291,7 +285,9 @@ class TestMatrixKernels:
                      scalar_reference.compose_synthetic_by_elimination, (mirror, membrane, x, k)),
                     (element_scattering, scalar_reference.element_scattering, (mirror,)),
                     (element_scattering, scalar_reference.element_scattering, (membrane,))):
-                assert _hex(_entries(public(*args))) == _hex(_entries(reference(*args)))
+                got = _entries(public(*args))
+                assert all(isinstance(z, np.complex128) for z in got)
+                assert _gap(got, _entries(reference(*args))) <= ENTRY_BOUND
 
 
 @pytest.mark.parametrize("compose", [compose_synthetic, compose_synthetic_by_elimination])
@@ -305,9 +301,9 @@ class TestArrayGaps:
         points = [compose(self.MIRROR, self.MEMBRANE, gap, K_REF) for gap in x.tolist()]
         for j, entry in enumerate(_entries(got)):
             assert entry.shape == x.shape
-            assert _hex(entry.tolist()) == _hex(_entries(p)[j] for p in points)
+            assert _gap(entry, [_entries(p)[j] for p in points]) <= ENTRY_BOUND
         assert got.as_array().shape == (x.size, 2, 2)
-        assert got.unitarity_defect() == max(p.unitarity_defect() for p in points)
+        assert got.unitarity_defect() == max(map(unitarity_defect, got.as_array()))
 
     @pytest.mark.parametrize("bad, message", [
         (-1e-9, "gap must be non-negative"), (math.nan, "x must be finite"),
@@ -319,13 +315,14 @@ class TestArrayGaps:
 
     def test_perfect_reflectors_at_anti_resonance_as_alone(self, compose):
         # t = t_m = 0 at psi = pi: cos(pi) rounds to -1 but sin(pi) to 1.2e-16,
-        # so 1 + r r_m e^{i psi} stays far above the degenerate bound and the
-        # point gives in an array what it gives alone
+        # so 1 + r r_m e^{i psi} is 1.2e-16 i, not zero, and the point gives
+        # in an array the finite matrix it gives alone
         mirror, membrane = ElementSpec.mirror(0.0), ElementSpec.membrane(0.0, phi_r=math.pi)
         x = np.array([1e-7, 0.0, 2e-7])
         got = compose(mirror, membrane, x, K_REF)
         alone = compose(mirror, membrane, 0.0, K_REF)
-        assert _hex(entry[1] for entry in _entries(got)) == _hex(_entries(alone))
+        assert np.all(np.isfinite(_entries(alone)))
+        assert _gap([entry[1] for entry in _entries(got)], _entries(alone)) <= ENTRY_BOUND
 
 
 class TestSyntheticResponse:

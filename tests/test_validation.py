@@ -297,32 +297,44 @@ def _loop_locus_oracle(rng, tol, samples):
     )
 
 
-#: (array check, its scalar reference loop, keyword arguments)
+#: bound on |measured - loop measured| of the matrix checks: their numpy
+#: complex kernels match the loops' cmath matrices to rounding, and at the
+#: seeds below the measured values differ by at most 4.7e-15
+MATRIX_MEASURED_BOUND = 1e-14
+
+#: (array check, its scalar reference loop, keyword arguments, bound on the
+#: measured difference; None where the check is the loop bit for bit)
 ARRAY_CHECKS = [
-    (validation._check_unitarity, _loop_unitarity, {"samples": 300}),
-    (validation._check_unitarity, _loop_unitarity, {"samples": 1000}),
-    (validation._check_elimination, _loop_elimination, {}),
-    (validation._check_closed_vs_matrix, _loop_closed_vs_matrix, {}),
-    (validation._check_response_derivatives, _loop_response_derivatives, {}),
-    (validation._check_locus_oracle, _loop_locus_oracle, {"samples": 20}),
-    (validation._check_locus_oracle, _loop_locus_oracle, {"samples": 100}),
+    (validation._check_unitarity, _loop_unitarity, {"samples": 300}, MATRIX_MEASURED_BOUND),
+    (validation._check_unitarity, _loop_unitarity, {"samples": 1000}, MATRIX_MEASURED_BOUND),
+    (validation._check_elimination, _loop_elimination, {}, MATRIX_MEASURED_BOUND),
+    (validation._check_closed_vs_matrix, _loop_closed_vs_matrix, {}, MATRIX_MEASURED_BOUND),
+    (validation._check_response_derivatives, _loop_response_derivatives, {}, None),
+    (validation._check_locus_oracle, _loop_locus_oracle, {"samples": 20}, None),
+    (validation._check_locus_oracle, _loop_locus_oracle, {"samples": 100}, None),
 ]
-
-
-def _fields(check):
-    return (check.name, check.passed, check.measured, check.tolerance, check.detail)
 
 
 @pytest.mark.parametrize("profile", sorted(PROFILES))
 @pytest.mark.parametrize("seed", [20240817, 1, 7, 99, 12345, 2024])
 def test_array_checks_equal_their_scalar_loops(seed, profile):
     tol = PROFILES[profile]
-    for check, loop, kwargs in ARRAY_CHECKS:
+    for check, loop, kwargs, bound in ARRAY_CHECKS:
         rng, loop_rng = np.random.default_rng(seed), np.random.default_rng(seed)
         got, want = check(rng, tol, **kwargs), loop(loop_rng, tol, **kwargs)
-        assert _fields(got) == _fields(want), check.__name__
-        assert float.hex(got.measured) == float.hex(want.measured)
+        assert ((got.name, got.passed, got.tolerance)
+                == (want.name, want.passed, want.tolerance)), check.__name__
+        if bound is None:
+            assert got.detail == want.detail
+            assert float.hex(got.measured) == float.hex(want.measured)
+        else:
+            # closed_form_vs_matrix's detail prints its two defects
+            assert abs(got.measured - want.measured) <= bound, check.__name__
         assert rng.bit_generator.state == loop_rng.bit_generator.state
+
+
+def _fields(check):
+    return (check.name, check.passed, check.measured, check.tolerance, check.detail)
 
 
 def test_locus_sample_without_two_roots_fails_as_the_loop_does(monkeypatch):
