@@ -60,7 +60,6 @@ from .noise import (
     general_spectra,
     homodyne_spectra,
     product_normalized,
-    solve_fluctuations,
 )
 from .datasets import (
     FigureDataset,
@@ -113,7 +112,6 @@ __all__ = [
     "PortRates",
     "DriveConfig",
     "NoiseReport",
-    "solve_fluctuations",
     "general_spectra",
     "homodyne_spectra",
     "product_normalized",

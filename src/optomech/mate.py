@@ -240,6 +240,12 @@ class MateZeroDispersive:
     near_edge: bool
 
 
+def zero_dispersive_decay(t: float, l: float) -> float:
+    """gamma_mate = c t^2 / (2 l), the MATE decay rate at its zero-dispersive
+    points; mate_zero_dispersive and noise.cooperativity_mate both use it."""
+    return C_LIGHT * t ** 2 / (2.0 * l)
+
+
 def mate_zero_dispersive(cfg: MateConfig) -> MateZeroDispersive:
     """Zero-dispersive points and the dissipative benchmark there.
 
@@ -255,7 +261,7 @@ def mate_zero_dispersive(cfg: MateConfig) -> MateZeroDispersive:
     return MateZeroDispersive(
         phi_star=(-phi_star, phi_star),
         g_gamma0_mag=cfg.omega_c * cfg.t ** 2 / (cfg.l * cfg.t_m),
-        gamma_mate=C_LIGHT * cfg.t ** 2 / (2.0 * cfg.l),
+        gamma_mate=zero_dispersive_decay(cfg.t, cfg.l),
         ratio_to_mos=2.0 / cfg.t_m ** 3,
         near_edge=cfg.x < NEAR_EDGE_MARGIN * cfg.near_edge_bound(),
     )

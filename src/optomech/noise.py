@@ -26,12 +26,13 @@ theta = atan(g_omega0/g_gamma0) and
 
 bounded below by hbar^2/4 (reached only at xi = 0, A = 1).
 
-general_spectra makes one pass over the three ports in Python complex
-scalars, one frequency per call (on arrays this small, numpy's per-call
-overhead costs more than the arithmetic), and sums both spectra in it.
-solve_fluctuations gives the reference decomposition into intracavity and
-port-1 noise rows (FluctuationSolution) and _force_coefficients the force
-row; general_spectra equals them bit for bit.
+general_spectra is the library's one form of this linear model.  It makes
+one pass over the three ports in Python complex scalars, one frequency per
+call (on arrays this small, numpy's per-call overhead costs more than the
+arithmetic), and sums both spectra in it.  Its references live in
+tests/noise_reference.py: the intracavity and port-1 noise rows and the
+force row, which it equals bit for bit, and the drift and input matrices
+of the equations above, solved by numpy.
 """
 
 from __future__ import annotations
@@ -44,11 +45,8 @@ import numpy as np
 from .constants import C_LIGHT, HBAR
 from .elements import wavevector
 from .errors import InvalidParameter, SingularSystem, ZeroCoupling
+from .mate import zero_dispersive_decay
 from .numerics import in_float_range, out_of_float_range, require_finite
-
-#: index layout of the input-quadrature noise basis
-NOISE_BASIS = ("X_in1", "Y_in1", "X_in2", "Y_in2", "X_in3", "Y_in3")
-
 
 @dataclass(frozen=True)
 class PortRates:
@@ -88,121 +86,6 @@ class DriveConfig:
             raise InvalidParameter("pump amplitude a0 must be non-negative")
 
 
-@dataclass(frozen=True)
-class FluctuationSolution:
-    """Noise/signal decomposition of the intracavity and port-1 output
-    quadratures, kept as complex scalars.
-
-    The inverse of the 2x2 drift matrix is [[diag, xy], [yx, diag]] with
-    diag = kappa/det, xy = -Delta/det and yx = Delta/det; port j drives both
-    quadratures with amplitude sqrt(gamma_j)/2.  Noise coefficients follow
-    NOISE_BASIS; power spectral densities are sums of |coefficient|^2 over
-    it (unit-white, mutually uncorrelated vacuum inputs).
-    """
-
-    diag: complex
-    xy: complex
-    yx: complex
-    amplitudes: tuple[float, float, float]  # sqrt(gamma_j) / 2
-    out1_scale: float                       # 2 sqrt(gamma1)
-    out1_signal: tuple[complex, complex]    # (X, Y), per unit mechanical amplitude
-
-    def cavity_noise_rows(self) -> tuple[list[complex], list[complex]]:
-        """Intracavity (X, Y) noise coefficients over NOISE_BASIS."""
-        x_row: list[complex] = []
-        y_row: list[complex] = []
-        for amp in self.amplitudes:
-            x_row += (self.diag * amp, self.xy * amp)
-            y_row += (self.yx * amp, self.diag * amp)
-        return x_row, y_row
-
-    def out1_noise_rows(self) -> tuple[list[complex], list[complex]]:
-        """Port-1 output (X, Y) noise coefficients over NOISE_BASIS:
-        X_out1 = 2 sqrt(gamma1) X - X_in1, likewise for Y."""
-        x_row, y_row = self.cavity_noise_rows()
-        x_out = [self.out1_scale * c for c in x_row]
-        y_out = [self.out1_scale * c for c in y_row]
-        x_out[0] -= 1.0
-        y_out[1] -= 1.0
-        return x_out, y_out
-
-    def out1_psd(self, theta: float) -> float:
-        """Noise PSD of the homodyne quadrature cos(theta) X + sin(theta) Y."""
-        cos_t, sin_t = math.cos(theta), math.sin(theta)
-        return _psd([cos_t * x + sin_t * y for x, y in zip(*self.out1_noise_rows())])
-
-    def out1_gain(self, theta: float) -> complex:
-        """Signal transfer of the homodyne quadrature at angle theta."""
-        return (
-            math.cos(theta) * self.out1_signal[0]
-            + math.sin(theta) * self.out1_signal[1]
-        )
-
-
-def _psd(coefficients: list[complex]) -> float:
-    """Sum of |c|^2 over noise coefficients, in order."""
-    total = 0.0
-    for c in coefficients:
-        mag = abs(c)
-        total += mag * mag
-    return total
-
-
-def _drift_inverse(
-    rates: PortRates, drive: DriveConfig
-) -> tuple[complex, complex, complex]:
-    """(diag, xy, yx) of the inverse 2x2 drift matrix [[diag, xy], [yx, diag]]."""
-    kappa = complex(rates.total / 2.0, -drive.omega)
-    det = kappa * kappa + drive.delta ** 2
-    if abs(det) < 1e-300:
-        raise SingularSystem(
-            f"system determinant vanished (kappa={kappa}, delta={drive.delta})"
-        )
-    return kappa / det, -drive.delta / det, drive.delta / det
-
-
-def solve_fluctuations(
-    rates: PortRates,
-    drive: DriveConfig,
-    g_omega0: float,
-    g_gamma0: float,
-) -> FluctuationSolution:
-    """Solve the 2x2 intracavity system at arbitrary detuning and frequency
-    and propagate to the detected port-1 output quadratures."""
-    diag, xy, yx = _drift_inverse(rates, drive)
-    signal_x, signal_y = drive.a0 * g_gamma0, drive.a0 * g_omega0
-    out1_scale = 2.0 * math.sqrt(rates.gamma1)
-    return FluctuationSolution(
-        diag=diag,
-        xy=xy,
-        yx=yx,
-        amplitudes=(math.sqrt(rates.gamma1) / 2.0, math.sqrt(rates.gamma2) / 2.0,
-                    math.sqrt(rates.gamma3) / 2.0),
-        out1_scale=out1_scale,
-        out1_signal=(
-            out1_scale * (diag * signal_x + xy * signal_y),
-            out1_scale * (yx * signal_x + diag * signal_y),
-        ),
-    )
-
-
-def _force_coefficients(
-    sol: FluctuationSolution,
-    rates: PortRates,
-    drive: DriveConfig,
-    g_omega0: float,
-    g_gamma0: float,
-) -> list[complex]:
-    # reads only the cavity noise, which the signal does not enter
-    if rates.gamma2 <= 0.0 and g_gamma0 != 0.0:
-        raise InvalidParameter("dissipative coupling requires gamma2 > 0")
-    scale = 2.0 * HBAR * drive.a0 * g_omega0
-    coeffs = [scale * c for c in sol.cavity_noise_rows()[0]]
-    if g_gamma0 != 0.0:
-        coeffs[3] += -HBAR * drive.a0 * g_gamma0 / math.sqrt(rates.gamma2)
-    return coeffs
-
-
 def general_spectra(
     rates: PortRates,
     drive: DriveConfig,
@@ -214,15 +97,26 @@ def general_spectra(
 
     S_xx_imp is the homodyne noise PSD at angle theta referred to the
     mechanical displacement; S_FF the backaction-force PSD.  One pass over
-    the ports gives both, with the operations, in their order, of
-    FluctuationSolution.out1_psd / out1_gain and _force_coefficients.
+    the ports gives both, with the operations, in their order, of the row
+    decomposition in tests/noise_reference.py.  The inverse of the drift
+    matrix is [[diag, xy], [yx, diag]], with diag = kappa/det,
+    xy = -Delta/det and yx = Delta/det.  Raises SingularSystem when det
+    vanishes, ZeroCoupling when no signal reaches the homodyne quadrature,
+    and InvalidParameter for a dissipative coupling without port 2 or a
+    result outside the float range.
     """
     # a cheap screen, as in DriveConfig: the sum is finite unless a value is
     # not, or it overflows
     if not math.isfinite(g_omega0 + g_gamma0 + theta):
         require_finite(g_omega0=g_omega0, g_gamma0=g_gamma0, theta=theta)
     try:
-        diag, xy, yx = _drift_inverse(rates, drive)
+        kappa = complex(rates.total / 2.0, -drive.omega)
+        det = kappa * kappa + drive.delta ** 2
+        if abs(det) < 1e-300:
+            raise SingularSystem(
+                f"system determinant vanished (kappa={kappa}, delta={drive.delta})"
+            )
+        diag, xy, yx = kappa / det, -drive.delta / det, drive.delta / det
         out1_scale = 2.0 * math.sqrt(rates.gamma1)
         signal_x, signal_y = drive.a0 * g_gamma0, drive.a0 * g_omega0
         cos_t, sin_t = math.cos(theta), math.sin(theta)
@@ -254,10 +148,14 @@ def general_spectra(
                 force_y += -HBAR * drive.a0 * g_gamma0 / math.sqrt(rates.gamma2)
             m = abs(force_y)
             s_ff += m * m
-        return s_out / gain ** 2, s_ff
+        s_xx = s_out / gain ** 2
     except (ZeroDivisionError, OverflowError) as exc:
         # free unless it raises: general_spectra is on the design path
         raise out_of_float_range("general_spectra", exc) from exc
+    # float products overflow to inf, and inf to nan, without raising
+    if not (math.isfinite(s_xx) and math.isfinite(s_ff)):
+        raise InvalidParameter(f"general_spectra leaves the float range ({s_xx}, {s_ff})")
+    return s_xx, s_ff
 
 
 def product_normalized(xi, big_a: float):
@@ -290,9 +188,10 @@ def homodyne_spectra(
 ) -> NoiseReport:
     """Closed-form optimal-angle spectra for the symmetric two-sided cavity.
 
-    Preconditions (asserted): resonant drive (delta = 0), symmetric ports
-    (gamma1 = gamma2); the forms are the low-frequency limit, drive.omega
-    is ignored.  Raises ZeroCoupling if both constants vanish.
+    Preconditions, each raising InvalidParameter when broken: resonant drive
+    (delta = 0), symmetric ports (gamma1 = gamma2) and a pump (a0 > 0); the
+    forms are the low-frequency limit, drive.omega is ignored.  Raises
+    ZeroCoupling if both constants vanish.
     """
     if drive.delta != 0.0:
         raise InvalidParameter("closed forms hold at resonant drive (delta = 0)")
@@ -406,7 +305,7 @@ def cooperativity_mate(
 ) -> float:
     """MATE cooperativity at its zero-dispersive point in the
     unresolved-sideband regime: C = M (t^2/t_m^2) (2 omega_m / gamma_mate)^2
-    with gamma_mate = c t^2 / (2 l)."""
+    with gamma_mate = c t^2 / (2 l) (mate.zero_dispersive_decay)."""
     if not math.isfinite(t + t_m + omega_m):
         require_finite(t=t, t_m=t_m, omega_m=omega_m)
     m_scale = mechanical_scale(wavelength, l, x_zpf, gamma_m, a0)
@@ -416,7 +315,7 @@ def cooperativity_mate(
         _require_amplitudes(t=t, t_m=t_m)
 
     def formula() -> float:
-        gamma_mate = C_LIGHT * t ** 2 / (2.0 * l)
+        gamma_mate = zero_dispersive_decay(t, l)
         return m_scale * (t / t_m) ** 2 * (2.0 * omega_m / gamma_mate) ** 2
 
     return in_float_range("cooperativity_mate", formula)

@@ -331,12 +331,16 @@ def _check_figures(tol: ToleranceProfile) -> CheckResult:
                        tol.limit_values, "fig2/fig3/fig4 anchor points")
 
 
-def _check_mate_resonances(tol: ToleranceProfile) -> CheckResult:
+def _mate_oracle_roots() -> tuple[mate_mod.MateConfig, list[float]]:
+    """The MATE oracle cavity and its resonances within one FSR of its k."""
     cfg = mate_mod.MateConfig(l=1e-4, x=1e-6, t=0.014, t_m=0.1,
                               wavelength=0.85e-6, phi_r=math.pi)
     fsr = math.pi / cfg.l
-    k0 = cfg.k
-    roots = mate_mod.mate_resonances(cfg, (k0 - fsr, k0 + fsr))
+    return cfg, mate_mod.mate_resonances(cfg, (cfg.k - fsr, cfg.k + fsr))
+
+
+def _check_mate_resonances(tol: ToleranceProfile) -> CheckResult:
+    cfg, roots = _mate_oracle_roots()
     worst_res = _worst(*(abs(mate_mod.resonance_residual(cfg, r)) for r in roots))
     k_errors = []
     for root in roots:
@@ -352,10 +356,7 @@ def _check_mate_resonances(tol: ToleranceProfile) -> CheckResult:
 
 
 def _check_mate_dkdx(tol: ToleranceProfile) -> CheckResult:
-    cfg = mate_mod.MateConfig(l=1e-4, x=1e-6, t=0.014, t_m=0.1,
-                              wavelength=0.85e-6, phi_r=math.pi)
-    fsr = math.pi / cfg.l
-    roots = mate_mod.mate_resonances(cfg, (cfg.k - fsr, cfg.k + fsr))
+    cfg, roots = _mate_oracle_roots()
     errors = []
     for root in roots:
         closed = mate_mod.mate_dispersive_constant(cfg, root).dk_dx

@@ -17,10 +17,10 @@ from optomech import (
     general_spectra,
     homodyne_spectra,
     product_normalized,
-    solve_fluctuations,
 )
 from optomech.constants import C_LIGHT, HBAR
-from optomech.noise import _force_coefficients, _psd, mechanical_scale
+from optomech.noise import mechanical_scale
+from noise_reference import INPUT_BASIS, homodyne, psd, reference_spectra, solve_outputs
 
 GAMMA = 1.0e8
 
@@ -30,32 +30,35 @@ def sym_rates(gamma3_frac=0.0):
 
 
 class TestFluctuationSolver:
+    """The module's equations solved by numpy (noise_reference.solve_outputs):
+    their physics, general_spectra against them, and the checks on the
+    rates and the drive."""
+
     def test_no_pump_no_signal(self):
-        sol = solve_fluctuations(sym_rates(), DriveConfig(a0=0.0), 3.0, 4.0)
-        assert sol.out1_signal[0] == 0.0
-        assert sol.out1_signal[1] == 0.0
-        assert sol.out1_psd(0.0) == pytest.approx(1.0, abs=1e-12)
-        assert sol.out1_psd(1.3) == pytest.approx(1.0, abs=1e-12)
+        noise, signal, _ = solve_outputs(sym_rates(), DriveConfig(a0=0.0), 3.0, 4.0)
+        assert signal[0] == 0.0
+        assert signal[1] == 0.0
+        assert psd(homodyne(noise, 0.0)) == pytest.approx(1.0, abs=1e-12)
+        assert psd(homodyne(noise, 1.3)) == pytest.approx(1.0, abs=1e-12)
 
     def test_dissipative_signal_gain(self):
         # X_out1 gain = 2 a0 g_gamma0 sqrt(gamma) / (gamma + gamma3/2)
         for frac in (0.0, 0.5, 1.0):
-            sol = solve_fluctuations(sym_rates(frac), DriveConfig(a0=1.0), 0.0, 5.0)
+            _, signal, _ = solve_outputs(sym_rates(frac), DriveConfig(a0=1.0), 0.0, 5.0)
             expected = 2 * 5.0 * math.sqrt(GAMMA) / (GAMMA + frac * GAMMA / 2)
-            assert sol.out1_signal[0] == pytest.approx(expected, rel=1e-14, abs=0.0)
-            assert sol.out1_signal[1] == 0.0
+            assert signal[0] == pytest.approx(expected, rel=1e-14, abs=0.0)
+            assert signal[1] == 0.0
 
     def test_dispersive_signal_appears_in_phase_quadrature(self):
-        sol = solve_fluctuations(sym_rates(), DriveConfig(a0=1.0), 7.0, 0.0)
-        assert sol.out1_signal[0] == 0.0
-        assert sol.out1_signal[1] == pytest.approx(2 * 7.0 / math.sqrt(GAMMA),
-                                                   rel=1e-14, abs=0.0)
+        _, signal, _ = solve_outputs(sym_rates(), DriveConfig(a0=1.0), 7.0, 0.0)
+        assert signal[0] == 0.0
+        assert signal[1] == pytest.approx(2 * 7.0 / math.sqrt(GAMMA), rel=1e-14, abs=0.0)
 
     def test_loss_scaling_of_gain(self):
         # doubling gamma3 rescales the gain by (gamma + gamma3/2)/(gamma + gamma3)
         drive = DriveConfig(delta=0.0, omega=1e-6 * GAMMA, a0=1.0)
-        g1 = abs(solve_fluctuations(sym_rates(0.3), drive, 0.0, 5.0).out1_signal[0])
-        g2 = abs(solve_fluctuations(sym_rates(0.6), drive, 0.0, 5.0).out1_signal[0])
+        g1 = abs(solve_outputs(sym_rates(0.3), drive, 0.0, 5.0)[1][0])
+        g2 = abs(solve_outputs(sym_rates(0.6), drive, 0.0, 5.0)[1][0])
         assert g2 / g1 == pytest.approx((GAMMA + 0.15 * GAMMA) / (GAMMA + 0.3 * GAMMA),
                                         rel=1e-9)
 
@@ -67,41 +70,29 @@ class TestFluctuationSolver:
             rates = PortRates(*(rng.uniform(0.1, 2.0, 3) * GAMMA))
             drive = DriveConfig(delta=rng.uniform(-2, 2) * GAMMA,
                                 omega=rng.uniform(-2, 2) * GAMMA, a0=0.0)
-            sol = solve_fluctuations(rates, drive, 0.0, 0.0)
+            noise, _, _ = solve_outputs(rates, drive, 0.0, 0.0)
             for theta in (0.0, 0.7, math.pi / 2):
-                assert sol.out1_psd(theta) == pytest.approx(1.0, abs=1e-12)
+                assert psd(homodyne(noise, theta)) == pytest.approx(1.0, abs=1e-12)
 
     def test_general_spectra_match_a_numpy_solve(self):
         # the detuned, lossy, asymmetric terms, which neither the closed
-        # forms nor the design queries reach: the drift matrix and the input
-        # matrix of the module's equations, solved by np.linalg.solve
+        # forms nor the design queries reach
         rng = np.random.default_rng(2026)
         for _ in range(250):
             g1, g2, g3 = rng.uniform(0.1, 2.0, 3) * GAMMA
             delta, omega = rng.choice([-1.0, 1.0], 2) * rng.uniform(0.05, 2.0, 2) * GAMMA
             a0, theta = rng.uniform(0.5, 2.0), rng.uniform(0.0, 2.0 * math.pi)
             g_w, g_g = rng.choice([-1.0, 1.0], 2) * rng.uniform(0.5, 5.0, 2)
-            kappa = (g1 + g2 + g3) / 2.0 - 1j * omega
-            drift = np.array([[kappa, delta], [-delta, kappa]])
-            inputs = np.zeros((2, 6))
-            for j, rate in enumerate((g1, g2, g3)):
-                inputs[0, 2 * j] = inputs[1, 2 * j + 1] = math.sqrt(rate) / 2.0
-            noise = np.linalg.solve(drift, inputs)
-            signal = np.linalg.solve(drift, a0 * np.array([g_g, g_w]))
-            out_noise = 2.0 * math.sqrt(g1) * noise - np.eye(2, 6)
-            combo = math.cos(theta) * out_noise[0] + math.sin(theta) * out_noise[1]
-            gain = 2.0 * math.sqrt(g1) * (math.cos(theta) * signal[0]
-                                          + math.sin(theta) * signal[1])
-            force = 2.0 * HBAR * a0 * g_w * noise[0]
-            force[3] -= HBAR * a0 * g_g / math.sqrt(g2)
+            rates = PortRates(g1, g2, g3)
+            drive = DriveConfig(delta=delta, omega=omega, a0=a0)
+            noise, signal, force = solve_outputs(rates, drive, g_w, g_g)
 
-            s_xx, s_ff = general_spectra(PortRates(g1, g2, g3),
-                                         DriveConfig(delta=delta, omega=omega, a0=a0),
-                                         g_w, g_g, theta)
+            s_xx, s_ff = general_spectra(rates, drive, g_w, g_g, theta)
             # abs=0: approx's default 1e-12 absolute slack exceeds any S_FF
-            assert s_xx == pytest.approx(np.sum(np.abs(combo) ** 2) / abs(gain) ** 2,
-                                         rel=1e-12, abs=0.0)
-            assert s_ff == pytest.approx(np.sum(np.abs(force) ** 2), rel=1e-12, abs=0.0)
+            assert s_xx == pytest.approx(
+                psd(homodyne(noise, theta)) / abs(homodyne(signal, theta)) ** 2,
+                rel=1e-12, abs=0.0)
+            assert s_ff == pytest.approx(psd(force), rel=1e-12, abs=0.0)
 
     def test_rates_must_be_positive(self):
         with pytest.raises(ValueError):
@@ -132,19 +123,9 @@ class TestFluctuationSolver:
         assert DriveConfig(delta=1e308, omega=1e308).a0 == 1.0
 
 
-def reference_spectra(rates, drive, g_omega0, g_gamma0, theta):
-    """general_spectra through the public row decomposition."""
-    sol = solve_fluctuations(rates, drive, g_omega0, g_gamma0)
-    if abs(sol.out1_gain(theta)) == 0.0:
-        raise ZeroCoupling("no signal transfer")
-    s_xx = sol.out1_psd(theta) / abs(sol.out1_gain(theta)) ** 2
-    s_ff = _psd(_force_coefficients(sol, rates, drive, g_omega0, g_gamma0))
-    return s_xx, s_ff
-
-
 class TestFusedSpectra:
     """general_spectra's one pass over the ports against the row
-    decomposition of solve_fluctuations, bit for bit."""
+    decomposition of noise_reference, bit for bit."""
 
     def test_bit_identical_to_the_row_decomposition(self):
         rng = np.random.default_rng(11)
@@ -255,24 +236,36 @@ class TestHomodyneSpectra:
             homodyne_spectra(sym_rates(), DriveConfig(a0=0.0), 1.0, 1.0)
 
 
-#: finite couplings whose spectra leave the float range: a square that
-#: overflows, a coupling sum that underflows to a zero divisor, and a product
-#: of one overflowed and one underflowed spectrum
+SYM, RESTING = sym_rates(), DriveConfig()
+
+#: finite arguments whose spectra leave the float range: a square that
+#: overflows, a coupling sum that underflows to a zero divisor, a product of
+#: one overflowed and one underflowed spectrum, and float products that
+#: overflow without raising (a strong pump; rates tiny against the couplings)
 OUT_OF_RANGE_SPECTRA = [
-    (general_spectra, (1e200, 1e200, 0.7)),
-    (general_spectra, (1e-200, 1e-200, 0.7)),
-    (homodyne_spectra, (1e200, 1e200)),
-    (homodyne_spectra, (1e-200, 1e-200)),
-    (homodyne_spectra, (1e-160, 1e-160)),
-    (homodyne_spectra, (1e154, 0.0)),
+    (general_spectra, SYM, RESTING, (1e200, 1e200, 0.7)),
+    (general_spectra, SYM, RESTING, (1e-200, 1e-200, 0.7)),
+    (homodyne_spectra, SYM, RESTING, (1e200, 1e200)),
+    (homodyne_spectra, SYM, RESTING, (1e-200, 1e-200)),
+    (homodyne_spectra, SYM, RESTING, (1e-160, 1e-160)),
+    (homodyne_spectra, SYM, RESTING, (1e154, 0.0)),
+    (general_spectra, SYM, DriveConfig(a0=1e300), (1e10, 1e10, 0.7)),
+    (general_spectra, PortRates(1e-150, 1e-150), RESTING, (1e200, 1e200, 0.7)),
 ]
 
 
-@pytest.mark.parametrize("spectra, couplings", OUT_OF_RANGE_SPECTRA,
-                         ids=[f"{f.__name__}{args}" for f, args in OUT_OF_RANGE_SPECTRA])
-def test_spectra_out_of_float_range_are_an_invalid_parameter(spectra, couplings):
+def _spectra_id(spectra, rates, drive, couplings):
+    setup = ("" if (rates, drive) == (SYM, RESTING)
+             else f"-gamma1={rates.gamma1:g}-a0={drive.a0:g}")
+    return f"{spectra.__name__}{couplings}{setup}"
+
+
+@pytest.mark.parametrize("spectra, rates, drive, couplings", OUT_OF_RANGE_SPECTRA,
+                         ids=[_spectra_id(*row) for row in OUT_OF_RANGE_SPECTRA])
+def test_spectra_out_of_float_range_are_an_invalid_parameter(spectra, rates, drive,
+                                                             couplings):
     with pytest.raises(InvalidParameter, match=f"^{spectra.__name__} leaves the float range"):
-        spectra(sym_rates(), DriveConfig(), *couplings)
+        spectra(rates, drive, *couplings)
 
 
 class TestGeneralSolverAgreement:
@@ -308,32 +301,32 @@ class TestGeneralSolverAgreement:
         # the output would carry angle-dependent excess noise
         rates = sym_rates(1.0)
         drive = DriveConfig(delta=0.0, omega=0.0, a0=1.0)
-        sol = solve_fluctuations(rates, drive, 3.0, 4.0)
+        noise, _, _ = solve_outputs(rates, drive, 3.0, 4.0)
         for theta in np.linspace(0, math.pi, 13):
-            assert sol.out1_psd(theta) == pytest.approx(1.0, abs=1e-12)
+            assert psd(homodyne(noise, theta)) == pytest.approx(1.0, abs=1e-12)
         # typo variant: port-3 noise entering Y as X_in3 correlates the
         # quadratures and inflates the noise by gamma gamma3 sin(2 theta)
         # / (gamma + gamma3/2)^2 at resonance
         kappa = GAMMA + 0.5 * GAMMA
-        typo = np.array(sol.out1_noise_rows())
-        typo[1, 4] = typo[1, 5]  # move the Y-row loss noise onto X_in3
-        typo[1, 5] = 0.0
+        x_in3, y_in3 = INPUT_BASIS.index("X_in3"), INPUT_BASIS.index("Y_in3")
+        typo = noise.copy()
+        typo[1, x_in3] = typo[1, y_in3]  # move the Y-row loss noise onto X_in3
+        typo[1, y_in3] = 0.0
         for theta in np.linspace(0.1, math.pi / 2 - 0.1, 7):
-            combo = math.cos(theta) * typo[0] + math.sin(theta) * typo[1]
-            psd = float(np.sum(np.abs(combo) ** 2))
+            typo_psd = psd(homodyne(typo, theta))
             excess = GAMMA * GAMMA * math.sin(2 * theta) / kappa ** 2
-            assert psd == pytest.approx(1.0 + excess, rel=1e-10)
-            assert psd > 1.0
+            assert typo_psd == pytest.approx(1.0 + excess, rel=1e-10)
+            assert typo_psd > 1.0
 
     def test_force_noise_matches_closed_form_pieces(self):
         rates = sym_rates(1.0)
         drive = DriveConfig(delta=0.0, omega=0.0, a0=1.5)
-        sol = solve_fluctuations(rates, drive, 0.0, 2.0)
-        coeffs = np.array(_force_coefficients(sol, rates, drive, 0.0, 2.0))
+        _, _, force = solve_outputs(rates, drive, 0.0, 2.0)
         # pure dissipative force: only Y_in2 contributes
+        y_in2 = INPUT_BASIS.index("Y_in2")
         expected = HBAR * 1.5 * 2.0 / math.sqrt(GAMMA)
-        assert abs(coeffs[3]) == pytest.approx(expected, rel=1e-14, abs=0.0)
-        assert np.sum(np.abs(np.delete(coeffs, 3))) == 0.0
+        assert abs(force[y_in2]) == pytest.approx(expected, rel=1e-14, abs=0.0)
+        assert np.sum(np.abs(np.delete(force, y_in2))) == 0.0
 
 
 class TestCooperativity:

@@ -1,6 +1,6 @@
-"""The public surface: bad arguments raise package errors, every name
-and command line the benchmark harness (perfbench/) uses still exists, and
-the README's library quick start runs."""
+"""The public surface: bad arguments raise package errors, every name in
+__all__ resolves, every name and command line the benchmark harness
+(perfbench/) uses still exists, and the README's library quick start runs."""
 
 import importlib
 import importlib.util
@@ -13,6 +13,7 @@ from pathlib import Path
 
 import pytest
 
+import optomech
 from optomech import (
     DriveConfig,
     InvalidParameter,
@@ -114,3 +115,12 @@ def test_readme_quick_start_runs(tmp_path):
     assert done.returncode == 0, done.stderr
     for name in ("mos.csv", "fig2.csv", "mos.csv.meta", "fig2.csv.meta"):
         assert (tmp_path / name).stat().st_size > 0, name
+
+
+def test_every_exported_name_resolves():
+    # a stale __all__ entry breaks every star-import
+    missing = [name for name in optomech.__all__ if not hasattr(optomech, name)]
+    assert missing == []
+    namespace = {}
+    exec("from optomech import *", namespace)
+    assert set(optomech.__all__) <= set(namespace)
