@@ -88,8 +88,8 @@ def mate_resonances(
     """All resonance wavevectors in [k_lo, k_hi], sorted ascending.
 
     Scans the residual on a uniform grid with step <= (pi/l)/SCAN_STEPS_PER_FSR,
-    brackets sign changes, and refines each by bisection to
-    |residual| < residual_tol.  Raises NoRootInWindow if none are found.
+    brackets sign changes, and refines each by regula falsi to
+    |residual| <= residual_tol.  Raises NoRootInWindow if none are found.
     """
     k_lo, k_hi = k_window
     if not (0.0 < k_lo < k_hi < math.inf):
@@ -164,7 +164,7 @@ def branch_wavevector(
 
     def h(k):
         # np.arccos can differ from math.acos in the last bit; the grid
-        # passes on only its signs, and bisection calls h with floats
+        # passes on only its signs, and regula falsi calls h with floats
         if isinstance(k, np.ndarray):
             arg = -np.cos(k * cfg.l + cfg.phi_r) / cfg.r_m
             beta = np.arccos(np.clip(arg, -1.0, 1.0))

@@ -334,7 +334,7 @@ def solve_resonance(cfg: MosConfig, n_mode: int | None = None) -> float:
 
     By default n is chosen so the root lies nearest the configured k.
     Intended as the brute-force reference for the closed-form dispersive
-    constant; bracketed bisection, residual refined below 1e-12.
+    constant; a bracketed root, regula falsi to |residual| <= 1e-12.
     """
     k0 = cfg.k
     if n_mode is None:

@@ -18,7 +18,7 @@ c tau^2 / (2 l); the coupling constants follow from mu = arg rho and tau:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 from .constants import C_LIGHT
 from .elements import reflectivity
@@ -87,15 +87,22 @@ class EffectiveMirror:
     tau: float
 
 
-def msi_effective_mirror(cfg: MsiConfig) -> EffectiveMirror:
-    """Effective input-mirror amplitudes (rho, tau) at displacement x."""
-    c2, s2 = cos_sin(2.0 * cfg.k * cfg.x)
+def _mirror_at(cfg: MsiConfig, x):
+    """(rho, tau, cos 2kx, sin 2kx) of cfg's effective mirror at the
+    displacement x in place of cfg.x; the one form of rho and tau."""
+    c2, s2 = cos_sin(2.0 * cfg.k * x)
     rho = (
         -2.0 * cfg.R_b * cfg.T_b * cfg.t_ms
         - (cfg.R_b ** 2 - cfg.T_b ** 2) * cfg.r_ms * c2
         + 1j * (cfg.r_ms * s2)
     )
     tau = cfg.t_ms * (cfg.T_b ** 2 - cfg.R_b ** 2) + 2.0 * cfg.R_b * cfg.T_b * cfg.r_ms * c2
+    return rho, tau, c2, s2
+
+
+def msi_effective_mirror(cfg: MsiConfig) -> EffectiveMirror:
+    """Effective input-mirror amplitudes (rho, tau) at displacement x."""
+    rho, tau, _, _ = _mirror_at(cfg, cfg.x)
     return EffectiveMirror(rho=rho, tau=tau)
 
 
@@ -116,9 +123,13 @@ def msi_couplings(cfg: MsiConfig) -> MsiCouplings:
     arg rho, i.e. -2 k r_ms (2 t_ms R_b T_b cos 2kx - r_ms (T_b^2 - R_b^2))
     divided by |rho|^2 (the |rho|^2 factor matters away from |tau| << 1).
     """
-    em = msi_effective_mirror(cfg)
-    c2, s2 = cos_sin(2.0 * cfg.k * cfg.x)
-    rho_sq = abs(em.rho) ** 2
+    return _couplings_at(cfg, cfg.x)
+
+
+def _couplings_at(cfg: MsiConfig, x) -> MsiCouplings:
+    """msi_couplings of cfg at the displacement x in place of cfg.x."""
+    rho, tau, c2, s2 = _mirror_at(cfg, x)
+    rho_sq = abs(rho) ** 2
     if any_true(rho_sq == 0.0):
         raise DegenerateDenominator(
             "effective mirror is fully transmissive (rho = 0); phase undefined"
@@ -131,12 +142,12 @@ def msi_couplings(cfg: MsiConfig) -> MsiCouplings:
     dmu = dmu_num / rho_sq
     c_over_2l = C_LIGHT / (2.0 * cfg.l)
     return MsiCouplings(
-        gamma_ms=c_over_2l * em.tau ** 2,
+        gamma_ms=c_over_2l * tau ** 2,
         g_omega0=c_over_2l * dmu,
-        g_gamma0=-c_over_2l * em.tau * dtau,
+        g_gamma0=-c_over_2l * tau * dtau,
         dtau_dx=dtau,
         dmu_dx=dmu,
-        T_ms=em.tau ** 2,
+        T_ms=tau ** 2,
     )
 
 
@@ -179,7 +190,8 @@ def msi_zero_dispersive(cfg: MsiConfig, branch: int = 0) -> MsiZeroDispersive:
     else:
         two_kx = -theta + math.pi * (branch + 1)
     x_star = two_kx / (2.0 * cfg.k)
-    at_star = msi_couplings(replace(cfg, x=x_star))
+    require_finite(x=x_star)  # as a config at x_star would
+    at_star = _couplings_at(cfg, x_star)
     # at the locus tau collapses to (T_b^2 - R_b^2) / t_ms
     tau_star = (cfg.T_b ** 2 - cfg.R_b ** 2) / cfg.t_ms
     t_ms_power = tau_star ** 2

@@ -131,6 +131,10 @@ def general_spectra(
         force_scale = 2.0 * HBAR * drive.a0 * g_omega0
         s_out = s_ff = 0.0
         for port, gamma in enumerate((rates.gamma1, rates.gamma2, rates.gamma3)):
+            # a closed port's terms are exact zeros.  Port 1's -1 vacuum term
+            # is never skipped: gamma1 == 0 has raised ZeroCoupling above
+            if gamma == 0.0:
+                continue
             # the port's (X_in, Y_in) drive X with (diag, xy) amp, Y with (yx, diag) amp
             amp = math.sqrt(gamma) / 2.0
             x_x, x_y, y_x = diag * amp, xy * amp, yx * amp

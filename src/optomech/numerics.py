@@ -6,8 +6,8 @@ closed-form derivatives.  The first three helpers serve the closed forms
 that take either a float or a numpy array; in_float_range screens the
 result of a scalar closed form.  grid_brackets and grid_roots sample their
 f on a whole grid in one call, so that f takes a float or a numpy array
-too.  bisect refines one bracket of floats, or an array of brackets at
-once, each element by the same steps as the float path.
+too; grid_roots refines each bracket by regula falsi.  bisect refines one
+bracket of floats, or an array of brackets at once, each by the float path's steps.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from .errors import InvalidParameter
 #: gap step (m) of the Richardson derivative of a re-solved resonance
 RESONANCE_GAP_STEP = 1e-12
 
-#: iteration cap of bisect
+#: iteration cap of bisect and of grid_roots' regula falsi
 BISECT_MAX_ITER = 200
 
 
@@ -96,7 +96,8 @@ def bisect(
     xtol: float = 0.0,
     ftol: float = 1e-12,
 ) -> float:
-    """Bisection on a bracketing interval [lo, hi].
+    """Bisection on a bracketing interval [lo, hi] (grid_roots refines by
+    _regula_falsi instead).
 
     Iterates until |f| <= ftol or the interval shrinks below xtol, at most
     BISECT_MAX_ITER times.
@@ -163,6 +164,34 @@ def _bisect_array(f: Callable, lo: np.ndarray, hi: np.ndarray, f_lo, f_hi,
     return np.where(done, root, 0.5 * (a + b))
 
 
+def _regula_falsi(f: Callable[[float], float], a: float, b: float, fa: float,
+                  fb: float, xtol: float = 0.0, ftol: float = 1e-12) -> float:
+    """A root of f on a bracket a < b, fa = f(a) and fb = f(b) of opposite
+    signs, by Illinois regula falsi (Dowell & Jarratt, BIT 11, 168 (1971)):
+    an end kept twice in a row has its f halved, so that both ends close in.
+    An iterate outside (a, b) falls back to the midpoint.  bisect's stops:
+    the iterate once |f| <= ftol or b - a <= xtol, else the midpoint after
+    BISECT_MAX_ITER iterates.  Sides go by sign, not by an underflowing product."""
+    a_neg = fa < 0.0
+    kept = 0  # +1 after a step that kept b, -1 after one that kept a
+    for _ in range(BISECT_MAX_ITER):
+        m = a - fa * (b - a) / (fb - fa)
+        if not a < m < b:  # rounding, or an inf or NaN weight
+            m = 0.5 * (a + b)
+        fm = f(m)
+        if abs(fm) <= ftol or (b - a) <= xtol:
+            return m
+        if (fm < 0.0) == a_neg:
+            a, fa = m, fm
+            fb *= 0.5 if kept > 0 else 1.0
+            kept = 1
+        else:
+            b, fb = m, fm
+            fa *= 0.5 if kept < 0 else 1.0
+            kept = -1
+    return 0.5 * (a + b)
+
+
 def sign_change_brackets(
     grid: Sequence[float], values: Sequence[float]
 ) -> list[tuple[float, float, float, float]]:
@@ -212,13 +241,14 @@ def grid_roots(f: Callable, lo: float, hi: float, steps: int,
                near: float | None = None, **bisect_tol: float) -> list[float]:
     """Roots of f on [lo, hi], in ascending order.
 
-    Each sign change of f on the grid of grid_brackets is refined with
-    bisect(**bisect_tol) through scalar calls.  A node where f is exactly
-    zero is returned as is.  With near, only the bracket whose midpoint
-    lies closest to near is refined.  No sign change gives [].
+    Each sign change of f on the grid of grid_brackets is refined by
+    _regula_falsi(**bisect_tol), bisect's xtol and ftol, through scalar
+    calls.  A node where f is exactly zero is returned as is.  With near,
+    only the bracket whose midpoint lies closest to near is refined.  No
+    sign change gives [].
     """
     brackets = grid_brackets(f, lo, hi, steps)
     if near is not None and brackets:
         brackets = [min(brackets, key=lambda br: abs(0.5 * (br[0] + br[1]) - near))]
-    return [a if a == b else bisect(f, a, b, f_lo=fa, f_hi=fb, **bisect_tol)
+    return [a if a == b else _regula_falsi(f, a, b, fa, fb, **bisect_tol)
             for a, b, fa, fb in brackets]

@@ -120,6 +120,13 @@ class TestZeroDispersive:
         with pytest.raises(InvalidParameter, match="branch must be an integer"):
             msi_zero_dispersive(make_cfg(), branch=branch)
 
+    @pytest.mark.parametrize("k, branch", [(5e-324, 0), (1.0, 1e308)])
+    def test_displacement_out_of_the_float_range_rejected(self, k, branch):
+        # x* = 2kx*/(2k) overflows: rejected as a config at x* rejects it
+        cfg = MsiConfig(r_ms=0.9, l=L_REF, k=k, Tb_sq=0.48)
+        with pytest.raises(InvalidParameter, match="x must be finite, got inf"):
+            msi_zero_dispersive(cfg, branch=branch)
+
     def test_tau_at_locus(self):
         zd = msi_zero_dispersive(make_cfg(r_ms=0.9, Tb_sq=0.48))
         assert zd.tau_star == pytest.approx(-0.0917662935482, abs=1e-12)

@@ -28,13 +28,13 @@ def test_exact_zero_at_a_node_is_returned_unrefined():
 
 def test_near_refines_only_the_nearest_bracket(monkeypatch):
     refined = []
-    real_bisect = numerics.bisect
+    real_refiner = numerics._regula_falsi
 
-    def spy(f, a, b, **kwargs):
+    def spy(f, a, b, fa, fb, **kwargs):
         refined.append((a, b))
-        return real_bisect(f, a, b, **kwargs)
+        return real_refiner(f, a, b, fa, fb, **kwargs)
 
-    monkeypatch.setattr(numerics, "bisect", spy)
+    monkeypatch.setattr(numerics, "_regula_falsi", spy)
     roots = grid_roots(np.sin, 0.5, 10.0, 100, near=6.0, ftol=1e-14)
     assert roots == pytest.approx([2 * math.pi], abs=1e-13)
     assert len(refined) == 1 and refined[0][0] < 2 * math.pi < refined[0][1]
@@ -46,14 +46,107 @@ def test_no_sign_change_gives_empty_list():
 
 
 def test_tolerances_reach_bisect():
-    # a coarse xtol stops the bisection far from the root; ftol=0 keeps it
-    # from stopping on the residual
-    coarse = grid_roots(lambda x: x - 0.3, 0.0, 1.0, 1, ftol=0.0, xtol=0.1)
-    fine = grid_roots(lambda x: x - 0.3, 0.0, 1.0, 1, ftol=0.0, xtol=1e-15)
-    assert abs(coarse[0] - 0.3) > 1e-3
-    assert abs(fine[0] - 0.3) < 1e-14
-    loose = grid_roots(lambda x: x - 0.3, 0.0, 1.0, 1, ftol=0.2)
-    assert loose == [0.5]  # the first midpoint already meets |f| <= 0.2
+    # a coarse xtol stops the refinement far from the root; ftol=0 keeps it
+    # from stopping on the residual.  f is convex, so that regula falsi
+    # closes in over several iterates (it solves a linear f in one)
+    def f(x):
+        return x ** 10 - 0.5
+
+    root = 0.5 ** 0.1
+    coarse = grid_roots(f, 0.0, 1.0, 1, ftol=0.0, xtol=0.1)
+    fine = grid_roots(f, 0.0, 1.0, 1, ftol=0.0, xtol=1e-15)
+    assert abs(coarse[0] - root) > 1e-3
+    assert abs(fine[0] - root) < 1e-14
+    iterates = []
+
+    def spy(x):
+        if not isinstance(x, np.ndarray):
+            iterates.append(x)
+        return f(x)
+
+    loose = grid_roots(spy, 0.0, 1.0, 1, ftol=0.5)
+    assert loose == iterates and len(iterates) == 1  # |f| <= 0.5 at the first
+
+
+def _recording(f):
+    """f, and the list of the points it is called at."""
+    calls = []
+
+    def spy(x):
+        calls.append(x)
+        return f(x)
+
+    return spy, calls
+
+
+def _step(x):
+    return -1.0 if x < 1.0 / 3.0 else 1.0
+
+
+@pytest.mark.parametrize("f, a, b", [
+    (lambda x: x ** 10 - 0.5, 0.0, 1.0),               # convex: one end would stick
+    (lambda x: math.atan(1e6 * (x - 0.3)), -2.0, 5.0),  # near a step
+    (lambda x: math.exp(x) - 2.0, -700.0, 700.0),       # 1e304 against -2
+    (lambda x: 1e300 * (x - 0.1), -1e10, 1e10),         # secant products overflow
+    (lambda x: 1e-300 * (x - 0.1), -1.0, 1.0),          # and underflow
+    (_step, 0.0, 1.0),
+])
+def test_regula_falsi_never_leaves_its_bracket(f, a, b):
+    spy, calls = _recording(f)
+    for tol in (dict(), dict(ftol=0.0, xtol=0.0), dict(ftol=0.0, xtol=1e-9)):
+        calls.clear()
+        root = numerics._regula_falsi(spy, a, b, f(a), f(b), **tol)
+        assert calls and all(a <= x <= b for x in calls)
+        assert a <= root <= b
+
+
+def test_regula_falsi_stops_on_ftol_at_the_first_iterate_that_meets_it():
+    spy, calls = _recording(lambda x: x ** 3 - 2.0)
+    root = numerics._regula_falsi(spy, 1.0, 2.0, -1.0, 6.0, ftol=1e-9)
+    assert root == calls[-1] and abs(root ** 3 - 2.0) <= 1e-9
+    assert all(abs(x ** 3 - 2.0) > 1e-9 for x in calls[:-1])
+
+
+def test_regula_falsi_stops_on_xtol_within_xtol_of_the_root():
+    # ftol=0 never stops it: 2 ** (1/3) is no float
+    spy, calls = _recording(lambda x: x ** 3 - 2.0)
+    root = numerics._regula_falsi(spy, 1.0, 2.0, -1.0, 6.0, ftol=0.0, xtol=1e-2)
+    assert root == calls[-1] and abs(root - 2.0 ** (1.0 / 3.0)) <= 1e-2
+    assert len(calls) < BISECT_MAX_ITER
+    # a tighter xtol takes more iterates, and lands closer
+    spy, fine_calls = _recording(lambda x: x ** 3 - 2.0)
+    fine = numerics._regula_falsi(spy, 1.0, 2.0, -1.0, 6.0, ftol=0.0, xtol=1e-15)
+    assert len(fine_calls) > len(calls) and abs(fine - 2.0 ** (1.0 / 3.0)) <= 1e-15
+
+
+def test_regula_falsi_on_a_sign_step_returns_the_midpoint_after_the_cap():
+    spy, calls = _recording(_step)
+    root = numerics._regula_falsi(spy, 0.0, 1.0, -1.0, 1.0, ftol=0.0, xtol=0.0)
+    assert len(calls) == BISECT_MAX_ITER
+    a = max([0.0] + [x for x in calls if x < 1.0 / 3.0])
+    b = min([1.0] + [x for x in calls if x >= 1.0 / 3.0])
+    assert root == 0.5 * (a + b)
+    assert math.nextafter(a, 1.0) == b  # the bracket closed to one ulp
+
+
+@pytest.mark.parametrize("c", [0.5, 1e-3])
+def test_regula_falsi_closes_in_where_plain_regula_falsi_stalls(c):
+    # on the convex x**10 - c plain regula falsi keeps the end at 1 and
+    # creeps in from 0, ever slower as c falls; the halved weight of the
+    # kept end moves it too
+    def f(x):
+        return x ** 10 - c
+
+    spy, calls = _recording(f)
+    root = numerics._regula_falsi(spy, 0.0, 1.0, -c, 1.0 - c, ftol=1e-15)
+    assert abs(f(root)) <= 1e-15 and len(calls) <= 25
+    a, fa, plain = 0.0, -c, 0
+    while abs(fa) > 1e-15 and plain < 10000:  # plain regula falsi from the left
+        a = a - fa * (1.0 - a) / ((1.0 - c) - fa)
+        fa, plain = f(a), plain + 1
+    assert plain > 2 * len(calls)
+    if c < 0.01:
+        assert plain > 100 * len(calls)
 
 
 def _loop_brackets(grid, values):
@@ -108,6 +201,29 @@ def _design_draws(n):
         t_m = rng.uniform(0.03, 0.15)
         yield dict(t=rng.uniform(1.05 * t_m ** 2, 0.2 * t_m), t_m=t_m,
                    l=10.0 ** rng.uniform(-5.0, -3.0), wavelength=rng.uniform(0.8e-6, 1.6e-6))
+
+
+def test_design_resonances_take_few_residual_evaluations_per_root(monkeypatch):
+    # the design queries' MATE scan over +-1 FSR: every root meets the
+    # residual gate, and regula falsi reaches it in a few scalar calls
+    scalar_calls = []
+    real_residual = mate.resonance_residual
+
+    def counting(cfg, k):
+        if not isinstance(k, np.ndarray):
+            scalar_calls.append(k)
+        return real_residual(cfg, k)
+
+    monkeypatch.setattr(mate, "resonance_residual", counting)
+    n_roots = 0
+    for p in _design_draws(128):
+        cfg = mate.MateConfig(x=p["l"] * p["t_m"] ** 2 / 4000.0, **p)
+        fsr = math.pi / cfg.l
+        roots = mate.mate_resonances(cfg, (cfg.k - fsr, cfg.k + fsr))
+        assert all(abs(real_residual(cfg, k)) < 1e-12 for k in roots)
+        n_roots += len(roots)
+    assert n_roots >= 128
+    assert len(scalar_calls) / n_roots <= 4.0
 
 
 def _resonance_grids(monkeypatch):

@@ -13,7 +13,7 @@ import pytest
 from optomech import PROFILES, ToleranceProfile, run_validation
 from optomech import elements, mos, validation
 from optomech.elements import ElementSpec, ScatteringMatrix, unitarity_defect
-from optomech.numerics import central_diff_5pt, grid_roots
+from optomech.numerics import bisect, central_diff_5pt, grid_brackets
 
 import scalar_reference
 
@@ -276,7 +276,8 @@ def _loop_locus_oracle(rng, tol, samples):
         def dmu(psi):
             return validation.synthetic_response(psi, mirror, membrane).dmu_dpsi
 
-        roots = grid_roots(dmu, 1e-3, 2.0 * math.pi - 1e-3, 4000, ftol=0.0, xtol=1e-13)
+        roots = [bisect(dmu, a, b, f_lo=fa, f_hi=fb, ftol=0.0, xtol=1e-13)
+                 for a, b, fa, fb in grid_brackets(dmu, 1e-3, 2.0 * math.pi - 1e-3, 4000)]
         if len(roots) != 2:
             return validation.CheckResult(
                 "zero_dispersive_locus_oracle", False, float(len(roots)), 2.0,
