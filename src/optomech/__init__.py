@@ -38,7 +38,6 @@ from .mate import (
 from .mos import (
     MosConfig,
     OperatingPoint,
-    dissipative_constant_asymptotic,
     dissipative_constant_exact,
     exact_corrections,
     operating_point,
@@ -95,7 +94,6 @@ __all__ = [
     "operating_point",
     "zero_dispersive_locus",
     "dissipative_constant_exact",
-    "dissipative_constant_asymptotic",
     "exact_corrections",
     "two_port_setpoint",
     "solve_resonance",

@@ -209,10 +209,6 @@ class ScatteringMatrix:
         entries = np.broadcast_arrays(self.m11, self.m12, self.m21, self.m22)
         return np.stack(entries, axis=-1).reshape(entries[0].shape + (2, 2))
 
-    def unitarity_defect(self) -> float:
-        """Max entrywise deviation of S^dagger S from the identity."""
-        return unitarity_defect(self.as_array())
-
 
 def unitarity_defect(s: np.ndarray) -> float:
     """Max entrywise deviation of S^dagger S from the identity over a 2x2

@@ -175,14 +175,6 @@ def _reflectivities(t: float, t_m: float) -> tuple[float, float]:
     return reflectivity(t), reflectivity(t_m)
 
 
-def _rate_scale(k: float, l: float) -> float:
-    """c k / l of a finite, positive wavevector k and length l."""
-    require_finite(k=k, l=l)
-    if not (k > 0.0 and l > 0.0):
-        raise InvalidParameter(f"k and l must be positive, got k={k}, l={l}")
-    return C_LIGHT * k / l
-
-
 def zero_dispersive_locus(t: float, t_m: float) -> ZeroDispersiveLocus:
     """Phases psi* with dmu/dpsi = 0:  cos psi* = -r_m (1+r^2) / (r (1+r_m^2)).
 
@@ -217,27 +209,20 @@ def dissipative_constant_exact(t: float, t_m: float, k: float, l: float) -> floa
     finite and positive, or where the result leaves the float range.
     """
     r, r_m = _reflectivities(t, t_m)
-    scale = _rate_scale(k, l)
+    require_finite(k=k, l=l)
+    if not (k > 0.0 and l > 0.0):
+        raise InvalidParameter(f"k and l must be positive, got k={k}, l={l}")
     if r_m > r:
         raise NoZeroDispersivePoint(
             f"membrane more reflective than the mirror (r_m={r_m:.6g} > r={r:.6g})"
         )
     one_minus = 1.0 - r_m * r_m * r * r
     return in_float_range("dissipative_constant_exact", lambda: (
-        scale
+        C_LIGHT * k / l
         * (t / t_m) ** 2
         * 2.0 * r_m * (1.0 + r_m * r_m) / one_minus
         * math.sqrt((r * r - r_m * r_m) / one_minus)
     ))
-
-
-def dissipative_constant_asymptotic(t: float, t_m: float, k: float, l: float) -> float:
-    """Thin-membrane limit of dissipative_constant_exact:
-    (c k / l) (t^2/t_m^4) * 2 r_m (1 + r_m^2), with the same input checks."""
-    _, r_m = _reflectivities(t, t_m)
-    scale = _rate_scale(k, l)
-    return in_float_range("dissipative_constant_asymptotic", lambda: (
-        scale * (t ** 2 / t_m ** 4) * 2.0 * r_m * (1.0 + r_m * r_m)))
 
 
 @dataclass(frozen=True)
@@ -261,9 +246,15 @@ def exact_corrections(cfg: MosConfig) -> ExactCorrections:
         dgamma_dx_exact = c t_m^2 ((l t_m^2 / T^2) T' - 1)
                           / (2 (l t_m^2 / T + x)^2)
 
-    Each reduces to its thin-tandem counterpart as x -> 0.
+    Each reduces to its thin-tandem counterpart as x -> 0.  InvalidParameter
+    where T^2 is 0: at t = 0, or at a t so small that T or T^2 underflows.
     """
     resp = synthetic_response(cfg.psi, cfg.mirror, cfg.membrane)
+    if any_true(resp.T ** 2 == 0.0):
+        raise InvalidParameter(
+            f"the exact corrections need a tandem transmission T with T^2 > 0, "
+            f"got T^2 = 0 at t={cfg.t}"
+        )
     mu_p = 2.0 * resp.dmu_dpsi  # dmu/d(kx)
     dT_dx = 2.0 * cfg.k * resp.dT_dpsi
     g_omega = -(cfg.omega_c * mu_p / (2.0 * cfg.l)) / (

@@ -164,11 +164,17 @@ def general_spectra(
 
 def product_normalized(xi, big_a: float):
     """Backaction-imprecision product in units of hbar^2/4:
-    (A^2 + 2 A xi^2) / (1 + xi^2), elementwise for an array xi; its limit
-    2 A at infinite xi."""
-    with np.errstate(invalid="ignore"):  # inf/inf, replaced by the limit
+    (A^2 + 2 A xi^2) / (1 + xi^2), elementwise for an array xi.  Where xi^2
+    overflows that quotient, the same one as 2 A + (A - 2) A / (1 + xi^2),
+    which is its limit 2 A at infinite xi."""
+    xi = np.asarray(xi, dtype=float)
+    with np.errstate(over="ignore", invalid="ignore"):  # replaced below
         product = (big_a ** 2 + 2.0 * big_a * xi ** 2) / (1.0 + xi ** 2)
-    return np.where(np.isinf(xi), 2.0 * big_a, product)[()]
+        far = ~np.isfinite(product) & ~np.isnan(xi)
+        if far.any():
+            limit = 2.0 * big_a + (big_a - 2.0) * (big_a / (1.0 + xi ** 2))
+            product = np.where(far, limit, product)
+    return product[()]
 
 
 @dataclass(frozen=True)
@@ -193,14 +199,16 @@ def homodyne_spectra(
     """Closed-form optimal-angle spectra for the symmetric two-sided cavity.
 
     Preconditions, each raising InvalidParameter when broken: resonant drive
-    (delta = 0), symmetric ports (gamma1 = gamma2) and a pump (a0 > 0); the
-    forms are the low-frequency limit, drive.omega is ignored.  Raises
-    ZeroCoupling if both constants vanish.
+    (delta = 0), symmetric open ports (gamma1 = gamma2 > 0) and a pump
+    (a0 > 0); the forms are the low-frequency limit, drive.omega is ignored.
+    Raises ZeroCoupling if both constants vanish.
     """
     if drive.delta != 0.0:
         raise InvalidParameter("closed forms hold at resonant drive (delta = 0)")
     if rates.gamma1 != rates.gamma2:
         raise InvalidParameter("closed forms hold for a symmetric cavity (gamma1 = gamma2)")
+    if rates.gamma1 == 0.0:
+        raise InvalidParameter("closed forms need open ports (gamma1 = gamma2 > 0)")
     if not math.isfinite(g_omega0 + g_gamma0):
         require_finite(g_omega0=g_omega0, g_gamma0=g_gamma0)
     if g_omega0 == 0.0 and g_gamma0 == 0.0:

@@ -6,8 +6,9 @@ closed-form derivatives.  The first three helpers serve the closed forms
 that take either a float or a numpy array; in_float_range screens the
 result of a scalar closed form.  grid_brackets and grid_roots sample their
 f on a whole grid in one call, so that f takes a float or a numpy array
-too; grid_roots refines each bracket by regula falsi.  bisect refines one
-bracket of floats, or an array of brackets at once, each by the float path's steps.
+too; grid_roots refines each bracket by regula falsi.  bisect refines an
+array of brackets at once, each element by the steps of the float bisection
+in tests/scalar_reference.py, which it equals bit for bit.
 """
 
 from __future__ import annotations
@@ -86,60 +87,20 @@ def central_diff_richardson(f: Callable[[float], float], x: float, h: float) -> 
     return (4 * d2 - d1) / 3
 
 
-def bisect(
-    f: Callable[[float], float],
-    lo: float,
-    hi: float,
-    *,
-    f_lo: float | None = None,
-    f_hi: float | None = None,
-    xtol: float = 0.0,
-    ftol: float = 1e-12,
-) -> float:
-    """Bisection on a bracketing interval [lo, hi] (grid_roots refines by
-    _regula_falsi instead).
+def bisect(f: Callable, lo: np.ndarray, hi: np.ndarray, *, f_lo=None, f_hi=None,
+           xtol: float = 0.0, ftol: float = 1e-12) -> np.ndarray:
+    """Bisection of an array of brackets [lo, hi] at once, f mapping an
+    array of their shape elementwise (grid_roots refines by _regula_falsi
+    instead).  f_lo and f_hi, if given, are f(lo) and f(hi).
 
-    Iterates until |f| <= ftol or the interval shrinks below xtol, at most
-    BISECT_MAX_ITER times.
-    Raises ValueError if [lo, hi] does not bracket a sign change.
-
-    lo and hi may instead be numpy arrays of brackets (f_lo, f_hi likewise),
-    with f mapping an array of that shape elementwise: every bracket is then
-    refined at once and the result is an array, each element equal to the
-    float call on its bracket (see _bisect_array).
+    Each element takes the steps of a float bisection: a zero endpoint is
+    the root, the midpoint is the root once |f(mid)| <= ftol or b - a <=
+    xtol, the side is [a, mid] where fa * f(mid) <= 0, and the midpoint of
+    what is left after BISECT_MAX_ITER steps.  f sees every element at each
+    step; a finished element's value is kept and its later midpoints are
+    ignored.  Products over- and underflow silently, as they do in floats.
+    Raises ValueError naming the first bracket without a sign change.
     """
-    if isinstance(lo, np.ndarray):
-        return _bisect_array(f, lo, hi, f_lo, f_hi, xtol, ftol)
-    a, b = float(lo), float(hi)
-    fa = f(a) if f_lo is None else f_lo
-    fb = f(b) if f_hi is None else f_hi
-    if fa == 0.0:
-        return a
-    if fb == 0.0:
-        return b
-    if fa * fb > 0.0:
-        raise ValueError(f"no sign change on [{lo}, {hi}]")
-    for _ in range(BISECT_MAX_ITER):
-        m = 0.5 * (a + b)
-        fm = f(m)
-        if abs(fm) <= ftol or (b - a) <= xtol:
-            return m
-        if fa * fm <= 0.0:
-            b, fb = m, fm
-        else:
-            a, fa = m, fm
-    return 0.5 * (a + b)
-
-
-def _bisect_array(f: Callable, lo: np.ndarray, hi: np.ndarray, f_lo, f_hi,
-                  xtol: float, ftol: float) -> np.ndarray:
-    """bisect over an array of brackets.  Each element takes the float
-    path's steps: a zero endpoint is the root, the midpoint is the root once
-    |f(mid)| <= ftol or b - a <= xtol, the side is [a, mid] where
-    fa * f(mid) <= 0, and the midpoint of what is left after
-    BISECT_MAX_ITER steps.  f sees every element at each step; a finished
-    element's value is kept and its later midpoints are ignored.  Products
-    over- and underflow silently, as they do in floats."""
     a = np.array(lo, dtype=float)
     b = np.array(hi, dtype=float)
     fa = f(a) if f_lo is None else np.asarray(f_lo, dtype=float)

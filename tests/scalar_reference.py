@@ -1,13 +1,18 @@
-"""The scalar cmath formulas of the element and tandem matrices, one Python
+"""Scalar references of the library's array kernels, sharing no code with
+them, so that the tests compare two independent evaluations.
+
+The scalar cmath formulas of the element and tandem matrices, one Python
 complex expression per entry, as the matrix kernels of optomech.elements
-must reproduce them to rounding.  They share no code with the kernels, so
-that the tests compare two independent evaluations."""
+must reproduce them to rounding; and the float bisection of one bracket,
+whose steps optomech.numerics.bisect takes on each element of an array of
+brackets, so that each of its roots equals this one bit for bit."""
 
 import cmath
 
 import numpy as np
 
 from optomech.elements import ScatteringMatrix
+from optomech.numerics import BISECT_MAX_ITER
 
 
 def element_scattering(spec):
@@ -52,3 +57,31 @@ def compose_synthetic_by_elimination(mirror, membrane, x, k):
         w = np.linalg.solve(a, b)
         cols.append((w[2], w[3]))  # (u3, g2)
     return ScatteringMatrix(cols[0][0], cols[1][0], cols[0][1], cols[1][1])
+
+
+def bisect(f, lo, hi, *, f_lo=None, f_hi=None, xtol=0.0, ftol=1e-12):
+    """Bisection on a bracketing interval [lo, hi] of floats.
+
+    Iterates until |f| <= ftol or the interval shrinks below xtol, at most
+    BISECT_MAX_ITER times.
+    Raises ValueError if [lo, hi] does not bracket a sign change.
+    """
+    a, b = float(lo), float(hi)
+    fa = f(a) if f_lo is None else f_lo
+    fb = f(b) if f_hi is None else f_hi
+    if fa == 0.0:
+        return a
+    if fb == 0.0:
+        return b
+    if fa * fb > 0.0:
+        raise ValueError(f"no sign change on [{lo}, {hi}]")
+    for _ in range(BISECT_MAX_ITER):
+        m = 0.5 * (a + b)
+        fm = f(m)
+        if abs(fm) <= ftol or (b - a) <= xtol:
+            return m
+        if fa * fm <= 0.0:
+            b, fb = m, fm
+        else:
+            a, fa = m, fm
+    return 0.5 * (a + b)

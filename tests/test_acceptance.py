@@ -25,7 +25,7 @@ from optomech import (
     reproduce_figure,
     two_port_setpoint,
 )
-from optomech.numerics import bisect, bracket_roots
+from optomech.numerics import bracket_roots
 from optomech.validation import (
     PROFILES,
     CheckResult,
@@ -37,6 +37,8 @@ from optomech.validation import (
     _check_response_derivatives,
     _check_unitarity,
 )
+
+import scalar_reference
 
 DEFAULT = PROFILES["default"]
 
@@ -166,7 +168,7 @@ def _resonant_at_psi(cfg: MateConfig, psi: float) -> tuple[float, float]:
     brackets = bracket_roots(residual, grid)
     assert brackets
     a, b, fa, fb = brackets[0]
-    z = bisect(residual, a, b, f_lo=fa, f_hi=fb, ftol=1e-13)
+    z = scalar_reference.bisect(residual, a, b, f_lo=fa, f_hi=fb, ftol=1e-13)
     k = z / cfg.l
     return k, two_kx / (2 * k)
 

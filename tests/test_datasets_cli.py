@@ -395,6 +395,33 @@ class TestCli:
         assert out.exists()
         assert "mos" in capsys.readouterr().out
 
+    def test_compare_at_its_defaults_is_pinned_byte_for_byte(self, tmp_path):
+        out = tmp_path / "compare.csv"
+        assert main(["compare", "--out", str(out)]) == 0
+        assert out.read_text() == (
+            "system,g_gamma0,gamma,cooperativity,"
+            "g_ratio_mos,gamma_ratio_mos,coop_ratio_mos,error\n"
+            "mos,8.6869578162949456e+19,58759321767.999985,1.2842768403631357,"
+            "1,1,1,\n"
+            "msi,1.8302370635460539e+18,12622840336.842203,6.6619814050465573e-11,"
+            "47.463566274109375,4.6549999999999629,19277700766.175594,\n"
+            "mate,43434789081474736,293796608.84000003,1.4878703648671455e-09,"
+            "1999.9999999999995,199.99999999999991,863164473.65883994,\n"
+        )
+        assert (tmp_path / "compare.csv.meta").read_text() == (
+            "param.a0 = 1\n"
+            "param.gamma_m = 0.10000000000000001\n"
+            "param.l = 0.0001\n"
+            "param.msi_Tb_sq = 0.47999999999999998\n"
+            "param.msi_r_ms = 0.90000000000000002\n"
+            "param.omega_m = 1000000\n"
+            "param.t = 0.014\n"
+            "param.t_m = 0.10000000000000001\n"
+            "param.wavelength = 8.5000000000000001e-07\n"
+            "param.x_zpf = 1.0000000000000001e-15\n"
+            "version = 0.1.0\n"
+        )
+
     def test_compare_accepts_shared_config(self, tmp_path):
         cfg = tmp_path / "shared.cfg"
         cfg.write_text(
@@ -494,6 +521,16 @@ class TestCli:
         else:
             assert err == ""
             assert message in out.read_text().splitlines()
+
+    def test_noise_scan_over_the_whole_float_range(self, tmp_path, capsys):
+        # xi^2 overflows at both ends; the product there is its limit 2 A
+        out = tmp_path / "noise.csv"
+        assert main(["noise", "--set", "scan.parameter=xi", "--set", "scan.start=-1e300",
+                     "--set", "scan.stop=1e300", "--set", "scan.points=5",
+                     "--out", str(out)]) == 0
+        assert capsys.readouterr().err == ""
+        product = [line.split(",")[1] for line in out.read_text().splitlines()[1:]]
+        assert product == ["2", "2", "1", "2", "2"]
 
     @pytest.mark.parametrize("phi_r", ["1e4", "-1e4", "1e6"])
     def test_large_membrane_phase_scans(self, tmp_path, capsys, phi_r):

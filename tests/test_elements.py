@@ -51,7 +51,7 @@ class TestElementMatrices:
         s = element_scattering(ElementSpec.mirror(0.6))
         expect = np.array([[0.6j, -0.8], [-0.8, 0.6j]])
         np.testing.assert_allclose(s.as_array(), expect, atol=1e-15)
-        assert s.unitarity_defect() < 1e-15
+        assert unitarity_defect(s.as_array()) < 1e-15
 
     def test_transparent_membrane_is_identity(self):
         s = element_scattering(ElementSpec.membrane(1.0, phi_r=math.pi / 2))
@@ -79,7 +79,7 @@ class TestElementMatrices:
     @settings(max_examples=200, deadline=None)
     def test_elements_unitary(self, t, t_m, phi_r):
         for spec in (ElementSpec.mirror(t), ElementSpec.membrane(t_m, phi_r=phi_r)):
-            assert element_scattering(spec).unitarity_defect() < 1e-12
+            assert unitarity_defect(element_scattering(spec).as_array()) < 1e-12
 
 
 class TestConstructionChecks:
@@ -107,7 +107,7 @@ class TestConstructionChecks:
         # both entries carry the one factor e^{i phi_r}, so no phase is
         # rounded apart from the other, however large phi_r is
         membrane = ElementSpec.membrane(0.1, phi_r=phi_r)
-        assert element_scattering(membrane).unitarity_defect() < 1e-15
+        assert unitarity_defect(element_scattering(membrane).as_array()) < 1e-15
 
     def test_built_elements_are_not_checked_again(self, monkeypatch):
         mirror, membrane = ElementSpec.mirror(0.3), ElementSpec.membrane(0.4, phi_r=0.7)
@@ -175,7 +175,7 @@ class TestCompose:
         s = compose_synthetic(
             ElementSpec.mirror(t), ElementSpec.membrane(t_m, phi_r=phi_r), x, k
         )
-        assert s.unitarity_defect() < 1e-10
+        assert unitarity_defect(s.as_array()) < 1e-10
 
     def test_rejects_swapped_arguments(self):
         mirror = ElementSpec.mirror(0.5)
@@ -303,7 +303,7 @@ class TestArrayGaps:
             assert entry.shape == x.shape
             assert _gap(entry, [_entries(p)[j] for p in points]) <= ENTRY_BOUND
         assert got.as_array().shape == (x.size, 2, 2)
-        assert got.unitarity_defect() == max(map(unitarity_defect, got.as_array()))
+        assert unitarity_defect(got.as_array()) == max(map(unitarity_defect, got.as_array()))
 
     @pytest.mark.parametrize("bad, message", [
         (-1e-9, "gap must be non-negative"), (math.nan, "x must be finite"),

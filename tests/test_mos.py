@@ -12,7 +12,6 @@ from optomech import (
     InvalidParameter,
     MosConfig,
     NoZeroDispersivePoint,
-    dissipative_constant_asymptotic,
     dissipative_constant_exact,
     exact_corrections,
     operating_point,
@@ -33,6 +32,14 @@ DEFAULT = PROFILES["default"]
 def bench():
     """Benchmark configuration: t_m = 0.1, t = 0.014, l = 0.1 mm, 850 nm."""
     return MosConfig(l=1e-4, wavelength=0.85e-6, t=0.014, t_m=0.1, x=0.0)
+
+
+def _dissipative_constant_thin(t, t_m, k, l):
+    """Thin-membrane limit of dissipative_constant_exact, the reference of
+    the paper's t_m^2 < t << t_m << 1 expansion:
+    (c k / l) (t^2/t_m^4) * 2 r_m (1 + r_m^2)."""
+    r_m = math.sqrt(1.0 - t_m * t_m)
+    return C_LIGHT * k / l * (t ** 2 / t_m ** 4) * 2.0 * r_m * (1.0 + r_m * r_m)
 
 
 class TestZeroDispersiveLocus:
@@ -151,7 +158,7 @@ class TestDissipativeConstant:
 
     def test_asymptotic_agreement(self, bench):
         exact = dissipative_constant_exact(0.014, 0.1, bench.k, bench.l)
-        asym = dissipative_constant_asymptotic(0.014, 0.1, bench.k, bench.l)
+        asym = _dissipative_constant_thin(0.014, 0.1, bench.k, bench.l)
         assert abs(asym / exact - 1.0) < 0.045  # measured 3.9% for these values
 
     def test_matches_operating_point_scale(self, bench):
@@ -165,8 +172,6 @@ class TestDissipativeConstant:
         with pytest.raises(NoZeroDispersivePoint):
             dissipative_constant_exact(0.1, 0.014, bench.k, bench.l)
 
-    @pytest.mark.parametrize("function", [dissipative_constant_exact,
-                                          dissipative_constant_asymptotic])
     @pytest.mark.parametrize("args, message", [
         ({"t_m": math.nan}, "t_m must lie in"),
         ({"t_m": 1.5}, "t_m must lie in"),
@@ -175,25 +180,18 @@ class TestDissipativeConstant:
         ({"l": -1e-4}, "k and l must be positive"),
         ({"k": math.inf}, "k must be finite"),
     ], ids=["t_m=nan", "t_m=1.5", "t=nan", "l=0", "l<0", "k=inf"])
-    def test_bad_inputs_are_invalid_parameters(self, bench, function, args, message):
+    def test_bad_inputs_are_invalid_parameters(self, bench, args, message):
         kwargs = {"t": 0.014, "t_m": 0.1, "k": bench.k, "l": bench.l, **args}
         with pytest.raises(InvalidParameter, match=message):
-            function(**kwargs)
+            dissipative_constant_exact(**kwargs)
 
-    @pytest.mark.parametrize("function, t, t_m, k, l", [
-        # 1 - r^2 r_m^2 rounds to 0
-        (dissipative_constant_exact, 1e-100, 1e-52, 7e6, 1e-4),
-        # t_m^4 underflows to 0
-        (dissipative_constant_asymptotic, 1e-100, 1e-90, 7e6, 1e-4),
-        # c k / l overflows
-        (dissipative_constant_exact, 0.01, 0.1, 1e300, 1e-300),
-        (dissipative_constant_asymptotic, 0.01, 0.1, 1e300, 1e-300),
-    ], ids=["exact-r-rounds", "asymptotic-t_m-underflows",
-            "exact-overflows", "asymptotic-overflows"])
-    def test_results_beyond_the_float_range_are_invalid_parameters(
-            self, function, t, t_m, k, l):
+    @pytest.mark.parametrize("t, t_m, k, l", [
+        (1e-100, 1e-52, 7e6, 1e-4),    # 1 - r^2 r_m^2 rounds to 0
+        (0.01, 0.1, 1e300, 1e-300),    # c k / l overflows
+    ], ids=["exact-r-rounds", "exact-overflows"])
+    def test_results_beyond_the_float_range_are_invalid_parameters(self, t, t_m, k, l):
         with pytest.raises(InvalidParameter, match="leaves the float range"):
-            function(t, t_m, k, l)
+            dissipative_constant_exact(t, t_m, k, l)
 
 
 class TestExactCorrections:
@@ -247,6 +245,13 @@ class TestExactCorrections:
         resp = synthetic_response(at_bound.psi, at_bound.mirror, at_bound.membrane)
         thin = C_LIGHT * resp.T / (2 * at_bound.l)
         assert abs(corr.gamma_exact / thin - 1.0) > 0.3
+
+    # T = 0 at t = 0; T underflows to 0 at 1e-200, and T^2 at 1e-100
+    @pytest.mark.parametrize("t", [0.0, 1e-200, 1e-100])
+    @pytest.mark.parametrize("x", [0.0, np.array([0.0, 1e-9])], ids=["float", "array"])
+    def test_vanishing_transmission_is_an_invalid_parameter(self, bench, t, x):
+        with pytest.raises(InvalidParameter, match="need a tandem transmission T with T"):
+            exact_corrections(replace(bench, t=t, x=x))
 
 
 class TestResonanceOracle:

@@ -225,6 +225,22 @@ class TestHomodyneSpectra:
             diffs = np.diff(vals)
             assert np.all(diffs >= -1e-13)
 
+    @pytest.mark.filterwarnings("error")
+    def test_product_where_xi_squared_overflows_is_its_limit(self):
+        # 2 A xi^2 overflows from |xi| ~ 9.5e153 (A = 1), xi^2 itself from
+        # ~1.34e154; the product there is 2 A to rounding, as at infinite xi
+        huge = [9.5e153, 1.34e154, 1e200, -1e300, math.inf, -math.inf]
+        finite = [0.0, 3.0, 1e100, -1e150]
+        for big_a in (1.0, 1.25, 1.5):
+            assert [product_normalized(xi, big_a) for xi in huge] == [2.0 * big_a] * 6
+            got = product_normalized(np.array(huge + finite + [math.nan]), big_a)
+            assert got[:6].tolist() == [2.0 * big_a] * 6
+            # values finite before are the quotient as written, bit for bit
+            xi = np.array(finite)
+            quotient = (big_a ** 2 + 2.0 * big_a * xi ** 2) / (1.0 + xi ** 2)
+            assert got[6:10].tobytes() == quotient.tobytes()
+            assert math.isnan(got[10]) and math.isnan(product_normalized(math.nan, big_a))
+
     def test_precondition_enforcement(self):
         with pytest.raises(ZeroCoupling):
             homodyne_spectra(sym_rates(), DriveConfig(a0=1.0), 0.0, 0.0)

@@ -8,6 +8,8 @@ import pytest
 from optomech import mate, mos, numerics
 from optomech.numerics import BISECT_MAX_ITER, bisect, grid_roots
 
+import scalar_reference
+
 
 def test_roots_of_every_sign_change_in_ascending_order():
     roots = grid_roots(np.sin, 0.5, 10.0, 100, ftol=1e-14)
@@ -276,8 +278,8 @@ def test_residuals_on_an_array_equal_their_scalar_calls_bit_for_bit(monkeypatch)
 
 
 def _bisect_each(slope, root, lo, hi, **kwargs):
-    # the float path on each bracket of f(x) = slope (x - root)
-    return np.array([bisect(lambda x, c=c, r=r: c * (x - r), a, b, **kwargs)
+    # the float bisection of each bracket of f(x) = slope (x - root)
+    return np.array([scalar_reference.bisect(lambda x, c=c, r=r: c * (x - r), a, b, **kwargs)
                      for c, r, a, b in zip(slope.tolist(), root.tolist(),
                                            lo.tolist(), hi.tolist())])
 
@@ -329,7 +331,7 @@ def test_array_bisect_takes_the_iteration_cap_as_the_float_path_does():
 
     got = bisect(f, lo, hi, ftol=0.0, xtol=0.0)
     assert len(calls) == 2 + BISECT_MAX_ITER
-    want = [bisect(lambda x: x * x - 2.0, a, b, ftol=0.0, xtol=0.0)
+    want = [scalar_reference.bisect(lambda x: x * x - 2.0, a, b, ftol=0.0, xtol=0.0)
             for a, b in zip(lo.tolist(), hi.tolist())]
     assert got.tolist() == want
 
@@ -340,7 +342,8 @@ def test_array_bisect_returns_zero_endpoints_as_the_float_path_does():
     f_hi = hi - 0.3
     f_lo[2] = f_hi[2] = 0.0  # a degenerate bracket: a node that is a root
     got = bisect(lambda x: x - 0.3, lo, hi, f_lo=f_lo, f_hi=f_hi, ftol=0.0, xtol=1e-12)
-    want = [bisect(lambda x: x - 0.3, a, b, f_lo=fa, f_hi=fb, ftol=0.0, xtol=1e-12)
+    want = [scalar_reference.bisect(lambda x: x - 0.3, a, b, f_lo=fa, f_hi=fb, ftol=0.0,
+                                    xtol=1e-12)
             for a, b, fa, fb in zip(lo.tolist(), hi.tolist(), f_lo.tolist(), f_hi.tolist())]
     assert got.tolist() == want
     assert got[1] == 0.3 and got[2] == 0.25 and got[4] == 0.3
@@ -354,7 +357,7 @@ def test_array_bisect_of_no_brackets_is_empty():
 def test_array_bracket_without_a_sign_change_raises_as_the_float_path_does():
     lo, hi = np.array([-1.0, 0.5, 2.0]), np.array([1.0, 0.75, 3.0])
     with pytest.raises(ValueError) as scalar:
-        bisect(lambda x: x, 0.5, 0.75)
+        scalar_reference.bisect(lambda x: x, 0.5, 0.75)
     with pytest.raises(ValueError) as array:
         bisect(lambda x: x, lo, hi)
     assert str(array.value) == str(scalar.value) == "no sign change on [0.5, 0.75]"

@@ -59,11 +59,13 @@ MATE = MateConfig(l=1e-4, x=1e-6, t=0.014, t_m=0.1, wavelength=0.85e-6, phi_r=ma
     lambda: general_spectra(PortRates(GAMMA, GAMMA), DriveConfig(), math.nan, 1.0, 0.0),
     lambda: general_spectra(PortRates(GAMMA, GAMMA), DriveConfig(), 0.0, math.inf, 0.0),
     lambda: homodyne_spectra(PortRates(GAMMA, GAMMA), DriveConfig(), math.nan, 1.0),
+    lambda: homodyne_spectra(PortRates(0.0, 0.0, 1.0), DriveConfig(a0=1.0), 1.0, 1.0),
 ], ids=["mate_window", "force_gamma2", "homodyne_delta", "homodyne_symmetry",
         "homodyne_pump", "cooperativity_system", "validation_profile",
         "validation_suite", "mate_window_inf", "mate_window_huge", "classify_inf",
         "mate_slope_nan", "mate_decay_nan", "setpoint_t0", "spectra_theta_nan",
-        "spectra_coupling_nan", "spectra_coupling_inf", "homodyne_coupling_nan"])
+        "spectra_coupling_nan", "spectra_coupling_inf", "homodyne_coupling_nan",
+        "homodyne_closed_ports"])
 def test_bad_argument_is_a_package_error(call):
     with pytest.raises(InvalidParameter):
         call()
