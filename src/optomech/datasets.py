@@ -22,7 +22,7 @@ from . import msi as msi_mod
 from . import noise as noise_mod
 from .elements import ElementSpec, synthetic_response, wavevector
 from .errors import ConfigError, InvalidParameter, OptomechError
-from .numerics import require_finite
+from .numerics import require_finite, require_non_negative, require_positive
 
 #: reference parameter set used for the bundled figures
 FIGURE_PARAMS = {
@@ -189,10 +189,7 @@ def _mate_columns(fixed: dict[str, float], parameter: str, x) -> Columns:
 
 
 def _noise_columns(fixed: dict[str, float], parameter: str, xi) -> Columns:
-    if not fixed["gamma3_over_gamma"] >= 0.0:
-        raise InvalidParameter(
-            f"gamma3_over_gamma must be non-negative, got {fixed['gamma3_over_gamma']}"
-        )
+    require_non_negative(gamma3_over_gamma=fixed["gamma3_over_gamma"])
     big_a = 1.0 + fixed["gamma3_over_gamma"] / 2.0
     return {
         "xi": xi,
@@ -446,9 +443,8 @@ def compare_systems(params: dict[str, float] | None = None) -> ComparisonTable:
         p.update(params)
     given = {key: val for key, val in p.items() if val is not None}
     require_finite(**{f"compare.{key}": val for key, val in given.items()})
-    for key in _COMPARE_POSITIVE:
-        if key in given and not given[key] > 0.0:
-            raise InvalidParameter(f"compare.{key} must be positive, got {given[key]}")
+    require_positive(**{f"compare.{key}": given[key]
+                        for key in _COMPARE_POSITIVE if key in given})
     k = wavevector(p["wavelength"])
     mech = dict(
         l=p["l"], wavelength=p["wavelength"], x_zpf=p["x_zpf"],

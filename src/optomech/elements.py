@@ -54,8 +54,9 @@ from functools import cached_property
 import numpy as np
 
 from .constants import C_LIGHT
-from .errors import DegenerateDenominator, InvalidElement, InvalidParameter
-from .numerics import any_true, cos_sin, require_finite
+from .errors import DegenerateDenominator, InvalidElement
+from .numerics import (any_true, cos_sin, require_amplitude, require_finite,
+                       require_non_negative, require_positive, require_transmitting)
 
 TWO_PI = 2.0 * math.pi
 
@@ -71,10 +72,7 @@ def reflectivity(a):
 
 def wavevector(wavelength: float) -> float:
     """k = 2 pi / wavelength of a finite, positive wavelength (m)."""
-    if not math.isfinite(wavelength):
-        raise InvalidParameter(f"wavelength must be finite, got {wavelength}")
-    if wavelength <= 0.0:
-        raise InvalidParameter(f"wavelength must be positive, got {wavelength}")
+    require_positive(wavelength=wavelength)
     return TWO_PI / wavelength
 
 
@@ -130,10 +128,8 @@ class ElementSpec:
         phi_r is finite."""
         if self.kind not in ("mirror", "membrane"):
             raise InvalidElement(f"unknown element kind {self.kind!r}")
-        if not 0.0 <= self.t <= 1.0:
-            raise InvalidElement(f"t must lie in [0, 1], got {self.t}")
-        if not math.isfinite(self.phi_r):
-            raise InvalidElement(f"phi_r must be finite, got {self.phi_r}")
+        require_amplitude(error=InvalidElement, t=self.t)
+        require_finite(error=InvalidElement, phi_r=self.phi_r)
 
 
 @dataclass(frozen=True, kw_only=True)
@@ -163,14 +159,11 @@ class TandemCavity:
     def __post_init__(self) -> None:
         require_finite(l=self.l, wavelength=self.wavelength, t=self.t,
                        t_m=self.t_m, x=self.x, phi_r=self.phi_r)
-        if self.l <= 0.0:
-            raise InvalidParameter(f"cavity length must be positive, got {self.l}")
+        require_positive(l=self.l)
         # derived once; a frozen instance sets it past its own __setattr__
         object.__setattr__(self, "k", wavevector(self.wavelength))
-        if not 0.0 < self.t_m <= 1.0:
-            raise InvalidParameter(f"t_m must lie in (0, 1], got {self.t_m}")
-        if not 0.0 <= self.t <= 1.0:
-            raise InvalidParameter(f"t must lie in [0, 1], got {self.t}")
+        require_transmitting(t_m=self.t_m)
+        require_amplitude(t=self.t)
 
     @property
     def omega_c(self) -> float:
@@ -251,10 +244,8 @@ def _check_pair(mirror: ElementSpec, membrane: ElementSpec) -> None:
 def _check_tandem_args(mirror: ElementSpec, membrane: ElementSpec, x, k) -> None:
     _check_pair(mirror, membrane)
     require_finite(x=x, k=k)
-    if any_true(x < 0.0):
-        raise InvalidParameter(f"gap must be non-negative, got x={x}")
-    if any_true(k <= 0.0):
-        raise InvalidParameter(f"wavevector must be positive, got k={k}")
+    require_non_negative(x=x)
+    require_positive(k=k)
 
 
 def _pair_args(mirror: ElementSpec, membrane: ElementSpec) -> tuple:

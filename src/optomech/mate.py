@@ -34,6 +34,7 @@ from .numerics import (
     central_diff_richardson,
     cos_sin,
     grid_roots,
+    require_positive,
 )
 
 #: resonance-scan grid step, as a fraction of the free spectral range pi/l
@@ -72,12 +73,6 @@ def resonance_residual(cfg: MateConfig, k):
     an array k (numpy's cos for an array, math's for a float)."""
     cos = np.cos if isinstance(k, np.ndarray) else math.cos
     return cos(k * cfg.l + cfg.phi_r) + cfg.r_m * cos(2.0 * k * cfg.x - k * cfg.l)
-
-
-def _check_wavevector(k: float) -> None:
-    """InvalidParameter unless the wavevector k is finite and positive."""
-    if not 0.0 < k < math.inf:  # a NaN fails too
-        raise InvalidParameter(f"wavevector must be finite and positive, got k={k}")
 
 
 def mate_resonances(
@@ -136,7 +131,7 @@ def classify_branch(cfg: MateConfig, k_c: float) -> MateBranch:
 
     and to the physical subcavity ("x" or "l-x") it derives from.
     """
-    _check_wavevector(k_c)
+    require_positive(k_c=k_c)
     if cfg.r_m < 1e-15:
         raise BranchAmbiguity(
             "membrane fully transparent (r_m = 0); branch family degenerate"
@@ -204,7 +199,7 @@ def mate_dispersive_constant(cfg: MateConfig, k_c: float) -> MateDispersive:
     The constant g_omega0 = -c_light * dk/dx is positive for modes derived
     from the x subcavity and negative for those from the l-x part.
     """
-    _check_wavevector(k_c)
+    require_positive(k_c=k_c)
     if cfg.r_m < 1e-15:
         raise BranchAmbiguity(
             "membrane fully transparent (r_m = 0); slope branch degenerate"
@@ -298,7 +293,7 @@ def mate_exact_decay(cfg: MateConfig, k: float) -> MateExactDecay:
     and the slow (non-sinusoidal) numerator terms; gamma_reduced uses the
     exact tandem transmission T(psi).
     """
-    _check_wavevector(k)
+    require_positive(k=k)
     r_m = cfg.r_m
     psi = 2.0 * k * cfg.x + cfg.phi_r
     cos_psi, sin_psi = cos_sin(psi)

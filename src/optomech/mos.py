@@ -31,16 +31,15 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 
+import numpy as np
+
 from .constants import C_LIGHT
 from .elements import TWO_PI, TandemCavity, reflectivity, synthetic_response
 from .errors import InvalidParameter, NoRootInWindow, NoZeroDispersivePoint
 from .numerics import (
-    RESONANCE_GAP_STEP,
-    any_true,
-    central_diff_richardson,
-    grid_roots,
-    in_float_range,
-    require_finite,
+    RESONANCE_GAP_STEP, any_true, central_diff_richardson, finite_results, grid_roots,
+    in_float_range, require_amplitude, require_finite, require_non_negative,
+    require_positive, require_transmitting,
 )
 
 #: margin interpreting the thin-tandem inequality x << l t_m^4/(4 t^2)
@@ -64,8 +63,7 @@ class MosConfig(TandemCavity):
         super().__post_init__()
         if self.phi0 == 0.0:
             raise InvalidParameter(f"phi0 = t_m^2/4 underflows to 0 at t_m={self.t_m}")
-        if any_true(self.x < 0.0):
-            raise InvalidParameter(f"gap must be non-negative, got {self.x}")
+        require_non_negative(x=self.x)
 
     @property
     def x_tilde(self) -> float:
@@ -165,16 +163,6 @@ class ZeroDispersiveLocus:
     T_star: float
 
 
-def _reflectivities(t: float, t_m: float) -> tuple[float, float]:
-    """(r, r_m) of a mirror t in [0, 1] and a membrane t_m in (0, 1];
-    InvalidParameter otherwise."""
-    if not 0.0 <= t <= 1.0:  # a NaN fails too
-        raise InvalidParameter(f"t must lie in [0, 1], got {t}")
-    if not 0.0 < t_m <= 1.0:
-        raise InvalidParameter(f"t_m must lie in (0, 1], got {t_m}")
-    return reflectivity(t), reflectivity(t_m)
-
-
 def zero_dispersive_locus(t: float, t_m: float) -> ZeroDispersiveLocus:
     """Phases psi* with dmu/dpsi = 0:  cos psi* = -r_m (1+r^2) / (r (1+r_m^2)).
 
@@ -184,7 +172,9 @@ def zero_dispersive_locus(t: float, t_m: float) -> ZeroDispersiveLocus:
     InvalidParameter unless t lies in [0, 1] and t_m in (0, 1], or where
     T* leaves the float range.
     """
-    r, r_m = _reflectivities(t, t_m)
+    require_amplitude(t=t)
+    require_transmitting(t_m=t_m)
+    r, r_m = reflectivity(t), reflectivity(t_m)
     if r == 0.0:
         raise NoZeroDispersivePoint("mirror is fully transparent (r = 0)")
     cos_star = -r_m * (1.0 + r * r) / (r * (1.0 + r_m * r_m))
@@ -208,10 +198,11 @@ def dissipative_constant_exact(t: float, t_m: float, k: float, l: float) -> floa
     InvalidParameter unless t lies in [0, 1], t_m in (0, 1] and k, l are
     finite and positive, or where the result leaves the float range.
     """
-    r, r_m = _reflectivities(t, t_m)
+    require_amplitude(t=t)
+    require_transmitting(t_m=t_m)
     require_finite(k=k, l=l)
-    if not (k > 0.0 and l > 0.0):
-        raise InvalidParameter(f"k and l must be positive, got k={k}, l={l}")
+    require_positive(k=k, l=l)
+    r, r_m = reflectivity(t), reflectivity(t_m)
     if r_m > r:
         raise NoZeroDispersivePoint(
             f"membrane more reflective than the mirror (r_m={r_m:.6g} > r={r:.6g})"
@@ -247,7 +238,8 @@ def exact_corrections(cfg: MosConfig) -> ExactCorrections:
                           / (2 (l t_m^2 / T + x)^2)
 
     Each reduces to its thin-tandem counterpart as x -> 0.  InvalidParameter
-    where T^2 is 0: at t = 0, or at a t so small that T or T^2 underflows.
+    where T^2 is 0 (at t = 0, or at a t so small that T or T^2 underflows)
+    or a result leaves the float range, at any gap.
     """
     resp = synthetic_response(cfg.psi, cfg.mirror, cfg.membrane)
     if any_true(resp.T ** 2 == 0.0):
@@ -257,17 +249,20 @@ def exact_corrections(cfg: MosConfig) -> ExactCorrections:
         )
     mu_p = 2.0 * resp.dmu_dpsi  # dmu/d(kx)
     dT_dx = 2.0 * cfg.k * resp.dT_dpsi
-    g_omega = -(cfg.omega_c * mu_p / (2.0 * cfg.l)) / (
-        1.0 + cfg.x * mu_p / (2.0 * cfg.l)
-    )
-    stored = cfg.l * cfg.t_m ** 2 / resp.T + cfg.x
-    gamma = C_LIGHT * cfg.t_m ** 2 / (2.0 * stored)
-    dgamma = (
-        C_LIGHT
-        * cfg.t_m ** 2
-        * (cfg.l * cfg.t_m ** 2 / resp.T ** 2 * dT_dx - 1.0)
-        / (2.0 * stored * stored)
-    )
+    # a subnormal T^2 overflows l t_m^2 / T^2; finite_results raises for it
+    with np.errstate(over="ignore", invalid="ignore"):
+        g_omega = -(cfg.omega_c * mu_p / (2.0 * cfg.l)) / (
+            1.0 + cfg.x * mu_p / (2.0 * cfg.l)
+        )
+        stored = cfg.l * cfg.t_m ** 2 / resp.T + cfg.x
+        gamma = C_LIGHT * cfg.t_m ** 2 / (2.0 * stored)
+        dgamma = (
+            C_LIGHT
+            * cfg.t_m ** 2
+            * (cfg.l * cfg.t_m ** 2 / resp.T ** 2 * dT_dx - 1.0)
+            / (2.0 * stored * stored)
+        )
+    finite_results("exact_corrections", g_omega, gamma, dgamma)
     return ExactCorrections(
         g_omega_exact=g_omega,
         gamma_exact=gamma,

@@ -28,7 +28,7 @@ from .errors import (
     InvalidParameter,
     NoZeroDispersivePoint,
 )
-from .numerics import any_true, cos_sin, require_finite
+from .numerics import any_true, cos_sin, require_amplitude, require_finite, require_positive
 
 
 @dataclass(frozen=True, kw_only=True)
@@ -57,13 +57,10 @@ class MsiConfig:
     t_ms: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        if not 0.0 <= self.Tb_sq <= 1.0:
-            raise InvalidParameter(f"Tb_sq must lie in [0, 1], got {self.Tb_sq}")
+        require_amplitude(Tb_sq=self.Tb_sq)
         require_finite(r_ms=self.r_ms, l=self.l, k=self.k, x=self.x)
-        if not 0.0 <= self.r_ms <= 1.0:
-            raise InvalidElement(f"r_ms must lie in [0, 1], got {self.r_ms}")
-        if self.l <= 0.0 or self.k <= 0.0:
-            raise InvalidParameter(f"l and k must be positive, got l={self.l}, k={self.k}")
+        require_amplitude(error=InvalidElement, r_ms=self.r_ms)
+        require_positive(l=self.l, k=self.k)
         # derived once; a frozen instance sets them past its own __setattr__
         object.__setattr__(self, "R_b", math.sqrt(1.0 - self.Tb_sq))
         object.__setattr__(self, "T_b", math.sqrt(self.Tb_sq))

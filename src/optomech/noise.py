@@ -46,7 +46,8 @@ from .constants import C_LIGHT, HBAR
 from .elements import wavevector
 from .errors import InvalidParameter, SingularSystem, ZeroCoupling
 from .mate import zero_dispersive_decay
-from .numerics import in_float_range, out_of_float_range, require_finite
+from .numerics import (in_float_range, out_of_float_range, require_amplitude, require_finite,
+                       require_non_negative, require_positive, require_transmitting)
 
 @dataclass(frozen=True)
 class PortRates:
@@ -59,10 +60,9 @@ class PortRates:
 
     def __post_init__(self) -> None:
         require_finite(gamma1=self.gamma1, gamma2=self.gamma2, gamma3=self.gamma3)
-        if min(self.gamma1, self.gamma2, self.gamma3) < 0.0:
-            raise InvalidParameter("decay rates must be non-negative")
-        if self.total <= 0.0:
-            raise InvalidParameter("total decay rate must be positive")
+        require_non_negative(gamma1=self.gamma1, gamma2=self.gamma2, gamma3=self.gamma3)
+        if self.total <= 0.0:  # all three are 0; a sum that overflows passes
+            require_positive(total=self.total)
 
     @property
     def total(self) -> float:
@@ -83,7 +83,7 @@ class DriveConfig:
         if not math.isfinite(self.delta + self.omega + self.a0):
             require_finite(delta=self.delta, omega=self.omega, a0=self.a0)
         if self.a0 < 0.0:
-            raise InvalidParameter("pump amplitude a0 must be non-negative")
+            require_non_negative(a0=self.a0)
 
 
 def general_spectra(
@@ -242,24 +242,8 @@ def homodyne_spectra(
     )
 
 
-def _require_positive(**values: float) -> None:
-    """Raise InvalidParameter naming the first value that is not > 0 (the
-    callers screen with plain comparisons first, and screen finiteness
-    with one math.isfinite of a sum, as DriveConfig does: the design path
-    calls each cooperativity several times per query)."""
-    for name, value in values.items():
-        if not value > 0.0:
-            raise InvalidParameter(f"{name} must be positive, got {value}")
-
-
-def _require_amplitudes(**values: float) -> None:
-    """Raise InvalidParameter naming the first value outside [0, 1] (the
-    callers screen with plain comparisons first, as for _require_positive)."""
-    for name, value in values.items():
-        if not 0.0 <= value <= 1.0:
-            raise InvalidParameter(f"{name} must lie in [0, 1], got {value}")
-
-
+# mechanical_scale and the cooperativities call a screen only where a plain
+# comparison, or math.isfinite of a sum, fails: the design path calls them often
 def mechanical_scale(
     wavelength: float, l: float, x_zpf: float, gamma_m: float, a0: float = 1.0
 ) -> float:
@@ -268,9 +252,9 @@ def mechanical_scale(
         require_finite(wavelength=wavelength, l=l, x_zpf=x_zpf, gamma_m=gamma_m, a0=a0)
     k = wavevector(wavelength)
     if not (l > 0.0 and gamma_m > 0.0 and x_zpf > 0.0):
-        _require_positive(l=l, gamma_m=gamma_m, x_zpf=x_zpf)
+        require_positive(l=l, gamma_m=gamma_m, x_zpf=x_zpf)
     if a0 < 0.0:
-        raise InvalidParameter(f"pump amplitude a0 must be non-negative, got {a0}")
+        require_non_negative(a0=a0)
     return in_float_range(
         "mechanical_scale", lambda: C_LIGHT * (k * a0 * x_zpf) ** 2 / (l * gamma_m))
 
@@ -285,10 +269,11 @@ def cooperativity_mos(
     non-feeding port)."""
     if not math.isfinite(t + t_m):
         require_finite(t=t, t_m=t_m)
-    if not t_m > 0.0:
-        _require_positive(t_m=t_m)
-    if not (0.0 <= t <= 1.0 and t_m <= 1.0):
-        _require_amplitudes(t=t, t_m=t_m)
+    if not (0.0 < t_m <= 1.0 and 0.0 <= t <= 1.0):
+        if not t_m > 0.0:  # t_m > 0 is checked before t, t_m <= 1 after it
+            require_transmitting(t_m=t_m)
+        require_amplitude(t=t)
+        require_transmitting(t_m=t_m)
     m_scale = mechanical_scale(wavelength, l, x_zpf, gamma_m, a0)
     return in_float_range("cooperativity_mos", lambda: m_scale * 4.0 * t ** 2 / t_m ** 6)
 
@@ -302,9 +287,9 @@ def cooperativity_msi(
     if not math.isfinite(r_ms + gamma_ms + omega_m):
         require_finite(r_ms=r_ms, gamma_ms=gamma_ms, omega_m=omega_m)
     if not gamma_ms > 0.0:
-        _require_positive(gamma_ms=gamma_ms)
+        require_positive(gamma_ms=gamma_ms)
     if not 0.0 <= r_ms <= 1.0:
-        _require_amplitudes(r_ms=r_ms)
+        require_amplitude(r_ms=r_ms)
     m_scale = mechanical_scale(wavelength, l, x_zpf, gamma_m, a0)
     return in_float_range(
         "cooperativity_msi",
@@ -321,10 +306,10 @@ def cooperativity_mate(
     if not math.isfinite(t + t_m + omega_m):
         require_finite(t=t, t_m=t_m, omega_m=omega_m)
     m_scale = mechanical_scale(wavelength, l, x_zpf, gamma_m, a0)
-    if not (t > 0.0 and t_m > 0.0):
-        _require_positive(t=t, t_m=t_m)
-    if not (t <= 1.0 and t_m <= 1.0):
-        _require_amplitudes(t=t, t_m=t_m)
+    if not (0.0 < t <= 1.0 and 0.0 < t_m <= 1.0):
+        if t > 0.0 and not t_m > 0.0:  # both lower bounds before either upper one
+            require_transmitting(t_m=t_m)
+        require_transmitting(t=t, t_m=t_m)
 
     def formula() -> float:
         gamma_mate = zero_dispersive_decay(t, l)
@@ -333,19 +318,21 @@ def cooperativity_mate(
     return in_float_range("cooperativity_mate", formula)
 
 
+_COOPERATIVITIES = {
+    "mos": cooperativity_mos,
+    "msi": cooperativity_msi,
+    "mate": cooperativity_mate,
+}
+
+
 def cooperativity(system: str, **params: float) -> float:
     """Dispatch to the per-system cooperativity closed form.
 
     system is one of "mos", "msi", "mate"; params are forwarded to the
     matching cooperativity_* function.
     """
-    table = {
-        "mos": cooperativity_mos,
-        "msi": cooperativity_msi,
-        "mate": cooperativity_mate,
-    }
     try:
-        func = table[system.lower()]
+        func = _COOPERATIVITIES[system.lower()]
     except KeyError:
         raise InvalidParameter(f"unknown system {system!r}; expected mos, msi, or mate")
     return func(**params)

@@ -1,19 +1,27 @@
-"""Small numerical helpers: finite differences and bracketed root finding.
+"""Small numerical helpers: the parameter screens, finite differences and
+bracketed root finding.
 
-These are used both by the library (resonance solvers) and by the
-validation suite, where they serve as independent oracles for the
-closed-form derivatives.  The first three helpers serve the closed forms
-that take either a float or a numpy array; in_float_range screens the
-result of a scalar closed form.  grid_brackets and grid_roots sample their
-f on a whole grid in one call, so that f takes a float or a numpy array
-too; grid_roots refines each bracket by regula falsi.  bisect refines an
-array of brackets at once, each element by the steps of the float bisection
-in tests/scalar_reference.py, which it equals bit for bit.
+The screens are the one statement of the input rules: require_finite,
+require_positive (finite and > 0), require_non_negative, require_amplitude
+(in [0, 1]) and require_transmitting (in (0, 1]).  Each names the first of
+its keyword values (floats or arrays) that breaks its rule, as "{name} must
+..., got {value}", with the finite rule's message for an inf or a NaN.
+
+The other helpers serve the library (resonance solvers) and the validation
+suite, where they are independent oracles for the closed-form derivatives.
+any_true and cos_sin serve the closed forms that take a float or a numpy
+array; in_float_range and finite_results screen what a closed form returns.
+grid_brackets and grid_roots sample their f on a whole grid in one call, so
+that f takes a float or a numpy array too; grid_roots refines each bracket
+by regula falsi.  bisect refines an array of brackets at once, each element
+by the steps of the float bisection in tests/scalar_reference.py, which it
+equals bit for bit.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from typing import Callable, Sequence
 
 import numpy as np
@@ -43,16 +51,44 @@ def cos_sin(angle):
     return math.cos(angle), math.sin(angle)
 
 
-def require_finite(**values) -> None:
-    """Raise InvalidParameter naming the first value (scalar or array) that
-    is, or holds, an inf or a NaN."""
-    for name, value in values.items():
-        if isinstance(value, np.ndarray):
-            finite = bool(np.isfinite(value).all())
-        else:
-            finite = math.isfinite(value)
-        if not finite:
-            raise InvalidParameter(f"{name} must be finite, got {value}")
+def _finite(value) -> bool:
+    """Whether a float, or every element of an array, is finite."""
+    if isinstance(value, np.ndarray):
+        return bool(np.isfinite(value).all())
+    return math.isfinite(value)
+
+
+def _screen(lo: float, hi: float, rule: str) -> Callable[..., None]:
+    """The screen of the rule lo <= value <= hi: it raises error (InvalidParameter
+    unless given) naming the first keyword value that breaks the rule anywhere,
+    with the finite rule's message if that value is not finite."""
+    lo64, hi64 = np.float64(lo), np.float64(hi)  # any other dtype compares in float64
+    def screen(*, error: type = InvalidParameter, **values) -> None:
+        for name, value in values.items():
+            if not (lo <= value <= hi if isinstance(value, float)
+                    else np.all((lo64 <= value) & (value <= hi64))):
+                message = rule if _finite(value) else "must be finite"
+                raise error(f"{name} {message}, got {value}")
+    return screen
+
+
+# each rule is a closed interval of floats: v >= _TINY is v > 0, and
+# v <= _MAX is v < inf; a NaN breaks every rule
+_TINY, _MAX = math.ulp(0.0), sys.float_info.max
+require_finite = _screen(-_MAX, _MAX, "must be finite")
+require_positive = _screen(_TINY, _MAX, "must be positive")  # lengths, rates
+require_non_negative = _screen(0.0, math.inf, "must be non-negative")
+require_amplitude = _screen(0.0, 1.0, "must lie in [0, 1]")
+require_transmitting = _screen(_TINY, 1.0, "must lie in (0, 1]")  # a divisor
+
+
+def finite_results(name: str, *results) -> None:
+    """Raise InvalidParameter naming name where a result (a float, or an
+    array of them) is not finite: finite arguments drove the formula out
+    of the float range."""
+    for value in results:
+        if not _finite(value):
+            raise InvalidParameter(f"{name} leaves the float range ({value})")
 
 
 def out_of_float_range(name: str, exc: ArithmeticError) -> InvalidParameter:
@@ -64,14 +100,13 @@ def out_of_float_range(name: str, exc: ArithmeticError) -> InvalidParameter:
 def in_float_range(name: str, formula: Callable[[], float]) -> float:
     """formula(), or InvalidParameter naming name where finite arguments
     drive it out of the float range: a power that overflows, a divisor that
-    underflows to 0, or a result that is not finite.  Free unless it
-    raises, so the design path pays nothing for it."""
+    underflows to 0, or a result that is not finite.  Nearly free unless
+    it raises, so the design path pays next to nothing for it."""
     try:
         value = formula()
     except (ZeroDivisionError, OverflowError) as exc:
         raise out_of_float_range(name, exc) from exc
-    if not math.isfinite(value):
-        raise InvalidParameter(f"{name} leaves the float range ({value})")
+    finite_results(name, value)
     return value
 
 

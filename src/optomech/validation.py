@@ -34,6 +34,14 @@ from .errors import InvalidParameter
 from .numerics import bisect, central_diff_5pt, grid_brackets
 
 
+#: bounds on the error of a model or a limit, which no profile tightens
+LOCUS_PHI0_SCALE = 3.0  # x t^2/t_m^2 relative window
+LIMIT_VALUES_TOL = 1e-12
+MATE_DKDX_REL = 1e-4
+MOS_RESONANCE_REL = 1e-3
+REGIME_REL = 1e-2
+
+
 @dataclass(frozen=True)
 class ToleranceProfile:
     """Check tolerances; "strict" tightens where double precision allows."""
@@ -45,13 +53,8 @@ class ToleranceProfile:
     elimination_entry: float = 1e-12
     derivative_rel: float = 1e-6
     locus_psi: float = 1e-9
-    locus_phi0_scale: float = 3.0       # x t^2/t_m^2 relative window
-    limit_values: float = 1e-12
     noise_general_rel: float = 1e-4
     resonance_k_rel: float = 1e-10
-    mate_dkdx_rel: float = 1e-4
-    mos_resonance_rel: float = 1e-3
-    regime_rel: float = 1e-2
 
 
 PROFILES: dict[str, ToleranceProfile] = {
@@ -268,11 +271,11 @@ def _check_locus_oracle(rng: np.random.Generator, tol: ToleranceProfile,
         phi_errors.append(abs(half - phi0) / phi0 / (t ** 2 / t_m ** 2))
     worst_psi = _worst(psi_errors)
     worst_phi = _worst(phi_errors)
-    ok = worst_psi <= tol.locus_psi and worst_phi <= tol.locus_phi0_scale
+    ok = worst_psi <= tol.locus_psi and worst_phi <= LOCUS_PHI0_SCALE
     return CheckResult(
         "zero_dispersive_locus_oracle", ok, worst_psi, tol.locus_psi,
         f"|dpsi| {worst_psi:.2e}; (psi*-pi)/2 vs Phi0 within "
-        f"{worst_phi:.2f} x t^2/t_m^2 (limit {tol.locus_phi0_scale})",
+        f"{worst_phi:.2f} x t^2/t_m^2 (limit {LOCUS_PHI0_SCALE})",
     )
 
 
@@ -288,8 +291,8 @@ def _check_mos_limits(tol: ToleranceProfile) -> CheckResult:
                    abs(sp.T_sym - 2.0 * cfg.t ** 2 / cfg.t_m ** 2),
                    abs(sp.finesse * sp.T_sym / math.pi - 1.0),
                    abs(cfg.k * sp.delta_x - cfg.phi0))
-    return CheckResult("mos_limit_values", worst <= tol.limit_values, worst,
-                       tol.limit_values, "Phi=0 and Phi=Phi0 reductions, two-port setpoint")
+    return CheckResult("mos_limit_values", worst <= LIMIT_VALUES_TOL, worst,
+                       LIMIT_VALUES_TOL, "Phi=0 and Phi=Phi0 reductions, two-port setpoint")
 
 
 def _check_noise_general(tol: ToleranceProfile) -> CheckResult:
@@ -327,8 +330,8 @@ def _check_figures(tol: ToleranceProfile) -> CheckResult:
         *(abs(fig4.columns[f"product_normalized_loss{int(100 * frac)}"][zero] - value)
           for frac, value in ((0.0, 1.0), (0.5, 1.5625), (1.0, 2.25))),
     )
-    return CheckResult("figure_values", worst <= tol.limit_values, worst,
-                       tol.limit_values, "fig2/fig3/fig4 anchor points")
+    return CheckResult("figure_values", worst <= LIMIT_VALUES_TOL, worst,
+                       LIMIT_VALUES_TOL, "fig2/fig3/fig4 anchor points")
 
 
 def _mate_oracle_roots() -> tuple[mate_mod.MateConfig, list[float]]:
@@ -363,8 +366,8 @@ def _check_mate_dkdx(tol: ToleranceProfile) -> CheckResult:
         numeric = mate_mod.dispersive_from_resonance(cfg, root)
         errors.append(abs(closed - numeric) / abs(numeric))
     worst = _worst(errors)
-    return CheckResult("mate_dkdx_oracle", worst <= tol.mate_dkdx_rel, worst,
-                       tol.mate_dkdx_rel, "closed-form slope vs re-solved resonance")
+    return CheckResult("mate_dkdx_oracle", worst <= MATE_DKDX_REL, worst,
+                       MATE_DKDX_REL, "closed-form slope vs re-solved resonance")
 
 
 def _check_mos_resonance(tol: ToleranceProfile) -> CheckResult:
@@ -385,8 +388,8 @@ def _check_mos_resonance(tol: ToleranceProfile) -> CheckResult:
         errors += [abs(brute / closed - 1.0), abs(brute / exact - 1.0)]
     worst = _worst(errors)
     return CheckResult("mos_resonance_oracle",
-                       in_regime and worst <= tol.mos_resonance_rel,
-                       worst, tol.mos_resonance_rel,
+                       in_regime and worst <= MOS_RESONANCE_REL,
+                       worst, MOS_RESONANCE_REL,
                        "brute-force d(omega_c)/dx vs closed forms")
 
 
@@ -418,8 +421,8 @@ def _check_regime(rng: np.random.Generator, tol: ToleranceProfile,
         errors += [abs(corr.gamma_exact / thin_gamma - 1.0),
                    abs(corr.g_omega_exact / thin_g - 1.0)]
     worst = _worst(errors)
-    return CheckResult("thin_tandem_regime", in_regime and worst <= tol.regime_rel,
-                       worst, tol.regime_rel,
+    return CheckResult("thin_tandem_regime", in_regime and worst <= REGIME_REL,
+                       worst, REGIME_REL,
                        "finite-gap corrections below 1e-2 under the gap bound")
 
 

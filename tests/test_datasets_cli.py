@@ -469,7 +469,7 @@ class TestCli:
         assert one.read_bytes() == two.read_bytes()
 
     @pytest.mark.parametrize("argv, code, message", [
-        (["mos", "--set", "mos.l=-1"], 1, "cavity length must be positive"),
+        (["mos", "--set", "mos.l=-1"], 1, "l must be positive"),
         (["mos", "--set", "mos.t=1.5"], 1, "t must lie in [0, 1]"),
         (["mos", "--set", "mos.wavelength=inf"], 1, "wavelength must be finite"),
         (["mos", "--set", "mos.l=nan"], 1, "l must be finite"),

@@ -306,7 +306,7 @@ class TestArrayGaps:
         assert unitarity_defect(got.as_array()) == max(map(unitarity_defect, got.as_array()))
 
     @pytest.mark.parametrize("bad, message", [
-        (-1e-9, "gap must be non-negative"), (math.nan, "x must be finite"),
+        (-1e-9, "x must be non-negative"), (math.nan, "x must be finite"),
         (math.inf, "x must be finite")])
     def test_one_bad_gap_anywhere_is_an_invalid_parameter(self, compose, bad, message):
         x = np.array([1e-7, 2e-7, bad, 3e-7])
@@ -502,8 +502,8 @@ BAD_GEOMETRY = [
     ("t_m", 1.5, "t_m must lie in (0, 1], got 1.5"),
     ("wavelength", 0.0, "wavelength must be positive, got 0.0"),
     ("wavelength", -1e-6, "wavelength must be positive, got -1e-06"),
-    ("l", 0.0, "cavity length must be positive, got 0.0"),
-    ("l", -1.0, "cavity length must be positive, got -1.0"),
+    ("l", 0.0, "l must be positive, got 0.0"),
+    ("l", -1.0, "l must be positive, got -1.0"),
     ("l", math.nan, "l must be finite, got nan"),
     ("wavelength", math.inf, "wavelength must be finite, got inf"),
     ("t", math.nan, "t must be finite, got nan"),

@@ -67,7 +67,8 @@ class TestZeroDispersiveLocus:
         (math.inf, 0.1, "t"), (1.5, 0.1, "t"), (-0.01, 0.1, "t"),
     ])
     def test_out_of_range_inputs_are_invalid_parameters(self, t, t_m, name):
-        with pytest.raises(InvalidParameter, match=f"^{name} must lie in"):
+        rule = "lie in" if math.isfinite(t) and math.isfinite(t_m) else "be finite"
+        with pytest.raises(InvalidParameter, match=f"^{name} must {rule}"):
             zero_dispersive_locus(t, t_m)
 
     def test_tandem_beyond_the_float_range_is_an_invalid_parameter(self):
@@ -173,11 +174,11 @@ class TestDissipativeConstant:
             dissipative_constant_exact(0.1, 0.014, bench.k, bench.l)
 
     @pytest.mark.parametrize("args, message", [
-        ({"t_m": math.nan}, "t_m must lie in"),
+        ({"t_m": math.nan}, "t_m must be finite"),
         ({"t_m": 1.5}, "t_m must lie in"),
-        ({"t": math.nan}, "t must lie in"),
-        ({"l": 0.0}, "k and l must be positive"),
-        ({"l": -1e-4}, "k and l must be positive"),
+        ({"t": math.nan}, "t must be finite"),
+        ({"l": 0.0}, "l must be positive"),
+        ({"l": -1e-4}, "l must be positive"),
         ({"k": math.inf}, "k must be finite"),
     ], ids=["t_m=nan", "t_m=1.5", "t=nan", "l=0", "l<0", "k=inf"])
     def test_bad_inputs_are_invalid_parameters(self, bench, args, message):
@@ -251,6 +252,15 @@ class TestExactCorrections:
     @pytest.mark.parametrize("x", [0.0, np.array([0.0, 1e-9])], ids=["float", "array"])
     def test_vanishing_transmission_is_an_invalid_parameter(self, bench, t, x):
         with pytest.raises(InvalidParameter, match="need a tandem transmission T with T"):
+            exact_corrections(replace(bench, t=t, x=x))
+
+    # T^2 is a subnormal, not 0, so l t_m^2 / T^2 overflows: dgamma_dx_exact
+    # came out nan at t = 1e-79 and inf at 1e-78
+    @pytest.mark.parametrize("t", [1e-79, 1e-78])
+    @pytest.mark.parametrize("x", [0.0, np.array([0.0, 1e-9])], ids=["float", "array"])
+    def test_subnormal_transmission_is_an_invalid_parameter(self, bench, t, x):
+        with pytest.raises(InvalidParameter,
+                           match="^exact_corrections leaves the float range"):
             exact_corrections(replace(bench, t=t, x=x))
 
 

@@ -402,7 +402,8 @@ class TestCooperativity:
         if system == "mos":
             del params["omega_m"]
         params[name] = value
-        with pytest.raises(InvalidParameter, match=f"^{name} must be positive"):
+        rule = r"lie in \(0, 1\]" if name in ("t", "t_m") else "be positive"
+        with pytest.raises(InvalidParameter, match=f"^{name} must {rule}"):
             cooperativity(system, **params)
 
     @pytest.mark.parametrize("system, name, value", [
@@ -435,8 +436,8 @@ class TestCooperativity:
     @pytest.mark.parametrize("system, name, value, message", [
         ("mos", "t", 2.0, r"t must lie in \[0, 1\]"),
         ("mos", "t", -0.1, r"t must lie in \[0, 1\]"),
-        ("mos", "t_m", 1.5, r"t_m must lie in \[0, 1\]"),
-        ("mate", "t", 2.0, r"t must lie in \[0, 1\]"),
+        ("mos", "t_m", 1.5, r"t_m must lie in \(0, 1\]"),
+        ("mate", "t", 2.0, r"t must lie in \(0, 1\]"),
         ("msi", "r_ms", 1.2, r"r_ms must lie in \[0, 1\]"),
         ("mos", "x_zpf", -1e-15, "x_zpf must be positive"),
         ("msi", "x_zpf", 0.0, "x_zpf must be positive"),

@@ -1,7 +1,9 @@
-"""The public surface: bad arguments raise package errors, every name in
+"""The public surface: bad arguments raise package errors, each parameter
+rule with one class and one message at every entry point, every name in
 __all__ resolves, every name and command line the benchmark harness
 (perfbench/) uses still exists, and the README's library quick start runs."""
 
+import ast
 import importlib
 import importlib.util
 import math
@@ -9,6 +11,7 @@ import os
 import re
 import subprocess
 import sys
+from functools import partial
 from pathlib import Path
 
 import pytest
@@ -16,21 +19,33 @@ import pytest
 import optomech
 from optomech import (
     DriveConfig,
+    ElementSpec,
+    InvalidElement,
     InvalidParameter,
     MateConfig,
     MosConfig,
+    MsiConfig,
     PortRates,
+    ScanSpec,
     classify_branch,
+    compare_systems,
+    compose_synthetic,
+    compose_synthetic_by_elimination,
     cooperativity,
+    dissipative_constant_exact,
     general_spectra,
     homodyne_spectra,
     mate_dispersive_constant,
     mate_exact_decay,
     mate_resonances,
+    run_scan,
     run_validation,
     two_port_setpoint,
+    zero_dispersive_locus,
 )
 from optomech.cli import build_parser
+from optomech.elements import wavevector
+from optomech.noise import mechanical_scale
 
 ROOT = Path(__file__).resolve().parents[1]
 PERFBENCH = ROOT / "perfbench"
@@ -69,6 +84,139 @@ MATE = MateConfig(l=1e-4, x=1e-6, t=0.014, t_m=0.1, wavelength=0.85e-6, phi_r=ma
 def test_bad_argument_is_a_package_error(call):
     with pytest.raises(InvalidParameter):
         call()
+
+
+#: the message of each parameter rule; a value that is not finite gets FINITE's
+FINITE, POSITIVE, NON_NEGATIVE = "must be finite", "must be positive", "must be non-negative"
+AMPLITUDE, TRANSMITTING = "must lie in [0, 1]", "must lie in (0, 1]"
+
+#: the bad values each rule is fed
+BAD_VALUES = {
+    FINITE: (math.nan, math.inf, -math.inf),
+    POSITIVE: (0.0, -1.0, math.nan, math.inf),
+    NON_NEGATIVE: (-1.0, math.nan, -math.inf),
+    AMPLITUDE: (-1.0, 1.5, math.nan, math.inf),
+    TRANSMITTING: (0.0, -1.0, 1.5, math.nan, math.inf),
+}
+
+K = 2 * math.pi / 0.85e-6
+MECH = {"l": 1e-4, "wavelength": 0.85e-6, "x_zpf": 1e-15, "gamma_m": 0.1, "a0": 1.0}
+GEOMETRY = {"l": 1e-4, "wavelength": 0.85e-6, "t": 0.014, "t_m": 0.1}
+PAIR = (ElementSpec.mirror(0.5), ElementSpec.membrane(0.5))
+
+#: entry point -> (a call taking keyword arguments, its valid arguments)
+ENTRIES = {
+    "wavevector": (wavevector, {"wavelength": 0.85e-6}),
+    "ElementSpec": (partial(ElementSpec, kind="membrane"), {"t": 0.5, "phi_r": 1.0}),
+    "MosConfig": (MosConfig, {**GEOMETRY, "x": 0.0, "phi_r": 1.0}),
+    "MateConfig": (MateConfig, {**GEOMETRY, "x": 1e-6, "phi_r": 1.0}),
+    "compose_synthetic": (partial(compose_synthetic, *PAIR), {"x": 1e-7, "k": K}),
+    "compose_synthetic_by_elimination": (partial(compose_synthetic_by_elimination, *PAIR),
+                                         {"x": 1e-7, "k": K}),
+    "zero_dispersive_locus": (zero_dispersive_locus, {"t": 0.014, "t_m": 0.1}),
+    "dissipative_constant_exact": (dissipative_constant_exact,
+                                   {"t": 0.014, "t_m": 0.1, "k": K, "l": 1e-4}),
+    "MsiConfig": (MsiConfig, {"r_ms": 0.9, "l": 1e-4, "k": K, "x": 0.0, "Tb_sq": 0.5}),
+    "classify_branch": (partial(classify_branch, MATE), {"k_c": K}),
+    "mate_dispersive_constant": (partial(mate_dispersive_constant, MATE), {"k_c": K}),
+    "mate_exact_decay": (partial(mate_exact_decay, MATE), {"k": K}),
+    "PortRates": (PortRates, {"gamma1": GAMMA, "gamma2": GAMMA, "gamma3": 0.0}),
+    "DriveConfig": (DriveConfig, {"delta": 0.0, "omega": 0.0, "a0": 1.0}),
+    "mechanical_scale": (mechanical_scale, MECH),
+    "cooperativity(mos)": (partial(cooperativity, "mos"), {"t": 0.014, "t_m": 0.1, **MECH}),
+    "cooperativity(msi)": (partial(cooperativity, "msi"),
+                           {"r_ms": 0.9, "gamma_ms": 1e9, "omega_m": 1e6, **MECH}),
+    "cooperativity(mate)": (partial(cooperativity, "mate"),
+                            {"t": 0.014, "t_m": 0.1, "omega_m": 1e6, **MECH}),
+    # its messages name the parameter compare.<key>
+    "compare_systems": (lambda **params: compare_systems(params), {}),
+    # its messages end with the sweep point they occur at
+    "run_scan(noise)": (lambda **fixed: run_scan(ScanSpec("noise", "xi", -1.0, 1.0, 3, fixed)),
+                        {}),
+}
+
+#: rule -> {entry point: the parameters it screens by that rule}
+SCREENED = {
+    FINITE: {
+        "ElementSpec": ("phi_r",), "MosConfig": ("phi_r",), "MateConfig": ("phi_r",),
+        "MsiConfig": ("x",), "DriveConfig": ("delta", "omega"),
+        "cooperativity(msi)": ("omega_m",), "cooperativity(mate)": ("omega_m",),
+        "compare_systems": ("t", "t_m", "msi_r_ms", "msi_Tb_sq"),
+    },
+    POSITIVE: {
+        "wavevector": ("wavelength",),
+        "MosConfig": ("l", "wavelength"), "MateConfig": ("l", "wavelength"),
+        "compose_synthetic": ("k",), "compose_synthetic_by_elimination": ("k",),
+        "dissipative_constant_exact": ("k", "l"), "MsiConfig": ("l", "k"),
+        "classify_branch": ("k_c",), "mate_dispersive_constant": ("k_c",),
+        "mate_exact_decay": ("k",),
+        "mechanical_scale": ("wavelength", "l", "x_zpf", "gamma_m"),
+        "cooperativity(mos)": ("l", "wavelength", "x_zpf", "gamma_m"),
+        "cooperativity(msi)": ("gamma_ms", "l", "wavelength", "x_zpf", "gamma_m"),
+        "cooperativity(mate)": ("l", "wavelength", "x_zpf", "gamma_m"),
+        "compare_systems": ("l", "wavelength", "x_zpf", "gamma_m", "a0", "omega_m",
+                            "mate_x"),
+    },
+    NON_NEGATIVE: {
+        "MosConfig": ("x",), "compose_synthetic": ("x",),
+        "compose_synthetic_by_elimination": ("x",),
+        "PortRates": ("gamma1", "gamma2", "gamma3"), "DriveConfig": ("a0",),
+        "mechanical_scale": ("a0",), "cooperativity(mos)": ("a0",),
+        "cooperativity(msi)": ("a0",), "cooperativity(mate)": ("a0",),
+        "run_scan(noise)": ("gamma3_over_gamma",),
+    },
+    AMPLITUDE: {
+        "MosConfig": ("t",), "MateConfig": ("t",), "zero_dispersive_locus": ("t",),
+        "ElementSpec": ("t",), "dissipative_constant_exact": ("t",),
+        "MsiConfig": ("r_ms", "Tb_sq"),
+        "cooperativity(mos)": ("t",), "cooperativity(msi)": ("r_ms",),
+    },
+    TRANSMITTING: {
+        "MosConfig": ("t_m",), "MateConfig": ("t_m",), "zero_dispersive_locus": ("t_m",),
+        "dissipative_constant_exact": ("t_m",), "cooperativity(mos)": ("t_m",),
+        "cooperativity(mate)": ("t", "t_m"),
+    },
+}
+
+SCREEN_CASES = [(rule, entry, name, value)
+                for rule, entries in SCREENED.items()
+                for entry, names in entries.items()
+                for name in names for value in BAD_VALUES[rule]]
+
+
+@pytest.mark.parametrize("rule, entry, name, value", SCREEN_CASES,
+                         ids=[f"{e}-{n}={v}" for _, e, n, v in SCREEN_CASES])
+def test_each_rule_has_one_class_and_one_message(rule, entry, name, value):
+    call, valid = ENTRIES[entry]
+    # an element's screens raise InvalidElement, and so does MsiConfig's range
+    # screen of r_ms (its finiteness screen of all its inputs comes first)
+    element = entry == "ElementSpec" or (
+        (entry, name) == ("MsiConfig", "r_ms") and math.isfinite(value))
+    error = InvalidElement if element else InvalidParameter
+    label = f"compare.{name}" if entry == "compare_systems" else name
+    message = f"{label} {rule if math.isfinite(value) else FINITE}, got {value}"
+    with pytest.raises(optomech.OptomechError) as err:
+        call(**{**valid, name: value})
+    assert type(err.value) is error
+    assert re.fullmatch(re.escape(message) + r"( \[at sweep point .*\])?", str(err.value))
+
+
+def _rule_messages(source: str) -> list[int]:
+    """Lines of the f-strings in source that spell a range rule's message."""
+    rules = (POSITIVE, NON_NEGATIVE, "must lie in")
+    return [node.lineno for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.JoinedStr)
+            and any(rule in "".join(str(part.value) for part in node.values
+                                    if isinstance(part, ast.Constant)) for rule in rules)]
+
+
+def test_only_numerics_spells_a_range_rule():
+    # a new entry point calls a numerics screen instead of its own message
+    assert _rule_messages('raise E(f"{name} must be positive, got {v}")') == [1]
+    spelled = {path.name: _rule_messages(path.read_text())
+               for path in (ROOT / "src" / "optomech").glob("*.py")
+               if path.name != "numerics.py"}
+    assert {name: lines for name, lines in spelled.items() if lines} == {}
 
 
 def _load(name: str):

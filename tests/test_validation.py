@@ -291,11 +291,11 @@ def _loop_locus_oracle(rng, tol, samples):
         phi0 = t_m ** 2 / 4.0
         half = (locus.psi_star[1] - math.pi) / 2.0
         worst_phi = max(worst_phi, abs(half - phi0) / phi0 / (t ** 2 / t_m ** 2))
-    ok = worst_psi <= tol.locus_psi and worst_phi <= tol.locus_phi0_scale
+    ok = worst_psi <= tol.locus_psi and worst_phi <= validation.LOCUS_PHI0_SCALE
     return validation.CheckResult(
         "zero_dispersive_locus_oracle", ok, worst_psi, tol.locus_psi,
         f"|dpsi| {worst_psi:.2e}; (psi*-pi)/2 vs Phi0 within "
-        f"{worst_phi:.2f} x t^2/t_m^2 (limit {tol.locus_phi0_scale})",
+        f"{worst_phi:.2f} x t^2/t_m^2 (limit {validation.LOCUS_PHI0_SCALE})",
     )
 
 
