@@ -426,6 +426,39 @@ def _store(row: dict[str, object], **values: float) -> None:
     row.update(values)
 
 
+def _mos_row(row: dict, p: dict, mech: dict) -> None:
+    mos_mod.zero_dispersive_locus(p["t"], p["t_m"])
+    cfg = mos_mod.MosConfig(l=p["l"], wavelength=p["wavelength"],
+                            t=p["t"], t_m=p["t_m"], x=0.0)
+    # the Phi = Phi0 operating point: g_gamma0 = g_00 / 2, gamma = gamma0 / 2
+    _store(row, g_gamma0=cfg.g_00 / 2.0, gamma=cfg.gamma0 / 2.0)
+    _store(row, cooperativity=noise_mod.cooperativity_mos(t=p["t"], t_m=p["t_m"], **mech))
+
+
+def _msi_row(row: dict, p: dict, mech: dict) -> None:
+    cfg = msi_mod.MsiConfig(r_ms=p["msi_r_ms"], l=p["l"], k=wavevector(p["wavelength"]),
+                            Tb_sq=p["msi_Tb_sq"])
+    zd = msi_mod.msi_zero_dispersive(cfg)
+    _store(row, g_gamma0=zd.g_gamma0_benchmark, gamma=zd.gamma_ms)
+    _store(row, cooperativity=noise_mod.cooperativity_msi(
+        r_ms=p["msi_r_ms"], gamma_ms=zd.gamma_ms, omega_m=p["omega_m"], **mech))
+
+
+def _mate_row(row: dict, p: dict, mech: dict) -> None:
+    mate_x = p["l"] * p["t_m"] ** 2 / 4000.0 if p["mate_x"] is None else p["mate_x"]
+    cfg = mate_mod.MateConfig(l=p["l"], x=mate_x, t=p["t"], t_m=p["t_m"],
+                              wavelength=p["wavelength"])
+    zd = mate_mod.mate_zero_dispersive(cfg)
+    _store(row, g_gamma0=zd.g_gamma0_mag, gamma=zd.gamma_mate)
+    _store(row, cooperativity=noise_mod.cooperativity_mate(
+        t=p["t"], t_m=p["t_m"], omega_m=p["omega_m"], **mech))
+
+
+#: each system's row filler, in row order; a filler stores g_gamma0 and gamma
+#: before the cooperativity, so a row whose cooperativity fails keeps both
+_SYSTEMS = {"mos": _mos_row, "msi": _msi_row, "mate": _mate_row}
+
+
 def compare_systems(params: dict[str, float] | None = None) -> ComparisonTable:
     """Dissipative constant, decay rate, and cooperativity of the three
     systems at their zero-dispersive operating points, with MOS-referenced
@@ -445,60 +478,16 @@ def compare_systems(params: dict[str, float] | None = None) -> ComparisonTable:
     require_finite(**{f"compare.{key}": val for key, val in given.items()})
     require_positive(**{f"compare.{key}": given[key]
                         for key in _COMPARE_POSITIVE if key in given})
-    k = wavevector(p["wavelength"])
-    mech = dict(
-        l=p["l"], wavelength=p["wavelength"], x_zpf=p["x_zpf"],
-        gamma_m=p["gamma_m"], a0=p["a0"],
-    )
+    mech = {key: p[key] for key in ("l", "wavelength", "x_zpf", "gamma_m", "a0")}
 
-    rows: list[dict[str, object]] = []
+    rows: list[dict[str, object]] = [{"system": s, "error": ""} for s in _SYSTEMS]
+    for row in rows:
+        try:
+            _SYSTEMS[row["system"]](row, p, mech)
+        except _ROW_ERRORS as exc:
+            row["error"] = type(exc).__name__
 
-    mos_row: dict[str, object] = {"system": "mos", "error": ""}
-    try:
-        mos_mod.zero_dispersive_locus(p["t"], p["t_m"])
-        mos_cfg = mos_mod.MosConfig(l=p["l"], wavelength=p["wavelength"],
-                                    t=p["t"], t_m=p["t_m"], x=0.0)
-        # the Phi = Phi0 operating point: g_gamma0 = g_00 / 2, gamma = gamma0 / 2
-        _store(mos_row, g_gamma0=mos_cfg.g_00 / 2.0, gamma=mos_cfg.gamma0 / 2.0)
-        _store(mos_row, cooperativity=noise_mod.cooperativity_mos(
-            t=p["t"], t_m=p["t_m"], **mech
-        ))
-    except _ROW_ERRORS as exc:
-        mos_row["error"] = type(exc).__name__
-    rows.append(mos_row)
-
-    msi_row: dict[str, object] = {"system": "msi", "error": ""}
-    try:
-        msi_cfg = msi_mod.MsiConfig(
-            r_ms=p["msi_r_ms"], l=p["l"], k=k, Tb_sq=p["msi_Tb_sq"]
-        )
-        zd = msi_mod.msi_zero_dispersive(msi_cfg)
-        _store(msi_row, g_gamma0=zd.g_gamma0_benchmark, gamma=zd.gamma_ms)
-        _store(msi_row, cooperativity=noise_mod.cooperativity_msi(
-            r_ms=p["msi_r_ms"], gamma_ms=zd.gamma_ms, omega_m=p["omega_m"], **mech
-        ))
-    except _ROW_ERRORS as exc:
-        msi_row["error"] = type(exc).__name__
-    rows.append(msi_row)
-
-    mate_row: dict[str, object] = {"system": "mate", "error": ""}
-    try:
-        mate_x = p["mate_x"]
-        if mate_x is None:
-            mate_x = p["l"] * p["t_m"] ** 2 / 4000.0
-        mate_cfg = mate_mod.MateConfig(
-            l=p["l"], x=mate_x, t=p["t"], t_m=p["t_m"],
-            wavelength=p["wavelength"],
-        )
-        zd_mate = mate_mod.mate_zero_dispersive(mate_cfg)
-        _store(mate_row, g_gamma0=zd_mate.g_gamma0_mag, gamma=zd_mate.gamma_mate)
-        _store(mate_row, cooperativity=noise_mod.cooperativity_mate(
-            t=p["t"], t_m=p["t_m"], omega_m=p["omega_m"], **mech
-        ))
-    except _ROW_ERRORS as exc:
-        mate_row["error"] = type(exc).__name__
-    rows.append(mate_row)
-
+    mos_row = rows[0]
     mos_ok = not mos_row["error"]
     for row in rows:
         row["g_ratio_mos"] = row["gamma_ratio_mos"] = row["coop_ratio_mos"] = math.nan
@@ -510,7 +499,6 @@ def compare_systems(params: dict[str, float] | None = None) -> ComparisonTable:
             except InvalidParameter as exc:
                 row["error"] = type(exc).__name__
 
-    metadata: dict[str, object] = {f"param.{key}": val for key, val in sorted(p.items())
-                                   if val is not None}
+    metadata: dict[str, object] = {f"param.{k}": v for k, v in sorted(given.items())}
     metadata["version"] = __version__
     return ComparisonTable(rows=rows, metadata=metadata)

@@ -92,8 +92,9 @@ class MosConfig(TandemCavity):
         return replace(self, x=self.x_tilde + phi / self.k)
 
     def thin_tandem_bound(self) -> float:
-        """Gap scale l t_m^4 / (4 t^2) below which the tandem is thin."""
-        if self.t == 0.0:
+        """Gap scale l t_m^4 / (4 t^2) below which the tandem is thin; inf
+        where t^2 is 0, at t = 0 or where it underflows."""
+        if self.t ** 2 == 0.0:
             return math.inf
         return self.l * self.t_m ** 4 / (4.0 * self.t ** 2)
 

@@ -46,8 +46,9 @@ from .constants import C_LIGHT, HBAR
 from .elements import wavevector
 from .errors import InvalidParameter, SingularSystem, ZeroCoupling
 from .mate import zero_dispersive_decay
-from .numerics import (in_float_range, out_of_float_range, require_amplitude, require_finite,
-                       require_non_negative, require_positive, require_transmitting)
+from .numerics import (finite_results, in_float_range, out_of_float_range, require_amplitude,
+                       require_finite, require_non_negative, require_positive,
+                       require_transmitting)
 
 @dataclass(frozen=True)
 class PortRates:
@@ -158,7 +159,7 @@ def general_spectra(
         raise out_of_float_range("general_spectra", exc) from exc
     # float products overflow to inf, and inf to nan, without raising
     if not (math.isfinite(s_xx) and math.isfinite(s_ff)):
-        raise InvalidParameter(f"general_spectra leaves the float range ({s_xx}, {s_ff})")
+        finite_results("general_spectra", s_xx, s_ff)
     return s_xx, s_ff
 
 
@@ -229,7 +230,7 @@ def homodyne_spectra(
     except (ZeroDivisionError, OverflowError) as exc:
         raise out_of_float_range("homodyne_spectra", exc) from exc
     if not math.isfinite(product):  # one spectrum overflowed, the other underflowed
-        raise InvalidParameter(f"homodyne_spectra leaves the float range ({product})")
+        finite_results("homodyne_spectra", product)
     theta_opt = math.atan2(g_omega0, g_gamma0)
     xi = math.inf if g_gamma0 == 0.0 else g_omega0 / g_gamma0
     return NoiseReport(
@@ -269,9 +270,7 @@ def cooperativity_mos(
     non-feeding port)."""
     if not math.isfinite(t + t_m):
         require_finite(t=t, t_m=t_m)
-    if not (0.0 < t_m <= 1.0 and 0.0 <= t <= 1.0):
-        if not t_m > 0.0:  # t_m > 0 is checked before t, t_m <= 1 after it
-            require_transmitting(t_m=t_m)
+    if not (0.0 <= t <= 1.0 and 0.0 < t_m <= 1.0):
         require_amplitude(t=t)
         require_transmitting(t_m=t_m)
     m_scale = mechanical_scale(wavelength, l, x_zpf, gamma_m, a0)
@@ -307,8 +306,6 @@ def cooperativity_mate(
         require_finite(t=t, t_m=t_m, omega_m=omega_m)
     m_scale = mechanical_scale(wavelength, l, x_zpf, gamma_m, a0)
     if not (0.0 < t <= 1.0 and 0.0 < t_m <= 1.0):
-        if t > 0.0 and not t_m > 0.0:  # both lower bounds before either upper one
-            require_transmitting(t_m=t_m)
         require_transmitting(t=t, t_m=t_m)
 
     def formula() -> float:

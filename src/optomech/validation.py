@@ -279,7 +279,7 @@ def _check_locus_oracle(rng: np.random.Generator, tol: ToleranceProfile,
     )
 
 
-def _check_mos_limits(tol: ToleranceProfile) -> CheckResult:
+def _check_mos_limits() -> CheckResult:
     cfg = mos_mod.MosConfig(l=1e-4, wavelength=0.85e-6, t=0.014, t_m=0.1, x=0.0)
     at0 = mos_mod.operating_point(cfg.at_phi(0.0))
     at1 = mos_mod.operating_point(cfg.at_phi(cfg.phi0))
@@ -314,7 +314,7 @@ def _check_noise_general(tol: ToleranceProfile) -> CheckResult:
                        "general solver at omega = 1e-6 gamma")
 
 
-def _check_figures(tol: ToleranceProfile) -> CheckResult:
+def _check_figures() -> CheckResult:
     fig2 = reproduce_figure("fig2")
     fig3 = reproduce_figure("fig3")
     fig4 = reproduce_figure("fig4")
@@ -358,7 +358,7 @@ def _check_mate_resonances(tol: ToleranceProfile) -> CheckResult:
     )
 
 
-def _check_mate_dkdx(tol: ToleranceProfile) -> CheckResult:
+def _check_mate_dkdx() -> CheckResult:
     cfg, roots = _mate_oracle_roots()
     errors = []
     for root in roots:
@@ -370,7 +370,7 @@ def _check_mate_dkdx(tol: ToleranceProfile) -> CheckResult:
                        MATE_DKDX_REL, "closed-form slope vs re-solved resonance")
 
 
-def _check_mos_resonance(tol: ToleranceProfile) -> CheckResult:
+def _check_mos_resonance() -> CheckResult:
     base = mos_mod.MosConfig(
         l=1e-4, wavelength=0.85e-6, t=0.0006, t_m=0.02, x=0.0,
         phi_r=math.pi - 1e-3,
@@ -393,8 +393,7 @@ def _check_mos_resonance(tol: ToleranceProfile) -> CheckResult:
                        "brute-force d(omega_c)/dx vs closed forms")
 
 
-def _check_regime(rng: np.random.Generator, tol: ToleranceProfile,
-                  samples: int = 60) -> CheckResult:
+def _check_regime(rng: np.random.Generator, samples: int = 60) -> CheckResult:
     # gap grows in half-wavelength steps (branch N) at fixed tandem phase,
     # staying below 0.9 x 0.01 of the thin-tandem bound (checked below
     # 0.01 of it); long cavity so many branches fit under the bound
@@ -448,15 +447,15 @@ def run_validation(
         _check_response_derivatives(rng, profile),
         _check_msi_derivatives(rng, profile),
         _check_locus_oracle(rng, profile, samples=100 if suite == "full" else 20),
-        _check_mos_limits(profile),
+        _check_mos_limits(),
         _check_noise_general(profile),
-        _check_figures(profile),
+        _check_figures(),
     ]
     if suite == "full":
         checks += [
             _check_mate_resonances(profile),
-            _check_mate_dkdx(profile),
-            _check_mos_resonance(profile),
-            _check_regime(rng, profile),
+            _check_mate_dkdx(),
+            _check_mos_resonance(),
+            _check_regime(rng),
         ]
     return ValidationReport(suite=suite, profile=profile.name, checks=checks)

@@ -175,7 +175,7 @@ def _resonant_at_psi(cfg: MateConfig, psi: float) -> tuple[float, float]:
 
 def test_mate_resonance_oracle():
     family = _check_mate_resonances(DEFAULT)
-    dkdx = _check_mate_dkdx(DEFAULT)
+    dkdx = _check_mate_dkdx()
     cfg = MateConfig(l=1e-4, x=1e-6, t=0.014, t_m=0.1,
                      wavelength=0.85e-6, phi_r=math.pi)
     # zero-dispersive points: raw slope changes sign at Phi = +-t_m/2
@@ -231,7 +231,7 @@ def test_cross_system_benchmark():
 
 def test_thin_tandem_regime():
     report_check("thin-tandem-regime",
-                 _check_regime(np.random.default_rng(99), DEFAULT, samples=40))
+                 _check_regime(np.random.default_rng(99), samples=40))
 
 
 def test_unitarity_suite():

@@ -491,7 +491,10 @@ class TestCli:
         (["compare", "--set", "compare.x_zpf=nan"], 1, "x_zpf must be finite"),
         (["compare", "--set", "compare.a0=inf"], 1, "a0 must be finite"),
         (["compare", "--set", "compare.t=nan"], 1, "t must be finite"),
-        (["mos", "--set", "mos.t=1e-300"], 1, "ZeroDivisionError"),
+        # the cooperativity overflows after g_gamma0 and gamma are stored
+        (["compare", "--set", "compare.a0=1e200"], 0,
+         "mos,8.6869578162949456e+19,58759321767.999985,,nan,nan,nan,InvalidParameter"),
+        (["mos", "--set", "mos.t=1e-300"], 1, "gamma_over_gamma0 is not finite"),
         (["mos", "--set", "mos.t_m=5e-324"], 1, "phi0 = t_m^2/4 underflows to 0"),
         (["mos", "--set", "mos.l=5e-324"], 1, "ZeroDivisionError"),
         (["mos", "--set", "mos.t_m=1e-300"], 1, "phi0 = t_m^2/4 underflows to 0"),

@@ -96,7 +96,7 @@ class TestResonances:
 
 class TestDispersiveConstant:
     def test_closed_slope_matches_resolve_oracle(self):
-        result = _check_mate_dkdx(DEFAULT)
+        result = _check_mate_dkdx()
         assert result.passed, result.line()
 
     def test_sign_rule(self, cfg):

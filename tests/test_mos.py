@@ -139,6 +139,14 @@ class TestOperatingPoint:
         assert operating_point(thin).valid_thin_tandem
         assert not operating_point(thick).valid_thin_tandem
 
+    # 4 t^2 underflows to 0 below about t = 1e-162: the bound is then its
+    # t -> 0 limit, as at t = 0, not a division by zero
+    @pytest.mark.parametrize("t", [0.0, 1e-161, 1e-170, 1e-300])
+    def test_thin_tandem_bound_is_infinite_where_t_squared_underflows(self, bench, t):
+        cfg = replace(bench, t=t)
+        assert cfg.thin_tandem_bound() == math.inf
+        assert operating_point(cfg).valid_thin_tandem
+
 
 class TestDissipativeConstant:
     def test_equal_reflectivities_vanish(self, bench):
@@ -284,7 +292,7 @@ class TestResonanceOracle:
 
     def test_brute_force_matches_lorentzian_form(self):
         # tight regime t << t_m << 1, x below 0.001 of the thin-tandem bound
-        result = _check_mos_resonance(DEFAULT)
+        result = _check_mos_resonance()
         assert result.passed, result.line()
 
 

@@ -202,8 +202,9 @@ def test_each_rule_has_one_class_and_one_message(rule, entry, name, value):
 
 
 def _rule_messages(source: str) -> list[int]:
-    """Lines of the f-strings in source that spell a range rule's message."""
-    rules = (POSITIVE, NON_NEGATIVE, "must lie in")
+    """Lines of the f-strings in source that spell a range rule's message,
+    or the message of a result that leaves the float range."""
+    rules = (POSITIVE, NON_NEGATIVE, "must lie in", "leaves the float range")
     return [node.lineno for node in ast.walk(ast.parse(source))
             if isinstance(node, ast.JoinedStr)
             and any(rule in "".join(str(part.value) for part in node.values
@@ -213,6 +214,7 @@ def _rule_messages(source: str) -> list[int]:
 def test_only_numerics_spells_a_range_rule():
     # a new entry point calls a numerics screen instead of its own message
     assert _rule_messages('raise E(f"{name} must be positive, got {v}")') == [1]
+    assert _rule_messages('raise E(f"{name} leaves the float range ({v})")') == [1]
     spelled = {path.name: _rule_messages(path.read_text())
                for path in (ROOT / "src" / "optomech").glob("*.py")
                if path.name != "numerics.py"}
