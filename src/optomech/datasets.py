@@ -475,7 +475,8 @@ def compare_systems(params: dict[str, float] | None = None) -> ComparisonTable:
             raise ConfigError(f"unknown compare parameters: {sorted(unknown)}")
         p.update(params)
     given = {key: val for key, val in p.items() if val is not None}
-    require_finite(**{f"compare.{key}": val for key, val in given.items()})
+    require_finite(**{f"compare.{key}": val for key, val in given.items()
+                      if key not in _COMPARE_POSITIVE})
     require_positive(**{f"compare.{key}": given[key]
                         for key in _COMPARE_POSITIVE if key in given})
     mech = {key: p[key] for key in ("l", "wavelength", "x_zpf", "gamma_m", "a0")}

@@ -157,13 +157,13 @@ class TandemCavity:
     k: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        require_finite(l=self.l, wavelength=self.wavelength, t=self.t,
-                       t_m=self.t_m, x=self.x, phi_r=self.phi_r)
+        # each value by its one rule; x by each subclass, whose gap rule differs
         require_positive(l=self.l)
         # derived once; a frozen instance sets it past its own __setattr__
         object.__setattr__(self, "k", wavevector(self.wavelength))
-        require_transmitting(t_m=self.t_m)
         require_amplitude(t=self.t)
+        require_transmitting(t_m=self.t_m)
+        require_finite(phi_r=self.phi_r)
 
     @property
     def omega_c(self) -> float:
@@ -243,7 +243,6 @@ def _check_pair(mirror: ElementSpec, membrane: ElementSpec) -> None:
 
 def _check_tandem_args(mirror: ElementSpec, membrane: ElementSpec, x, k) -> None:
     _check_pair(mirror, membrane)
-    require_finite(x=x, k=k)
     require_non_negative(x=x)
     require_positive(k=k)
 

@@ -34,6 +34,7 @@ from .numerics import (
     central_diff_richardson,
     cos_sin,
     grid_roots,
+    require_finite,
     require_positive,
 )
 
@@ -56,6 +57,7 @@ class MateConfig(TandemCavity):
 
     def __post_init__(self) -> None:
         super().__post_init__()
+        require_finite(x=self.x)
         if any_true((self.x <= 0.0) | (self.x >= self.l)):
             raise InvalidParameter(f"need 0 < x < l, got x={self.x}, l={self.l}")
 

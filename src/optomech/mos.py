@@ -38,8 +38,8 @@ from .elements import TWO_PI, TandemCavity, reflectivity, synthetic_response
 from .errors import InvalidParameter, NoRootInWindow, NoZeroDispersivePoint
 from .numerics import (
     RESONANCE_GAP_STEP, any_true, central_diff_richardson, finite_results, grid_roots,
-    in_float_range, require_amplitude, require_finite, require_non_negative,
-    require_positive, require_transmitting,
+    in_float_range, require_amplitude, require_non_negative, require_positive,
+    require_transmitting,
 )
 
 #: margin interpreting the thin-tandem inequality x << l t_m^4/(4 t^2)
@@ -79,13 +79,16 @@ class MosConfig(TandemCavity):
     def phi(self) -> float:
         return self.k * (self.x - self.x_tilde)
 
+    # in_float_range: (t / t_m) ** 2 may overflow, and l t_m^4 underflow to 0
     @property
     def gamma0(self) -> float:
-        return (2.0 * C_LIGHT / self.l) * (self.t / self.t_m) ** 2
+        return in_float_range(
+            "gamma0", lambda: (2.0 * C_LIGHT / self.l) * (self.t / self.t_m) ** 2)
 
     @property
     def g_00(self) -> float:
-        return 4.0 * self.omega_c * self.t ** 2 / (self.l * self.t_m ** 4)
+        return in_float_range(
+            "g_00", lambda: 4.0 * self.omega_c * self.t ** 2 / (self.l * self.t_m ** 4))
 
     def at_phi(self, phi: float) -> "MosConfig":
         """Copy of this config with the gap set so that k (x - x_tilde) = phi."""
@@ -143,14 +146,15 @@ def operating_point(cfg: MosConfig) -> OperatingPoint:
     u = cfg.phi / cfg.phi0
     lor = 1.0 + u * u
     resp = synthetic_response(cfg.psi, cfg.mirror, cfg.membrane)
+    g_00 = cfg.g_00
     return OperatingPoint(
         phi=cfg.phi,
         phi0=cfg.phi0,
         T=resp.T,
         gamma=cfg.gamma0 / lor,
-        g_omega0=cfg.g_00 * (1.0 - u * u) / (lor * lor),
-        g_gamma0=cfg.g_00 * 2.0 * u / (lor * lor),
-        g_00=cfg.g_00,
+        g_omega0=g_00 * (1.0 - u * u) / (lor * lor),
+        g_gamma0=g_00 * 2.0 * u / (lor * lor),
+        g_00=g_00,
         valid_thin_tandem=_valid_thin_tandem(cfg),
     )
 
@@ -197,11 +201,10 @@ def dissipative_constant_exact(t: float, t_m: float, k: float, l: float) -> floa
                               * sqrt((r^2 - r_m^2) / (1 - r_m^2 r^2))
 
     InvalidParameter unless t lies in [0, 1], t_m in (0, 1] and k, l are
-    finite and positive, or where the result leaves the float range.
+    positive, or where the result leaves the float range.
     """
     require_amplitude(t=t)
     require_transmitting(t_m=t_m)
-    require_finite(k=k, l=l)
     require_positive(k=k, l=l)
     r, r_m = reflectivity(t), reflectivity(t_m)
     if r_m > r:

@@ -60,7 +60,6 @@ class PortRates:
     gamma3: float = 0.0
 
     def __post_init__(self) -> None:
-        require_finite(gamma1=self.gamma1, gamma2=self.gamma2, gamma3=self.gamma3)
         require_non_negative(gamma1=self.gamma1, gamma2=self.gamma2, gamma3=self.gamma3)
         if self.total <= 0.0:  # all three are 0; a sum that overflows passes
             require_positive(total=self.total)
@@ -80,10 +79,9 @@ class DriveConfig:
     a0: float = 1.0
 
     def __post_init__(self) -> None:
-        # a cheap screen: the sum is finite unless a value is not, or it overflows
-        if not math.isfinite(self.delta + self.omega + self.a0):
-            require_finite(delta=self.delta, omega=self.omega, a0=self.a0)
-        if self.a0 < 0.0:
+        # a cheap guard: the sum is finite unless a value is not, or it overflows
+        if not (math.isfinite(self.delta + self.omega) and 0.0 <= self.a0 < math.inf):
+            require_finite(delta=self.delta, omega=self.omega)
             require_non_negative(a0=self.a0)
 
 
@@ -243,18 +241,16 @@ def homodyne_spectra(
     )
 
 
-# mechanical_scale and the cooperativities call a screen only where a plain
-# comparison, or math.isfinite of a sum, fails: the design path calls them often
+# mechanical_scale and the cooperativities call their screens only where one
+# comparison of each value's interval fails: the design path calls them often
 def mechanical_scale(
     wavelength: float, l: float, x_zpf: float, gamma_m: float, a0: float = 1.0
 ) -> float:
     """Cooperativity prefactor M = c (k a0 x_zpf)^2 / (l gamma_m)."""
-    if not math.isfinite(wavelength + l + x_zpf + gamma_m + a0):
-        require_finite(wavelength=wavelength, l=l, x_zpf=x_zpf, gamma_m=gamma_m, a0=a0)
     k = wavevector(wavelength)
-    if not (l > 0.0 and gamma_m > 0.0 and x_zpf > 0.0):
-        require_positive(l=l, gamma_m=gamma_m, x_zpf=x_zpf)
-    if a0 < 0.0:
+    if not (0.0 < l < math.inf and 0.0 < x_zpf < math.inf and 0.0 < gamma_m < math.inf
+            and 0.0 <= a0 < math.inf):
+        require_positive(l=l, x_zpf=x_zpf, gamma_m=gamma_m)
         require_non_negative(a0=a0)
     return in_float_range(
         "mechanical_scale", lambda: C_LIGHT * (k * a0 * x_zpf) ** 2 / (l * gamma_m))
@@ -268,8 +264,6 @@ def cooperativity_mos(
     at its dissipative operating point: C = M 4 t^2 / t_m^6.  No
     sideband-resolution factor enters (dissipative coupling through the
     non-feeding port)."""
-    if not math.isfinite(t + t_m):
-        require_finite(t=t, t_m=t_m)
     if not (0.0 <= t <= 1.0 and 0.0 < t_m <= 1.0):
         require_amplitude(t=t)
         require_transmitting(t_m=t_m)
@@ -283,12 +277,10 @@ def cooperativity_msi(
 ) -> float:
     """MSI cooperativity in the unresolved-sideband regime:
     C = 2 M r_ms^2 (2 omega_m / gamma_ms)^2."""
-    if not math.isfinite(r_ms + gamma_ms + omega_m):
-        require_finite(r_ms=r_ms, gamma_ms=gamma_ms, omega_m=omega_m)
-    if not gamma_ms > 0.0:
-        require_positive(gamma_ms=gamma_ms)
-    if not 0.0 <= r_ms <= 1.0:
+    if not (0.0 <= r_ms <= 1.0 and 0.0 < gamma_ms < math.inf and math.isfinite(omega_m)):
         require_amplitude(r_ms=r_ms)
+        require_positive(gamma_ms=gamma_ms)
+        require_finite(omega_m=omega_m)
     m_scale = mechanical_scale(wavelength, l, x_zpf, gamma_m, a0)
     return in_float_range(
         "cooperativity_msi",
@@ -302,11 +294,10 @@ def cooperativity_mate(
     """MATE cooperativity at its zero-dispersive point in the
     unresolved-sideband regime: C = M (t^2/t_m^2) (2 omega_m / gamma_mate)^2
     with gamma_mate = c t^2 / (2 l) (mate.zero_dispersive_decay)."""
-    if not math.isfinite(t + t_m + omega_m):
-        require_finite(t=t, t_m=t_m, omega_m=omega_m)
-    m_scale = mechanical_scale(wavelength, l, x_zpf, gamma_m, a0)
-    if not (0.0 < t <= 1.0 and 0.0 < t_m <= 1.0):
+    if not (0.0 < t <= 1.0 and 0.0 < t_m <= 1.0 and math.isfinite(omega_m)):
         require_transmitting(t=t, t_m=t_m)
+        require_finite(omega_m=omega_m)
+    m_scale = mechanical_scale(wavelength, l, x_zpf, gamma_m, a0)
 
     def formula() -> float:
         gamma_mate = zero_dispersive_decay(t, l)

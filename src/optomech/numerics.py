@@ -1,11 +1,11 @@
 """Small numerical helpers: the parameter screens, finite differences and
 bracketed root finding.
 
-The screens are the one statement of the input rules: require_finite,
-require_positive (finite and > 0), require_non_negative, require_amplitude
-(in [0, 1]) and require_transmitting (in (0, 1]).  Each names the first of
-its keyword values (floats or arrays) that breaks its rule, as "{name} must
-..., got {value}", with the finite rule's message for an inf or a NaN.
+The screens state the input rules once, each a closed interval of finite
+floats: require_finite, require_positive (> 0), require_non_negative,
+require_amplitude ([0, 1]) and require_transmitting ((0, 1]).  Each names
+the first of its keyword values (floats or arrays) that breaks its rule, as
+"{name} must ..., got {value}", or "must be finite" for an inf or a NaN.
 
 The other helpers serve the library (resonance solvers) and the validation
 suite, where they are independent oracles for the closed-form derivatives.
@@ -72,12 +72,12 @@ def _screen(lo: float, hi: float, rule: str) -> Callable[..., None]:
     return screen
 
 
-# each rule is a closed interval of floats: v >= _TINY is v > 0, and
-# v <= _MAX is v < inf; a NaN breaks every rule
+# each rule is a closed interval of finite floats: v >= _TINY is v > 0,
+# and v <= _MAX is v < inf; a NaN breaks every rule
 _TINY, _MAX = math.ulp(0.0), sys.float_info.max
 require_finite = _screen(-_MAX, _MAX, "must be finite")
 require_positive = _screen(_TINY, _MAX, "must be positive")  # lengths, rates
-require_non_negative = _screen(0.0, math.inf, "must be non-negative")
+require_non_negative = _screen(0.0, _MAX, "must be non-negative")
 require_amplitude = _screen(0.0, 1.0, "must lie in [0, 1]")
 require_transmitting = _screen(_TINY, 1.0, "must lie in (0, 1]")  # a divisor
 

@@ -496,13 +496,19 @@ class TestCli:
          "mos,8.6869578162949456e+19,58759321767.999985,,nan,nan,nan,InvalidParameter"),
         (["mos", "--set", "mos.t=1e-300"], 1, "gamma_over_gamma0 is not finite"),
         (["mos", "--set", "mos.t_m=5e-324"], 1, "phi0 = t_m^2/4 underflows to 0"),
-        (["mos", "--set", "mos.l=5e-324"], 1, "ZeroDivisionError"),
+        (["mos", "--set", "mos.l=5e-324"], 1, "g_00 leaves the float range (ZeroDivisionError)"),
         (["mos", "--set", "mos.t_m=1e-300"], 1, "phi0 = t_m^2/4 underflows to 0"),
         (["msi", "--set", "msi.wavelength=0"], 1, "wavelength must be positive"),
         (["noise", "--set", "noise.gamma3_over_gamma=1e308"], 1, "OverflowError"),
         (["noise", "--set", "noise.gamma3_over_gamma=-1"], 1,
          "gamma3_over_gamma must be non-negative"),
         (["msi", "--set", "msi.wavelength=-1"], 1, "wavelength must be positive"),
+        (["mos", "--set", "mos.t_m=1e-160", "--set", "mos.t=1.0"], 1,
+         "leaves the float range"),
+        (["compare", "--set", "compare.t=abc"], 1,
+         "config key compare.t = 'abc' is not a number"),
+        (["compare", "--set", "foo.bar=1"], 1, "unknown config key 'foo.bar'"),
+        (["compare", "--set", "mos=1"], 1, "unknown config key 'mos'"),
     ])
     def test_bad_input_is_one_error_line(self, tmp_path, capsys, argv, code, message):
         # scans, and compare on a bad parameter, exit 1 with a single error
@@ -544,6 +550,16 @@ class TestCli:
                      "--out", str(out)]) == 0
         assert capsys.readouterr().err == ""
         assert len(out.read_text().splitlines()) == 6
+
+    def test_non_integer_points_is_one_error_line(self, tmp_path, capsys):
+        out = tmp_path / "out.csv"
+        argv = ["mos", "--set", "scan.parameter=x", "--set", "scan.start=0",
+                "--set", "scan.stop=1e-6", "--set", "scan.points=2.5",
+                "--out", str(out)]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err == "error: config key scan.points = '2.5' is not an integer\n"
+        assert not out.exists()
 
     # counts numpy refuses, or returns no points for, before allocating
     @pytest.mark.parametrize("points", ["100000000000000000000", str(2 ** 63)])

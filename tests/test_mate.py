@@ -159,6 +159,12 @@ class TestDispersiveConstant:
         with pytest.raises(BranchAmbiguity):
             mate_dispersive_constant(mid, k)
 
+    @pytest.mark.parametrize("call", [classify_branch, mate_dispersive_constant])
+    def test_transparent_membrane_is_ambiguous(self, cfg, call):
+        clear = replace(cfg, t_m=1.0)  # r_m = 0
+        with pytest.raises(BranchAmbiguity, match=r"fully transparent \(r_m = 0\)"):
+            call(clear, clear.k)
+
 
 class TestZeroDispersive:
     def test_phase_offsets(self, cfg):

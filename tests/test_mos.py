@@ -71,6 +71,10 @@ class TestZeroDispersiveLocus:
         with pytest.raises(InvalidParameter, match=f"^{name} must {rule}"):
             zero_dispersive_locus(t, t_m)
 
+    def test_fully_transparent_mirror_has_no_locus(self):
+        with pytest.raises(NoZeroDispersivePoint, match=r"fully transparent \(r = 0\)"):
+            zero_dispersive_locus(1.0, 0.1)
+
     def test_tandem_beyond_the_float_range_is_an_invalid_parameter(self):
         # r and r_m both round to 1, so 1 - r^2 r_m^2 is 0
         with pytest.raises(InvalidParameter, match="leaves the float range"):
@@ -146,6 +150,21 @@ class TestOperatingPoint:
         cfg = replace(bench, t=t)
         assert cfg.thin_tandem_bound() == math.inf
         assert operating_point(cfg).valid_thin_tandem
+
+    # finite inputs that drive a scale out of the float range: l t_m^4
+    # underflows to 0 (though g_00 is about 8.8e179), or (t / t_m)^2 overflows
+    @pytest.mark.parametrize("t, t_m, scale, exc", [
+        (1e-100, 1e-90, "g_00", "ZeroDivisionError"),
+        (1.0, 1e-160, "gamma0", "OverflowError"),
+    ])
+    def test_scales_beyond_the_float_range_are_invalid_parameters(self, bench, t, t_m,
+                                                                   scale, exc):
+        cfg = replace(bench, t=t, t_m=t_m)
+        with pytest.raises(InvalidParameter,
+                           match=rf"^{scale} leaves the float range \({exc}\)$"):
+            getattr(cfg, scale)
+        with pytest.raises(InvalidParameter, match="leaves the float range"):
+            operating_point(cfg)
 
 
 class TestDissipativeConstant:

@@ -94,7 +94,7 @@ AMPLITUDE, TRANSMITTING = "must lie in [0, 1]", "must lie in (0, 1]"
 BAD_VALUES = {
     FINITE: (math.nan, math.inf, -math.inf),
     POSITIVE: (0.0, -1.0, math.nan, math.inf),
-    NON_NEGATIVE: (-1.0, math.nan, -math.inf),
+    NON_NEGATIVE: (-1.0, math.nan, -math.inf, math.inf),
     AMPLITUDE: (-1.0, 1.5, math.nan, math.inf),
     TRANSMITTING: (0.0, -1.0, 1.5, math.nan, math.inf),
 }
@@ -219,6 +219,53 @@ def test_only_numerics_spells_a_range_rule():
                for path in (ROOT / "src" / "optomech").glob("*.py")
                if path.name != "numerics.py"}
     assert {name: lines for name, lines in spelled.items() if lines} == {}
+
+
+SCREENS = ("require_finite", "require_positive", "require_non_negative",
+           "require_amplitude", "require_transmitting")
+
+#: function -> why it passes a value to two screens
+SCREENED_TWICE = {
+    "msi.py:MsiConfig.__post_init__":
+        "r_ms, l and k are screened finite first, so that a NaN r_ms raises "
+        "InvalidParameter and an out-of-range one InvalidElement, whatever else is bad",
+}
+
+
+def _screened_twice(source: str, where: str) -> list[str]:
+    """The functions in source (as where:[Class.]name) that pass one keyword
+    to two of the five screens; error= and ** splats are not values."""
+    functions = []
+    for node in ast.parse(source).body:
+        if isinstance(node, ast.ClassDef):
+            functions += [(f"{node.name}.{item.name}", item) for item in node.body
+                          if isinstance(item, ast.FunctionDef)]
+        elif isinstance(node, ast.FunctionDef):
+            functions.append((node.name, node))
+    flagged = []
+    for name, func in functions:
+        screens_of: dict[str, set[str]] = {}
+        for call in ast.walk(func):
+            if (isinstance(call, ast.Call) and isinstance(call.func, ast.Name)
+                    and call.func.id in SCREENS):
+                for kw in call.keywords:
+                    if kw.arg not in (None, "error"):
+                        screens_of.setdefault(kw.arg, set()).add(call.func.id)
+        if any(len(screens) > 1 for screens in screens_of.values()):
+            flagged.append(f"{where}:{name}")
+    return flagged
+
+
+def test_each_value_is_screened_by_one_rule():
+    # a value that passes any screen is finite, so a second screen of it is waste
+    assert _screened_twice("def f(v):\n    require_finite(v=v)\n"
+                           "    require_positive(v=v, error=E)\n", "m.py") == ["m.py:f"]
+    assert _screened_twice("class C:\n    def f(self, v, w):\n"
+                           "        require_finite(v=v, error=E)\n"
+                           "        require_positive(w=w, error=E, **d)\n", "m.py") == []
+    flagged = [name for path in sorted((ROOT / "src" / "optomech").glob("*.py"))
+               for name in _screened_twice(path.read_text(), path.name)]
+    assert flagged == list(SCREENED_TWICE)
 
 
 def _load(name: str):
