@@ -6,8 +6,8 @@ Configuration comes from a flat key-value file with dotted section names
 ("scan.points = 801", "mos.t = 0.014"); --set overrides single keys.  The
 environment variable OPTOMECH_CONFIG supplies the default config path.
 
-Exit codes: 0 success, 1 configuration error (a bad command line included),
-2 validation failure.
+Exit codes: 0 success, 1 configuration error (a bad command line included)
+or a stdout closed by its reader, 2 validation failure.
 """
 
 from __future__ import annotations
@@ -152,31 +152,41 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _run(args: argparse.Namespace) -> int:
+    if args.command in TARGETS or args.command == "figure":
+        if args.command == "figure":
+            dataset = reproduce_figure(args.figure_id)
+        else:
+            dataset = run_scan(_build_scan_spec(args.command, _load_entries(args)))
+        out = args.out or f"{dataset.name}.csv"
+        dataset.write(out)
+        print(f"wrote {out} ({dataset.n_rows} rows) and {out}.meta")
+        return 0
+    if args.command == "compare":
+        table = compare_systems(_section(_load_entries(args), "compare"))
+        out = args.out or "compare.csv"
+        table.write(out)
+        for row in table.rows:
+            label = row["error"] or f"g_gamma0={row.get('g_gamma0'):.6e}"
+            print(f"{row['system']}: {label}")
+        print(f"wrote {out} and {out}.meta")
+        return 0
+    report = run_validation(suite=args.suite, profile=args.tolerance_profile)
+    for line in report.lines():
+        print(line)
+    return 0 if report.passed else 2
+
+
 def main(argv: list[str] | None = None) -> int:
     try:
-        args = build_parser().parse_args(argv)
-        if args.command in TARGETS or args.command == "figure":
-            if args.command == "figure":
-                dataset = reproduce_figure(args.figure_id)
-            else:
-                dataset = run_scan(_build_scan_spec(args.command, _load_entries(args)))
-            out = args.out or f"{dataset.name}.csv"
-            dataset.write(out)
-            print(f"wrote {out} ({dataset.n_rows} rows) and {out}.meta")
-            return 0
-        if args.command == "compare":
-            table = compare_systems(_section(_load_entries(args), "compare"))
-            out = args.out or "compare.csv"
-            table.write(out)
-            for row in table.rows:
-                label = row["error"] or f"g_gamma0={row.get('g_gamma0'):.6e}"
-                print(f"{row['system']}: {label}")
-            print(f"wrote {out} and {out}.meta")
-            return 0
-        report = run_validation(suite=args.suite, profile=args.tolerance_profile)
-        for line in report.lines():
-            print(line)
-        return 0 if report.passed else 2
+        code = _run(build_parser().parse_args(argv))
+        sys.stdout.flush()  # a reader gone away raises here, not at the exit flush
+        return code
+    except BrokenPipeError:
+        # as the Python signal docs advise: what is left to flush, the
+        # interpreter's flush at exit included, goes to devnull
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

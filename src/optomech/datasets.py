@@ -208,7 +208,7 @@ class _Target:
 TARGETS: dict[str, _Target] = {
     "synthetic": _Target(
         sweepable=("psi",),
-        defaults={"t": 0.014, "t_m": 0.1, "phi_r": math.pi / 2},
+        defaults={key: FIGURE_PARAMS[key] for key in ("t", "t_m", "phi_r")},
         columns=_synthetic_columns,
     ),
     "mos": _Target(
@@ -218,7 +218,8 @@ TARGETS: dict[str, _Target] = {
     ),
     "msi": _Target(
         sweepable=("x",),
-        defaults={"r_ms": 0.9, "Tb_sq": 0.5, "l": 1e-4, "wavelength": 0.85e-6},
+        defaults={"r_ms": 0.9, "Tb_sq": 0.5, "l": FIGURE_PARAMS["l"],
+                  "wavelength": FIGURE_PARAMS["wavelength"]},
         columns=_msi_columns,
     ),
     "mate": _Target(
@@ -383,10 +384,7 @@ def reproduce_figure(figure_id: str) -> FigureDataset:
 
 
 COMPARE_DEFAULTS: dict[str, float] = {
-    "t": 0.014,
-    "t_m": 0.1,
-    "l": 1e-4,
-    "wavelength": 0.85e-6,
+    **{key: FIGURE_PARAMS[key] for key in ("t", "t_m", "l", "wavelength")},
     "x_zpf": 1e-15,
     "gamma_m": 0.1,
     "a0": 1.0,

@@ -124,12 +124,16 @@ class ElementSpec:
         return cls(kind="membrane", t=t_m, phi_r=phi_r)
 
     def validate(self) -> None:
-        """Raise InvalidElement unless the kind is known, 0 <= t <= 1 and
-        phi_r is finite."""
+        """Raise InvalidElement unless the kind is known, InvalidParameter
+        unless 0 <= t <= 1 and phi_r is finite, and InvalidElement for a
+        mirror with a phi_r other than 0 (its reflection phase is fixed)."""
         if self.kind not in ("mirror", "membrane"):
             raise InvalidElement(f"unknown element kind {self.kind!r}")
-        require_amplitude(error=InvalidElement, t=self.t)
-        require_finite(error=InvalidElement, phi_r=self.phi_r)
+        require_amplitude(t=self.t)
+        require_finite(phi_r=self.phi_r)
+        if self.kind == "mirror" and self.phi_r != 0.0:
+            raise InvalidElement(
+                f"a mirror's reflection phase is fixed, got phi_r {self.phi_r}")
 
 
 @dataclass(frozen=True, kw_only=True)

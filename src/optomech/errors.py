@@ -9,9 +9,10 @@ class InvalidParameter(OptomechError, ValueError):
     """A model parameter is non-finite or outside its allowed range."""
 
 
-class InvalidElement(OptomechError):
-    """An optical element has an unknown kind, an amplitude outside [0, 1]
-    or a non-finite phase."""
+class InvalidElement(InvalidParameter):
+    """An optical element of the wrong kind: an unknown kind, a mirror
+    given a reflection phase, or a tandem given another pair than
+    (mirror, membrane)."""
 
 
 class DegenerateDenominator(OptomechError):

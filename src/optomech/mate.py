@@ -34,6 +34,7 @@ from .numerics import (
     central_diff_richardson,
     cos_sin,
     grid_roots,
+    in_float_range,
     require_finite,
     require_positive,
 )
@@ -252,14 +253,18 @@ def mate_zero_dispersive(cfg: MateConfig) -> MateZeroDispersive:
         ratio_to_mos = |g_gamma0^MOS(Phi0)| / |g_gamma0^MATE(Phi*)| = 2 / t_m^3
 
     near_edge flags x << l t_m^2 / 4 (margin NEAR_EDGE_MARGIN), the regime
-    in which the closed forms hold.
+    in which the closed forms hold.  Raises InvalidParameter where a value
+    leaves the float range: l t_m or t_m^3 underflows to 0, or |g_gamma0|
+    or gamma_mate overflows.
     """
+    name = "mate_zero_dispersive"
     phi_star = cfg.t_m / 2.0
     return MateZeroDispersive(
         phi_star=(-phi_star, phi_star),
-        g_gamma0_mag=cfg.omega_c * cfg.t ** 2 / (cfg.l * cfg.t_m),
-        gamma_mate=zero_dispersive_decay(cfg.t, cfg.l),
-        ratio_to_mos=2.0 / cfg.t_m ** 3,
+        g_gamma0_mag=in_float_range(
+            name, lambda: cfg.omega_c * cfg.t ** 2 / (cfg.l * cfg.t_m)),
+        gamma_mate=in_float_range(name, lambda: zero_dispersive_decay(cfg.t, cfg.l)),
+        ratio_to_mos=in_float_range(name, lambda: 2.0 / cfg.t_m ** 3),
         near_edge=cfg.x < NEAR_EDGE_MARGIN * cfg.near_edge_bound(),
     )
 

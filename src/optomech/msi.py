@@ -22,12 +22,7 @@ from dataclasses import dataclass, field
 
 from .constants import C_LIGHT
 from .elements import reflectivity
-from .errors import (
-    DegenerateDenominator,
-    InvalidElement,
-    InvalidParameter,
-    NoZeroDispersivePoint,
-)
+from .errors import DegenerateDenominator, InvalidParameter, NoZeroDispersivePoint
 from .numerics import any_true, cos_sin, require_amplitude, require_finite, require_positive
 
 
@@ -57,10 +52,9 @@ class MsiConfig:
     t_ms: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        require_amplitude(Tb_sq=self.Tb_sq)
-        require_finite(r_ms=self.r_ms, l=self.l, k=self.k, x=self.x)
-        require_amplitude(error=InvalidElement, r_ms=self.r_ms)
+        require_amplitude(Tb_sq=self.Tb_sq, r_ms=self.r_ms)
         require_positive(l=self.l, k=self.k)
+        require_finite(x=self.x)
         # derived once; a frozen instance sets them past its own __setattr__
         object.__setattr__(self, "R_b", math.sqrt(1.0 - self.Tb_sq))
         object.__setattr__(self, "T_b", math.sqrt(self.Tb_sq))

@@ -165,10 +165,12 @@ def product_normalized(xi, big_a: float):
     """Backaction-imprecision product in units of hbar^2/4:
     (A^2 + 2 A xi^2) / (1 + xi^2), elementwise for an array xi.  Where xi^2
     overflows that quotient, the same one as 2 A + (A - 2) A / (1 + xi^2),
-    which is its limit 2 A at infinite xi."""
+    which is its limit 2 A at infinite xi.  Raises InvalidParameter where
+    A^2 overflows."""
     xi = np.asarray(xi, dtype=float)
+    a_sq = in_float_range("product_normalized", lambda: big_a ** 2)
     with np.errstate(over="ignore", invalid="ignore"):  # replaced below
-        product = (big_a ** 2 + 2.0 * big_a * xi ** 2) / (1.0 + xi ** 2)
+        product = (a_sq + 2.0 * big_a * xi ** 2) / (1.0 + xi ** 2)
         far = ~np.isfinite(product) & ~np.isnan(xi)
         if far.any():
             limit = 2.0 * big_a + (big_a - 2.0) * (big_a / (1.0 + xi ** 2))

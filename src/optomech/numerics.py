@@ -59,16 +59,16 @@ def _finite(value) -> bool:
 
 
 def _screen(lo: float, hi: float, rule: str) -> Callable[..., None]:
-    """The screen of the rule lo <= value <= hi: it raises error (InvalidParameter
-    unless given) naming the first keyword value that breaks the rule anywhere,
-    with the finite rule's message if that value is not finite."""
+    """The screen of the rule lo <= value <= hi: it raises InvalidParameter
+    naming the first keyword value that breaks the rule anywhere, with the
+    finite rule's message if that value is not finite."""
     lo64, hi64 = np.float64(lo), np.float64(hi)  # any other dtype compares in float64
-    def screen(*, error: type = InvalidParameter, **values) -> None:
+    def screen(**values) -> None:
         for name, value in values.items():
             if not (lo <= value <= hi if isinstance(value, float)
                     else np.all((lo64 <= value) & (value <= hi64))):
                 message = rule if _finite(value) else "must be finite"
-                raise error(f"{name} {message}, got {value}")
+                raise InvalidParameter(f"{name} {message}, got {value}")
     return screen
 
 

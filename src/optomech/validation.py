@@ -19,7 +19,7 @@ from . import mos as mos_mod
 from . import msi as msi_mod
 from . import noise as noise_mod
 from .constants import C_LIGHT
-from .datasets import reproduce_figure
+from .datasets import FIGURE_PARAMS, reproduce_figure
 from .elements import (
     _membrane_matrix,
     _mirror_matrix,
@@ -280,7 +280,7 @@ def _check_locus_oracle(rng: np.random.Generator, tol: ToleranceProfile,
 
 
 def _check_mos_limits() -> CheckResult:
-    cfg = mos_mod.MosConfig(l=1e-4, wavelength=0.85e-6, t=0.014, t_m=0.1, x=0.0)
+    cfg = mos_mod.MosConfig(**FIGURE_PARAMS, x=0.0)
     at0 = mos_mod.operating_point(cfg.at_phi(0.0))
     at1 = mos_mod.operating_point(cfg.at_phi(cfg.phi0))
     sp = mos_mod.two_port_setpoint(cfg)
@@ -336,8 +336,7 @@ def _check_figures() -> CheckResult:
 
 def _mate_oracle_roots() -> tuple[mate_mod.MateConfig, list[float]]:
     """The MATE oracle cavity and its resonances within one FSR of its k."""
-    cfg = mate_mod.MateConfig(l=1e-4, x=1e-6, t=0.014, t_m=0.1,
-                              wavelength=0.85e-6, phi_r=math.pi)
+    cfg = mate_mod.MateConfig(**{**FIGURE_PARAMS, "phi_r": math.pi}, x=1e-6)
     fsr = math.pi / cfg.l
     return cfg, mate_mod.mate_resonances(cfg, (cfg.k - fsr, cfg.k + fsr))
 

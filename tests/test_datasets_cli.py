@@ -3,8 +3,11 @@ parsing, error exit codes, and the comparison table."""
 
 import contextlib
 import io
+import itertools
 import math
 import os
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -229,6 +232,21 @@ class TestCompare:
         with pytest.raises(ConfigError):
             compare_systems({"bogus": 1.0})
 
+    def test_extreme_finite_geometry_fails_rows_only_by_package_errors(self):
+        # a closed form driven out of the float range names its InvalidParameter,
+        # never a bare arithmetic error, in a row's error column
+        arithmetic = {"ZeroDivisionError", "OverflowError", "FloatingPointError"}
+        extremes = itertools.product(
+            (0.0, 5e-324, 1e-230, 1e-120, 0.014, 1.0),    # t
+            (5e-324, 1e-200, 1e-110, 1e-30, 0.1, 1.0),    # t_m
+            (5e-324, 1e-4, 1e300),                        # l
+            (5e-324, 1e-300, 0.85e-6, 1e308))             # wavelength
+        bare = [(params, row["system"], row["error"])
+                for params in (dict(zip(("t", "t_m", "l", "wavelength"), values))
+                               for values in extremes)
+                for row in compare_systems(params).rows if row["error"] in arithmetic]
+        assert bare == []
+
     def test_table_write(self, tmp_path):
         path = tmp_path / "cmp.csv"
         compare_systems({}).write(path)
@@ -422,6 +440,19 @@ class TestCli:
             "version = 0.1.0\n"
         )
 
+    def test_a_closed_stdout_exits_1_without_a_traceback(self, tmp_path):
+        # the reader goes away before the first line is written
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        proc = subprocess.Popen([sys.executable, "-m", "optomech.cli", "compare"],
+                                cwd=tmp_path, env={**os.environ, "PYTHONPATH": path},
+                                stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
+        proc.stdout.close()
+        err = proc.stderr.read()
+        assert proc.wait(timeout=300) == 1
+        assert err == ""
+        assert (tmp_path / "compare.csv").exists()
+
     def test_compare_accepts_shared_config(self, tmp_path):
         cfg = tmp_path / "shared.cfg"
         cfg.write_text(
@@ -499,7 +530,8 @@ class TestCli:
         (["mos", "--set", "mos.l=5e-324"], 1, "g_00 leaves the float range (ZeroDivisionError)"),
         (["mos", "--set", "mos.t_m=1e-300"], 1, "phi0 = t_m^2/4 underflows to 0"),
         (["msi", "--set", "msi.wavelength=0"], 1, "wavelength must be positive"),
-        (["noise", "--set", "noise.gamma3_over_gamma=1e308"], 1, "OverflowError"),
+        (["noise", "--set", "noise.gamma3_over_gamma=1e308"], 1,
+         "product_normalized leaves the float range (OverflowError)"),
         (["noise", "--set", "noise.gamma3_over_gamma=-1"], 1,
          "gamma3_over_gamma must be non-negative"),
         (["msi", "--set", "msi.wavelength=-1"], 1, "wavelength must be positive"),

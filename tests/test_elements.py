@@ -64,7 +64,7 @@ class TestElementMatrices:
         assert s.m12 == pytest.approx(math.sqrt(1 - 0.09) * np.exp(1.1j))
 
     def test_overunity_transmission_rejected(self):
-        with pytest.raises(InvalidElement):
+        with pytest.raises(InvalidParameter):
             element_scattering(ElementSpec(kind="mirror", t=1.2))
 
     def test_perfect_reflectors_accepted(self):
@@ -83,14 +83,19 @@ class TestElementMatrices:
 
 
 class TestConstructionChecks:
-    @pytest.mark.parametrize("fields, message", [
-        ({"kind": "beamsplitter", "t": 0.6}, "unknown element kind"),
-        ({"kind": "mirror", "t": 1.2}, r"t must lie in \[0, 1\], got 1.2"),
-        ({"kind": "membrane", "t": 0.6, "phi_r": math.nan}, "phi_r must be finite"),
-    ], ids=["kind", "t>1", "nan-phase"])
-    def test_building_an_invalid_element_raises(self, fields, message):
-        with pytest.raises(InvalidElement, match=message):
+    # a wrong kind raises InvalidElement, a value that breaks its rule InvalidParameter
+    @pytest.mark.parametrize("fields, error, message", [
+        ({"kind": "beamsplitter", "t": 0.6}, InvalidElement, "unknown element kind"),
+        ({"kind": "mirror", "t": 1.2}, InvalidParameter, r"t must lie in \[0, 1\], got 1.2"),
+        ({"kind": "membrane", "t": 0.6, "phi_r": math.nan}, InvalidParameter,
+         "phi_r must be finite"),
+        ({"kind": "mirror", "t": 0.5, "phi_r": 1.0}, InvalidElement,
+         "a mirror's reflection phase is fixed, got phi_r 1.0"),
+    ], ids=["kind", "t>1", "nan-phase", "mirror-phase"])
+    def test_building_an_invalid_element_raises(self, fields, error, message):
+        with pytest.raises(error, match=message) as err:
             ElementSpec(**fields)
+        assert type(err.value) is error
 
     def test_a_caller_sets_only_kind_t_and_phi_r(self):
         init = [f for f in fields(ElementSpec) if f.init]

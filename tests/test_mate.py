@@ -10,6 +10,7 @@ import pytest
 
 from optomech import (
     BranchAmbiguity,
+    InvalidParameter,
     MateConfig,
     NoRootInWindow,
     classify_branch,
@@ -182,6 +183,17 @@ class TestZeroDispersive:
             C_LIGHT * cfg.t ** 2 / (2 * cfg.l), rel=1e-14
         )
         assert zd.ratio_to_mos == pytest.approx(2000.0, rel=1e-12)
+
+    @pytest.mark.parametrize("geometry, cause", [
+        ({"l": 1e-4, "x": 1e-6, "t": 1e-120, "t_m": 1e-110}, "ZeroDivisionError"),  # t_m^3
+        ({"l": 1e-200, "x": 1e-201, "t": 0.5, "t_m": 1e-200}, "ZeroDivisionError"),  # l t_m
+        ({"l": 1e-323, "x": 5e-324, "t": 1.0, "t_m": 1.0}, "inf"),  # gamma_mate
+    ], ids=["t_m-cubed", "l-t_m", "gamma_mate"])
+    def test_a_value_out_of_the_float_range_is_an_invalid_parameter(self, geometry, cause):
+        cfg = MateConfig(**geometry, wavelength=0.85e-6)
+        with pytest.raises(InvalidParameter,
+                           match=rf"mate_zero_dispersive leaves the float range \({cause}\)"):
+            mate_zero_dispersive(cfg)
 
     def test_ratio_is_closed_form_quotient(self, cfg):
         # |g^MOS(Phi0)| / |g^MATE(Phi*)| = (2 w t^2 / l t_m^4) / (w t^2 / l t_m)

@@ -48,7 +48,7 @@ class TestEffectiveMirror:
         assert abs(em.rho) == pytest.approx(1.0, abs=1e-12)
 
     def test_coefficient_validation(self):
-        with pytest.raises(InvalidElement):
+        with pytest.raises(InvalidParameter):
             MsiConfig(r_ms=1.2, l=L_REF, k=K_REF)
 
     def test_a_caller_sets_only_r_ms_l_k_x_and_tb_sq(self):

@@ -188,17 +188,17 @@ SCREEN_CASES = [(rule, entry, name, value)
                          ids=[f"{e}-{n}={v}" for _, e, n, v in SCREEN_CASES])
 def test_each_rule_has_one_class_and_one_message(rule, entry, name, value):
     call, valid = ENTRIES[entry]
-    # an element's screens raise InvalidElement, and so does MsiConfig's range
-    # screen of r_ms (its finiteness screen of all its inputs comes first)
-    element = entry == "ElementSpec" or (
-        (entry, name) == ("MsiConfig", "r_ms") and math.isfinite(value))
-    error = InvalidElement if element else InvalidParameter
     label = f"compare.{name}" if entry == "compare_systems" else name
     message = f"{label} {rule if math.isfinite(value) else FINITE}, got {value}"
     with pytest.raises(optomech.OptomechError) as err:
         call(**{**valid, name: value})
-    assert type(err.value) is error
+    assert type(err.value) is InvalidParameter
     assert re.fullmatch(re.escape(message) + r"( \[at sweep point .*\])?", str(err.value))
+
+
+def test_a_wrong_element_kind_is_an_invalid_parameter():
+    # InvalidElement narrows InvalidParameter to an unknown or misplaced element kind
+    assert issubclass(InvalidElement, InvalidParameter)
 
 
 def _rule_messages(source: str) -> list[int]:
@@ -224,17 +224,9 @@ def test_only_numerics_spells_a_range_rule():
 SCREENS = ("require_finite", "require_positive", "require_non_negative",
            "require_amplitude", "require_transmitting")
 
-#: function -> why it passes a value to two screens
-SCREENED_TWICE = {
-    "msi.py:MsiConfig.__post_init__":
-        "r_ms, l and k are screened finite first, so that a NaN r_ms raises "
-        "InvalidParameter and an out-of-range one InvalidElement, whatever else is bad",
-}
-
-
 def _screened_twice(source: str, where: str) -> list[str]:
     """The functions in source (as where:[Class.]name) that pass one keyword
-    to two of the five screens; error= and ** splats are not values."""
+    to two of the five screens; ** splats are not values."""
     functions = []
     for node in ast.parse(source).body:
         if isinstance(node, ast.ClassDef):
@@ -249,7 +241,7 @@ def _screened_twice(source: str, where: str) -> list[str]:
             if (isinstance(call, ast.Call) and isinstance(call.func, ast.Name)
                     and call.func.id in SCREENS):
                 for kw in call.keywords:
-                    if kw.arg not in (None, "error"):
+                    if kw.arg is not None:
                         screens_of.setdefault(kw.arg, set()).add(call.func.id)
         if any(len(screens) > 1 for screens in screens_of.values()):
             flagged.append(f"{where}:{name}")
@@ -259,13 +251,13 @@ def _screened_twice(source: str, where: str) -> list[str]:
 def test_each_value_is_screened_by_one_rule():
     # a value that passes any screen is finite, so a second screen of it is waste
     assert _screened_twice("def f(v):\n    require_finite(v=v)\n"
-                           "    require_positive(v=v, error=E)\n", "m.py") == ["m.py:f"]
+                           "    require_positive(v=v)\n", "m.py") == ["m.py:f"]
     assert _screened_twice("class C:\n    def f(self, v, w):\n"
-                           "        require_finite(v=v, error=E)\n"
-                           "        require_positive(w=w, error=E, **d)\n", "m.py") == []
+                           "        require_finite(v=v)\n"
+                           "        require_positive(w=w, **d)\n", "m.py") == []
     flagged = [name for path in sorted((ROOT / "src" / "optomech").glob("*.py"))
                for name in _screened_twice(path.read_text(), path.name)]
-    assert flagged == list(SCREENED_TWICE)
+    assert flagged == []
 
 
 def _load(name: str):
