@@ -257,14 +257,15 @@ def mate_zero_dispersive(cfg: MateConfig) -> MateZeroDispersive:
     leaves the float range: l t_m or t_m^3 underflows to 0, or |g_gamma0|
     or gamma_mate overflows.
     """
-    name = "mate_zero_dispersive"
+    g_gamma0_mag, gamma_mate, ratio_to_mos = in_float_range("mate_zero_dispersive", lambda: (
+        cfg.omega_c * cfg.t ** 2 / (cfg.l * cfg.t_m), zero_dispersive_decay(cfg.t, cfg.l),
+        2.0 / cfg.t_m ** 3))
     phi_star = cfg.t_m / 2.0
     return MateZeroDispersive(
         phi_star=(-phi_star, phi_star),
-        g_gamma0_mag=in_float_range(
-            name, lambda: cfg.omega_c * cfg.t ** 2 / (cfg.l * cfg.t_m)),
-        gamma_mate=in_float_range(name, lambda: zero_dispersive_decay(cfg.t, cfg.l)),
-        ratio_to_mos=in_float_range(name, lambda: 2.0 / cfg.t_m ** 3),
+        g_gamma0_mag=g_gamma0_mag,
+        gamma_mate=gamma_mate,
+        ratio_to_mos=ratio_to_mos,
         near_edge=cfg.x < NEAR_EDGE_MARGIN * cfg.near_edge_bound(),
     )
 

@@ -51,15 +51,17 @@ class MosConfig(TandemCavity):
     """Membrane-outside cavity: the tandem geometry of
     elements.TandemCavity, with x >= 0 the membrane-mirror gap, and
 
-    N          branch index of the maximal-transparency gap x_tilde; a
-               float is accepted if its value is whole
+    N          non-negative branch index of the maximal-transparency gap
+               x_tilde; a float is accepted if its value is whole
     """
 
     N: int = 0
 
     def __post_init__(self) -> None:
-        if not float(self.N).is_integer():
+        n = float(self.N)
+        if not n.is_integer():
             raise InvalidParameter(f"branch index N must be an integer, got {self.N}")
+        require_non_negative(N=n)
         super().__post_init__()
         if self.phi0 == 0.0:
             raise InvalidParameter(f"phi0 = t_m^2/4 underflows to 0 at t_m={self.t_m}")

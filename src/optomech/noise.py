@@ -47,8 +47,8 @@ from .elements import wavevector
 from .errors import InvalidParameter, SingularSystem, ZeroCoupling
 from .mate import zero_dispersive_decay
 from .numerics import (finite_results, in_float_range, out_of_float_range, require_amplitude,
-                       require_finite, require_non_negative, require_positive,
-                       require_transmitting)
+                       require_at_least_one, require_finite, require_non_negative,
+                       require_positive, require_transmitting)
 
 @dataclass(frozen=True)
 class PortRates:
@@ -166,7 +166,9 @@ def product_normalized(xi, big_a: float):
     (A^2 + 2 A xi^2) / (1 + xi^2), elementwise for an array xi.  Where xi^2
     overflows that quotient, the same one as 2 A + (A - 2) A / (1 + xi^2),
     which is its limit 2 A at infinite xi.  Raises InvalidParameter where
-    A^2 overflows."""
+    A^2 overflows, and for an A that is not at least 1 (A = 1 + gamma3 /
+    (2 gamma)); xi is not screened, a NaN xi gives a NaN product."""
+    require_at_least_one(big_a=big_a)
     xi = np.asarray(xi, dtype=float)
     a_sq = in_float_range("product_normalized", lambda: big_a ** 2)
     with np.errstate(over="ignore", invalid="ignore"):  # replaced below
@@ -243,17 +245,13 @@ def homodyne_spectra(
     )
 
 
-# mechanical_scale and the cooperativities call their screens only where one
-# comparison of each value's interval fails: the design path calls them often
 def mechanical_scale(
     wavelength: float, l: float, x_zpf: float, gamma_m: float, a0: float = 1.0
 ) -> float:
     """Cooperativity prefactor M = c (k a0 x_zpf)^2 / (l gamma_m)."""
     k = wavevector(wavelength)
-    if not (0.0 < l < math.inf and 0.0 < x_zpf < math.inf and 0.0 < gamma_m < math.inf
-            and 0.0 <= a0 < math.inf):
-        require_positive(l=l, x_zpf=x_zpf, gamma_m=gamma_m)
-        require_non_negative(a0=a0)
+    require_positive(l=l, x_zpf=x_zpf, gamma_m=gamma_m)
+    require_non_negative(a0=a0)
     return in_float_range(
         "mechanical_scale", lambda: C_LIGHT * (k * a0 * x_zpf) ** 2 / (l * gamma_m))
 
@@ -266,9 +264,8 @@ def cooperativity_mos(
     at its dissipative operating point: C = M 4 t^2 / t_m^6.  No
     sideband-resolution factor enters (dissipative coupling through the
     non-feeding port)."""
-    if not (0.0 <= t <= 1.0 and 0.0 < t_m <= 1.0):
-        require_amplitude(t=t)
-        require_transmitting(t_m=t_m)
+    require_amplitude(t=t)
+    require_transmitting(t_m=t_m)
     m_scale = mechanical_scale(wavelength, l, x_zpf, gamma_m, a0)
     return in_float_range("cooperativity_mos", lambda: m_scale * 4.0 * t ** 2 / t_m ** 6)
 
@@ -279,10 +276,9 @@ def cooperativity_msi(
 ) -> float:
     """MSI cooperativity in the unresolved-sideband regime:
     C = 2 M r_ms^2 (2 omega_m / gamma_ms)^2."""
-    if not (0.0 <= r_ms <= 1.0 and 0.0 < gamma_ms < math.inf and math.isfinite(omega_m)):
-        require_amplitude(r_ms=r_ms)
-        require_positive(gamma_ms=gamma_ms)
-        require_finite(omega_m=omega_m)
+    require_amplitude(r_ms=r_ms)
+    require_positive(gamma_ms=gamma_ms)
+    require_finite(omega_m=omega_m)
     m_scale = mechanical_scale(wavelength, l, x_zpf, gamma_m, a0)
     return in_float_range(
         "cooperativity_msi",
@@ -296,9 +292,8 @@ def cooperativity_mate(
     """MATE cooperativity at its zero-dispersive point in the
     unresolved-sideband regime: C = M (t^2/t_m^2) (2 omega_m / gamma_mate)^2
     with gamma_mate = c t^2 / (2 l) (mate.zero_dispersive_decay)."""
-    if not (0.0 < t <= 1.0 and 0.0 < t_m <= 1.0 and math.isfinite(omega_m)):
-        require_transmitting(t=t, t_m=t_m)
-        require_finite(omega_m=omega_m)
+    require_transmitting(t=t, t_m=t_m)
+    require_finite(omega_m=omega_m)
     m_scale = mechanical_scale(wavelength, l, x_zpf, gamma_m, a0)
 
     def formula() -> float:

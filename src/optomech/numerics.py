@@ -3,7 +3,8 @@ bracketed root finding.
 
 The screens state the input rules once, each a closed interval of finite
 floats: require_finite, require_positive (> 0), require_non_negative,
-require_amplitude ([0, 1]) and require_transmitting ((0, 1]).  Each names
+require_amplitude ([0, 1]), require_transmitting ((0, 1]) and
+require_at_least_one (>= 1).  Each names
 the first of its keyword values (floats or arrays) that breaks its rule, as
 "{name} must ..., got {value}", or "must be finite" for an inf or a NaN.
 
@@ -80,6 +81,7 @@ require_positive = _screen(_TINY, _MAX, "must be positive")  # lengths, rates
 require_non_negative = _screen(0.0, _MAX, "must be non-negative")
 require_amplitude = _screen(0.0, 1.0, "must lie in [0, 1]")
 require_transmitting = _screen(_TINY, 1.0, "must lie in (0, 1]")  # a divisor
+require_at_least_one = _screen(1.0, _MAX, "must be at least 1")  # A = 1 + gamma3 / (2 gamma)
 
 
 def finite_results(name: str, *results) -> None:
@@ -97,16 +99,17 @@ def out_of_float_range(name: str, exc: ArithmeticError) -> InvalidParameter:
     return InvalidParameter(f"{name} leaves the float range ({type(exc).__name__})")
 
 
-def in_float_range(name: str, formula: Callable[[], float]) -> float:
-    """formula(), or InvalidParameter naming name where finite arguments
-    drive it out of the float range: a power that overflows, a divisor that
-    underflows to 0, or a result that is not finite.  Nearly free unless
-    it raises, so the design path pays next to nothing for it."""
+def in_float_range(name: str, formula: Callable[[], float | tuple]) -> float | tuple:
+    """formula(), a float or a tuple of them, or InvalidParameter naming name
+    where finite arguments drive one out of the float range: a power that
+    overflows, a divisor that underflows to 0, or a result that is not
+    finite.  One guard per record, nearly free unless it raises."""
     try:
         value = formula()
     except (ZeroDivisionError, OverflowError) as exc:
         raise out_of_float_range(name, exc) from exc
-    finite_results(name, value)
+    if not (isinstance(value, float) and math.isfinite(value)):
+        finite_results(name, *(value if isinstance(value, tuple) else (value,)))
     return value
 
 

@@ -505,6 +505,7 @@ class TestCli:
         (["mos", "--set", "mos.wavelength=inf"], 1, "wavelength must be finite"),
         (["mos", "--set", "mos.l=nan"], 1, "l must be finite"),
         (["mos", "--set", "mos.N=0.7"], 1, "N must be an integer"),
+        (["mos", "--set", "mos.N=-1"], 1, "N must be non-negative, got -1.0"),
         (["mos", "--set", "mos.t=0"], 1, "gamma_over_gamma0 is not finite"),
         (["msi", "--set", "msi.Tb_sq=2"], 1, "Tb_sq must lie in [0, 1]"),
         (["mate"], 1, "need 0 < x < l, got x=0.0"),

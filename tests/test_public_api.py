@@ -45,7 +45,7 @@ from optomech import (
 )
 from optomech.cli import build_parser
 from optomech.elements import wavevector
-from optomech.noise import mechanical_scale
+from optomech.noise import mechanical_scale, product_normalized
 
 ROOT = Path(__file__).resolve().parents[1]
 PERFBENCH = ROOT / "perfbench"
@@ -89,6 +89,7 @@ def test_bad_argument_is_a_package_error(call):
 #: the message of each parameter rule; a value that is not finite gets FINITE's
 FINITE, POSITIVE, NON_NEGATIVE = "must be finite", "must be positive", "must be non-negative"
 AMPLITUDE, TRANSMITTING = "must lie in [0, 1]", "must lie in (0, 1]"
+AT_LEAST_ONE = "must be at least 1"
 
 #: the bad values each rule is fed
 BAD_VALUES = {
@@ -97,6 +98,7 @@ BAD_VALUES = {
     NON_NEGATIVE: (-1.0, math.nan, -math.inf, math.inf),
     AMPLITUDE: (-1.0, 1.5, math.nan, math.inf),
     TRANSMITTING: (0.0, -1.0, 1.5, math.nan, math.inf),
+    AT_LEAST_ONE: (0.5, 0.0, -5.0, math.nan, math.inf, -math.inf),
 }
 
 K = 2 * math.pi / 0.85e-6
@@ -123,6 +125,7 @@ ENTRIES = {
     "PortRates": (PortRates, {"gamma1": GAMMA, "gamma2": GAMMA, "gamma3": 0.0}),
     "DriveConfig": (DriveConfig, {"delta": 0.0, "omega": 0.0, "a0": 1.0}),
     "mechanical_scale": (mechanical_scale, MECH),
+    "product_normalized": (product_normalized, {"xi": 0.5, "big_a": 1.0}),
     "cooperativity(mos)": (partial(cooperativity, "mos"), {"t": 0.014, "t_m": 0.1, **MECH}),
     "cooperativity(msi)": (partial(cooperativity, "msi"),
                            {"r_ms": 0.9, "gamma_ms": 1e9, "omega_m": 1e6, **MECH}),
@@ -176,6 +179,7 @@ SCREENED = {
         "dissipative_constant_exact": ("t_m",), "cooperativity(mos)": ("t_m",),
         "cooperativity(mate)": ("t", "t_m"),
     },
+    AT_LEAST_ONE: {"product_normalized": ("big_a",)},
 }
 
 SCREEN_CASES = [(rule, entry, name, value)
@@ -204,7 +208,7 @@ def test_a_wrong_element_kind_is_an_invalid_parameter():
 def _rule_messages(source: str) -> list[int]:
     """Lines of the f-strings in source that spell a range rule's message,
     or the message of a result that leaves the float range."""
-    rules = (POSITIVE, NON_NEGATIVE, "must lie in", "leaves the float range")
+    rules = (POSITIVE, NON_NEGATIVE, "must lie in", AT_LEAST_ONE, "leaves the float range")
     return [node.lineno for node in ast.walk(ast.parse(source))
             if isinstance(node, ast.JoinedStr)
             and any(rule in "".join(str(part.value) for part in node.values
@@ -222,27 +226,35 @@ def test_only_numerics_spells_a_range_rule():
 
 
 SCREENS = ("require_finite", "require_positive", "require_non_negative",
-           "require_amplitude", "require_transmitting")
+           "require_amplitude", "require_transmitting", "require_at_least_one")
+
+
+def _functions(source: str):
+    """The ([Class.]name, node) of each function and method in source."""
+    for node in ast.parse(source).body:
+        if isinstance(node, ast.ClassDef):
+            yield from ((f"{node.name}.{item.name}", item) for item in node.body
+                        if isinstance(item, ast.FunctionDef))
+        elif isinstance(node, ast.FunctionDef):
+            yield node.name, node
+
+
+def _screen_calls(tree: ast.AST):
+    """The calls to the six screens in tree."""
+    return [call for call in ast.walk(tree) if isinstance(call, ast.Call)
+            and isinstance(call.func, ast.Name) and call.func.id in SCREENS]
+
 
 def _screened_twice(source: str, where: str) -> list[str]:
     """The functions in source (as where:[Class.]name) that pass one keyword
-    to two of the five screens; ** splats are not values."""
-    functions = []
-    for node in ast.parse(source).body:
-        if isinstance(node, ast.ClassDef):
-            functions += [(f"{node.name}.{item.name}", item) for item in node.body
-                          if isinstance(item, ast.FunctionDef)]
-        elif isinstance(node, ast.FunctionDef):
-            functions.append((node.name, node))
+    to two of the six screens; ** splats are not values."""
     flagged = []
-    for name, func in functions:
+    for name, func in _functions(source):
         screens_of: dict[str, set[str]] = {}
-        for call in ast.walk(func):
-            if (isinstance(call, ast.Call) and isinstance(call.func, ast.Name)
-                    and call.func.id in SCREENS):
-                for kw in call.keywords:
-                    if kw.arg is not None:
-                        screens_of.setdefault(kw.arg, set()).add(call.func.id)
+        for call in _screen_calls(func):
+            for kw in call.keywords:
+                if kw.arg is not None:
+                    screens_of.setdefault(kw.arg, set()).add(call.func.id)
         if any(len(screens) > 1 for screens in screens_of.values()):
             flagged.append(f"{where}:{name}")
     return flagged
@@ -258,6 +270,43 @@ def test_each_value_is_screened_by_one_rule():
     flagged = [name for path in sorted((ROOT / "src" / "optomech").glob("*.py"))
                for name in _screened_twice(path.read_text(), path.name)]
     assert flagged == []
+
+
+def _screened_behind_an_if(source: str, where: str) -> list[str]:
+    """The functions in source (as where:[Class.]name) that call a screen in
+    a branch of an if: a second, hand-written copy of the rule decides
+    whether the screen runs."""
+    return [f"{where}:{name}" for name, func in _functions(source)
+            if any(_screen_calls(branch)
+                   for node in ast.walk(func) if isinstance(node, (ast.If, ast.IfExp))
+                   for branch in ast.iter_child_nodes(node) if branch is not node.test)]
+
+
+#: screens behind an if that are kept, each with its reason
+SCREENED_BEHIND_AN_IF = {
+    # it screens the derived sum of the rates, a value no other screen sees
+    "noise.py:PortRates.__post_init__",
+    # cheap pre-checks on the noise path, which every design query runs many
+    # times: math.isfinite of a sum of the inputs, not an interval (but for
+    # DriveConfig's a0)
+    "noise.py:DriveConfig.__post_init__",
+    "noise.py:general_spectra",
+    "noise.py:homodyne_spectra",
+}
+
+
+def test_no_screen_sits_behind_a_copy_of_its_rule():
+    # an interval written out in front of a screen is a second spelling of
+    # the rule; numerics.py, which spells the rules, is not scanned
+    assert _screened_behind_an_if("def f(t):\n    if not 0.0 <= t <= 1.0:\n"
+                                  "        require_amplitude(t=t)\n"
+                                  "def g(t):\n    if require_finite(t=t):\n        pass\n"
+                                  "def h(t):\n    require_positive(t=t) if t else None\n",
+                                  "m.py") == ["m.py:f", "m.py:h"]
+    flagged = [name for path in sorted((ROOT / "src" / "optomech").glob("*.py"))
+               if path.name != "numerics.py"
+               for name in _screened_behind_an_if(path.read_text(), path.name)]
+    assert set(flagged) == SCREENED_BEHIND_AN_IF
 
 
 def _load(name: str):
