@@ -4,6 +4,13 @@ Output contract: comma-separated values with a header line naming the
 columns, every number rendered with 17 significant digits, plus a sidecar
 "<path>.meta" file of sorted "key = value" lines carrying the parameter
 values and normalizers.  Identical inputs produce byte-identical files.
+
+compare_systems builds no config.  It screens its parameters, computes k
+and the mechanical scale M once, and fills each system's row from the
+private closed-form kernels of mos, msi, mate and noise, under only the
+rules of that system's config and public functions that its screened
+parameters can still break; tests/compare_reference.py keeps the
+config-built rows, which it equals.
 """
 
 from __future__ import annotations
@@ -22,7 +29,9 @@ from . import msi as msi_mod
 from . import noise as noise_mod
 from .elements import ElementSpec, synthetic_response, wavevector
 from .errors import ConfigError, InvalidParameter, OptomechError
-from .numerics import require_finite, require_non_negative, require_positive
+from .constants import C_LIGHT
+from .numerics import (in_float_range, require_amplitude, require_finite, require_non_negative,
+                       require_positive, require_transmitting)
 
 #: reference parameter set used for the bundled figures
 FIGURE_PARAMS = {
@@ -394,8 +403,14 @@ COMPARE_DEFAULTS: dict[str, float] = {
     "mate_x": None,  # default: l t_m^2 / 4000 (deep near-edge)
 }
 
-#: compare parameters that are lengths, rates or the drive amplitude
+#: compare parameters that are lengths, rates or the drive amplitude, and
+#: the others, which need only be finite
 _COMPARE_POSITIVE = ("l", "wavelength", "x_zpf", "gamma_m", "a0", "omega_m", "mate_x")
+_COMPARE_FINITE = tuple(key for key in COMPARE_DEFAULTS if key not in _COMPARE_POSITIVE)
+#: each compare parameter's name in a screen's message, and its .meta key in
+#: sorted order
+_COMPARE_LABELS = {key: f"compare.{key}" for key in COMPARE_DEFAULTS}
+_COMPARE_META = {key: f"param.{key}" for key in sorted(COMPARE_DEFAULTS)}
 
 COMPARE_COLUMNS = (
     "system", "g_gamma0", "gamma", "cooperativity",
@@ -424,32 +439,58 @@ def _store(row: dict[str, object], **values: float) -> None:
     row.update(values)
 
 
-def _mos_row(row: dict, p: dict, mech: dict) -> None:
-    mos_mod.zero_dispersive_locus(p["t"], p["t_m"])
-    cfg = mos_mod.MosConfig(l=p["l"], wavelength=p["wavelength"],
-                            t=p["t"], t_m=p["t_m"], x=0.0)
+def _store_cooperativity(row: dict[str, object], m_scale: float | InvalidParameter,
+                         name: str, kernel: Callable[..., float], *args: float) -> None:
+    """Store kernel(M, *args), the row's cooperativity, under its formula's
+    guard.  A mechanical scale M that left the float range (computed once,
+    for all rows) fails the row here, where its cooperativity would have."""
+    if isinstance(m_scale, InvalidParameter):
+        raise m_scale
+    _store(row, cooperativity=in_float_range(name, lambda: kernel(m_scale, *args)))
+
+
+# Each row filler applies, in their order, the rules its system's config and
+# public functions apply that can still fail once compare_systems has
+# screened its parameters, and calls the closed-form kernels.
+
+
+def _mos_row(row: dict, p: dict, k: float, m_scale: float | InvalidParameter) -> None:
+    t, t_m, l = p["t"], p["t_m"], p["l"]
+    mos_mod._checked_locus(t, t_m)
+    if t_m ** 2 / 4.0 == 0.0:  # MosConfig's phi0
+        raise InvalidParameter(f"mos phi0 = t_m^2/4 underflows to 0 at t_m={t_m}")
     # the Phi = Phi0 operating point: g_gamma0 = g_00 / 2, gamma = gamma0 / 2
-    _store(row, g_gamma0=cfg.g_00 / 2.0, gamma=cfg.gamma0 / 2.0)
-    _store(row, cooperativity=noise_mod.cooperativity_mos(t=p["t"], t_m=p["t_m"], **mech))
+    g_00 = in_float_range("g_00", lambda: mos_mod._g_00(C_LIGHT * k, l, t, t_m))
+    gamma0 = in_float_range("gamma0", lambda: mos_mod._gamma0(l, t, t_m))
+    _store(row, g_gamma0=g_00 / 2.0, gamma=gamma0 / 2.0)
+    _store_cooperativity(row, m_scale, "cooperativity_mos", noise_mod._cooperativity_mos,
+                         t, t_m)
 
 
-def _msi_row(row: dict, p: dict, mech: dict) -> None:
-    cfg = msi_mod.MsiConfig(r_ms=p["msi_r_ms"], l=p["l"], k=wavevector(p["wavelength"]),
-                            Tb_sq=p["msi_Tb_sq"])
-    zd = msi_mod.msi_zero_dispersive(cfg)
-    _store(row, g_gamma0=zd.g_gamma0_benchmark, gamma=zd.gamma_ms)
-    _store(row, cooperativity=noise_mod.cooperativity_msi(
-        r_ms=p["msi_r_ms"], gamma_ms=zd.gamma_ms, omega_m=p["omega_m"], **mech))
+def _msi_row(row: dict, p: dict, k: float, m_scale: float | InvalidParameter) -> None:
+    r_ms, Tb_sq = p["msi_r_ms"], p["msi_Tb_sq"]
+    require_amplitude(Tb_sq=Tb_sq, r_ms=r_ms)
+    require_positive(k=k)  # 2 pi / wavelength overflows for a subnormal wavelength
+    amplitudes = (r_ms, *msi_mod._amplitudes(Tb_sq, r_ms))
+    x_star, (_, _, _, gamma_ms, g_gamma0) = msi_mod._zero_dispersive_point(
+        *amplitudes, k, p["l"])
+    msi_mod._rho_sq(msi_mod._mirror(*amplitudes, k, x_star)[0])  # rho may vanish at x*
+    _store(row, g_gamma0=g_gamma0, gamma=gamma_ms)
+    _store_cooperativity(row, m_scale, "cooperativity_msi", noise_mod._cooperativity_msi,
+                         r_ms, gamma_ms, p["omega_m"])
 
 
-def _mate_row(row: dict, p: dict, mech: dict) -> None:
-    mate_x = p["l"] * p["t_m"] ** 2 / 4000.0 if p["mate_x"] is None else p["mate_x"]
-    cfg = mate_mod.MateConfig(l=p["l"], x=mate_x, t=p["t"], t_m=p["t_m"],
-                              wavelength=p["wavelength"])
-    zd = mate_mod.mate_zero_dispersive(cfg)
-    _store(row, g_gamma0=zd.g_gamma0_mag, gamma=zd.gamma_mate)
-    _store(row, cooperativity=noise_mod.cooperativity_mate(
-        t=p["t"], t_m=p["t_m"], omega_m=p["omega_m"], **mech))
+def _mate_row(row: dict, p: dict, k: float, m_scale: float | InvalidParameter) -> None:
+    t, t_m, l = p["t"], p["t_m"], p["l"]
+    mate_x = l * t_m ** 2 / 4000.0 if p["mate_x"] is None else p["mate_x"]
+    require_amplitude(t=t)
+    require_transmitting(t_m=t_m)
+    mate_mod._require_inside(mate_x, l)
+    g_gamma0, gamma_mate, _ = in_float_range(
+        "mate_zero_dispersive", lambda: mate_mod._zero_dispersive(C_LIGHT * k, l, t, t_m))
+    _store(row, g_gamma0=g_gamma0, gamma=gamma_mate)
+    _store_cooperativity(row, m_scale, "cooperativity_mate", noise_mod._cooperativity_mate,
+                         t, t_m, p["omega_m"], gamma_mate)
 
 
 #: each system's row filler, in row order; a filler stores g_gamma0 and gamma
@@ -468,21 +509,25 @@ def compare_systems(params: dict[str, float] | None = None) -> ComparisonTable:
     result) is reported in the row's error column instead of propagating."""
     p = dict(COMPARE_DEFAULTS)
     if params:
-        unknown = set(params) - set(COMPARE_DEFAULTS)
+        unknown = set(params) - COMPARE_DEFAULTS.keys()
         if unknown:
             raise ConfigError(f"unknown compare parameters: {sorted(unknown)}")
         p.update(params)
-    given = {key: val for key, val in p.items() if val is not None}
-    require_finite(**{f"compare.{key}": val for key, val in given.items()
-                      if key not in _COMPARE_POSITIVE})
-    require_positive(**{f"compare.{key}": given[key]
-                        for key in _COMPARE_POSITIVE if key in given})
-    mech = {key: p[key] for key in ("l", "wavelength", "x_zpf", "gamma_m", "a0")}
+    require_finite(**{_COMPARE_LABELS[key]: p[key] for key in _COMPARE_FINITE
+                      if p[key] is not None})
+    require_positive(**{_COMPARE_LABELS[key]: p[key] for key in _COMPARE_POSITIVE
+                        if p[key] is not None})
+    k = wavevector(p["wavelength"])
+    try:
+        m_scale = in_float_range("mechanical_scale", lambda: noise_mod._mechanical_scale(
+            k, p["l"], p["x_zpf"], p["gamma_m"], p["a0"]))
+    except InvalidParameter as exc:
+        m_scale = exc
 
     rows: list[dict[str, object]] = [{"system": s, "error": ""} for s in _SYSTEMS]
     for row in rows:
         try:
-            _SYSTEMS[row["system"]](row, p, mech)
+            _SYSTEMS[row["system"]](row, p, k, m_scale)
         except _ROW_ERRORS as exc:
             row["error"] = type(exc).__name__
 
@@ -498,6 +543,7 @@ def compare_systems(params: dict[str, float] | None = None) -> ComparisonTable:
             except InvalidParameter as exc:
                 row["error"] = type(exc).__name__
 
-    metadata: dict[str, object] = {f"param.{k}": v for k, v in sorted(given.items())}
+    metadata: dict[str, object] = {name: p[key] for key, name in _COMPARE_META.items()
+                                   if p[key] is not None}
     metadata["version"] = __version__
     return ComparisonTable(rows=rows, metadata=metadata)

@@ -16,6 +16,11 @@ membrane); modes continuing the x comb have positive dispersive constant
 vanishes where cos^2(k l - 2 k x) = 1, equivalently
 cos(2 k x + phi_r) = -r_m, i.e. at Phi = +- sqrt(Phi0) in the tandem-phase
 parametrization Phi = (psi - pi)/2, Phi0 = t_m^2/4.
+
+The zero-dispersive benchmark (|g_gamma0|, gamma_mate, ratio_to_mos) lives
+in one private kernel, _zero_dispersive, which does arithmetic only, on
+floats or broadcast numpy arrays; mate_zero_dispersive and
+datasets.compare_systems call it under one float-range guard.
 """
 
 from __future__ import annotations
@@ -35,6 +40,7 @@ from .numerics import (
     cos_sin,
     grid_roots,
     in_float_range,
+    power,
     require_finite,
     require_positive,
 )
@@ -59,8 +65,7 @@ class MateConfig(TandemCavity):
     def __post_init__(self) -> None:
         super().__post_init__()
         require_finite(x=self.x)
-        if any_true((self.x <= 0.0) | (self.x >= self.l)):
-            raise InvalidParameter(f"need 0 < x < l, got x={self.x}, l={self.l}")
+        _require_inside(self.x, self.l)
 
     @property
     def r_m(self) -> float:
@@ -69,6 +74,13 @@ class MateConfig(TandemCavity):
     def near_edge_bound(self) -> float:
         """Distance scale l t_m^2 / 4 below which the membrane is at the edge."""
         return self.l * self.t_m ** 2 / 4.0
+
+
+def _require_inside(x, l: float) -> None:
+    """InvalidParameter unless the membrane lies inside the cavity, 0 < x < l,
+    at every gap of an array x."""
+    if any_true((x <= 0.0) | (x >= l)):
+        raise InvalidParameter(f"need 0 < x < l, got x={x}, l={l}")
 
 
 def resonance_residual(cfg: MateConfig, k):
@@ -240,8 +252,16 @@ class MateZeroDispersive:
 
 def zero_dispersive_decay(t: float, l: float) -> float:
     """gamma_mate = c t^2 / (2 l), the MATE decay rate at its zero-dispersive
-    points; mate_zero_dispersive and noise.cooperativity_mate both use it."""
-    return C_LIGHT * t ** 2 / (2.0 * l)
+    points, elementwise over arrays; mate_zero_dispersive and
+    noise.cooperativity_mate both use it."""
+    return C_LIGHT * power(t, 2) / (2.0 * l)
+
+
+def _zero_dispersive(omega_c, l, t, t_m):
+    """(|g_gamma0|, gamma_mate, ratio_to_mos) of mate_zero_dispersive,
+    elementwise over arrays."""
+    return (omega_c * power(t, 2) / (l * t_m), zero_dispersive_decay(t, l),
+            2.0 / power(t_m, 3))
 
 
 def mate_zero_dispersive(cfg: MateConfig) -> MateZeroDispersive:
@@ -257,9 +277,8 @@ def mate_zero_dispersive(cfg: MateConfig) -> MateZeroDispersive:
     leaves the float range: l t_m or t_m^3 underflows to 0, or |g_gamma0|
     or gamma_mate overflows.
     """
-    g_gamma0_mag, gamma_mate, ratio_to_mos = in_float_range("mate_zero_dispersive", lambda: (
-        cfg.omega_c * cfg.t ** 2 / (cfg.l * cfg.t_m), zero_dispersive_decay(cfg.t, cfg.l),
-        2.0 / cfg.t_m ** 3))
+    g_gamma0_mag, gamma_mate, ratio_to_mos = in_float_range(
+        "mate_zero_dispersive", lambda: _zero_dispersive(cfg.omega_c, cfg.l, cfg.t, cfg.t_m))
     phi_star = cfg.t_m / 2.0
     return MateZeroDispersive(
         phi_star=(-phi_star, phi_star),

@@ -24,6 +24,13 @@ transparency point Phi = 0.  Under the reflection-phase branch used here
 derivative d(omega_c)/dx obtained from the resonance condition
 2 l k = pi + 2 pi N - mu(k x).  The dissipative constant is
 g_gamma0 = -(1/2) d(gamma)/dx throughout.
+
+Each closed form of the zero-dispersive comparison lives in one private
+kernel that does arithmetic only, on floats or broadcast numpy arrays:
+_g_00 and _gamma0 behind MosConfig.g_00 and gamma0, and _locus, the pair
+(cos psi*, T*), behind zero_dispersive_locus.  The public names screen and
+check, then call the kernel; datasets.compare_systems calls the kernels
+under the same checks, without a config.
 """
 
 from __future__ import annotations
@@ -38,12 +45,28 @@ from .elements import TWO_PI, TandemCavity, reflectivity, synthetic_response
 from .errors import InvalidParameter, NoRootInWindow, NoZeroDispersivePoint
 from .numerics import (
     RESONANCE_GAP_STEP, any_true, central_diff_richardson, finite_results, grid_roots,
-    in_float_range, require_amplitude, require_non_negative, require_positive,
+    in_float_range, power, require_amplitude, require_non_negative, require_positive,
     require_transmitting,
 )
 
 #: margin interpreting the thin-tandem inequality x << l t_m^4/(4 t^2)
 THIN_TANDEM_MARGIN = 0.01
+
+
+def _gamma0(l, t, t_m):
+    """gamma0 = (2 c / l) t^2 / t_m^2, elementwise over arrays."""
+    return (2.0 * C_LIGHT / l) * power(t / t_m, 2)
+
+
+def _g_00(omega_c, l, t, t_m):
+    """g_00 = (4 omega_c / l) t^2 / t_m^4, elementwise over arrays."""
+    return 4.0 * omega_c * power(t, 2) / (l * power(t_m, 4))
+
+
+def _locus(t, r, r_m):
+    """(cos psi*, T*) of the zero-dispersive locus, elementwise over arrays."""
+    return (-r_m * (1.0 + r * r) / (r * (1.0 + r_m * r_m)),
+            t * t * (1.0 + r_m * r_m) / (1.0 - r * r * r_m * r_m))
 
 
 @dataclass(frozen=True, kw_only=True)
@@ -84,13 +107,11 @@ class MosConfig(TandemCavity):
     # in_float_range: (t / t_m) ** 2 may overflow, and l t_m^4 underflow to 0
     @property
     def gamma0(self) -> float:
-        return in_float_range(
-            "gamma0", lambda: (2.0 * C_LIGHT / self.l) * (self.t / self.t_m) ** 2)
+        return in_float_range("gamma0", lambda: _gamma0(self.l, self.t, self.t_m))
 
     @property
     def g_00(self) -> float:
-        return in_float_range(
-            "g_00", lambda: 4.0 * self.omega_c * self.t ** 2 / (self.l * self.t_m ** 4))
+        return in_float_range("g_00", lambda: _g_00(self.omega_c, self.l, self.t, self.t_m))
 
     def at_phi(self, phi: float) -> "MosConfig":
         """Copy of this config with the gap set so that k (x - x_tilde) = phi."""
@@ -179,21 +200,27 @@ def zero_dispersive_locus(t: float, t_m: float) -> ZeroDispersiveLocus:
     InvalidParameter unless t lies in [0, 1] and t_m in (0, 1], or where
     T* leaves the float range.
     """
+    cos_star, t_star = _checked_locus(t, t_m)
+    psi_1 = math.acos(cos_star)
+    return ZeroDispersiveLocus(psi_star=(psi_1, TWO_PI - psi_1), T_star=t_star)
+
+
+def _checked_locus(t: float, t_m: float) -> tuple[float, float]:
+    """(cos psi*, T*) of _locus, under the screens and checks of
+    zero_dispersive_locus."""
     require_amplitude(t=t)
     require_transmitting(t_m=t_m)
     r, r_m = reflectivity(t), reflectivity(t_m)
     if r == 0.0:
         raise NoZeroDispersivePoint("mirror is fully transparent (r = 0)")
-    cos_star = -r_m * (1.0 + r * r) / (r * (1.0 + r_m * r_m))
+    # 1 - r^2 r_m^2 rounds to 0 once t and t_m are both tiny; where r_m > r,
+    # which the cos psi* < -1 check rejects, it cannot, so T* is guarded first
+    cos_star, t_star = in_float_range("zero_dispersive_locus", lambda: _locus(t, r, r_m))
     if cos_star < -1.0:
         raise NoZeroDispersivePoint(
             f"membrane at least as reflective as the mirror (r_m={r_m:.6g} > r={r:.6g})"
         )
-    psi_1 = math.acos(cos_star)
-    # 1 - r^2 r_m^2 rounds to 0 once t and t_m are both tiny
-    t_star = in_float_range("zero_dispersive_locus",
-                            lambda: t * t * (1.0 + r_m * r_m) / (1.0 - r * r * r_m * r_m))
-    return ZeroDispersiveLocus(psi_star=(psi_1, TWO_PI - psi_1), T_star=t_star)
+    return cos_star, t_star
 
 
 def dissipative_constant_exact(t: float, t_m: float, k: float, l: float) -> float:

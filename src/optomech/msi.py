@@ -13,6 +13,11 @@ with |rho|^2 + tau^2 = 1.  The cavity decay rate is gamma_ms =
 c tau^2 / (2 l); the coupling constants follow from mu = arg rho and tau:
 
     g_omega0 = (c / 2l) dmu/dx,    g_gamma0 = -(c / 2l) tau dtau/dx.
+
+The zero-dispersive closed forms (cos 2kx*, tau*, gamma_ms and the
+benchmark g_gamma0) live in one private kernel, _zero_dispersive, which
+does arithmetic only; msi_zero_dispersive checks and calls it through
+_zero_dispersive_point, as datasets.compare_systems does without a config.
 """
 
 from __future__ import annotations
@@ -56,9 +61,10 @@ class MsiConfig:
         require_positive(l=self.l, k=self.k)
         require_finite(x=self.x)
         # derived once; a frozen instance sets them past its own __setattr__
-        object.__setattr__(self, "R_b", math.sqrt(1.0 - self.Tb_sq))
-        object.__setattr__(self, "T_b", math.sqrt(self.Tb_sq))
-        object.__setattr__(self, "t_ms", reflectivity(self.r_ms))
+        R_b, T_b, t_ms = _amplitudes(self.Tb_sq, self.r_ms)
+        object.__setattr__(self, "R_b", R_b)
+        object.__setattr__(self, "T_b", T_b)
+        object.__setattr__(self, "t_ms", t_ms)
 
     @classmethod
     def balanced(cls, r_ms: float, l: float, k: float, x: float = 0.0,
@@ -78,22 +84,28 @@ class EffectiveMirror:
     tau: float
 
 
-def _mirror_at(cfg: MsiConfig, x):
-    """(rho, tau, cos 2kx, sin 2kx) of cfg's effective mirror at the
-    displacement x in place of cfg.x; the one form of rho and tau."""
-    c2, s2 = cos_sin(2.0 * cfg.k * x)
+def _amplitudes(Tb_sq: float, r_ms: float) -> tuple[float, float, float]:
+    """(R_b, T_b, t_ms) of a lossless splitter and membrane."""
+    return math.sqrt(1.0 - Tb_sq), math.sqrt(Tb_sq), reflectivity(r_ms)
+
+
+def _mirror(r_ms, R_b, T_b, t_ms, k, x):
+    """(rho, tau, cos 2kx, sin 2kx) of the effective mirror at the
+    displacement x, elementwise over an array x; the one form of rho and
+    tau."""
+    c2, s2 = cos_sin(2.0 * k * x)
     rho = (
-        -2.0 * cfg.R_b * cfg.T_b * cfg.t_ms
-        - (cfg.R_b ** 2 - cfg.T_b ** 2) * cfg.r_ms * c2
-        + 1j * (cfg.r_ms * s2)
+        -2.0 * R_b * T_b * t_ms
+        - (R_b ** 2 - T_b ** 2) * r_ms * c2
+        + 1j * (r_ms * s2)
     )
-    tau = cfg.t_ms * (cfg.T_b ** 2 - cfg.R_b ** 2) + 2.0 * cfg.R_b * cfg.T_b * cfg.r_ms * c2
+    tau = t_ms * (T_b ** 2 - R_b ** 2) + 2.0 * R_b * T_b * r_ms * c2
     return rho, tau, c2, s2
 
 
 def msi_effective_mirror(cfg: MsiConfig) -> EffectiveMirror:
     """Effective input-mirror amplitudes (rho, tau) at displacement x."""
-    rho, tau, _, _ = _mirror_at(cfg, cfg.x)
+    rho, tau, _, _ = _mirror(cfg.r_ms, cfg.R_b, cfg.T_b, cfg.t_ms, cfg.k, cfg.x)
     return EffectiveMirror(rho=rho, tau=tau)
 
 
@@ -114,24 +126,32 @@ def msi_couplings(cfg: MsiConfig) -> MsiCouplings:
     arg rho, i.e. -2 k r_ms (2 t_ms R_b T_b cos 2kx - r_ms (T_b^2 - R_b^2))
     divided by |rho|^2 (the |rho|^2 factor matters away from |tau| << 1).
     """
-    return _couplings_at(cfg, cfg.x)
+    return _couplings(cfg.r_ms, cfg.R_b, cfg.T_b, cfg.t_ms, cfg.k, cfg.l, cfg.x)
 
 
-def _couplings_at(cfg: MsiConfig, x) -> MsiCouplings:
-    """msi_couplings of cfg at the displacement x in place of cfg.x."""
-    rho, tau, c2, s2 = _mirror_at(cfg, x)
+def _rho_sq(rho):
+    """|rho|^2, the denominator of dmu/dx, or DegenerateDenominator where it
+    vanishes."""
     rho_sq = abs(rho) ** 2
     if any_true(rho_sq == 0.0):
         raise DegenerateDenominator(
             "effective mirror is fully transmissive (rho = 0); phase undefined"
         )
-    dtau = -4.0 * cfg.k * cfg.r_ms * cfg.R_b * cfg.T_b * s2
-    dmu_num = -2.0 * cfg.k * cfg.r_ms * (
-        2.0 * cfg.t_ms * cfg.R_b * cfg.T_b * c2
-        - cfg.r_ms * (cfg.T_b ** 2 - cfg.R_b ** 2)
+    return rho_sq
+
+
+def _couplings(r_ms, R_b, T_b, t_ms, k, l, x) -> MsiCouplings:
+    """msi_couplings at the displacement x, or DegenerateDenominator where
+    rho vanishes."""
+    rho, tau, c2, s2 = _mirror(r_ms, R_b, T_b, t_ms, k, x)
+    rho_sq = _rho_sq(rho)
+    dtau = -4.0 * k * r_ms * R_b * T_b * s2
+    dmu_num = -2.0 * k * r_ms * (
+        2.0 * t_ms * R_b * T_b * c2
+        - r_ms * (T_b ** 2 - R_b ** 2)
     )
     dmu = dmu_num / rho_sq
-    c_over_2l = C_LIGHT / (2.0 * cfg.l)
+    c_over_2l = C_LIGHT / (2.0 * l)
     return MsiCouplings(
         gamma_ms=c_over_2l * tau ** 2,
         g_omega0=c_over_2l * dmu,
@@ -165,12 +185,45 @@ def msi_zero_dispersive(cfg: MsiConfig, branch: int = 0) -> MsiZeroDispersive:
     """
     if not float(branch).is_integer():
         raise InvalidParameter(f"branch must be an integer, got {branch}")
-    denom = 2.0 * cfg.t_ms * cfg.R_b * cfg.T_b
-    if denom == 0.0:
+    amplitudes = (cfg.r_ms, cfg.R_b, cfg.T_b, cfg.t_ms)
+    x_star, (cos_star, tau_star, t_ms_power, gamma_ms, g_bench) = _zero_dispersive_point(
+        *amplitudes, cfg.k, cfg.l, branch)
+    require_finite(x=x_star)  # as a config at x_star would; a large branch overflows
+    at_star = _couplings(*amplitudes, cfg.k, cfg.l, x_star)
+    return MsiZeroDispersive(
+        x_star=x_star,
+        tau_star=tau_star,
+        T_ms=t_ms_power,
+        gamma_ms=gamma_ms,
+        g_gamma0=at_star.g_gamma0,
+        g_gamma0_benchmark=g_bench,
+        cos_2kx_star=cos_star,
+    )
+
+
+def _zero_dispersive(r_ms, R_b, T_b, t_ms, l, omega_c):
+    """(cos 2kx*, tau*, T_ms, gamma_ms, g_gamma0_benchmark) at the
+    zero-dispersive point of a splitter with t_ms R_b T_b != 0; at the locus
+    tau collapses to tau* = (T_b^2 - R_b^2) / t_ms."""
+    cos_star = r_ms * (T_b ** 2 - R_b ** 2) / (2.0 * t_ms * R_b * T_b)
+    tau_star = (T_b ** 2 - R_b ** 2) / t_ms
+    t_ms_power = tau_star ** 2
+    return (cos_star, tau_star, t_ms_power, C_LIGHT * t_ms_power / (2.0 * l),
+            r_ms * math.sqrt(t_ms_power) * omega_c / l)
+
+
+def _zero_dispersive_point(r_ms, R_b, T_b, t_ms, k, l, branch: int = 0):
+    """(x*, the values of _zero_dispersive) on the given branch, or
+    NoZeroDispersivePoint where there is none.  x* is finite on branch 0 (a
+    large branch overflows it), and rho may vanish there, where
+    |cos 2kx*| = 1: _rho_sq checks it."""
+    # each amplitude that is not 0 is above 1e-162, so the product underflows nowhere
+    if t_ms * R_b * T_b == 0.0:
         raise NoZeroDispersivePoint(
             "degenerate splitter or opaque membrane (t_ms R_b T_b = 0)"
         )
-    cos_star = cfg.r_ms * (cfg.T_b ** 2 - cfg.R_b ** 2) / denom
+    values = _zero_dispersive(r_ms, R_b, T_b, t_ms, l, C_LIGHT * k)
+    cos_star = values[0]
     if abs(cos_star) > 1.0:
         raise NoZeroDispersivePoint(
             f"required cos 2kx = {cos_star:.6g} exceeds 1 in magnitude"
@@ -180,18 +233,4 @@ def msi_zero_dispersive(cfg: MsiConfig, branch: int = 0) -> MsiZeroDispersive:
         two_kx = theta + math.pi * branch
     else:
         two_kx = -theta + math.pi * (branch + 1)
-    x_star = two_kx / (2.0 * cfg.k)
-    require_finite(x=x_star)  # as a config at x_star would
-    at_star = _couplings_at(cfg, x_star)
-    # at the locus tau collapses to (T_b^2 - R_b^2) / t_ms
-    tau_star = (cfg.T_b ** 2 - cfg.R_b ** 2) / cfg.t_ms
-    t_ms_power = tau_star ** 2
-    return MsiZeroDispersive(
-        x_star=x_star,
-        tau_star=tau_star,
-        T_ms=t_ms_power,
-        gamma_ms=C_LIGHT * t_ms_power / (2.0 * cfg.l),
-        g_gamma0=at_star.g_gamma0,
-        g_gamma0_benchmark=cfg.r_ms * math.sqrt(t_ms_power) * cfg.omega_c / cfg.l,
-        cos_2kx_star=cos_star,
-    )
+    return two_kx / (2.0 * k), values

@@ -33,6 +33,12 @@ arithmetic), and sums both spectra in it.  Its references live in
 tests/noise_reference.py: the intracavity and port-1 noise rows and the
 force row, which it equals bit for bit, and the drift and input matrices
 of the equations above, solved by numpy.
+
+The mechanical scale M and the three cooperativities given M live each in
+one private kernel that does arithmetic only, on floats or broadcast numpy
+arrays: _mechanical_scale and _cooperativity_mos, _msi and _mate.
+mechanical_scale and the cooperativity_* functions screen and call them;
+datasets.compare_systems computes M once and calls the kernels.
 """
 
 from __future__ import annotations
@@ -46,9 +52,9 @@ from .constants import C_LIGHT, HBAR
 from .elements import wavevector
 from .errors import InvalidParameter, SingularSystem, ZeroCoupling
 from .mate import zero_dispersive_decay
-from .numerics import (finite_results, in_float_range, out_of_float_range, require_amplitude,
-                       require_at_least_one, require_finite, require_non_negative,
-                       require_positive, require_transmitting)
+from .numerics import (finite_results, in_float_range, out_of_float_range, power,
+                       require_amplitude, require_at_least_one, require_finite,
+                       require_non_negative, require_positive, require_transmitting)
 
 @dataclass(frozen=True)
 class PortRates:
@@ -79,8 +85,13 @@ class DriveConfig:
     a0: float = 1.0
 
     def __post_init__(self) -> None:
-        # a cheap guard: the sum is finite unless a value is not, or it overflows
-        if not (math.isfinite(self.delta + self.omega) and 0.0 <= self.a0 < math.inf):
+        # a cheap guard: the sum is finite unless a value is not, or it
+        # overflows; an int beyond the float range makes the sum raise
+        try:
+            cheap = math.isfinite(self.delta + self.omega) and 0.0 <= self.a0 < math.inf
+        except OverflowError:
+            cheap = False
+        if not cheap:
             require_finite(delta=self.delta, omega=self.omega)
             require_non_negative(a0=self.a0)
 
@@ -245,6 +256,26 @@ def homodyne_spectra(
     )
 
 
+def _mechanical_scale(k, l, x_zpf, gamma_m, a0):
+    """M = c (k a0 x_zpf)^2 / (l gamma_m), elementwise over arrays."""
+    return C_LIGHT * power(k * a0 * x_zpf, 2) / (l * gamma_m)
+
+
+def _cooperativity_mos(m_scale, t, t_m):
+    """C = M 4 t^2 / t_m^6, elementwise over arrays."""
+    return m_scale * 4.0 * power(t, 2) / power(t_m, 6)
+
+
+def _cooperativity_msi(m_scale, r_ms, gamma_ms, omega_m):
+    """C = 2 M r_ms^2 (2 omega_m / gamma_ms)^2, elementwise over arrays."""
+    return 2.0 * m_scale * power(r_ms, 2) * power(2.0 * omega_m / gamma_ms, 2)
+
+
+def _cooperativity_mate(m_scale, t, t_m, omega_m, gamma_mate):
+    """C = M (t / t_m)^2 (2 omega_m / gamma_mate)^2, elementwise over arrays."""
+    return m_scale * power(t / t_m, 2) * power(2.0 * omega_m / gamma_mate, 2)
+
+
 def mechanical_scale(
     wavelength: float, l: float, x_zpf: float, gamma_m: float, a0: float = 1.0
 ) -> float:
@@ -252,8 +283,8 @@ def mechanical_scale(
     k = wavevector(wavelength)
     require_positive(l=l, x_zpf=x_zpf, gamma_m=gamma_m)
     require_non_negative(a0=a0)
-    return in_float_range(
-        "mechanical_scale", lambda: C_LIGHT * (k * a0 * x_zpf) ** 2 / (l * gamma_m))
+    return in_float_range("mechanical_scale",
+                          lambda: _mechanical_scale(k, l, x_zpf, gamma_m, a0))
 
 
 def cooperativity_mos(
@@ -267,7 +298,7 @@ def cooperativity_mos(
     require_amplitude(t=t)
     require_transmitting(t_m=t_m)
     m_scale = mechanical_scale(wavelength, l, x_zpf, gamma_m, a0)
-    return in_float_range("cooperativity_mos", lambda: m_scale * 4.0 * t ** 2 / t_m ** 6)
+    return in_float_range("cooperativity_mos", lambda: _cooperativity_mos(m_scale, t, t_m))
 
 
 def cooperativity_msi(
@@ -280,9 +311,8 @@ def cooperativity_msi(
     require_positive(gamma_ms=gamma_ms)
     require_finite(omega_m=omega_m)
     m_scale = mechanical_scale(wavelength, l, x_zpf, gamma_m, a0)
-    return in_float_range(
-        "cooperativity_msi",
-        lambda: 2.0 * m_scale * r_ms ** 2 * (2.0 * omega_m / gamma_ms) ** 2)
+    return in_float_range("cooperativity_msi",
+                          lambda: _cooperativity_msi(m_scale, r_ms, gamma_ms, omega_m))
 
 
 def cooperativity_mate(
@@ -295,12 +325,8 @@ def cooperativity_mate(
     require_transmitting(t=t, t_m=t_m)
     require_finite(omega_m=omega_m)
     m_scale = mechanical_scale(wavelength, l, x_zpf, gamma_m, a0)
-
-    def formula() -> float:
-        gamma_mate = zero_dispersive_decay(t, l)
-        return m_scale * (t / t_m) ** 2 * (2.0 * omega_m / gamma_mate) ** 2
-
-    return in_float_range("cooperativity_mate", formula)
+    return in_float_range("cooperativity_mate", lambda: _cooperativity_mate(
+        m_scale, t, t_m, omega_m, zero_dispersive_decay(t, l)))
 
 
 _COOPERATIVITIES = {
@@ -316,8 +342,7 @@ def cooperativity(system: str, **params: float) -> float:
     system is one of "mos", "msi", "mate"; params are forwarded to the
     matching cooperativity_* function.
     """
-    try:
-        func = _COOPERATIVITIES[system.lower()]
-    except KeyError:
+    func = _COOPERATIVITIES.get(system.lower() if isinstance(system, str) else None)
+    if func is None:
         raise InvalidParameter(f"unknown system {system!r}; expected mos, msi, or mate")
     return func(**params)

@@ -5,13 +5,14 @@ The screens state the input rules once, each a closed interval of finite
 floats: require_finite, require_positive (> 0), require_non_negative,
 require_amplitude ([0, 1]), require_transmitting ((0, 1]) and
 require_at_least_one (>= 1).  Each names
-the first of its keyword values (floats or arrays) that breaks its rule, as
-"{name} must ..., got {value}", or "must be finite" for an inf or a NaN.
+the first of its keyword values (floats, ints as the floats they round to,
+or arrays) that breaks its rule, as "{name} must ..., got {value}", or
+"must be finite" for an inf, a NaN or an int beyond the float range.
 
 The other helpers serve the library (resonance solvers) and the validation
 suite, where they are independent oracles for the closed-form derivatives.
-any_true and cos_sin serve the closed forms that take a float or a numpy
-array; in_float_range and finite_results screen what a closed form returns.
+any_true, cos_sin and power serve the closed forms that take a float or a
+numpy array; in_float_range and finite_results screen what a closed form returns.
 grid_brackets and grid_roots sample their f on a whole grid in one call, so
 that f takes a float or a numpy array too; grid_roots refines each bracket
 by regula falsi.  bisect refines an array of brackets at once, each element
@@ -52,22 +53,52 @@ def cos_sin(angle):
     return math.cos(angle), math.sin(angle)
 
 
+def power(base, exponent: int):
+    """base ** exponent by the C library's pow: Python's ** for a float, and
+    np.float_power, which calls the same pow elementwise, for an array (the
+    vector loops behind numpy's ** may differ from it in the last bit)."""
+    if isinstance(base, np.ndarray):
+        return np.float_power(base, exponent)
+    return base ** exponent
+
+
 def _finite(value) -> bool:
-    """Whether a float, or every element of an array, is finite."""
+    """Whether a float, or every element of an array, is finite; an int
+    beyond the float range is not."""
     if isinstance(value, np.ndarray):
         return bool(np.isfinite(value).all())
-    return math.isfinite(value)
+    try:
+        return math.isfinite(value)
+    except OverflowError:
+        return False
+
+
+def _int_as_float(value: int) -> float:
+    """The float a Python int (or bool) rounds to, as numpy would compare it,
+    or an infinity of its sign beyond the float range."""
+    try:
+        return float(value)
+    except OverflowError:
+        return math.inf if value > 0 else -math.inf
 
 
 def _screen(lo: float, hi: float, rule: str) -> Callable[..., None]:
     """The screen of the rule lo <= value <= hi: it raises InvalidParameter
     naming the first keyword value that breaks the rule anywhere, with the
-    finite rule's message if that value is not finite."""
+    finite rule's message if that value is not finite.  A float, or a Python
+    int or bool as the float it rounds to, compares in Python."""
     lo64, hi64 = np.float64(lo), np.float64(hi)  # any other dtype compares in float64
+
+    def inside(value) -> bool:
+        """Whether a Python int or bool, as the float it rounds to, or every
+        element of an array keeps the rule."""
+        if isinstance(value, int):
+            return lo <= _int_as_float(value) <= hi
+        return bool(np.all((lo64 <= value) & (value <= hi64)))
+
     def screen(**values) -> None:
         for name, value in values.items():
-            if not (lo <= value <= hi if isinstance(value, float)
-                    else np.all((lo64 <= value) & (value <= hi64))):
+            if not (lo <= value <= hi if isinstance(value, float) else inside(value)):
                 message = rule if _finite(value) else "must be finite"
                 raise InvalidParameter(f"{name} {message}, got {value}")
     return screen
@@ -108,8 +139,12 @@ def in_float_range(name: str, formula: Callable[[], float | tuple]) -> float | t
         value = formula()
     except (ZeroDivisionError, OverflowError) as exc:
         raise out_of_float_range(name, exc) from exc
-    if not (isinstance(value, float) and math.isfinite(value)):
-        finite_results(name, *(value if isinstance(value, tuple) else (value,)))
+    if isinstance(value, tuple):
+        total = sum(value)  # not finite where a value is not, or where it overflows
+        if not (isinstance(total, float) and math.isfinite(total)):
+            finite_results(name, *value)
+    elif not (isinstance(value, float) and math.isfinite(value)):
+        finite_results(name, value)
     return value
 
 

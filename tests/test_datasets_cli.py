@@ -27,6 +27,9 @@ from optomech.datasets import (
 )
 from optomech.errors import DegenerateDenominator, InvalidParameter
 
+from compare_reference import compare_rows
+from test_public_api import _load
+
 
 #: (swept parameter, start, stop) of a sweep that succeeds at the defaults
 SWEEPS = {
@@ -207,6 +210,35 @@ class TestFigures:
             reproduce_figure("fig9")
 
 
+#: 432 geometries at the ends of the float range
+EXTREME_GEOMETRY = [
+    dict(zip(("t", "t_m", "l", "wavelength"), values)) for values in itertools.product(
+        (0.0, 5e-324, 1e-230, 1e-120, 0.014, 1.0),    # t
+        (5e-324, 1e-200, 1e-110, 1e-30, 0.1, 1.0),    # t_m
+        (5e-324, 1e-4, 1e300),                        # l
+        (5e-324, 1e-300, 0.85e-6, 1e308))             # wavelength
+]
+
+#: compare parameters whose rows fail, by class: NoZeroDispersivePoint
+#: (t = 1, Tb_sq = 1, r_ms = 1, Tb_sq = 0), InvalidParameter (t, t_m, mate_x,
+#: r_ms or Tb_sq out of range, a zero result, a cooperativity that overflows
+#: after g_gamma0 and gamma are stored), DegenerateDenominator (rho = 0 at x*)
+#: and a bare OverflowError (t_m ** 2 of the default mate_x)
+ROW_CASES = [
+    {}, {"t": 1.0}, {"msi_Tb_sq": 1.0}, {"msi_r_ms": 1.0}, {"msi_Tb_sq": 0.0},
+    {"t": 1.5}, {"t_m": 0.0}, {"t": 0.0}, {"mate_x": 1.0}, {"msi_r_ms": 0.0},
+    {"msi_r_ms": 1.5}, {"msi_Tb_sq": -0.5}, {"a0": 1e200}, {"t": 0.1, "t_m": 0.014},
+    {"msi_r_ms": 0.6, "msi_Tb_sq": 0.9}, {"t_m": 1e200},
+]
+
+
+def design_params() -> list[dict]:
+    """The compare parameters of the 512 seed-7 queries of perfbench's design
+    workload."""
+    return [{"t": d.t, "t_m": d.t_m, "l": d.l, "wavelength": d.wavelength}
+            for d in _load("workloads").make_designs(7, 512)]
+
+
 class TestCompare:
     def test_benchmark_ratios(self):
         table = compare_systems({})
@@ -236,16 +268,24 @@ class TestCompare:
         # a closed form driven out of the float range names its InvalidParameter,
         # never a bare arithmetic error, in a row's error column
         arithmetic = {"ZeroDivisionError", "OverflowError", "FloatingPointError"}
-        extremes = itertools.product(
-            (0.0, 5e-324, 1e-230, 1e-120, 0.014, 1.0),    # t
-            (5e-324, 1e-200, 1e-110, 1e-30, 0.1, 1.0),    # t_m
-            (5e-324, 1e-4, 1e300),                        # l
-            (5e-324, 1e-300, 0.85e-6, 1e308))             # wavelength
         bare = [(params, row["system"], row["error"])
-                for params in (dict(zip(("t", "t_m", "l", "wavelength"), values))
-                               for values in extremes)
+                for params in EXTREME_GEOMETRY
                 for row in compare_systems(params).rows if row["error"] in arithmetic]
         assert bare == []
+
+    @pytest.mark.parametrize("cases", ["row_cases", "extreme_geometry", "designs"])
+    def test_rows_equal_the_config_built_reference(self, cases):
+        # repr, so that nan cells compare equal; the error column holds the class
+        table = {"row_cases": ROW_CASES, "extreme_geometry": EXTREME_GEOMETRY,
+                 "designs": design_params()}[cases]
+        differ = [params for params in table
+                  if repr(compare_systems(params).rows) != repr(compare_rows(params))]
+        assert differ == []
+
+    def test_row_cases_reach_each_row_error_class(self):
+        errors = {row["error"] for params in ROW_CASES for row in compare_rows(params)}
+        assert {"NoZeroDispersivePoint", "InvalidParameter",
+                "DegenerateDenominator"} <= errors
 
     def test_table_write(self, tmp_path):
         path = tmp_path / "cmp.csv"

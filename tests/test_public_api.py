@@ -17,6 +17,7 @@ from pathlib import Path
 import pytest
 
 import optomech
+from optomech import datasets
 from optomech import (
     DriveConfig,
     ElementSpec,
@@ -86,19 +87,32 @@ def test_bad_argument_is_a_package_error(call):
         call()
 
 
+@pytest.mark.parametrize("system", ["mim", 5, None])
+def test_an_unknown_system_is_an_invalid_parameter(system):
+    # a system that is not a string has no .lower(); it is named like any other
+    with pytest.raises(optomech.OptomechError) as err:
+        cooperativity(system, t=0.014, t_m=0.1, **MECH)
+    assert type(err.value) is InvalidParameter
+    assert str(err.value) == f"unknown system {system!r}; expected mos, msi, or mate"
+
+
 #: the message of each parameter rule; a value that is not finite gets FINITE's
 FINITE, POSITIVE, NON_NEGATIVE = "must be finite", "must be positive", "must be non-negative"
 AMPLITUDE, TRANSMITTING = "must lie in [0, 1]", "must lie in (0, 1]"
 AT_LEAST_ONE = "must be at least 1"
 
-#: the bad values each rule is fed
+#: an int beyond the float range, which every rule rejects as it rejects inf
+BIG = 10 ** 400
+
+#: the bad values each rule is fed: floats, and ints and bools, which the
+#: screens compare as the floats they round to
 BAD_VALUES = {
-    FINITE: (math.nan, math.inf, -math.inf),
-    POSITIVE: (0.0, -1.0, math.nan, math.inf),
-    NON_NEGATIVE: (-1.0, math.nan, -math.inf, math.inf),
-    AMPLITUDE: (-1.0, 1.5, math.nan, math.inf),
-    TRANSMITTING: (0.0, -1.0, 1.5, math.nan, math.inf),
-    AT_LEAST_ONE: (0.5, 0.0, -5.0, math.nan, math.inf, -math.inf),
+    FINITE: (math.nan, math.inf, -math.inf, BIG, -BIG),
+    POSITIVE: (0.0, -1.0, math.nan, math.inf, 0, False, -1, BIG),
+    NON_NEGATIVE: (-1.0, math.nan, -math.inf, math.inf, -1, -BIG),
+    AMPLITUDE: (-1.0, 1.5, math.nan, math.inf, 2, -1, BIG),
+    TRANSMITTING: (0.0, -1.0, 1.5, math.nan, math.inf, 0, False, 2, -BIG),
+    AT_LEAST_ONE: (0.5, 0.0, -5.0, math.nan, math.inf, -math.inf, 0, False, BIG),
 }
 
 K = 2 * math.pi / 0.85e-6
@@ -188,12 +202,18 @@ SCREEN_CASES = [(rule, entry, name, value)
                 for name in names for value in BAD_VALUES[rule]]
 
 
+def _case_id(entry: str, name: str, value) -> str:
+    shown = ("-10**400" if value < 0 else "10**400") if abs(value) == BIG else value
+    return f"{entry}-{name}={shown}"
+
+
 @pytest.mark.parametrize("rule, entry, name, value", SCREEN_CASES,
-                         ids=[f"{e}-{n}={v}" for _, e, n, v in SCREEN_CASES])
+                         ids=[_case_id(e, n, v) for _, e, n, v in SCREEN_CASES])
 def test_each_rule_has_one_class_and_one_message(rule, entry, name, value):
     call, valid = ENTRIES[entry]
     label = f"compare.{name}" if entry == "compare_systems" else name
-    message = f"{label} {rule if math.isfinite(value) else FINITE}, got {value}"
+    finite = abs(value) <= sys.float_info.max  # a NaN is not
+    message = f"{label} {rule if finite else FINITE}, got {value}"
     with pytest.raises(optomech.OptomechError) as err:
         call(**{**valid, name: value})
     assert type(err.value) is InvalidParameter
@@ -307,6 +327,43 @@ def test_no_screen_sits_behind_a_copy_of_its_rule():
                if path.name != "numerics.py"
                for name in _screened_behind_an_if(path.read_text(), path.name)]
     assert set(flagged) == SCREENED_BEHIND_AN_IF
+
+
+#: the callees that build a config, or compute the mechanical scale M
+CONFIGS = {"MosConfig", "MsiConfig", "MateConfig"}
+SCALES = {"mechanical_scale", "_mechanical_scale", "cooperativity", "cooperativity_mos",
+          "cooperativity_msi", "cooperativity_mate"}
+
+
+def _callee(call: ast.Call) -> str | None:
+    """The name a call calls: f of f(...), or f of module.f(...)."""
+    if isinstance(call.func, ast.Attribute):
+        return call.func.attr
+    return getattr(call.func, "id", None)
+
+
+def test_compare_builds_no_config_and_computes_m_once():
+    # compare_systems fills its rows from the closed-form kernels; the scan
+    # takes compare_systems, its row fillers and the datasets functions they name
+    assert _callee(ast.parse("mos_mod.MosConfig(x=0.0)").body[0].value) == "MosConfig"
+    functions = dict(_functions((ROOT / "src" / "optomech" / "datasets.py").read_text()))
+    todo = ["compare_systems", *(f.__name__ for f in datasets._SYSTEMS.values())]
+    scanned = {}
+    while todo:
+        name = todo.pop()
+        if name not in scanned:
+            scanned[name] = functions[name]
+            todo += [node.id for node in ast.walk(functions[name])
+                     if isinstance(node, ast.Name) and node.id in functions]
+    assert {"_mos_row", "_msi_row", "_mate_row", "_store"} < set(scanned)
+    calls = [(name, call) for name, func in scanned.items()
+             for call in ast.walk(func) if isinstance(call, ast.Call)]
+    assert [name for name, call in calls if _callee(call) in CONFIGS] == []
+    scales = [call for name, call in calls if _callee(call) in SCALES]
+    assert [_callee(call) for call in scales] == ["_mechanical_scale"]
+    loops = (ast.For, ast.While, ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp)
+    assert not any(scales[0] in ast.walk(node) for node in ast.walk(scanned["compare_systems"])
+                   if isinstance(node, loops))
 
 
 def _load(name: str):
