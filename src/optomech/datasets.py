@@ -439,22 +439,12 @@ def _store(row: dict[str, object], **values: float) -> None:
     row.update(values)
 
 
-def _store_cooperativity(row: dict[str, object], m_scale: float | InvalidParameter,
-                         name: str, kernel: Callable[..., float], *args: float) -> None:
-    """Store kernel(M, *args), the row's cooperativity, under its formula's
-    guard.  A mechanical scale M that left the float range (computed once,
-    for all rows) fails the row here, where its cooperativity would have."""
-    if isinstance(m_scale, InvalidParameter):
-        raise m_scale
-    _store(row, cooperativity=in_float_range(name, lambda: kernel(m_scale, *args)))
-
-
 # Each row filler applies, in their order, the rules its system's config and
 # public functions apply that can still fail once compare_systems has
 # screened its parameters, and calls the closed-form kernels.
 
 
-def _mos_row(row: dict, p: dict, k: float, m_scale: float | InvalidParameter) -> None:
+def _mos_row(row: dict, p: dict, k: float, m_scale: float) -> None:
     t, t_m, l = p["t"], p["t_m"], p["l"]
     mos_mod._checked_locus(t, t_m)
     if t_m ** 2 / 4.0 == 0.0:  # MosConfig's phi0
@@ -463,11 +453,11 @@ def _mos_row(row: dict, p: dict, k: float, m_scale: float | InvalidParameter) ->
     g_00 = in_float_range("g_00", lambda: mos_mod._g_00(C_LIGHT * k, l, t, t_m))
     gamma0 = in_float_range("gamma0", lambda: mos_mod._gamma0(l, t, t_m))
     _store(row, g_gamma0=g_00 / 2.0, gamma=gamma0 / 2.0)
-    _store_cooperativity(row, m_scale, "cooperativity_mos", noise_mod._cooperativity_mos,
-                         t, t_m)
+    _store(row, cooperativity=in_float_range("cooperativity_mos", lambda: (
+        noise_mod._cooperativity_mos(m_scale, t, t_m))))
 
 
-def _msi_row(row: dict, p: dict, k: float, m_scale: float | InvalidParameter) -> None:
+def _msi_row(row: dict, p: dict, k: float, m_scale: float) -> None:
     r_ms, Tb_sq = p["msi_r_ms"], p["msi_Tb_sq"]
     require_amplitude(Tb_sq=Tb_sq, r_ms=r_ms)
     require_positive(k=k)  # 2 pi / wavelength overflows for a subnormal wavelength
@@ -476,21 +466,21 @@ def _msi_row(row: dict, p: dict, k: float, m_scale: float | InvalidParameter) ->
         *amplitudes, k, p["l"])
     msi_mod._rho_sq(msi_mod._mirror(*amplitudes, k, x_star)[0])  # rho may vanish at x*
     _store(row, g_gamma0=g_gamma0, gamma=gamma_ms)
-    _store_cooperativity(row, m_scale, "cooperativity_msi", noise_mod._cooperativity_msi,
-                         r_ms, gamma_ms, p["omega_m"])
+    _store(row, cooperativity=in_float_range("cooperativity_msi", lambda: (
+        noise_mod._cooperativity_msi(m_scale, r_ms, gamma_ms, p["omega_m"]))))
 
 
-def _mate_row(row: dict, p: dict, k: float, m_scale: float | InvalidParameter) -> None:
+def _mate_row(row: dict, p: dict, k: float, m_scale: float) -> None:
     t, t_m, l = p["t"], p["t_m"], p["l"]
-    mate_x = l * t_m ** 2 / 4000.0 if p["mate_x"] is None else p["mate_x"]
     require_amplitude(t=t)
     require_transmitting(t_m=t_m)
+    mate_x = l * t_m ** 2 / 4000.0 if p["mate_x"] is None else p["mate_x"]
     mate_mod._require_inside(mate_x, l)
     g_gamma0, gamma_mate, _ = in_float_range(
         "mate_zero_dispersive", lambda: mate_mod._zero_dispersive(C_LIGHT * k, l, t, t_m))
     _store(row, g_gamma0=g_gamma0, gamma=gamma_mate)
-    _store_cooperativity(row, m_scale, "cooperativity_mate", noise_mod._cooperativity_mate,
-                         t, t_m, p["omega_m"], gamma_mate)
+    _store(row, cooperativity=in_float_range("cooperativity_mate", lambda: (
+        noise_mod._cooperativity_mate(m_scale, t, t_m, p["omega_m"], gamma_mate))))
 
 
 #: each system's row filler, in row order; a filler stores g_gamma0 and gamma
@@ -504,25 +494,25 @@ def compare_systems(params: dict[str, float] | None = None) -> ComparisonTable:
     ratio columns (nan where the MOS row or the row itself has an error).
 
     Every parameter must be finite, and lengths, rates and the drive
-    amplitude positive (InvalidParameter).  A per-system error (an
-    infeasible system, a parameter out of range, a zero or overflowing
-    result) is reported in the row's error column instead of propagating."""
+    amplitude positive (InvalidParameter); mate_x alone may be None, its
+    default.  A per-system error (an infeasible system, a parameter out of
+    range, a zero or overflowing result) is reported in the row's error
+    column instead of propagating."""
     p = dict(COMPARE_DEFAULTS)
     if params:
         unknown = set(params) - COMPARE_DEFAULTS.keys()
         if unknown:
             raise ConfigError(f"unknown compare parameters: {sorted(unknown)}")
         p.update(params)
-    require_finite(**{_COMPARE_LABELS[key]: p[key] for key in _COMPARE_FINITE
-                      if p[key] is not None})
+    require_finite(**{_COMPARE_LABELS[key]: p[key] for key in _COMPARE_FINITE})
     require_positive(**{_COMPARE_LABELS[key]: p[key] for key in _COMPARE_POSITIVE
-                        if p[key] is not None})
+                        if key != "mate_x" or p[key] is not None})
     k = wavevector(p["wavelength"])
-    try:
+    try:  # a nan M fails each row's cooperativity guard, where M's own would have
         m_scale = in_float_range("mechanical_scale", lambda: noise_mod._mechanical_scale(
             k, p["l"], p["x_zpf"], p["gamma_m"], p["a0"]))
-    except InvalidParameter as exc:
-        m_scale = exc
+    except InvalidParameter:
+        m_scale = math.nan
 
     rows: list[dict[str, object]] = [{"system": s, "error": ""} for s in _SYSTEMS]
     for row in rows:

@@ -139,6 +139,21 @@ class MateBranch:
     family: str    # "x" | "l-x"
 
 
+def _require_reflecting(cfg: MateConfig, what: str) -> None:
+    """BranchAmbiguity where a fully transparent membrane leaves what degenerate."""
+    if cfg.r_m < 1e-15:
+        raise BranchAmbiguity(f"membrane fully transparent (r_m = 0); {what} degenerate")
+
+
+def _branch_angle(cfg: MateConfig, k):
+    """beta(k) = arccos(clip(-cos(k l + phi_r) / r_m)): math's for a float, and
+    numpy's for an array, which can differ in the last bit on a grid that
+    passes on only signs (regula falsi calls with floats)."""
+    if isinstance(k, np.ndarray):
+        return np.arccos(np.clip(-np.cos(k * cfg.l + cfg.phi_r) / cfg.r_m, -1.0, 1.0))
+    return math.acos(min(1.0, max(-1.0, -math.cos(k * cfg.l + cfg.phi_r) / cfg.r_m)))
+
+
 def classify_branch(cfg: MateConfig, k_c: float) -> MateBranch:
     """Attribute a root to the (sign, n) family of the explicit solution
 
@@ -147,12 +162,8 @@ def classify_branch(cfg: MateConfig, k_c: float) -> MateBranch:
     and to the physical subcavity ("x" or "l-x") it derives from.
     """
     require_positive(k_c=k_c)
-    if cfg.r_m < 1e-15:
-        raise BranchAmbiguity(
-            "membrane fully transparent (r_m = 0); branch family degenerate"
-        )
-    arg = -math.cos(k_c * cfg.l + cfg.phi_r) / cfg.r_m
-    beta = math.acos(min(1.0, max(-1.0, arg)))
+    _require_reflecting(cfg, "branch family")
+    beta = _branch_angle(cfg, k_c)
     target = k_c * (2.0 * cfg.x - cfg.l)
     near_x = abs(math.cos(2.0 * k_c * cfg.x + cfg.phi_r) + 1.0)
     near_lx = abs(math.cos(2.0 * k_c * (cfg.l - cfg.x) + cfg.phi_r) + 1.0)
@@ -173,14 +184,7 @@ def branch_wavevector(
     """Solve the branch equation k(2x-l) - sign*beta(k) - 2 pi n = 0 near k_near."""
 
     def h(k):
-        # np.arccos can differ from math.acos in the last bit; the grid
-        # passes on only its signs, and regula falsi calls h with floats
-        if isinstance(k, np.ndarray):
-            arg = -np.cos(k * cfg.l + cfg.phi_r) / cfg.r_m
-            beta = np.arccos(np.clip(arg, -1.0, 1.0))
-        else:
-            arg = -math.cos(k * cfg.l + cfg.phi_r) / cfg.r_m
-            beta = math.acos(min(1.0, max(-1.0, arg)))
+        beta = _branch_angle(cfg, k)
         return k * (2.0 * cfg.x - cfg.l) - branch.sign * beta - TWO_PI * branch.n
 
     half_fsr = math.pi / (2.0 * cfg.l)
@@ -215,10 +219,7 @@ def mate_dispersive_constant(cfg: MateConfig, k_c: float) -> MateDispersive:
     from the x subcavity and negative for those from the l-x part.
     """
     require_positive(k_c=k_c)
-    if cfg.r_m < 1e-15:
-        raise BranchAmbiguity(
-            "membrane fully transparent (r_m = 0); slope branch degenerate"
-        )
+    _require_reflecting(cfg, "slope branch")
     cos_val = math.cos(k_c * cfg.l - 2.0 * k_c * cfg.x)
     one_minus = 1.0 - cos_val * cos_val
     if one_minus <= 0.0:

@@ -25,6 +25,10 @@ derivative d(omega_c)/dx obtained from the resonance condition
 2 l k = pi + 2 pi N - mu(k x).  The dissipative constant is
 g_gamma0 = -(1/2) d(gamma)/dx throughout.
 
+The zero-dispersive point exists exactly where the membrane is at most as
+reflective as the mirror, t <= t_m (and r > 0); _checked_locus decides it so,
+on the inputs, for zero_dispersive_locus and dissipative_constant_exact.
+
 Each closed form of the zero-dispersive comparison lives in one private
 kernel that does arithmetic only, on floats or broadcast numpy arrays:
 _g_00 and _gamma0 behind MosConfig.g_00 and gamma0, and _locus, the pair
@@ -194,11 +198,11 @@ class ZeroDispersiveLocus:
 def zero_dispersive_locus(t: float, t_m: float) -> ZeroDispersiveLocus:
     """Phases psi* with dmu/dpsi = 0:  cos psi* = -r_m (1+r^2) / (r (1+r_m^2)).
 
-    Exists only for a membrane less reflective than the mirror (r_m <= r);
-    at r_m = r the two solutions merge at psi* = pi.  The transmission at
-    either solution is T* = t^2 (1 + r_m^2) / (1 - r^2 r_m^2).
-    InvalidParameter unless t lies in [0, 1] and t_m in (0, 1], or where
-    T* leaves the float range.
+    Exists exactly where t <= t_m, a membrane at most as reflective as the
+    mirror (NoZeroDispersivePoint otherwise, or at r = 0); at t = t_m the two
+    solutions merge at psi* = pi.  T* = t^2 (1 + r_m^2) / (1 - r^2 r_m^2) at
+    either.  InvalidParameter unless t lies in [0, 1] and t_m in (0, 1], or
+    where T* leaves the float range.
     """
     cos_star, t_star = _checked_locus(t, t_m)
     psi_1 = math.acos(cos_star)
@@ -206,21 +210,22 @@ def zero_dispersive_locus(t: float, t_m: float) -> ZeroDispersiveLocus:
 
 
 def _checked_locus(t: float, t_m: float) -> tuple[float, float]:
-    """(cos psi*, T*) of _locus, under the screens and checks of
-    zero_dispersive_locus."""
+    """(cos psi*, T*) of _locus under, in order, the screens, r = 0, the float
+    range of T* and existence, decided on the inputs (t > t_m), not on the
+    rounded r and r_m; cos psi* is clamped to -1, which it rounds past near t = t_m."""
     require_amplitude(t=t)
     require_transmitting(t_m=t_m)
     r, r_m = reflectivity(t), reflectivity(t_m)
     if r == 0.0:
         raise NoZeroDispersivePoint("mirror is fully transparent (r = 0)")
-    # 1 - r^2 r_m^2 rounds to 0 once t and t_m are both tiny; where r_m > r,
-    # which the cos psi* < -1 check rejects, it cannot, so T* is guarded first
+    # T* is guarded before existence: once t and t_m are both so small that
+    # r and r_m round to 1, 1 - r^2 r_m^2 is 0 whichever of them is larger
     cos_star, t_star = in_float_range("zero_dispersive_locus", lambda: _locus(t, r, r_m))
-    if cos_star < -1.0:
+    if t > t_m:
         raise NoZeroDispersivePoint(
             f"membrane at least as reflective as the mirror (r_m={r_m:.6g} > r={r:.6g})"
         )
-    return cos_star, t_star
+    return max(cos_star, -1.0), t_star
 
 
 def dissipative_constant_exact(t: float, t_m: float, k: float, l: float) -> float:
@@ -229,17 +234,12 @@ def dissipative_constant_exact(t: float, t_m: float, k: float, l: float) -> floa
         (c k / l) (t^2/t_m^2) * 2 r_m (1+r_m^2) / (1 - r_m^2 r^2)
                               * sqrt((r^2 - r_m^2) / (1 - r_m^2 r^2))
 
-    InvalidParameter unless t lies in [0, 1], t_m in (0, 1] and k, l are
-    positive, or where the result leaves the float range.
+    The errors of zero_dispersive_locus come first, then InvalidParameter
+    unless k and l are positive, or where the result leaves the float range.
     """
-    require_amplitude(t=t)
-    require_transmitting(t_m=t_m)
+    _checked_locus(t, t_m)
     require_positive(k=k, l=l)
     r, r_m = reflectivity(t), reflectivity(t_m)
-    if r_m > r:
-        raise NoZeroDispersivePoint(
-            f"membrane more reflective than the mirror (r_m={r_m:.6g} > r={r:.6g})"
-        )
     one_minus = 1.0 - r_m * r_m * r * r
     return in_float_range("dissipative_constant_exact", lambda: (
         C_LIGHT * k / l

@@ -88,7 +88,7 @@ class DriveConfig:
         # a cheap guard: the sum is finite unless a value is not, or it
         # overflows; an int beyond the float range makes the sum raise
         try:
-            cheap = math.isfinite(self.delta + self.omega) and 0.0 <= self.a0 < math.inf
+            cheap = math.isfinite(self.delta + self.omega + self.a0) and self.a0 >= 0.0
         except OverflowError:
             cheap = False
         if not cheap:
@@ -116,8 +116,12 @@ def general_spectra(
     result outside the float range.
     """
     # a cheap screen, as in DriveConfig: the sum is finite unless a value is
-    # not, or it overflows
-    if not math.isfinite(g_omega0 + g_gamma0 + theta):
+    # not, or it overflows, or raises for an int beyond the float range
+    try:
+        cheap = math.isfinite(g_omega0 + g_gamma0 + theta)
+    except OverflowError:
+        cheap = False
+    if not cheap:
         require_finite(g_omega0=g_omega0, g_gamma0=g_gamma0, theta=theta)
     try:
         kappa = complex(rates.total / 2.0, -drive.omega)
@@ -223,7 +227,11 @@ def homodyne_spectra(
         raise InvalidParameter("closed forms hold for a symmetric cavity (gamma1 = gamma2)")
     if rates.gamma1 == 0.0:
         raise InvalidParameter("closed forms need open ports (gamma1 = gamma2 > 0)")
-    if not math.isfinite(g_omega0 + g_gamma0):
+    try:  # a cheap screen, as in general_spectra
+        cheap = math.isfinite(g_omega0 + g_gamma0)
+    except OverflowError:
+        cheap = False
+    if not cheap:
         require_finite(g_omega0=g_omega0, g_gamma0=g_gamma0)
     if g_omega0 == 0.0 and g_gamma0 == 0.0:
         raise ZeroCoupling("both coupling constants are zero")

@@ -16,6 +16,7 @@ from optomech import noise as noise_mod
 from optomech.datasets import _ROW_ERRORS, COMPARE_DEFAULTS, _store
 from optomech.elements import wavevector
 from optomech.errors import InvalidParameter
+from optomech.numerics import require_transmitting
 
 
 def _mos_row(row: dict, p: dict, mech: dict) -> None:
@@ -37,6 +38,7 @@ def _msi_row(row: dict, p: dict, mech: dict) -> None:
 
 
 def _mate_row(row: dict, p: dict, mech: dict) -> None:
+    require_transmitting(t_m=p["t_m"])  # MateConfig's rule, before the default squares t_m
     mate_x = p["l"] * p["t_m"] ** 2 / 4000.0 if p["mate_x"] is None else p["mate_x"]
     cfg = mate_mod.MateConfig(l=p["l"], x=mate_x, t=p["t"], t_m=p["t_m"],
                               wavelength=p["wavelength"])

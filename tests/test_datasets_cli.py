@@ -17,6 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from optomech import ConfigError, ScanSpec, compare_systems, reproduce_figure, run_scan
+from optomech import datasets
 from optomech.cli import main, read_config
 from optomech.datasets import (
     COMPARE_COLUMNS,
@@ -221,9 +222,10 @@ EXTREME_GEOMETRY = [
 
 #: compare parameters whose rows fail, by class: NoZeroDispersivePoint
 #: (t = 1, Tb_sq = 1, r_ms = 1, Tb_sq = 0), InvalidParameter (t, t_m, mate_x,
-#: r_ms or Tb_sq out of range, a zero result, a cooperativity that overflows
-#: after g_gamma0 and gamma are stored), DegenerateDenominator (rho = 0 at x*)
-#: and a bare OverflowError (t_m ** 2 of the default mate_x)
+#: r_ms or Tb_sq out of range, t_m = 1e200 in the MATE row too, where the
+#: default mate_x would square it, a zero result, a cooperativity that
+#: overflows after g_gamma0 and gamma are stored) and DegenerateDenominator
+#: (rho = 0 at x*)
 ROW_CASES = [
     {}, {"t": 1.0}, {"msi_Tb_sq": 1.0}, {"msi_r_ms": 1.0}, {"msi_Tb_sq": 0.0},
     {"t": 1.5}, {"t_m": 0.0}, {"t": 0.0}, {"mate_x": 1.0}, {"msi_r_ms": 0.0},
@@ -281,6 +283,15 @@ class TestCompare:
         differ = [params for params in table
                   if repr(compare_systems(params).rows) != repr(compare_rows(params))]
         assert differ == []
+
+    @pytest.mark.parametrize("key", [key for key in COMPARE_DEFAULTS if key != "mate_x"])
+    def test_a_none_elsewhere_fails_before_any_row(self, monkeypatch, key):
+        # its screen raises, before compare_systems fills a row
+        def unreached(*args):
+            raise AssertionError(f"a row was filled with {key} = None")
+        monkeypatch.setattr(datasets, "_SYSTEMS", dict.fromkeys(datasets._SYSTEMS, unreached))
+        with pytest.raises(TypeError, match="not supported between"):
+            compare_systems({key: None})
 
     def test_row_cases_reach_each_row_error_class(self):
         errors = {row["error"] for params in ROW_CASES for row in compare_rows(params)}

@@ -42,6 +42,16 @@ def _dissipative_constant_thin(t, t_m, k, l):
     return C_LIGHT * k / l * (t ** 2 / t_m ** 4) * 2.0 * r_m * (1.0 + r_m * r_m)
 
 
+def _exists(call) -> bool:
+    """Whether call() finds a zero-dispersive point; any error but
+    NoZeroDispersivePoint propagates."""
+    try:
+        call()
+    except NoZeroDispersivePoint:
+        return False
+    return True
+
+
 class TestZeroDispersiveLocus:
     def test_benchmark_half_offsets(self, bench):
         locus = zero_dispersive_locus(0.014, 0.1)
@@ -84,6 +94,23 @@ class TestZeroDispersiveLocus:
         locus = zero_dispersive_locus(0.05, 0.05)
         assert locus.psi_star[0] == pytest.approx(math.pi, abs=1e-12)
         assert locus.psi_star[1] == pytest.approx(math.pi, abs=1e-12)
+
+    def test_existence_is_decided_by_t_above_t_m(self):
+        # t_m within 1e-12 relative of t, where r and r_m round too coarsely to
+        # decide; every 100th pair is a tie, which merges at exactly pi
+        rng = np.random.default_rng(28)
+        t = rng.uniform(1e-6, 1.0, 50_000)
+        t_m = np.minimum(t * (1.0 + rng.uniform(-1.0, 1.0, t.size) * 1e-12), 1.0)
+        t_m[::100] = t[::100]
+        k, l = 2 * math.pi / 0.85e-6, 1e-4
+        pairs = list(zip(t.tolist(), t_m.tolist()))
+        wrong = [(a, b) for a, b in pairs
+                 if _exists(lambda: zero_dispersive_locus(a, b)) == (a > b)
+                 or _exists(lambda: dissipative_constant_exact(a, b, k, l)) == (a > b)]
+        assert wrong == []
+        ties = [a for a, b in pairs if a == b]
+        assert len(ties) >= 500
+        assert all(zero_dispersive_locus(a, a).psi_star == (math.pi, math.pi) for a in ties)
 
     def test_transmission_at_locus(self):
         t, t_m = 0.02, 0.12
@@ -199,6 +226,11 @@ class TestDissipativeConstant:
     def test_infeasible_for_reflective_membrane(self, bench):
         with pytest.raises(NoZeroDispersivePoint):
             dissipative_constant_exact(0.1, 0.014, bench.k, bench.l)
+
+    def test_fully_transparent_elements_have_no_point(self, bench):
+        # zero_dispersive_locus's r = 0 rule, which holds at t = t_m = 1 too
+        with pytest.raises(NoZeroDispersivePoint, match=r"fully transparent \(r = 0\)"):
+            dissipative_constant_exact(1.0, 1.0, bench.k, bench.l)
 
     @pytest.mark.parametrize("args, message", [
         ({"t_m": math.nan}, "t_m must be finite"),

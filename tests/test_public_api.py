@@ -109,7 +109,7 @@ BIG = 10 ** 400
 BAD_VALUES = {
     FINITE: (math.nan, math.inf, -math.inf, BIG, -BIG),
     POSITIVE: (0.0, -1.0, math.nan, math.inf, 0, False, -1, BIG),
-    NON_NEGATIVE: (-1.0, math.nan, -math.inf, math.inf, -1, -BIG),
+    NON_NEGATIVE: (-1.0, math.nan, -math.inf, math.inf, -1, -BIG, BIG),
     AMPLITUDE: (-1.0, 1.5, math.nan, math.inf, 2, -1, BIG),
     TRANSMITTING: (0.0, -1.0, 1.5, math.nan, math.inf, 0, False, 2, -BIG),
     AT_LEAST_ONE: (0.5, 0.0, -5.0, math.nan, math.inf, -math.inf, 0, False, BIG),
@@ -138,6 +138,10 @@ ENTRIES = {
     "mate_exact_decay": (partial(mate_exact_decay, MATE), {"k": K}),
     "PortRates": (PortRates, {"gamma1": GAMMA, "gamma2": GAMMA, "gamma3": 0.0}),
     "DriveConfig": (DriveConfig, {"delta": 0.0, "omega": 0.0, "a0": 1.0}),
+    "general_spectra": (partial(general_spectra, PortRates(GAMMA, GAMMA), DriveConfig()),
+                        {"g_omega0": 1.0, "g_gamma0": 1.0, "theta": 0.0}),
+    "homodyne_spectra": (partial(homodyne_spectra, PortRates(GAMMA, GAMMA), DriveConfig()),
+                         {"g_omega0": 1.0, "g_gamma0": 1.0}),
     "mechanical_scale": (mechanical_scale, MECH),
     "product_normalized": (product_normalized, {"xi": 0.5, "big_a": 1.0}),
     "cooperativity(mos)": (partial(cooperativity, "mos"), {"t": 0.014, "t_m": 0.1, **MECH}),
@@ -157,6 +161,8 @@ SCREENED = {
     FINITE: {
         "ElementSpec": ("phi_r",), "MosConfig": ("phi_r",), "MateConfig": ("phi_r",),
         "MsiConfig": ("x",), "DriveConfig": ("delta", "omega"),
+        "general_spectra": ("g_omega0", "g_gamma0", "theta"),
+        "homodyne_spectra": ("g_omega0", "g_gamma0"),
         "cooperativity(msi)": ("omega_m",), "cooperativity(mate)": ("omega_m",),
         "compare_systems": ("t", "t_m", "msi_r_ms", "msi_Tb_sq"),
     },
