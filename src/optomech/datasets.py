@@ -5,6 +5,11 @@ columns, every number rendered with 17 significant digits, plus a sidecar
 "<path>.meta" file of sorted "key = value" lines carrying the parameter
 values and normalizers.  Identical inputs produce byte-identical files.
 
+Every cell is the text format_value gives it ("%.17g" for a float, str()
+otherwise).  FigureDataset.write writes its body in blocks of rows, a
+column of floats through _format_floats, which makes that same text for a
+whole float64 array at once, without a Python call per cell.
+
 compare_systems builds no config.  It screens its parameters, computes k
 and the mechanical scale M once, and fills each system's row from the
 private closed-form kernels of mos, msi, mate and noise, under only the
@@ -17,8 +22,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from fractions import Fraction
 from pathlib import Path
-from typing import Callable, Iterable
+from typing import Callable, Iterable, Iterator
 
 import numpy as np
 
@@ -55,13 +61,179 @@ def format_value(value: object) -> str:
     return str(value)
 
 
-def _write_table(path: str | Path, header: Iterable[str],
-                lines: Iterable[str], metadata: dict[str, object]) -> None:
-    """Write the CSV (header line, then the formatted data lines) and its
-    sidecar "<path>.meta" of sorted "key = value" lines."""
-    Path(path).write_text("\n".join([",".join(header), *lines]) + "\n")
+# ---------------------------------------------------------------------------
+# The %.17g text of a float64 array, array at a time (the CSV body).
+#
+# |x| = M 2^(e-53) with M < 2^53 an integer (np.frexp).  Its 17 significant
+# digits are D = round(M c), c = 10^(16-E0) 2^(e-53) where 10^E0 <= 2^(e-1)
+# < 10^(E0+1), at decimal exponent E0; from the M where M c reaches
+# 1e17 - 1/2 on, they are round(M c / 10), at exponent E0 + 1.  Each
+# multiplier is a double-double hi + lo built exactly from Fractions, and
+# Dekker's two-product gives M c to about 1e-14 of a unit, so D is exact
+# unless M c lies within _TIE_MARGIN of a tie: such a cell, and a
+# non-finite one, is format_value's own text.  A cell is four uint64 words
+# (first character in the lowest byte), where a 0 byte is a character the
+# %g rules drop:
+#   word 0     sign, the "0." and zeros of -4 <= E < 0, the first digit;
+#   words 1-2  the other 16 digits, trailing zeros dropped, with the point
+#              inserted after the integer digits;
+#   word 3     the byte pushed out of word 2, then "e+dd" or "e-ddd".
+# numpy shifts a uint64 by 64 or more to 0, which puts a point nowhere.
+
+_TIE_MARGIN = 1e-6
+_E_MIN = -1073  # np.frexp's exponent of the smallest subnormal
+_BINADES = 1024 - _E_MIN + 1
+_ZERO_KEY = 2 * _BINADES  # the layout key of 0 (and of a non-finite cell)
+_U64 = np.uint64
+_ONES = _U64(2 ** 64 - 1)
+_ASCII_ZEROS = _U64(0x3030303030303030)
+
+
+def _low_bytes(count):
+    """The mask of the count (at most 8) lowest bytes of a uint64."""
+    return ~(_ONES << (_U64(count) << _U64(3)))
+
+
+def _layout(exponent: int) -> tuple[int, ...]:
+    """Where a cell of decimal exponent E puts its characters, as uint64
+    values: the count of integer digits after the first, the byte masks of
+    words 1 and 2 before the point, the shifts of the point into word 1, 2
+    or 3, the word-0 "0.000" prefix, the word-3 exponent text, and the
+    point's place among the 16 digits (16 for none)."""
+    fixed = -4 <= exponent < 17
+    if fixed and exponent >= 0:
+        place = integer = exponent
+    else:
+        place, integer = (16 if fixed else 0), 0
+    prefix = "0." + "0" * (-exponent - 1) if fixed and exponent < 0 else ""
+    suffix = "" if fixed else f"e{exponent:+03d}"
+    return (integer, int(_low_bytes(min(place, 8))), int(_low_bytes(max(place - 8, 0))),
+            8 * place if place < 8 else 64, 8 * place - 64 if 8 <= place < 16 else 64,
+            0 if place == 16 else 64,
+            int.from_bytes(b"\0" + prefix.encode(), "little"),
+            int.from_bytes(b"\0" + suffix.encode(), "little"), place)
+
+
+class _Binades:
+    """The multipliers and layouts of the binades met so far, each built on
+    first use.  For binade i (binary exponent i + _E_MIN), threshold[i] is
+    the M from which M c reaches 1e17 - 1/2 (0 while not built); key 2 i
+    holds c, key 2 i + 1 c / 10, as scale[:, key] = (hi, lo), with the
+    _layout of their decimal exponent in layout[:, key]."""
+
+    def __init__(self) -> None:
+        self.threshold = np.zeros(_BINADES)
+        self.scale = np.zeros((2, _ZERO_KEY + 1))
+        self.layout = np.zeros((9, _ZERO_KEY + 1), dtype=_U64)
+        self.layout[:, _ZERO_KEY] = _layout(0)
+
+    def build(self, binades: np.ndarray) -> None:
+        met = np.zeros(_BINADES, dtype=bool)
+        met[binades] = True
+        for i in np.flatnonzero(met & (self.threshold == 0.0)).tolist():
+            e = i + _E_MIN
+            half_binade = Fraction(2) ** (e - 1)
+            e0 = math.floor((e - 1) * math.log10(2.0))
+            while Fraction(10) ** (e0 + 1) <= half_binade:
+                e0 += 1
+            while Fraction(10) ** e0 > half_binade:
+                e0 -= 1
+            c = Fraction(10) ** (16 - e0) * Fraction(2) ** (e - 53)
+            for tenth in (0, 1):
+                c_key = c / 10 ** tenth
+                hi = float(c_key)
+                self.scale[:, 2 * i + tenth] = hi, float(c_key - Fraction(hi))
+                self.layout[:, 2 * i + tenth] = _layout(e0 + tenth)
+            self.threshold[i] = min(math.ceil((10 ** 17 - Fraction(1, 2)) / c), 2 ** 53)
+
+
+_binades: _Binades | None = None
+
+
+def _digit_words(v: np.ndarray) -> np.ndarray:
+    """The 8 decimal digits (as values 0-9) of each uint64 v < 1e8, one per
+    byte of a uint64, the first in the lowest byte: split into 4-, 2- and
+    1-digit lanes by multiply-shift division (x // 100 = (5243 x) >> 19 for
+    x < 10^4, x // 10 = (103 x) >> 10 for x < 100)."""
+    high = v // _U64(10_000)
+    x = high | ((v - high * _U64(10_000)) << _U64(32))
+    q = ((x * _U64(5243)) >> _U64(19)) & _U64(0x0000007F0000007F)
+    x = q | ((x - q * _U64(100)) << _U64(16))
+    q = ((x * _U64(103)) >> _U64(10)) & _U64(0x000F000F000F000F)
+    return q | ((x - q * _U64(10)) << _U64(8))
+
+
+def _format_floats(values: np.ndarray) -> np.ndarray:
+    """The %.17g text of each float64 of values, as the rows of an (n, 32)
+    uint8 array whose 0 bytes are dropped; byte 31 is always 0."""
+    global _binades
+    if _binades is None:
+        _binades = _Binades()
+    x = np.asarray(values, dtype=float).ravel()
+    finite = np.isfinite(x)
+    mantissa, exp2 = np.frexp(np.where(finite, np.abs(x), 0.0))
+    m = np.ldexp(mantissa, 53)
+    binade = exp2 - _E_MIN
+    nonzero = m != 0.0
+    _binades.build(binade[nonzero])
+    key = np.where(nonzero, 2 * binade + (m >= _binades.threshold[binade]), _ZERO_KEY)
+    hi, lo = _binades.scale[:, key]
+    # m c = p + rest: Dekker's two-product makes m hi = p + its error exact
+    p = m * hi
+    split = 134217729.0 * m  # 2^27 + 1
+    m_hi = split - (split - m)
+    m_lo = m - m_hi
+    split = 134217729.0 * hi
+    hi_hi = split - (split - hi)
+    hi_lo = hi - hi_hi
+    rest = (((m_hi * hi_hi - p) + m_hi * hi_lo + m_lo * hi_hi) + m_lo * hi_lo) + m * lo
+    whole = np.floor(rest)
+    frac = rest - whole
+    digits = p.astype(np.int64) + whole.astype(np.int64) + (frac > 0.5)
+    first = digits // 10 ** 16
+    others = (digits - first * 10 ** 16).view(_U64)
+    high = others // _U64(10 ** 8)
+    words = _digit_words(np.stack([high, others - high * _U64(10 ** 8)]))
+    # digits to keep: up to the last nonzero one, or the integer digits if
+    # more; a digit byte is at most 9, so the float rounding of a word
+    # cannot carry its bit length into the next byte
+    byte_len = (np.frexp(words.astype(float))[1] + 7) >> 3
+    integer, before1, before2, shift1, shift2, shift3, prefix, suffix, place = (
+        _binades.layout[:, key])
+    kept = np.maximum(np.where(words[1] != 0, 8 + byte_len[1], byte_len[0]).astype(_U64),
+                      integer)
+    word1 = (words[0] | _ASCII_ZEROS) & _low_bytes(kept.clip(max=8))
+    word2 = (words[1] | _ASCII_ZEROS) & _low_bytes(kept.clip(min=8) - _U64(8))
+    point = np.where(kept > place, _U64(ord(".")), _U64(0))
+    after1, after2 = word1 & ~before1, word2 & ~before2
+    cells = np.empty((x.size, 4), dtype=_U64)
+    cells[:, 0] = (np.where(np.signbit(x), _U64(ord("-")), _U64(0)) | prefix
+                   | ((first.view(_U64) + _U64(ord("0"))) << _U64(48)))
+    cells[:, 1] = (word1 & before1) | (after1 << _U64(8)) | (point << shift1)
+    cells[:, 2] = ((word2 & before2) | (after2 << _U64(8)) | (after1 >> _U64(56))
+                   | (point << shift2))
+    cells[:, 3] = (after2 >> _U64(56)) | (point << shift3) | suffix
+    route = np.flatnonzero(~finite | (np.abs(frac - 0.5) < _TIE_MARGIN))
+    if route.size:
+        text = [format_value(v).encode() for v in x[route].tolist()]
+        cells[route] = np.array(text, dtype="S32").view(_U64).reshape(-1, 4)
+    return cells.view(np.uint8).reshape(-1, 32)
+
+
+def _write_table(path: str | Path, header: Iterable[str], body: Iterable,
+                metadata: dict[str, object]) -> None:
+    """Write the CSV (header line, then the body's chunks of data lines, bytes
+    or uint8 arrays) and its sidecar "<path>.meta" of sorted "key = value"
+    lines."""
+    with open(path, "wb") as out:
+        out.write((",".join(header) + "\n").encode())
+        out.writelines(body)
     meta = [f"{key} = {format_value(metadata[key])}" for key in sorted(metadata)]
     Path(f"{path}.meta").write_text("\n".join(meta) + "\n")
+
+
+#: cells FigureDataset.write formats at once, in blocks of whole rows
+_BLOCK_CELLS = 8192
 
 
 @dataclass
@@ -91,19 +263,41 @@ class FigureDataset:
     def write(self, path: str | Path) -> None:
         """Write the CSV and its sidecar metadata file.
 
-        Each data line is one row template: a %.17g field for a column of
-        floats (the conversion format_value makes of a float), a %s field
-        holding the format_value text of any other column."""
-        fields, cells = [], []
-        for column in self.columns.values():
-            if set(map(type, column)) <= {float}:
-                fields.append("%.17g")
-                cells.append(column)
-            else:
-                fields.append("%s")
-                cells.append(list(map(format_value, column)))
-        lines = map(",".join(fields).__mod__, zip(*cells))
-        _write_table(path, self.columns, lines, self.metadata)
+        The body goes out in blocks of rows: the cells of every column of
+        floats through _format_floats, the format_value text of any other
+        column, each cell followed by its "," or newline, in one uint8
+        array whose 0 bytes are dropped."""
+        columns = list(self.columns.values())
+        is_float = [set(map(type, column)) <= {float} for column in columns]
+        separators = [b","] * (len(columns) - 1) + [b"\n"]
+        float_columns = [c for c, f in zip(columns, is_float) if f]
+        float_separators = np.frombuffer(
+            b"".join(s for s, f in zip(separators, is_float) if f), dtype=np.uint8)
+        texts = [_text_cells(column, sep)
+                 for column, sep, f in zip(columns, separators, is_float) if not f]
+        rows = max(1, _BLOCK_CELLS // len(columns))
+
+        def blocks() -> Iterator[np.ndarray]:
+            for start in range(0, self.n_rows, rows):
+                block = slice(start, start + rows)
+                floats = np.array([c[block] for c in float_columns], dtype=float)
+                cells = _format_floats(floats.T).reshape(
+                    min(rows, self.n_rows - start), len(float_columns), 32)
+                cells[:, :, 31] = float_separators
+                if texts:  # the columns in their order
+                    float_cells, text_cells = iter(cells.transpose(1, 0, 2)), iter(texts)
+                    cells = np.concatenate([next(float_cells) if f else next(text_cells)[block]
+                                            for f in is_float], axis=1)
+                yield cells[cells != 0]
+
+        _write_table(path, self.columns, blocks(), self.metadata)
+
+
+def _text_cells(column: list, separator: bytes) -> np.ndarray:
+    """The format_value text of each cell of a column, then its separator,
+    as the rows of a uint8 array padded with 0 bytes."""
+    text = np.array([format_value(v).encode() + separator for v in column], dtype=bytes)
+    return text.view(np.uint8).reshape(len(column), text.itemsize)
 
 
 @dataclass(frozen=True)
@@ -425,8 +619,8 @@ class ComparisonTable:
 
     def write(self, path: str | Path) -> None:
         _write_table(path, COMPARE_COLUMNS,
-                    (",".join(format_value(row.get(c, "")) for c in COMPARE_COLUMNS)
-                     for row in self.rows),
+                    [(",".join(format_value(row.get(c, "")) for c in COMPARE_COLUMNS)
+                      + "\n").encode() for row in self.rows],
                     self.metadata)
 
 

@@ -67,10 +67,13 @@ def _g_00(omega_c, l, t, t_m):
     return 4.0 * omega_c * power(t, 2) / (l * power(t_m, 4))
 
 
-def _locus(t, r, r_m):
-    """(cos psi*, T*) of the zero-dispersive locus, elementwise over arrays."""
+def _locus(t, t_m, r, r_m):
+    """(cos psi*, T*) of the zero-dispersive locus, elementwise over arrays;
+    T* in t^2 and t_m^2, since 1 - r^2 r_m^2 of the rounded r and r_m
+    cancels for small t and t_m."""
+    t_sq, t_m_sq = t * t, t_m * t_m
     return (-r_m * (1.0 + r * r) / (r * (1.0 + r_m * r_m)),
-            t * t * (1.0 + r_m * r_m) / (1.0 - r * r * r_m * r_m))
+            t_sq * (2.0 - t_m_sq) / (t_sq + t_m_sq - t_sq * t_m_sq))
 
 
 @dataclass(frozen=True, kw_only=True)
@@ -200,9 +203,10 @@ def zero_dispersive_locus(t: float, t_m: float) -> ZeroDispersiveLocus:
 
     Exists exactly where t <= t_m, a membrane at most as reflective as the
     mirror (NoZeroDispersivePoint otherwise, or at r = 0); at t = t_m the two
-    solutions merge at psi* = pi.  T* = t^2 (1 + r_m^2) / (1 - r^2 r_m^2) at
-    either.  InvalidParameter unless t lies in [0, 1] and t_m in (0, 1], or
-    where T* leaves the float range.
+    solutions merge at psi* = pi.  T* = t^2 (1 + r_m^2) / (1 - r^2 r_m^2)
+    = t^2 (2 - t_m^2) / (t^2 + t_m^2 - t^2 t_m^2) at either.
+    InvalidParameter unless t lies in [0, 1] and t_m in (0, 1], or where T*
+    leaves the float range.
     """
     cos_star, t_star = _checked_locus(t, t_m)
     psi_1 = math.acos(cos_star)
@@ -218,9 +222,10 @@ def _checked_locus(t: float, t_m: float) -> tuple[float, float]:
     r, r_m = reflectivity(t), reflectivity(t_m)
     if r == 0.0:
         raise NoZeroDispersivePoint("mirror is fully transparent (r = 0)")
-    # T* is guarded before existence: once t and t_m are both so small that
-    # r and r_m round to 1, 1 - r^2 r_m^2 is 0 whichever of them is larger
-    cos_star, t_star = in_float_range("zero_dispersive_locus", lambda: _locus(t, r, r_m))
+    # T* is guarded before existence: once t^2 and t_m^2 both underflow, its
+    # divisor is 0 whichever of t and t_m is larger
+    cos_star, t_star = in_float_range("zero_dispersive_locus",
+                                      lambda: _locus(t, t_m, r, r_m))
     if t > t_m:
         raise NoZeroDispersivePoint(
             f"membrane at least as reflective as the mirror (r_m={r_m:.6g} > r={r:.6g})"
@@ -239,13 +244,15 @@ def dissipative_constant_exact(t: float, t_m: float, k: float, l: float) -> floa
     """
     _checked_locus(t, t_m)
     require_positive(k=k, l=l)
-    r, r_m = reflectivity(t), reflectivity(t_m)
-    one_minus = 1.0 - r_m * r_m * r * r
+    r_m = reflectivity(t_m)
+    # 1 - r_m^2 r^2 and r^2 - r_m^2 in t^2 and t_m^2, which do not cancel
+    t_sq, t_m_sq = t * t, t_m * t_m
+    one_minus = t_sq + t_m_sq - t_sq * t_m_sq
     return in_float_range("dissipative_constant_exact", lambda: (
         C_LIGHT * k / l
         * (t / t_m) ** 2
-        * 2.0 * r_m * (1.0 + r_m * r_m) / one_minus
-        * math.sqrt((r * r - r_m * r_m) / one_minus)
+        * 2.0 * r_m * (2.0 - t_m_sq) / one_minus
+        * math.sqrt((t_m_sq - t_sq) / one_minus)
     ))
 
 

@@ -86,10 +86,11 @@ class DriveConfig:
 
     def __post_init__(self) -> None:
         # a cheap guard: the sum is finite unless a value is not, or it
-        # overflows; an int beyond the float range makes the sum raise
+        # overflows; an int beyond the float range, or a value that is not
+        # a number, makes the sum raise
         try:
             cheap = math.isfinite(self.delta + self.omega + self.a0) and self.a0 >= 0.0
-        except OverflowError:
+        except (OverflowError, TypeError):
             cheap = False
         if not cheap:
             require_finite(delta=self.delta, omega=self.omega)
@@ -116,10 +117,11 @@ def general_spectra(
     result outside the float range.
     """
     # a cheap screen, as in DriveConfig: the sum is finite unless a value is
-    # not, or it overflows, or raises for an int beyond the float range
+    # not, or it overflows, or raises for an int beyond the float range or a
+    # value that is not a number
     try:
         cheap = math.isfinite(g_omega0 + g_gamma0 + theta)
-    except OverflowError:
+    except (OverflowError, TypeError):
         cheap = False
     if not cheap:
         require_finite(g_omega0=g_omega0, g_gamma0=g_gamma0, theta=theta)
@@ -229,7 +231,7 @@ def homodyne_spectra(
         raise InvalidParameter("closed forms need open ports (gamma1 = gamma2 > 0)")
     try:  # a cheap screen, as in general_spectra
         cheap = math.isfinite(g_omega0 + g_gamma0)
-    except OverflowError:
+    except (OverflowError, TypeError):
         cheap = False
     if not cheap:
         require_finite(g_omega0=g_omega0, g_gamma0=g_gamma0)

@@ -7,7 +7,9 @@ require_amplitude ([0, 1]), require_transmitting ((0, 1]) and
 require_at_least_one (>= 1).  Each names
 the first of its keyword values (floats, ints as the floats they round to,
 or arrays) that breaks its rule, as "{name} must ..., got {value}", or
-"must be finite" for an inf, a NaN or an int beyond the float range.
+"must be finite" for an inf, a NaN or an int beyond the float range.  A
+value that does not compare with a float, as None or a string, is a
+TypeError: "{name} must be a real number, got {value!r}".
 
 The other helpers serve the library (resonance solvers) and the validation
 suite, where they are independent oracles for the closed-form derivatives.
@@ -98,7 +100,11 @@ def _screen(lo: float, hi: float, rule: str) -> Callable[..., None]:
 
     def screen(**values) -> None:
         for name, value in values.items():
-            if not (lo <= value <= hi if isinstance(value, float) else inside(value)):
+            try:
+                kept = lo <= value <= hi if isinstance(value, float) else inside(value)
+            except TypeError:  # None, a string: nothing to compare
+                raise TypeError(f"{name} must be a real number, got {value!r}") from None
+            if not kept:
                 message = rule if _finite(value) else "must be finite"
                 raise InvalidParameter(f"{name} {message}, got {value}")
     return screen

@@ -230,7 +230,7 @@ ROW_CASES = [
     {}, {"t": 1.0}, {"msi_Tb_sq": 1.0}, {"msi_r_ms": 1.0}, {"msi_Tb_sq": 0.0},
     {"t": 1.5}, {"t_m": 0.0}, {"t": 0.0}, {"mate_x": 1.0}, {"msi_r_ms": 0.0},
     {"msi_r_ms": 1.5}, {"msi_Tb_sq": -0.5}, {"a0": 1e200}, {"t": 0.1, "t_m": 0.014},
-    {"msi_r_ms": 0.6, "msi_Tb_sq": 0.9}, {"t_m": 1e200},
+    {"msi_r_ms": 0.6, "msi_Tb_sq": 0.9}, {"t_m": 1e200}, {"t": 1e-10, "t_m": 1e-9},
 ]
 
 
@@ -290,8 +290,14 @@ class TestCompare:
         def unreached(*args):
             raise AssertionError(f"a row was filled with {key} = None")
         monkeypatch.setattr(datasets, "_SYSTEMS", dict.fromkeys(datasets._SYSTEMS, unreached))
-        with pytest.raises(TypeError, match="not supported between"):
+        with pytest.raises(TypeError, match=f"^compare.{key} must be a real number, got None$"):
             compare_systems({key: None})
+
+    def test_small_elements_have_a_mos_row(self):
+        # r and r_m round to 1 here; T* does not depend on them
+        mos_row = compare_systems({"t": 1e-10, "t_m": 1e-9}).rows[0]
+        assert mos_row["error"] == ""
+        assert mos_row["coop_ratio_mos"] == 1.0
 
     def test_row_cases_reach_each_row_error_class(self):
         errors = {row["error"] for params in ROW_CASES for row in compare_rows(params)}
@@ -377,6 +383,79 @@ class TestCsvRows:
             "2,False,b,100000000000000000000,2.5,0.5",
         ]
         assert data_lines(path) == format_rows(zip(*columns.values()))
+
+
+def formatted(values) -> list[str]:
+    """The text _format_floats gives each value, one string per cell."""
+    cells = datasets._format_floats(np.asarray(values, dtype=float)).copy()
+    cells[:, 31] = ord("\n")
+    return cells[cells != 0].tobytes().decode().split("\n")[:-1]
+
+
+def edge_values() -> np.ndarray:
+    """Powers of 10 and of 2, each with its 4 neighbours either side, over the
+    whole float range; integers, dyadic fractions, 1e17 +- 300, zeros, nan and
+    the infinities; each value with both signs."""
+    centres = np.array([float(f"1e{k}") for k in range(-323, 309)]
+                       + [math.ldexp(1.0, k) for k in range(-1074, 1024)])
+    near = [centres]
+    up, down = centres, centres
+    for _ in range(4):
+        up, down = np.nextafter(up, np.inf), np.nextafter(down, -np.inf)
+        near += [up, down]
+    values = np.concatenate(near + [
+        np.arange(-2000.0, 2001.0), np.arange(-4096, 4097) / 1024.0,
+        1e17 + np.arange(-300.0, 301.0), [0.0, math.nan, math.inf, 5e-324],
+    ])
+    return np.concatenate([values, -values])
+
+
+class TestFormatFloats:
+    """_format_floats writes each float64 as format_value does, byte for byte."""
+
+    def test_random_bit_patterns(self):
+        bits = np.random.default_rng(29).integers(0, 2 ** 64, 200_000, dtype=np.uint64)
+        values = bits.view(np.float64)
+        assert formatted(values) == list(map(format_value, values.tolist()))
+
+    def test_edge_values(self):
+        values = edge_values()
+        assert formatted(values) == list(map(format_value, values.tolist()))
+
+    def test_ties_and_non_finite_cells_are_format_value_text(self, monkeypatch):
+        # 1000000000000000.25 lies exactly halfway between two 17-digit texts
+        values = [1000000000000000.25, 9551997337.89453125, math.nan, -math.inf, 1.5]
+        routed = []
+        monkeypatch.setattr(datasets, "format_value",
+                            lambda v: routed.append(v) or format_value(v))
+        assert formatted(values) == ["1000000000000000.2", "9551997337.8945312",
+                                     "nan", "-inf", "1.5"]
+        assert routed[:2] == values[:2] and routed[3:] == [-math.inf]
+
+    def test_a_margin_over_every_cell_gives_the_same_text(self, monkeypatch):
+        values = np.concatenate([edge_values()[::7],
+                                 np.random.default_rng(3).standard_normal(5000)])
+        want = formatted(values)
+        routed = []
+        monkeypatch.setattr(datasets, "_TIE_MARGIN", 1.0)
+        monkeypatch.setattr(datasets, "format_value",
+                            lambda v: routed.append(v) or format_value(v))
+        assert formatted(values) == want
+        assert len(routed) == len(values)
+
+    def test_tables_are_built_on_demand(self, tmp_path):
+        # importing the package builds none, a call only its values' binades
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        code = ("import numpy as np, optomech\n"
+                "from optomech import datasets\n"
+                "assert datasets._binades is None\n"
+                "datasets._format_floats(np.array([1.0, 1.5, -1.25, 3e10, 0.0]))\n"
+                "print(int((datasets._binades.threshold != 0).sum()))\n")
+        done = subprocess.run([sys.executable, "-c", code], cwd=tmp_path, text=True,
+                              env={**os.environ, "PYTHONPATH": path}, capture_output=True)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout == "2\n"
 
 
 class TestCli:

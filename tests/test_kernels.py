@@ -23,7 +23,7 @@ M = noise.mechanical_scale(0.85e-6, L, 1e-15, 0.1)
 KERNELS = {
     "mos._g_00": lambda t, t_m: mos._g_00(C_LIGHT * K, L, t, t_m),
     "mos._gamma0": lambda t, t_m: mos._gamma0(L, t, t_m),
-    "mos._locus": lambda t, t_m: mos._locus(t, reflectivity(t), reflectivity(t_m)),
+    "mos._locus": lambda t, t_m: mos._locus(t, t_m, reflectivity(t), reflectivity(t_m)),
     "mate._zero_dispersive": lambda t, t_m: mate._zero_dispersive(C_LIGHT * K, L, t, t_m),
     "noise._mechanical_scale": lambda t, t_m: noise._mechanical_scale(K, L, 1e-15, t_m, t),
     "noise._cooperativity_mos": lambda t, t_m: noise._cooperativity_mos(M, t, t_m),

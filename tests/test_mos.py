@@ -4,6 +4,7 @@ the brute-force resonance solver, and the two-port setpoint."""
 
 import math
 from dataclasses import replace
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -52,6 +53,15 @@ def _exists(call) -> bool:
     return True
 
 
+#: (t, t_m) where 1 - r^2 r_m^2 and r^2 - r_m^2 of the rounded r and r_m cancel
+SMALL_PAIRS = [(1e-7, 1e-6), (1e-9, 1e-8), (1e-10, 1e-9)]
+
+
+def exact_t_star(t: float, t_m: float) -> Fraction:
+    t_sq, t_m_sq = Fraction(t) ** 2, Fraction(t_m) ** 2
+    return t_sq * (2 - t_m_sq) / (t_sq + t_m_sq - t_sq * t_m_sq)
+
+
 class TestZeroDispersiveLocus:
     def test_benchmark_half_offsets(self, bench):
         locus = zero_dispersive_locus(0.014, 0.1)
@@ -86,9 +96,9 @@ class TestZeroDispersiveLocus:
             zero_dispersive_locus(1.0, 0.1)
 
     def test_tandem_beyond_the_float_range_is_an_invalid_parameter(self):
-        # r and r_m both round to 1, so 1 - r^2 r_m^2 is 0
+        # t^2 and t_m^2 both underflow, so the divisor of T* is 0
         with pytest.raises(InvalidParameter, match="leaves the float range"):
-            zero_dispersive_locus(1e-100, 1e-52)
+            zero_dispersive_locus(1e-170, 1e-165)
 
     def test_equal_elements_merge_at_pi(self):
         locus = zero_dispersive_locus(0.05, 0.05)
@@ -111,6 +121,12 @@ class TestZeroDispersiveLocus:
         ties = [a for a, b in pairs if a == b]
         assert len(ties) >= 500
         assert all(zero_dispersive_locus(a, a).psi_star == (math.pi, math.pi) for a in ties)
+
+    @pytest.mark.parametrize("t, t_m", SMALL_PAIRS)
+    def test_transmission_of_small_elements_is_exact(self, t, t_m):
+        # r and r_m round to within an ulp of 1 here
+        assert zero_dispersive_locus(t, t_m).T_star == pytest.approx(
+            float(exact_t_star(t, t_m)), rel=1e-15, abs=0.0)
 
     def test_transmission_at_locus(self):
         t, t_m = 0.02, 0.12
@@ -245,10 +261,21 @@ class TestDissipativeConstant:
         with pytest.raises(InvalidParameter, match=message):
             dissipative_constant_exact(**kwargs)
 
+    @pytest.mark.parametrize("t, t_m", SMALL_PAIRS + [(1e-100, 1e-52)])
+    def test_small_elements_are_exact(self, bench, t, t_m):
+        # the square of the result is rational in t^2 and t_m^2
+        t_sq, t_m_sq = Fraction(t) ** 2, Fraction(t_m) ** 2
+        one_minus = t_sq + t_m_sq - t_sq * t_m_sq
+        square = ((Fraction(C_LIGHT) * Fraction(bench.k) / Fraction(bench.l)) ** 2
+                  * (t_sq / t_m_sq) ** 2 * 4 * (1 - t_m_sq) * (2 - t_m_sq) ** 2
+                  * (t_m_sq - t_sq) / one_minus ** 3)
+        assert dissipative_constant_exact(t, t_m, bench.k, bench.l) == pytest.approx(
+            math.sqrt(float(square)), rel=1e-15, abs=0.0)
+
     @pytest.mark.parametrize("t, t_m, k, l", [
-        (1e-100, 1e-52, 7e6, 1e-4),    # 1 - r^2 r_m^2 rounds to 0
+        (1e-170, 1e-165, 7e6, 1e-4),   # t^2 and t_m^2 underflow
         (0.01, 0.1, 1e300, 1e-300),    # c k / l overflows
-    ], ids=["exact-r-rounds", "exact-overflows"])
+    ], ids=["squares-underflow", "exact-overflows"])
     def test_results_beyond_the_float_range_are_invalid_parameters(self, t, t_m, k, l):
         with pytest.raises(InvalidParameter, match="leaves the float range"):
             dissipative_constant_exact(t, t_m, k, l)

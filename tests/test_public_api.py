@@ -14,10 +14,11 @@ import sys
 from functools import partial
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import optomech
-from optomech import datasets
+from optomech import datasets, numerics
 from optomech import (
     DriveConfig,
     ElementSpec,
@@ -224,6 +225,36 @@ def test_each_rule_has_one_class_and_one_message(rule, entry, name, value):
         call(**{**valid, name: value})
     assert type(err.value) is InvalidParameter
     assert re.fullmatch(re.escape(message) + r"( \[at sweep point .*\])?", str(err.value))
+
+
+NOT_NUMBERS = (None, "a")
+TYPE_CASES = [(entry, name, value)
+              for entries in SCREENED.values()
+              for entry, names in entries.items()
+              for name in names if (entry, name) != ("compare_systems", "mate_x")
+              for value in NOT_NUMBERS]
+
+
+@pytest.mark.parametrize("entry, name, value", TYPE_CASES,
+                         ids=[f"{e}-{n}={v!r}" for e, n, v in TYPE_CASES])
+def test_a_value_that_is_not_a_number_is_a_type_error_naming_it(entry, name, value):
+    # mate_x = None is compare_systems' default
+    call, valid = ENTRIES[entry]
+    label = f"compare.{name}" if entry == "compare_systems" else name
+    with pytest.raises(TypeError) as err:
+        call(**{**valid, name: value})
+    assert str(err.value) == f"{label} must be a real number, got {value!r}"
+
+
+@pytest.mark.parametrize("screen", [numerics.require_finite, numerics.require_positive,
+                                    numerics.require_non_negative, numerics.require_amplitude,
+                                    numerics.require_transmitting,
+                                    numerics.require_at_least_one])
+@pytest.mark.parametrize("value", [None, "a", np.array(["a"]), [1.0, None]])
+def test_each_screen_names_a_value_that_is_not_a_number(screen, value):
+    with pytest.raises(TypeError) as err:
+        screen(ok=0.5 if screen is not numerics.require_at_least_one else 1.0, v=value)
+    assert str(err.value) == f"v must be a real number, got {value!r}"
 
 
 def test_a_wrong_element_kind_is_an_invalid_parameter():
