@@ -5,10 +5,10 @@ columns, every number rendered with 17 significant digits, plus a sidecar
 "<path>.meta" file of sorted "key = value" lines carrying the parameter
 values and normalizers.  Identical inputs produce byte-identical files.
 
-Every cell is the text format_value gives it ("%.17g" for a float, str()
-otherwise).  FigureDataset.write writes its body in blocks of rows, a
-column of floats through _format_floats, which makes that same text for a
-whole float64 array at once, without a Python call per cell.
+A FigureDataset's columns stay float64 arrays from the kernels to the
+file: FigureDataset.write writes its body in blocks of rows through
+_format_floats, which makes the "%.17g" text format_value gives a float for
+a whole float64 block at once, without a Python call per cell.
 
 compare_systems builds no config.  It screens its parameters, computes k
 and the mechanical scale M once, and fills each system's row from the
@@ -238,23 +238,38 @@ _BLOCK_CELLS = 8192
 
 @dataclass
 class FigureDataset:
-    """Named numeric series plus the metadata needed to regenerate them."""
+    """Named numeric series plus the metadata needed to regenerate them.
+
+    Each column is kept as a 1-D float64 array: anything else numpy makes a
+    1-D bool, int or float array of is converted, any other column is a
+    ConfigError.  The first column, the abscissa, must strictly increase."""
 
     name: str
-    columns: dict[str, list[float]]
+    columns: dict[str, np.ndarray]
     metadata: dict[str, object] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        lengths = {len(v) for v in self.columns.values()}
-        if len(lengths) > 1:
-            raise ConfigError(f"ragged columns in dataset {self.name!r}: {lengths}")
         if not self.columns:
             raise ConfigError(f"dataset {self.name!r} has no columns")
+        self.columns = {key: self._float_column(key, v) for key, v in self.columns.items()}
+        lengths = {v.size for v in self.columns.values()}
+        if len(lengths) > 1:
+            raise ConfigError(f"ragged columns in dataset {self.name!r}: {lengths}")
         first = next(iter(self.columns.values()))
-        if any(not b > a for a, b in zip(first, first[1:])):  # a NaN fails too
+        if not np.all(first[1:] > first[:-1]):  # a NaN fails too
             raise ConfigError(
                 f"abscissa of dataset {self.name!r} must be strictly increasing"
             )
+
+    def _float_column(self, key: str, values: object) -> np.ndarray:
+        try:
+            column = np.asarray(values)
+        except ValueError as exc:  # a ragged sequence of sequences
+            raise ConfigError(f"column {key!r} of dataset {self.name!r} is ragged") from exc
+        if column.ndim != 1 or column.dtype.kind not in "biuf":
+            raise ConfigError(f"column {key!r} of dataset {self.name!r} must be a 1-D array "
+                              f"of bool, int or float values, got {column.ndim}-D {column.dtype}")
+        return column.astype(float, copy=False)
 
     @property
     def n_rows(self) -> int:
@@ -263,41 +278,22 @@ class FigureDataset:
     def write(self, path: str | Path) -> None:
         """Write the CSV and its sidecar metadata file.
 
-        The body goes out in blocks of rows: the cells of every column of
-        floats through _format_floats, the format_value text of any other
-        column, each cell followed by its "," or newline, in one uint8
-        array whose 0 bytes are dropped."""
+        The body goes out in blocks of rows: each block of the columns,
+        stacked into one float64 array, through _format_floats, each cell
+        followed by its "," or newline, in one uint8 array whose 0 bytes
+        are dropped."""
         columns = list(self.columns.values())
-        is_float = [set(map(type, column)) <= {float} for column in columns]
-        separators = [b","] * (len(columns) - 1) + [b"\n"]
-        float_columns = [c for c, f in zip(columns, is_float) if f]
-        float_separators = np.frombuffer(
-            b"".join(s for s, f in zip(separators, is_float) if f), dtype=np.uint8)
-        texts = [_text_cells(column, sep)
-                 for column, sep, f in zip(columns, separators, is_float) if not f]
+        separators = np.frombuffer(b"," * (len(columns) - 1) + b"\n", dtype=np.uint8)
         rows = max(1, _BLOCK_CELLS // len(columns))
 
         def blocks() -> Iterator[np.ndarray]:
             for start in range(0, self.n_rows, rows):
-                block = slice(start, start + rows)
-                floats = np.array([c[block] for c in float_columns], dtype=float)
-                cells = _format_floats(floats.T).reshape(
-                    min(rows, self.n_rows - start), len(float_columns), 32)
-                cells[:, :, 31] = float_separators
-                if texts:  # the columns in their order
-                    float_cells, text_cells = iter(cells.transpose(1, 0, 2)), iter(texts)
-                    cells = np.concatenate([next(float_cells) if f else next(text_cells)[block]
-                                            for f in is_float], axis=1)
+                block = np.column_stack([c[start:start + rows] for c in columns])
+                cells = _format_floats(block).reshape(len(block), len(columns), 32)
+                cells[:, :, 31] = separators
                 yield cells[cells != 0]
 
         _write_table(path, self.columns, blocks(), self.metadata)
-
-
-def _text_cells(column: list, separator: bytes) -> np.ndarray:
-    """The format_value text of each cell of a column, then its separator,
-    as the rows of a uint8 array padded with 0 bytes."""
-    text = np.array([format_value(v).encode() + separator for v in column], dtype=bytes)
-    return text.view(np.uint8).reshape(len(column), text.itemsize)
 
 
 @dataclass(frozen=True)
@@ -465,9 +461,9 @@ def _scan_metadata(spec: ScanSpec) -> dict[str, object]:
 
 
 def _evaluate(target: _Target, fixed: dict[str, float], parameter: str,
-              values: np.ndarray) -> dict[str, list[float]]:
-    """Every column of a sweep, as lists.  An error, or a non-finite value,
-    names the first sweep point that produces it."""
+              values: np.ndarray) -> Columns:
+    """Every column of a sweep.  An error, or a non-finite value, names the
+    first sweep point that produces it."""
     with np.errstate(all="ignore"):  # non-finite values are reported below
         try:
             columns = target.columns(fixed, parameter, values)
@@ -490,7 +486,7 @@ def _evaluate(target: _Target, fixed: dict[str, float], parameter: str,
             f"{bad_name} is not finite for these parameters "
             f"[at sweep point {parameter} = {values[first].item()!r}]"
         )
-    return {name: column.tolist() for name, column in columns.items()}
+    return columns
 
 
 def run_scan(spec: ScanSpec) -> FigureDataset:
@@ -568,12 +564,10 @@ def reproduce_figure(figure_id: str) -> FigureDataset:
         )
     spec = ScanSpec(target="noise", parameter="xi", start=-20.0, stop=20.0, points=801)
     xi = _sweep_values(spec)
-    columns: dict[str, list[float]] = {"xi": xi.tolist()}
+    columns: Columns = {"xi": xi}
     for frac in (0.0, 0.5, 1.0):
         loss = _noise_columns({"gamma3_over_gamma": frac}, "xi", xi)
-        columns[f"product_normalized_loss{int(100 * frac)}"] = (
-            loss["product_normalized"].tolist()
-        )
+        columns[f"product_normalized_loss{int(100 * frac)}"] = loss["product_normalized"]
     return FigureDataset(
         name="fig4",
         columns=columns,

@@ -319,9 +319,10 @@ def _check_figures() -> CheckResult:
     fig3 = reproduce_figure("fig3")
     fig4 = reproduce_figure("fig4")
     u = fig2.columns["phi_over_phi0"]
-    mid = u.index(0.0)
-    one = u.index(1.0)
-    zero = fig4.columns["xi"].index(0.0)
+    # the first row on each exact grid anchor (an IndexError if it is off the grid)
+    mid = np.flatnonzero(u == 0.0)[0]
+    one = np.flatnonzero(u == 1.0)[0]
+    zero = np.flatnonzero(fig4.columns["xi"] == 0.0)[0]
     worst = _worst(
         abs(fig2.columns["g_omega0_over_g00"][mid] - 1.0),
         abs(fig2.columns["g_omega0_over_g00"][one]),

@@ -6,6 +6,7 @@ import io
 import itertools
 import math
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -42,6 +43,19 @@ SWEEPS = {
 }
 
 
+def row_of(column: np.ndarray, value: float) -> int:
+    """The first row of a column that holds exactly value."""
+    rows = np.flatnonzero(column == value)
+    assert rows.size, f"{value!r} is not on the grid"
+    return rows[0]
+
+
+def assert_float64_columns(ds: FigureDataset) -> None:
+    for name, column in ds.columns.items():
+        assert type(column) is np.ndarray and column.dtype == np.float64, name
+        assert column.shape == (ds.n_rows,), name
+
+
 class TestScan:
     def test_mos_sweep_columns(self):
         spec = ScanSpec(target="mos", parameter="phi_over_phi0",
@@ -50,10 +64,10 @@ class TestScan:
         assert list(ds.columns)[0] == "phi_over_phi0"
         assert ds.n_rows == 801
         u = ds.columns["phi_over_phi0"]
-        mid = u.index(0.0)
+        mid = row_of(u, 0.0)
         assert ds.columns["g_omega0_over_g00"][mid] == pytest.approx(1.0, abs=1e-12)
         assert ds.columns["g_gamma0_over_g00"][mid] == pytest.approx(0.0, abs=1e-12)
-        at_one = u.index(1.0)
+        at_one = row_of(u, 1.0)
         assert ds.columns["g_gamma0_over_g00"][at_one] == pytest.approx(0.5, abs=1e-12)
         assert ds.metadata["normalizer.phi0"] == pytest.approx(0.0025)
 
@@ -165,8 +179,15 @@ class TestScan:
         noise = run_scan(ScanSpec(target="noise", parameter="xi",
                                   start=-3.0, stop=3.0, points=7,
                                   fixed={"gamma3_over_gamma": 1.0}))
-        mid = noise.columns["xi"].index(0.0)
+        mid = row_of(noise.columns["xi"], 0.0)
         assert noise.columns["product_normalized"][mid] == pytest.approx(2.25)
+
+    @pytest.mark.parametrize("target, parameter, start, stop",
+                             [(t, *SWEEPS[t]) for t in sorted(SWEEPS)]
+                             + [("mos", "x", 1e-9, 3e-7)])
+    def test_scan_columns_are_float64_arrays(self, target, parameter, start, stop):
+        assert_float64_columns(run_scan(ScanSpec(target=target, parameter=parameter,
+                                                 start=start, stop=stop, points=9)))
 
     def test_mos_gap_sweep(self):
         base = ScanSpec(target="mos", parameter="x",
@@ -182,7 +203,7 @@ class TestFigures:
         u = ds.columns["phi_over_phi0"]
         for target, expect_w, expect_g in ((0.0, 1.0, 0.0), (1.0, 0.0, 0.5),
                                            (-1.0, 0.0, -0.5)):
-            idx = u.index(target)
+            idx = row_of(u, target)
             assert ds.columns["g_omega0_over_g00"][idx] == pytest.approx(
                 expect_w, abs=1e-12)
             assert ds.columns["g_gamma0_over_g00"][idx] == pytest.approx(
@@ -205,6 +226,10 @@ class TestFigures:
             np.testing.assert_allclose(
                 col, (big_a ** 2 + 2 * big_a * xi ** 2) / (1 + xi ** 2), atol=1e-12
             )
+
+    @pytest.mark.parametrize("figure_id", datasets.FIGURE_IDS)
+    def test_figure_columns_are_float64_arrays(self, figure_id):
+        assert_float64_columns(reproduce_figure(figure_id))
 
     def test_unknown_figure(self):
         with pytest.raises(ConfigError):
@@ -364,25 +389,52 @@ class TestCsvRows:
         if params:  # the failed MOS row: empty cells, nan ratios, an error name
             assert data_lines(path)[0] == "mos,,,,nan,nan,nan,InvalidParameter"
 
-    def test_non_float_cells_written_as_format_value(self, tmp_path):
-        # bools, ints, strs and float-like non-floats keep their str() text,
-        # also below a float in the same column; a %.17g field would write
-        # True as 1 and 10**20 as 1e+20
+    def test_int_bool_and_float32_cells_written_as_their_float64(self, tmp_path):
+        # every column is kept as a float64 array, so each cell is the %.17g
+        # text of its float64: True is 1 and np.float32(0.1) is not 0.1
         columns = {
             "i": [1, 2],
             "flag": [True, False],
-            "label": ["a", "b"],
-            "mixed": [0.25, 10 ** 20],
             "f32": [np.float32(0.1), np.float32(2.5)],
             "f64": [np.float64(1 / 3), 0.5],
         }
         path = tmp_path / "mixed.csv"
-        FigureDataset(name="mixed", columns=columns).write(path)
+        ds = FigureDataset(name="mixed", columns=columns)
+        assert_float64_columns(ds)
+        ds.write(path)
         assert data_lines(path) == [
-            "1,True,a,0.25,0.1,0.33333333333333331",
-            "2,False,b,100000000000000000000,2.5,0.5",
+            "1,1,0.10000000149011612,0.33333333333333331",
+            "2,0,2.5,0.5",
         ]
-        assert data_lines(path) == format_rows(zip(*columns.values()))
+
+    @pytest.mark.parametrize("column, got", [
+        pytest.param(1.0, "got 0-D float64", id="scalar"),
+        pytest.param([1.0, None], "got 1-D object", id="none"),
+        pytest.param(["a", "b"], "got 1-D <U1", id="text"),
+        pytest.param([1.0, 10 ** 400], "got 1-D object", id="int-past-float"),
+        pytest.param(np.array([1.0, 1 + 1j]), "got 1-D complex128", id="complex"),
+        pytest.param([[1.0, 2.0], [3.0, 4.0]], "got 2-D float64", id="2-D"),
+        pytest.param([[1.0], [1.0, 2.0]], "is ragged", id="ragged"),
+    ])
+    @pytest.mark.parametrize("abscissa", [True, False])
+    def test_rejected_columns(self, column, got, abscissa):
+        columns = {"bad": column, "a": [1.0, 2.0]}
+        if not abscissa:
+            columns = dict(reversed(columns.items()))
+        with pytest.raises(ConfigError, match=(r"^column 'bad' of dataset 'ds' "
+                                               + ".*" + re.escape(got))):
+            FigureDataset(name="ds", columns=columns)
+
+    def test_list_and_array_columns_write_the_same_bytes(self, tmp_path):
+        ds = run_scan(ScanSpec(target="mos", parameter="phi_over_phi0",
+                               start=-4.0, stop=4.0, points=2001))
+        lists = {name: column.tolist() for name, column in ds.columns.items()}
+        ds.write(tmp_path / "arrays.csv")
+        FigureDataset(name=ds.name, columns=lists, metadata=ds.metadata).write(
+            tmp_path / "lists.csv")
+        for suffix in ("csv", "csv.meta"):
+            assert ((tmp_path / f"lists.{suffix}").read_bytes()
+                    == (tmp_path / f"arrays.{suffix}").read_bytes())
 
 
 def formatted(values) -> list[str]:

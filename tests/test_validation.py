@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from optomech import PROFILES, ToleranceProfile, run_validation
-from optomech import elements, mos, validation
+from optomech import datasets, elements, mos, validation
 from optomech.elements import ElementSpec, ScatteringMatrix, unitarity_defect
 from optomech.numerics import central_diff_5pt, grid_brackets
 
@@ -419,3 +419,17 @@ def test_nan_locus_fails_the_locus_oracle(monkeypatch):
     check = validation._check_locus_oracle(np.random.default_rng(7), PROFILES["default"],
                                            samples=20)
     assert not check.passed and math.isnan(check.measured), check.line()
+
+
+@pytest.mark.parametrize("figure_id, column", [("fig2", "phi_over_phi0"), ("fig4", "xi")])
+def test_figure_anchor_off_the_grid_fails(monkeypatch, figure_id, column):
+    # an anchor is read only where the grid holds it exactly, never at a neighbour
+    def off_grid(name):
+        ds = datasets.reproduce_figure(name)
+        if name == figure_id:
+            ds.columns[column] = np.nextafter(ds.columns[column], np.inf)
+        return ds
+
+    monkeypatch.setattr(validation, "reproduce_figure", off_grid)
+    with pytest.raises(IndexError):
+        validation._check_figures()
