@@ -24,7 +24,6 @@ from .errors import (
     NoRootInWindow,
     NoZeroDispersivePoint,
     OptomechError,
-    SingularSystem,
     ZeroCoupling,
 )
 from .mate import (
@@ -86,7 +85,6 @@ __all__ = [
     "NoZeroDispersivePoint",
     "NoRootInWindow",
     "BranchAmbiguity",
-    "SingularSystem",
     "ZeroCoupling",
     "ConfigError",
     "MosConfig",

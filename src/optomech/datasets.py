@@ -635,9 +635,8 @@ def _store(row: dict[str, object], **values: float) -> None:
 def _mos_row(row: dict, p: dict, k: float, m_scale: float) -> None:
     t, t_m, l = p["t"], p["t_m"], p["l"]
     mos_mod._checked_locus(t, t_m)
-    if t_m ** 2 / 4.0 == 0.0:  # MosConfig's phi0
-        raise InvalidParameter(f"mos phi0 = t_m^2/4 underflows to 0 at t_m={t_m}")
-    # the Phi = Phi0 operating point: g_gamma0 = g_00 / 2, gamma = gamma0 / 2
+    # the Phi = Phi0 operating point: g_gamma0 = g_00 / 2, gamma = gamma0 / 2;
+    # where MosConfig's phi0 = t_m^2 / 4 underflows to 0, g_00's l t_m^4 does too
     g_00 = in_float_range("g_00", lambda: mos_mod._g_00(C_LIGHT * k, l, t, t_m))
     gamma0 = in_float_range("gamma0", lambda: mos_mod._gamma0(l, t, t_m))
     _store(row, g_gamma0=g_00 / 2.0, gamma=gamma0 / 2.0)

@@ -6,7 +6,9 @@ class OptomechError(Exception):
 
 
 class InvalidParameter(OptomechError, ValueError):
-    """A model parameter is non-finite or outside its allowed range."""
+    """A model parameter is non-finite or outside its allowed range, or
+    finite parameters drive a formula out of the float range ("... leaves
+    the float range"): rounding trouble, never reported as physics."""
 
 
 class InvalidElement(InvalidParameter):
@@ -35,10 +37,6 @@ class NoRootInWindow(OptomechError):
 class BranchAmbiguity(OptomechError):
     """A derivative branch cannot be selected (evaluation on its singular
     locus)."""
-
-
-class SingularSystem(OptomechError):
-    """The intracavity linear system is singular."""
 
 
 class ZeroCoupling(OptomechError):

@@ -141,7 +141,7 @@ class MateBranch:
 
 def _require_reflecting(cfg: MateConfig, what: str) -> None:
     """BranchAmbiguity where a fully transparent membrane leaves what degenerate."""
-    if cfg.r_m < 1e-15:
+    if cfg.t_m == 1.0:
         raise BranchAmbiguity(f"membrane fully transparent (r_m = 0); {what} degenerate")
 
 

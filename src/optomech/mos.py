@@ -68,12 +68,13 @@ def _g_00(omega_c, l, t, t_m):
 
 
 def _locus(t, t_m, r, r_m):
-    """(cos psi*, T*) of the zero-dispersive locus, elementwise over arrays;
-    T* in t^2 and t_m^2, since 1 - r^2 r_m^2 of the rounded r and r_m
-    cancels for small t and t_m."""
-    t_sq, t_m_sq = t * t, t_m * t_m
+    """(cos psi*, T*) of the zero-dispersive locus, elementwise over arrays
+    with t <= t_m.  T* is written in u = (t / t_m)^2, since 1 - r^2 r_m^2 of
+    the rounded r and r_m cancels for small t and t_m, and t^2 and t_m^2
+    underflow; with u <= 1 it is finite."""
+    u, t_m_sq = power(t / t_m, 2), t_m * t_m
     return (-r_m * (1.0 + r * r) / (r * (1.0 + r_m * r_m)),
-            t_sq * (2.0 - t_m_sq) / (t_sq + t_m_sq - t_sq * t_m_sq))
+            u * (2.0 - t_m_sq) / (u + 1.0 - u * t_m_sq))
 
 
 @dataclass(frozen=True, kw_only=True)
@@ -204,9 +205,9 @@ def zero_dispersive_locus(t: float, t_m: float) -> ZeroDispersiveLocus:
     Exists exactly where t <= t_m, a membrane at most as reflective as the
     mirror (NoZeroDispersivePoint otherwise, or at r = 0); at t = t_m the two
     solutions merge at psi* = pi.  T* = t^2 (1 + r_m^2) / (1 - r^2 r_m^2)
-    = t^2 (2 - t_m^2) / (t^2 + t_m^2 - t^2 t_m^2) at either.
-    InvalidParameter unless t lies in [0, 1] and t_m in (0, 1], or where T*
-    leaves the float range.
+    = u (2 - t_m^2) / (u + 1 - u t_m^2), u = (t / t_m)^2, at either; it is
+    finite wherever the point exists.  InvalidParameter unless t lies in
+    [0, 1] and t_m in (0, 1].
     """
     cos_star, t_star = _checked_locus(t, t_m)
     psi_1 = math.acos(cos_star)
@@ -214,22 +215,19 @@ def zero_dispersive_locus(t: float, t_m: float) -> ZeroDispersiveLocus:
 
 
 def _checked_locus(t: float, t_m: float) -> tuple[float, float]:
-    """(cos psi*, T*) of _locus under, in order, the screens, r = 0, the float
-    range of T* and existence, decided on the inputs (t > t_m), not on the
-    rounded r and r_m; cos psi* is clamped to -1, which it rounds past near t = t_m."""
+    """(cos psi*, T*) of _locus under, in order, the screens, r = 0 and
+    existence, decided on the inputs (t > t_m), not on the rounded r and r_m;
+    cos psi* is clamped to -1, which it rounds past near t = t_m."""
     require_amplitude(t=t)
     require_transmitting(t_m=t_m)
-    r, r_m = reflectivity(t), reflectivity(t_m)
+    r = reflectivity(t)
     if r == 0.0:
         raise NoZeroDispersivePoint("mirror is fully transparent (r = 0)")
-    # T* is guarded before existence: once t^2 and t_m^2 both underflow, its
-    # divisor is 0 whichever of t and t_m is larger
-    cos_star, t_star = in_float_range("zero_dispersive_locus",
-                                      lambda: _locus(t, t_m, r, r_m))
     if t > t_m:
         raise NoZeroDispersivePoint(
-            f"membrane at least as reflective as the mirror (r_m={r_m:.6g} > r={r:.6g})"
+            f"membrane more reflective than the mirror (t={t:.6g} > t_m={t_m:.6g})"
         )
+    cos_star, t_star = _locus(t, t_m, r, reflectivity(t_m))
     return max(cos_star, -1.0), t_star
 
 

@@ -217,8 +217,7 @@ def _zero_dispersive_point(r_ms, R_b, T_b, t_ms, k, l, branch: int = 0):
     NoZeroDispersivePoint where there is none.  x* is finite on branch 0 (a
     large branch overflows it), and rho may vanish there, where
     |cos 2kx*| = 1: _rho_sq checks it."""
-    # each amplitude that is not 0 is above 1e-162, so the product underflows nowhere
-    if t_ms * R_b * T_b == 0.0:
+    if 0.0 in (t_ms, R_b, T_b):
         raise NoZeroDispersivePoint(
             "degenerate splitter or opaque membrane (t_ms R_b T_b = 0)"
         )

@@ -44,17 +44,21 @@ datasets.compare_systems computes M once and calls the kernels.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
 
 from .constants import C_LIGHT, HBAR
 from .elements import wavevector
-from .errors import InvalidParameter, SingularSystem, ZeroCoupling
+from .errors import InvalidParameter, ZeroCoupling
 from .mate import zero_dispersive_decay
 from .numerics import (finite_results, in_float_range, out_of_float_range, power,
                        require_amplitude, require_at_least_one, require_finite,
                        require_non_negative, require_positive, require_transmitting)
+
+_NORMAL_MIN, _NORMAL_MAX = sys.float_info.min, sys.float_info.max
+
 
 @dataclass(frozen=True)
 class PortRates:
@@ -111,10 +115,13 @@ def general_spectra(
     the ports gives both, with the operations, in their order, of the row
     decomposition in tests/noise_reference.py.  The inverse of the drift
     matrix is [[diag, xy], [yx, diag]], with diag = kappa/det,
-    xy = -Delta/det and yx = Delta/det.  Raises SingularSystem when det
-    vanishes, ZeroCoupling when no signal reaches the homodyne quadrature,
-    and InvalidParameter for a dissipative coupling without port 2 or a
-    result outside the float range.
+    xy = -Delta/det and yx = Delta/det; det = Gamma^2/4 - w^2 + Delta^2
+    - i Gamma w vanishes only at Gamma = 0, which PortRates rejects.
+    Raises InvalidParameter where |det| leaves the normal float range (it
+    has rounded to 0 or a subnormal, or overflowed) or a result leaves the
+    float range, ZeroCoupling when no signal reaches the homodyne
+    quadrature, and InvalidParameter for a dissipative coupling without
+    port 2.
     """
     # a cheap screen, as in DriveConfig: the sum is finite unless a value is
     # not, or it overflows, or raises for an int beyond the float range or a
@@ -128,10 +135,8 @@ def general_spectra(
     try:
         kappa = complex(rates.total / 2.0, -drive.omega)
         det = kappa * kappa + drive.delta ** 2
-        if abs(det) < 1e-300:
-            raise SingularSystem(
-                f"system determinant vanished (kappa={kappa}, delta={drive.delta})"
-            )
+        if not _NORMAL_MIN <= abs(det) <= _NORMAL_MAX:
+            raise out_of_float_range("general_spectra", f"|det| = {abs(det):.6g}")
         diag, xy, yx = kappa / det, -drive.delta / det, drive.delta / det
         out1_scale = 2.0 * math.sqrt(rates.gamma1)
         signal_x, signal_y = drive.a0 * g_gamma0, drive.a0 * g_omega0
@@ -171,7 +176,7 @@ def general_spectra(
         s_xx = s_out / gain ** 2
     except (ZeroDivisionError, OverflowError) as exc:
         # free unless it raises: general_spectra is on the design path
-        raise out_of_float_range("general_spectra", exc) from exc
+        raise out_of_float_range("general_spectra", type(exc).__name__) from exc
     # float products overflow to inf, and inf to nan, without raising
     if not (math.isfinite(s_xx) and math.isfinite(s_ff)):
         finite_results("general_spectra", s_xx, s_ff)
@@ -251,7 +256,7 @@ def homodyne_spectra(
         )
         product = s_xx * s_ff
     except (ZeroDivisionError, OverflowError) as exc:
-        raise out_of_float_range("homodyne_spectra", exc) from exc
+        raise out_of_float_range("homodyne_spectra", type(exc).__name__) from exc
     if not math.isfinite(product):  # one spectrum overflowed, the other underflowed
         finite_results("homodyne_spectra", product)
     theta_opt = math.atan2(g_omega0, g_gamma0)

@@ -130,10 +130,11 @@ def finite_results(name: str, *results) -> None:
             raise InvalidParameter(f"{name} leaves the float range ({value})")
 
 
-def out_of_float_range(name: str, exc: ArithmeticError) -> InvalidParameter:
+def out_of_float_range(name: str, cause: str) -> InvalidParameter:
     """The InvalidParameter for a formula that finite arguments drove out
-    of the float range with exc, a ZeroDivisionError or an OverflowError."""
-    return InvalidParameter(f"{name} leaves the float range ({type(exc).__name__})")
+    of the float range, with cause the name of the ZeroDivisionError or
+    OverflowError it raised, or the value that left the range."""
+    return InvalidParameter(f"{name} leaves the float range ({cause})")
 
 
 def in_float_range(name: str, formula: Callable[[], float | tuple]) -> float | tuple:
@@ -144,7 +145,7 @@ def in_float_range(name: str, formula: Callable[[], float | tuple]) -> float | t
     try:
         value = formula()
     except (ZeroDivisionError, OverflowError) as exc:
-        raise out_of_float_range(name, exc) from exc
+        raise out_of_float_range(name, type(exc).__name__) from exc
     if isinstance(value, tuple):
         total = sum(value)  # not finite where a value is not, or where it overflows
         if not (isinstance(total, float) and math.isfinite(total)):

@@ -13,10 +13,11 @@ tests compare independent evaluations.
 """
 
 import math
+import sys
 
 import numpy as np
 
-from optomech import InvalidParameter, SingularSystem, ZeroCoupling
+from optomech import InvalidParameter, ZeroCoupling
 from optomech.constants import HBAR
 
 #: the input-quadrature noise basis: the order of every noise row
@@ -24,13 +25,13 @@ INPUT_BASIS = ("X_in1", "Y_in1", "X_in2", "Y_in2", "X_in3", "Y_in3")
 
 
 def drift_inverse(rates, drive):
-    """(diag, xy, yx) of the inverse 2x2 drift matrix [[diag, xy], [yx, diag]]."""
+    """(diag, xy, yx) of the inverse 2x2 drift matrix [[diag, xy], [yx, diag]],
+    or InvalidParameter where |det| is not a normal float: det vanishes only
+    at a zero total rate, so there it has rounded or overflowed."""
     kappa = complex(rates.total / 2.0, -drive.omega)
     det = kappa * kappa + drive.delta ** 2
-    if abs(det) < 1e-300:
-        raise SingularSystem(
-            f"system determinant vanished (kappa={kappa}, delta={drive.delta})"
-        )
+    if not sys.float_info.min <= abs(det) <= sys.float_info.max:
+        raise InvalidParameter(f"general_spectra leaves the float range (|det| = {abs(det)})")
     return kappa / det, -drive.delta / det, drive.delta / det
 
 

@@ -246,16 +246,18 @@ EXTREME_GEOMETRY = [
 ]
 
 #: compare parameters whose rows fail, by class: NoZeroDispersivePoint
-#: (t = 1, Tb_sq = 1, r_ms = 1, Tb_sq = 0), InvalidParameter (t, t_m, mate_x,
-#: r_ms or Tb_sq out of range, t_m = 1e200 in the MATE row too, where the
-#: default mate_x would square it, a zero result, a cooperativity that
-#: overflows after g_gamma0 and gamma are stored) and DegenerateDenominator
-#: (rho = 0 at x*)
+#: (t = 1, Tb_sq = 1, r_ms = 1, Tb_sq = 0, t > t_m where t^2 and t_m^2
+#: underflow), InvalidParameter (t, t_m, mate_x, r_ms or Tb_sq out of range,
+#: t_m = 1e200 in the MATE row too, where the default mate_x would square it,
+#: a zero result, MosConfig's phi0 = t_m^2 / 4 underflowing to 0, a
+#: cooperativity that overflows after g_gamma0 and gamma are stored) and
+#: DegenerateDenominator (rho = 0 at x*)
 ROW_CASES = [
     {}, {"t": 1.0}, {"msi_Tb_sq": 1.0}, {"msi_r_ms": 1.0}, {"msi_Tb_sq": 0.0},
     {"t": 1.5}, {"t_m": 0.0}, {"t": 0.0}, {"mate_x": 1.0}, {"msi_r_ms": 0.0},
     {"msi_r_ms": 1.5}, {"msi_Tb_sq": -0.5}, {"a0": 1e200}, {"t": 0.1, "t_m": 0.014},
     {"msi_r_ms": 0.6, "msi_Tb_sq": 0.9}, {"t_m": 1e200}, {"t": 1e-10, "t_m": 1e-9},
+    {"t": 0.0, "t_m": 2.5e-162}, {"t": 1e-165, "t_m": 1e-170}, {"t": 1e-170, "t_m": 1e-165},
 ]
 
 

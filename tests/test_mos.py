@@ -44,12 +44,16 @@ def _dissipative_constant_thin(t, t_m, k, l):
 
 
 def _exists(call) -> bool:
-    """Whether call() finds a zero-dispersive point; any error but
-    NoZeroDispersivePoint propagates."""
+    """Whether call() finds a zero-dispersive point: it returns, or raises the
+    float-range InvalidParameter that follows existence; any other error
+    propagates."""
     try:
         call()
     except NoZeroDispersivePoint:
         return False
+    except InvalidParameter as exc:
+        if "leaves the float range" not in str(exc):
+            raise
     return True
 
 
@@ -78,8 +82,13 @@ class TestZeroDispersiveLocus:
         assert result.passed, result.line()
 
     def test_too_reflective_membrane(self):
-        with pytest.raises(NoZeroDispersivePoint):
+        with pytest.raises(NoZeroDispersivePoint, match=r"\(t=0\.1 > t_m=0\.014\)$"):
             zero_dispersive_locus(t=0.1, t_m=0.014)
+        # the message names the values that decided it; r and r_m round to 1 here
+        with pytest.raises(NoZeroDispersivePoint,
+                           match=r"^membrane more reflective than the mirror "
+                                 r"\(t=3e-162 > t_m=2\.5e-162\)$"):
+            zero_dispersive_locus(3e-162, 2.5e-162)
 
     @pytest.mark.parametrize("t, t_m, name", [
         (0.01, math.nan, "t_m"), (0.01, math.inf, "t_m"), (0.01, 0.0, "t_m"),
@@ -95,11 +104,6 @@ class TestZeroDispersiveLocus:
         with pytest.raises(NoZeroDispersivePoint, match=r"fully transparent \(r = 0\)"):
             zero_dispersive_locus(1.0, 0.1)
 
-    def test_tandem_beyond_the_float_range_is_an_invalid_parameter(self):
-        # t^2 and t_m^2 both underflow, so the divisor of T* is 0
-        with pytest.raises(InvalidParameter, match="leaves the float range"):
-            zero_dispersive_locus(1e-170, 1e-165)
-
     def test_equal_elements_merge_at_pi(self):
         locus = zero_dispersive_locus(0.05, 0.05)
         assert locus.psi_star[0] == pytest.approx(math.pi, abs=1e-12)
@@ -113,7 +117,10 @@ class TestZeroDispersiveLocus:
         t_m = np.minimum(t * (1.0 + rng.uniform(-1.0, 1.0, t.size) * 1e-12), 1.0)
         t_m[::100] = t[::100]
         k, l = 2 * math.pi / 0.85e-6, 1e-4
-        pairs = list(zip(t.tolist(), t_m.tolist()))
+        # and pairs whose squares underflow, in both orders
+        tiny = [(1e-165, 1e-170), (1e-170, 1e-165), (3e-162, 2.5e-162), (2.5e-162, 3e-162),
+                (5e-324, 1e-323), (1e-323, 5e-324)]
+        pairs = list(zip(t.tolist(), t_m.tolist())) + tiny
         wrong = [(a, b) for a, b in pairs
                  if _exists(lambda: zero_dispersive_locus(a, b)) == (a > b)
                  or _exists(lambda: dissipative_constant_exact(a, b, k, l)) == (a > b)]
@@ -122,9 +129,10 @@ class TestZeroDispersiveLocus:
         assert len(ties) >= 500
         assert all(zero_dispersive_locus(a, a).psi_star == (math.pi, math.pi) for a in ties)
 
-    @pytest.mark.parametrize("t, t_m", SMALL_PAIRS)
+    @pytest.mark.parametrize("t, t_m", SMALL_PAIRS + [(1e-170, 1e-165)])
     def test_transmission_of_small_elements_is_exact(self, t, t_m):
-        # r and r_m round to within an ulp of 1 here
+        # r and r_m round to within an ulp of 1 here; at the last pair t^2
+        # and t_m^2 underflow too
         assert zero_dispersive_locus(t, t_m).T_star == pytest.approx(
             float(exact_t_star(t, t_m)), rel=1e-15, abs=0.0)
 

@@ -11,7 +11,6 @@ from optomech import (
     DriveConfig,
     InvalidParameter,
     PortRates,
-    SingularSystem,
     ZeroCoupling,
     cooperativity,
     general_spectra,
@@ -153,14 +152,46 @@ class TestFusedSpectra:
 
     def test_errors_keep_their_order(self):
         # each case also breaks every later condition; the first one raised wins
-        singular = (PortRates(1e-320, 0.0, 0.0), DriveConfig(a0=0.0), 0.0, 1.0, 0.0)
+        det_underflows = (PortRates(1e-320, 0.0, 0.0), DriveConfig(a0=0.0), 0.0, 1.0, 0.0)
         no_gain = (PortRates(1.0, 0.0, 0.0), DriveConfig(a0=0.0), 0.0, 1.0, 0.0)
         no_port2 = (PortRates(1.0, 0.0, 0.0), DriveConfig(a0=1.0), 0.0, 1.0, 0.0)
-        for args, error in ((singular, SingularSystem), (no_gain, ZeroCoupling),
-                            (no_port2, InvalidParameter)):
+        for args, error, message in (
+                (det_underflows, InvalidParameter, "^general_spectra leaves the float range"),
+                (no_gain, ZeroCoupling, "^no signal transfer"),
+                (no_port2, InvalidParameter, "^dissipative coupling requires gamma2 > 0")):
             for spectra in (general_spectra, reference_spectra):
-                with pytest.raises(error):
+                with pytest.raises(error, match=message):
                     spectra(*args)
+
+
+class TestDeterminantRange:
+    """The drift determinant vanishes only at Gamma = 0, which PortRates
+    rejects; small rates are regular down to where |det| leaves the normal
+    float range, and there the error is the float-range one."""
+
+    @pytest.mark.parametrize("gamma3, delta, omega", [(0.0, 0.0, 0.0), (0.5, 0.8, 0.3)])
+    def test_spectra_scale_exactly_with_the_rates(self, gamma3, delta, omega):
+        # rates, delta and omega times 2^-500: S_xx scales with them and S_FF
+        # inversely, and a power of two scales every step exactly while no
+        # value leaves the normal range (det = 2^-1010 at the smaller rates)
+        def spectra(scale):
+            return general_spectra(
+                PortRates(scale, scale, gamma3 * scale),
+                DriveConfig(delta=delta * scale, omega=omega * scale, a0=1.0), 0.7, 1.3, 0.4)
+        s_xx, s_ff = spectra(2.0 ** -5)
+        assert spectra(2.0 ** -505) == (math.ldexp(s_xx, -500), math.ldexp(s_ff, 500))
+
+    @pytest.mark.parametrize("rates", [
+        PortRates(2.0 ** -512, 2.0 ** -512),  # det = 2^-1024, subnormal
+        PortRates(1e-320, 0.0),               # det rounds to 0
+        PortRates(1e155, 1e155),              # det overflows
+    ])
+    def test_det_outside_the_normal_range_is_the_float_range_error(self, rates):
+        args = (rates, DriveConfig(a0=1.0), 0.7, 1.3, 0.4)
+        for spectra in (general_spectra, reference_spectra):
+            with pytest.raises(InvalidParameter,
+                               match=r"^general_spectra leaves the float range \(\|det\| = "):
+                spectra(*args)
 
 
 class TestHomodyneSpectra:

@@ -282,6 +282,43 @@ def test_only_numerics_spells_a_range_rule():
     assert {name: lines for name, lines in spelled.items() if lines} == {}
 
 
+def _tiny_thresholds(source: str) -> list[tuple[str, str]]:
+    """(function, comparison) of each comparison in source with an operand
+    that is a float literal of magnitude in (0, 1e-12): a threshold where
+    rounding stands in for an exact test or for the float-range error."""
+    found = []
+
+    def tiny(node) -> bool:
+        if isinstance(node, ast.UnaryOp) and isinstance(node.op, (ast.USub, ast.UAdd)):
+            node = node.operand
+        return (isinstance(node, ast.Constant) and isinstance(node.value, float)
+                and 0.0 < abs(node.value) < 1e-12)
+
+    def visit(node, where: str) -> None:
+        if isinstance(node, ast.FunctionDef):
+            where = node.name
+        if isinstance(node, ast.Compare) and any(map(tiny, (node.left, *node.comparators))):
+            found.append((where, ast.unparse(node)))
+        for child in ast.iter_child_nodes(node):
+            visit(child, where)
+    visit(ast.parse(source), "<module>")
+    return found
+
+
+#: the one tiny threshold left, (module, function, comparison): the transmission
+#: denominator, whose exact form is the precision item of ROADMAP.md
+TINY_THRESHOLDS_ALLOWED = [("elements.py", "_response_closed_form", "denom < 1e-300")]
+
+
+def test_no_comparison_has_a_tiny_float_threshold():
+    assert _tiny_thresholds("def f(d):\n    return abs(d) < 1e-300 or -1e-15 < d == 0.0 "
+                            "or d < 1e-12\nx = 3e-13 > 0") == [
+        ("f", "abs(d) < 1e-300"), ("f", "-1e-15 < d == 0.0"), ("<module>", "3e-13 > 0")]
+    found = [(path.name, *entry) for path in sorted((ROOT / "src" / "optomech").glob("*.py"))
+             for entry in _tiny_thresholds(path.read_text())]
+    assert found == TINY_THRESHOLDS_ALLOWED
+
+
 SCREENS = ("require_finite", "require_positive", "require_non_negative",
            "require_amplitude", "require_transmitting", "require_at_least_one")
 
