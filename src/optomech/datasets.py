@@ -71,35 +71,41 @@ def format_value(value: object) -> str:
 # multiplier is a double-double hi + lo built exactly from Fractions, and
 # Dekker's two-product gives M c to about 1e-14 of a unit, so D is exact
 # unless M c lies within _TIE_MARGIN of a tie: such a cell, and a
-# non-finite one, is format_value's own text.  A cell is four uint64 words
-# (first character in the lowest byte), where a 0 byte is a character the
-# %g rules drop:
+# non-finite one, is format_value's own text.  One np.take gathers a cell's
+# multiplier and layout by its key, the binade and which of the two
+# multipliers applies; the 16 digits after the first come from a table of
+# the 10^4 four-digit groups.  A cell is four uint64 words (first character
+# in the lowest byte), where a 0 byte is a character the %g rules drop:
 #   word 0     sign, the "0." and zeros of -4 <= E < 0, the first digit;
 #   words 1-2  the other 16 digits, trailing zeros dropped, with the point
 #              inserted after the integer digits;
 #   word 3     the byte pushed out of word 2, then "e+dd" or "e-ddd".
-# numpy shifts a uint64 by 64 or more to 0, which puts a point nowhere.
 
 _TIE_MARGIN = 1e-6
 _E_MIN = -1073  # np.frexp's exponent of the smallest subnormal
 _BINADES = 1024 - _E_MIN + 1
-_ZERO_KEY = 2 * _BINADES  # the layout key of 0 (and of a non-finite cell)
+_ZERO_KEY = 2 * _BINADES  # the key of 0 (and of a non-finite cell)
 _U64 = np.uint64
-_ONES = _U64(2 ** 64 - 1)
+_ONES = 2 ** 64 - 1
 _ASCII_ZEROS = _U64(0x3030303030303030)
+_DOT = ord(".")
 
 
-def _low_bytes(count):
+def _low_bytes(count: int) -> int:
     """The mask of the count (at most 8) lowest bytes of a uint64."""
-    return ~(_ONES << (_U64(count) << _U64(3)))
+    return 2 ** (8 * count) - 1
+
+
+def _float_bits(value: float) -> int:
+    return int(np.float64(value).view(_U64))
 
 
 def _layout(exponent: int) -> tuple[int, ...]:
     """Where a cell of decimal exponent E puts its characters, as uint64
-    values: the count of integer digits after the first, the byte masks of
-    words 1 and 2 before the point, the shifts of the point into word 1, 2
-    or 3, the word-0 "0.000" prefix, the word-3 exponent text, and the
-    point's place among the 16 digits (16 for none)."""
+    values: the count of integer digits after the first; the masks of the
+    bytes of words 1 and 2 after the point, and the point at its place in
+    word 1 or 2 (none at place 16); the word-0 "0.000" prefix and the
+    word-3 exponent text."""
     fixed = -4 <= exponent < 17
     if fixed and exponent >= 0:
         place = integer = exponent
@@ -107,25 +113,26 @@ def _layout(exponent: int) -> tuple[int, ...]:
         place, integer = (16 if fixed else 0), 0
     prefix = "0." + "0" * (-exponent - 1) if fixed and exponent < 0 else ""
     suffix = "" if fixed else f"e{exponent:+03d}"
-    return (integer, int(_low_bytes(min(place, 8))), int(_low_bytes(max(place - 8, 0))),
-            8 * place if place < 8 else 64, 8 * place - 64 if 8 <= place < 16 else 64,
-            0 if place == 16 else 64,
+    return (integer, _ONES ^ _low_bytes(min(place, 8)), _ONES ^ _low_bytes(max(place - 8, 0)),
+            _DOT << 8 * place if place < 8 else 0,
+            _DOT << 8 * (place - 8) if 8 <= place < 16 else 0,
             int.from_bytes(b"\0" + prefix.encode(), "little"),
-            int.from_bytes(b"\0" + suffix.encode(), "little"), place)
+            int.from_bytes(b"\0" + suffix.encode(), "little"))
 
 
 class _Binades:
     """The multipliers and layouts of the binades met so far, each built on
     first use.  For binade i (binary exponent i + _E_MIN), threshold[i] is
     the M from which M c reaches 1e17 - 1/2 (0 while not built); key 2 i
-    holds c, key 2 i + 1 c / 10, as scale[:, key] = (hi, lo), with the
-    _layout of their decimal exponent in layout[:, key]."""
+    holds c, key 2 i + 1 c / 10, as the float64 bits of hi, its Dekker
+    halves and lo in table[:4, key], with the _layout of their decimal
+    exponent in table[4:, key].  A key not built has hi = 0; the zero key's
+    hi is 1, its lo 0, so a 0 gives the digits 0."""
 
     def __init__(self) -> None:
         self.threshold = np.zeros(_BINADES)
-        self.scale = np.zeros((2, _ZERO_KEY + 1))
-        self.layout = np.zeros((9, _ZERO_KEY + 1), dtype=_U64)
-        self.layout[:, _ZERO_KEY] = _layout(0)
+        self.table = np.zeros((11, _ZERO_KEY + 1), dtype=_U64)
+        self.table[:, _ZERO_KEY] = (_float_bits(1.0), _float_bits(1.0), 0, 0, *_layout(0))
 
     def build(self, binades: np.ndarray) -> None:
         met = np.zeros(_BINADES, dtype=bool)
@@ -142,25 +149,26 @@ class _Binades:
             for tenth in (0, 1):
                 c_key = c / 10 ** tenth
                 hi = float(c_key)
-                self.scale[:, 2 * i + tenth] = hi, float(c_key - Fraction(hi))
-                self.layout[:, 2 * i + tenth] = _layout(e0 + tenth)
+                split = 134217729.0 * hi  # 2^27 + 1
+                hi_hi = split - (split - hi)
+                self.table[:, 2 * i + tenth] = (
+                    *map(_float_bits, (hi, hi_hi, hi - hi_hi, float(c_key - Fraction(hi)))),
+                    *_layout(e0 + tenth))
             self.threshold[i] = min(math.ceil((10 ** 17 - Fraction(1, 2)) / c), 2 ** 53)
 
 
 _binades: _Binades | None = None
 
-
-def _digit_words(v: np.ndarray) -> np.ndarray:
-    """The 8 decimal digits (as values 0-9) of each uint64 v < 1e8, one per
-    byte of a uint64, the first in the lowest byte: split into 4-, 2- and
-    1-digit lanes by multiply-shift division (x // 100 = (5243 x) >> 19 for
-    x < 10^4, x // 10 = (103 x) >> 10 for x < 100)."""
-    high = v // _U64(10_000)
-    x = high | ((v - high * _U64(10_000)) << _U64(32))
-    q = ((x * _U64(5243)) >> _U64(19)) & _U64(0x0000007F0000007F)
-    x = q | ((x - q * _U64(100)) << _U64(16))
-    q = ((x * _U64(103)) >> _U64(10)) & _U64(0x000F000F000F000F)
-    return q | ((x - q * _U64(10)) << _U64(8))
+#: the 4 decimal digits (as values 0-9) of each n < 10^4, one per byte, the
+#: first in the lowest byte; and the same 4 bytes shifted into the high half
+_GROUPS = sum((np.arange(10_000, dtype=_U64) // _U64(10 ** (3 - i)) % _U64(10)) << _U64(8 * i)
+              for i in range(4))
+_GROUPS_HIGH = _GROUPS << _U64(32)
+#: the first digit d in byte 6 of word 0, for d = 0..9
+_FIRST_DIGITS = np.array([ord(str(d)) << 48 for d in range(10)], dtype=_U64)
+#: the masks of the first kept of 16 digits in words 1 and 2, for kept = 0..16
+_KEPT_MASKS = np.array([[_low_bytes(min(kept, 8)) for kept in range(17)],
+                        [_low_bytes(max(kept - 8, 0)) for kept in range(17)]], dtype=_U64)
 
 
 def _format_floats(values: np.ndarray) -> np.ndarray:
@@ -172,48 +180,54 @@ def _format_floats(values: np.ndarray) -> np.ndarray:
     x = np.asarray(values, dtype=float).ravel()
     finite = np.isfinite(x)
     mantissa, exp2 = np.frexp(np.where(finite, np.abs(x), 0.0))
-    m = np.ldexp(mantissa, 53)
-    binade = exp2 - _E_MIN
+    m = mantissa * 2.0 ** 53
+    binade = exp2 - np.int64(_E_MIN)
     nonzero = m != 0.0
-    _binades.build(binade[nonzero])
-    key = np.where(nonzero, 2 * binade + (m >= _binades.threshold[binade]), _ZERO_KEY)
-    hi, lo = _binades.scale[:, key]
+    while True:
+        key = np.where(nonzero, 2 * binade + (m >= _binades.threshold.take(binade)), _ZERO_KEY)
+        rows = np.take(_binades.table, key, axis=1)
+        if rows[0].all():
+            break
+        _binades.build(binade[nonzero])  # a binade met for the first time
+    hi, hi_hi, hi_lo, lo = rows[:4].view(float)
+    integer, after_mask1, after_mask2, dot1, dot2, prefix, suffix = rows[4:]
     # m c = p + rest: Dekker's two-product makes m hi = p + its error exact
     p = m * hi
     split = 134217729.0 * m  # 2^27 + 1
     m_hi = split - (split - m)
     m_lo = m - m_hi
-    split = 134217729.0 * hi
-    hi_hi = split - (split - hi)
-    hi_lo = hi - hi_hi
     rest = (((m_hi * hi_hi - p) + m_hi * hi_lo + m_lo * hi_hi) + m_lo * hi_lo) + m * lo
-    whole = np.floor(rest)
-    frac = rest - whole
-    digits = p.astype(np.int64) + whole.astype(np.int64) + (frac > 0.5)
+    rounded = np.rint(rest)  # a tie is routed below, so how rint breaks it is moot
+    digits = p.astype(np.int64) + rounded.astype(np.int64)
     first = digits // 10 ** 16
-    others = (digits - first * 10 ** 16).view(_U64)
-    high = others // _U64(10 ** 8)
-    words = _digit_words(np.stack([high, others - high * _U64(10 ** 8)]))
+    others = digits - first * 10 ** 16
+    high = others // 10 ** 8
+    low = others - high * 10 ** 8
+    group1, group3 = high // 10 ** 4, low // 10 ** 4
+    words1 = _GROUPS.take(group1) | _GROUPS_HIGH.take(high - group1 * 10 ** 4)
+    words2 = _GROUPS.take(group3) | _GROUPS_HIGH.take(low - group3 * 10 ** 4)
     # digits to keep: up to the last nonzero one, or the integer digits if
-    # more; a digit byte is at most 9, so the float rounding of a word
-    # cannot carry its bit length into the next byte
-    byte_len = (np.frexp(words.astype(float))[1] + 7) >> 3
-    integer, before1, before2, shift1, shift2, shift3, prefix, suffix, place = (
-        _binades.layout[:, key])
-    kept = np.maximum(np.where(words[1] != 0, 8 + byte_len[1], byte_len[0]).astype(_U64),
-                      integer)
-    word1 = (words[0] | _ASCII_ZEROS) & _low_bytes(kept.clip(max=8))
-    word2 = (words[1] | _ASCII_ZEROS) & _low_bytes(kept.clip(min=8) - _U64(8))
-    point = np.where(kept > place, _U64(ord(".")), _U64(0))
-    after1, after2 = word1 & ~before1, word2 & ~before2
+    # more.  The bytes of the 16 digits up to the last nonzero one are those
+    # of the float exponent of words2 2^64 + words1; a digit byte is at most
+    # 9, so rounding never carries that exponent into the next byte
+    length = ((words2.astype(float) * 2.0 ** 64 + words1.astype(float)).view(np.int64)
+              - (1015 << 52)) >> 55
+    kept = np.maximum(length, integer.view(np.int64))
+    mask1, mask2 = np.take(_KEPT_MASKS, kept, axis=1)
+    word1 = (words1 | _ASCII_ZEROS) & mask1
+    word2 = (words2 | _ASCII_ZEROS) & mask2
+    # the point opens a byte at its place: word + after * 255 keeps the
+    # bytes before it and moves those after it up one (the top one of word
+    # 1 into word 2, that of word 2 into word 3); the point is kept where
+    # the digit after it is
+    after1, after2 = word1 & after_mask1, word2 & after_mask2
     cells = np.empty((x.size, 4), dtype=_U64)
-    cells[:, 0] = (np.where(np.signbit(x), _U64(ord("-")), _U64(0)) | prefix
-                   | ((first.view(_U64) + _U64(ord("0"))) << _U64(48)))
-    cells[:, 1] = (word1 & before1) | (after1 << _U64(8)) | (point << shift1)
-    cells[:, 2] = ((word2 & before2) | (after2 << _U64(8)) | (after1 >> _U64(56))
-                   | (point << shift2))
-    cells[:, 3] = (after2 >> _U64(56)) | (point << shift3) | suffix
-    route = np.flatnonzero(~finite | (np.abs(frac - 0.5) < _TIE_MARGIN))
+    np.bitwise_or(((x.view(_U64) >> _U64(63)) * _U64(ord("-"))) | prefix,
+                  _FIRST_DIGITS.take(first), out=cells[:, 0])
+    np.add(word1 + after1 * _U64(255), dot1 & mask1, out=cells[:, 1])
+    np.add(word2 + after2 * _U64(255) + (after1 >> _U64(56)), dot2 & mask2, out=cells[:, 2])
+    np.bitwise_or(after2 >> _U64(56), suffix, out=cells[:, 3])
+    route = np.flatnonzero(~finite | (np.abs(rest - rounded) > 0.5 - _TIE_MARGIN))
     if route.size:
         text = [format_value(v).encode() for v in x[route].tolist()]
         cells[route] = np.array(text, dtype="S32").view(_U64).reshape(-1, 4)
@@ -222,8 +236,8 @@ def _format_floats(values: np.ndarray) -> np.ndarray:
 
 def _write_table(path: str | Path, header: Iterable[str], body: Iterable,
                 metadata: dict[str, object]) -> None:
-    """Write the CSV (header line, then the body's chunks of data lines, bytes
-    or uint8 arrays) and its sidecar "<path>.meta" of sorted "key = value"
+    """Write the CSV (header line, then the body's chunks of data lines as
+    bytes) and its sidecar "<path>.meta" of sorted "key = value"
     lines."""
     with open(path, "wb") as out:
         out.write((",".join(header) + "\n").encode())
@@ -280,18 +294,18 @@ class FigureDataset:
 
         The body goes out in blocks of rows: each block of the columns,
         stacked into one float64 array, through _format_floats, each cell
-        followed by its "," or newline, in one uint8 array whose 0 bytes
-        are dropped."""
+        followed by its "," or newline, as the bytes of its cells with the
+        0 bytes dropped by bytes.translate."""
         columns = list(self.columns.values())
         separators = np.frombuffer(b"," * (len(columns) - 1) + b"\n", dtype=np.uint8)
         rows = max(1, _BLOCK_CELLS // len(columns))
 
-        def blocks() -> Iterator[np.ndarray]:
+        def blocks() -> Iterator[bytes]:
             for start in range(0, self.n_rows, rows):
                 block = np.column_stack([c[start:start + rows] for c in columns])
                 cells = _format_floats(block).reshape(len(block), len(columns), 32)
                 cells[:, :, 31] = separators
-                yield cells[cells != 0]
+                yield cells.tobytes().translate(None, b"\0")
 
         _write_table(path, self.columns, blocks(), self.metadata)
 

@@ -119,9 +119,9 @@ def general_spectra(
     - i Gamma w vanishes only at Gamma = 0, which PortRates rejects.
     Raises InvalidParameter where |det| leaves the normal float range (it
     has rounded to 0 or a subnormal, or overflowed) or a result leaves the
-    float range, ZeroCoupling when no signal reaches the homodyne
-    quadrature, and InvalidParameter for a dissipative coupling without
-    port 2.
+    float range (a gain that rounds to 0 included), ZeroCoupling when no
+    signal reaches the homodyne quadrature, and InvalidParameter for a
+    dissipative coupling without port 2.
     """
     # a cheap screen, as in DriveConfig: the sum is finite unless a value is
     # not, or it overflows, or raises for an int beyond the float range or a
@@ -146,7 +146,15 @@ def general_spectra(
             + sin_t * (out1_scale * (yx * signal_x + diag * signal_y))
         )
         if gain == 0.0:
-            raise ZeroCoupling(f"no signal transfer at homodyne angle theta={theta}")
+            # no signal for a zero a0, gamma1 or pair of couplings, or at the
+            # angle where it cancels, which the couplings scaled to a largest
+            # magnitude of 1 cancel at too; else the gain only rounded to 0
+            g_max = max(abs(g_omega0), abs(g_gamma0))
+            if (drive.a0 == 0.0 or rates.gamma1 == 0.0 or g_max == 0.0
+                    or cos_t * (diag * (g_gamma0 / g_max) + xy * (g_omega0 / g_max))
+                    + sin_t * (yx * (g_gamma0 / g_max) + diag * (g_omega0 / g_max)) == 0.0):
+                raise ZeroCoupling(f"no signal transfer at homodyne angle theta={theta}")
+            raise out_of_float_range("general_spectra", "gain = 0")
         if rates.gamma2 <= 0.0 and g_gamma0 != 0.0:
             raise InvalidParameter("dissipative coupling requires gamma2 > 0")
         force_scale = 2.0 * HBAR * drive.a0 * g_omega0

@@ -363,15 +363,38 @@ SMALL_SWEEPS = {
 class TestCsvRows:
     """Every data line is the format_value cells of its row, comma-joined."""
 
+    @pytest.mark.parametrize("points", [7, 2001])  # 2001 rows cross block seams
     @pytest.mark.parametrize("target", sorted(SMALL_SWEEPS))
-    def test_scan_rows(self, tmp_path, target):
+    def test_scan_rows(self, tmp_path, target, points):
         parameter, start, stop, fixed = SMALL_SWEEPS[target]
         path = tmp_path / f"{target}.csv"
         ds = run_scan(ScanSpec(target=target, parameter=parameter, start=start,
-                               stop=stop, points=7, fixed=fixed))
+                               stop=stop, points=points, fixed=fixed))
         ds.write(path)
-        grid = ds.columns[parameter]
-        assert 1.0 in grid and (target == "mate" or 0.0 in grid)
+        if points == 7:
+            grid = ds.columns[parameter]
+            assert 1.0 in grid and (target == "mate" or 0.0 in grid)
+        assert data_lines(path) == format_rows(zip(*ds.columns.values()))
+
+    def test_rows_across_block_seams(self, tmp_path):
+        # 4 columns make blocks of _BLOCK_CELLS / 4 rows: 3 whole ones and a
+        # partial one; random bit patterns, with the special values put on
+        # each side of every seam and at the ends
+        block = datasets._BLOCK_CELLS // 4
+        n = 3 * block + 123
+        special = [0.0, -0.0, 5e-324, -2.5e-310, 1000000000000000.25, -1000000000000000.25,
+                   math.nan, math.inf, -math.inf]
+        rng = np.random.default_rng(33)
+        columns = {"row": np.arange(n, dtype=float)}
+        for name in ("a", "b", "c"):
+            column = rng.integers(0, 2 ** 64, n, dtype=np.uint64).view(np.float64)
+            for seam in (0, block, 2 * block, 3 * block, n):
+                rows = np.arange(seam - len(special), seam + len(special)) % n
+                column[rows] = rng.permutation(special + special)
+            columns[name] = column
+        ds = FigureDataset(name="seams", columns=columns)
+        path = tmp_path / "seams.csv"
+        ds.write(path)
         assert data_lines(path) == format_rows(zip(*ds.columns.values()))
 
     @pytest.mark.parametrize("figure_id", ["fig2", "fig3", "fig4"])
@@ -510,6 +533,23 @@ class TestFormatFloats:
                               env={**os.environ, "PYTHONPATH": path}, capture_output=True)
         assert done.returncode == 0, done.stderr
         assert done.stdout == "2\n"
+
+
+class TestBinadeTables:
+    """_format_floats builds a binade's table only the first time it meets it."""
+
+    def test_tables_met_before_are_not_built_again(self, monkeypatch):
+        monkeypatch.setattr(datasets, "_binades", None)
+        builds = []
+        build = datasets._Binades.build
+        monkeypatch.setattr(datasets._Binades, "build",
+                            lambda self, binades: builds.append(binades) or build(self, binades))
+        values = np.random.default_rng(7).standard_normal(20_000) * 1e5
+        datasets._format_floats(values)
+        assert len(builds) == 1
+        again = np.concatenate([-values[::-1], [0.0, -0.0, math.nan, math.inf]])
+        assert formatted(again) == list(map(format_value, again.tolist()))
+        assert len(builds) == 1
 
 
 class TestCli:

@@ -194,6 +194,31 @@ class TestDeterminantRange:
                 spectra(*args)
 
 
+class TestGainRange:
+    """No signal transfer is ZeroCoupling for a zero drive or at the angle
+    where the signal cancels; a gain that only rounds to 0 is the
+    float-range error, as homodyne_spectra's is at the same point."""
+
+    @pytest.mark.parametrize("a0, coupling", [(1e-300, 1e-30), (1e-10, 1e-314)])
+    def test_a_gain_that_rounds_to_0_is_the_float_range_error(self, a0, coupling):
+        rates, drive = PortRates(1.0, 1.0), DriveConfig(a0=a0)
+        with pytest.raises(InvalidParameter,
+                           match=r"^general_spectra leaves the float range \(gain = 0\)$"):
+            general_spectra(rates, drive, coupling, coupling, 0.4)
+        with pytest.raises(InvalidParameter, match="^homodyne_spectra leaves the float range"):
+            homodyne_spectra(rates, drive, coupling, coupling)
+
+    def test_a_zero_drive_is_zero_coupling(self):
+        with pytest.raises(ZeroCoupling, match="^no signal transfer"):
+            general_spectra(PortRates(1.0, 1.0), DriveConfig(a0=0.0), 1e-30, 1e-30, 0.4)
+
+    @pytest.mark.parametrize("scale", [1.0, 1e-300])
+    def test_the_cancelling_angle_is_zero_coupling_at_any_scale(self, scale):
+        # a dispersive signal on resonance reaches only the Y quadrature
+        with pytest.raises(ZeroCoupling, match="^no signal transfer"):
+            general_spectra(PortRates(1.0, 1.0), DriveConfig(a0=scale), scale, 0.0, 0.0)
+
+
 class TestHomodyneSpectra:
     def test_optimal_angle(self):
         rep = homodyne_spectra(sym_rates(), DriveConfig(a0=1.0), 3.0, 4.0)
