@@ -250,7 +250,7 @@ def _write_table(path: str | Path, header: Iterable[str], body: Iterable,
 _BLOCK_CELLS = 8192
 
 
-@dataclass
+@dataclass(slots=True)
 class FigureDataset:
     """Named numeric series plus the metadata needed to regenerate them.
 
@@ -310,7 +310,7 @@ class FigureDataset:
         _write_table(path, self.columns, blocks(), self.metadata)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ScanSpec:
     """One-parameter sweep of a model target."""
 
@@ -411,7 +411,7 @@ def _noise_columns(fixed: dict[str, float], parameter: str, xi) -> Columns:
     }
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class _Target:
     sweepable: tuple[str, ...]
     defaults: dict[str, float]
@@ -620,7 +620,7 @@ COMPARE_COLUMNS = (
 )
 
 
-@dataclass
+@dataclass(slots=True)
 class ComparisonTable:
     rows: list[dict[str, object]]
     metadata: dict[str, object]

@@ -94,7 +94,7 @@ def reduce_phase(psi):
     return out
 
 
-@dataclass(frozen=True, kw_only=True)
+@dataclass(frozen=True, kw_only=True, slots=True)
 class ElementSpec:
     """Lossless optical element: a fixed-phase mirror or a phased membrane.
 
@@ -136,6 +136,7 @@ class ElementSpec:
                 f"a mirror's reflection phase is fixed, got phi_r {self.phi_r}")
 
 
+# not slotted: the cached_property pair below lives in the instance __dict__
 @dataclass(frozen=True, kw_only=True)
 class TandemCavity:
     """Mirror+membrane geometry shared by the MOS and MATE cavities.
@@ -187,7 +188,7 @@ class TandemCavity:
         return ElementSpec.membrane(self.t_m, phi_r=self.phi_r)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ScatteringMatrix:
     """2x2 complex scattering matrix, (out_far, out_near) = S (in_near, in_far).
 
@@ -335,7 +336,7 @@ def _tandem_by_elimination(t, r, t_m, r_m, phi_r, x, k) -> ScatteringMatrix:
     return ScatteringMatrix(u3[0], u3[1], g2[0], g2[1])
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SyntheticMirrorResponse:
     """Tandem response at phase psi: power transmission T, reflection phase
     mu = arg(-m21), and their psi-derivatives."""

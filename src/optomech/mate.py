@@ -121,7 +121,7 @@ def mate_resonances(
     return roots
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class MateBranch:
     """Explicit-solution branch labels of a resonance root.
 
@@ -197,7 +197,7 @@ def branch_wavevector(
     return roots[0]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class MateDispersive:
     dk_dx: float
     g_omega0: float    # dispersive constant, -c dk/dx
@@ -240,7 +240,7 @@ def mate_dispersive_constant(cfg: MateConfig, k_c: float) -> MateDispersive:
     )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class MateZeroDispersive:
     """Closed-form benchmark at the zero-dispersive points Phi = +-sqrt(Phi0)."""
 
@@ -290,7 +290,7 @@ def mate_zero_dispersive(cfg: MateConfig) -> MateZeroDispersive:
     )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class MateExactDecay:
     """Exact and reduced decay rate / decay derivative at wavevector k.
 

@@ -152,7 +152,7 @@ def _valid_thin_tandem(cfg: MosConfig):
     return cfg.x < THIN_TANDEM_MARGIN * cfg.thin_tandem_bound()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class OperatingPoint:
     """MOS quantities at one gap or an array of gaps (thin-tandem forms)."""
 
@@ -190,7 +190,7 @@ def operating_point(cfg: MosConfig) -> OperatingPoint:
     )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ZeroDispersiveLocus:
     """The two tandem phases in (0, 2 pi) where the dispersive coupling
     vanishes, and the transmission there."""
@@ -254,7 +254,7 @@ def dissipative_constant_exact(t: float, t_m: float, k: float, l: float) -> floa
     ))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ExactCorrections:
     """Finite-gap (non-thin-tandem) corrections to the MOS quantities."""
 
@@ -309,7 +309,7 @@ def exact_corrections(cfg: MosConfig) -> ExactCorrections:
     )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TwoPortSetpoint:
     """Symmetric two-port operating point at Phi = Phi0."""
 

@@ -31,7 +31,7 @@ from .errors import DegenerateDenominator, InvalidParameter, NoZeroDispersivePoi
 from .numerics import any_true, cos_sin, require_amplitude, require_finite, require_positive
 
 
-@dataclass(frozen=True, kw_only=True)
+@dataclass(frozen=True, kw_only=True, slots=True)
 class MsiConfig:
     """Membrane reflectivity, beam-splitter ratio, optical length and
     wavevector.
@@ -78,7 +78,7 @@ class MsiConfig:
         return C_LIGHT * self.k
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class EffectiveMirror:
     rho: complex
     tau: float
@@ -109,7 +109,7 @@ def msi_effective_mirror(cfg: MsiConfig) -> EffectiveMirror:
     return EffectiveMirror(rho=rho, tau=tau)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class MsiCouplings:
     gamma_ms: float
     g_omega0: float
@@ -162,7 +162,7 @@ def _couplings(r_ms, R_b, T_b, t_ms, k, l, x) -> MsiCouplings:
     )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class MsiZeroDispersive:
     """Operating point where the MSI dispersive coupling vanishes."""
 

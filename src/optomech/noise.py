@@ -60,7 +60,7 @@ from .numerics import (finite_results, in_float_range, out_of_float_range, power
 _NORMAL_MIN, _NORMAL_MAX = sys.float_info.min, sys.float_info.max
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PortRates:
     """Decay rates (rad/s) of the detection, dissipative-coupling, and
     loss ports."""
@@ -79,7 +79,7 @@ class PortRates:
         return self.gamma1 + self.gamma2 + self.gamma3
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class DriveConfig:
     """Drive detuning Delta, Fourier frequency omega, and the
     number-of-photons-normalized intracavity pump amplitude a0."""
@@ -210,7 +210,7 @@ def product_normalized(xi, big_a: float):
     return product[()]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class NoiseReport:
     """Closed-form homodyne noise summary at the symmetric resonant
     operating point."""

@@ -42,7 +42,7 @@ MOS_RESONANCE_REL = 1e-3
 REGIME_REL = 1e-2
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ToleranceProfile:
     """Check tolerances; "strict" tightens where double precision allows."""
 
@@ -72,7 +72,7 @@ PROFILES: dict[str, ToleranceProfile] = {
 }
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CheckResult:
     name: str
     passed: bool
@@ -94,7 +94,7 @@ class CheckResult:
         )
 
 
-@dataclass
+@dataclass(slots=True)
 class ValidationReport:
     suite: str
     profile: str
