@@ -6,13 +6,15 @@ Configuration comes from a flat key-value file with dotted section names
 ("scan.points = 801", "mos.t = 0.014"); --set overrides single keys.  The
 environment variable OPTOMECH_CONFIG supplies the default config path.
 
-Exit codes: 0 success, 1 configuration error (a bad command line included)
-or a stdout closed by its reader, 2 validation failure.
+Exit codes: 0 success, 1 configuration error (a bad command line or an
+output that cannot be written included) or a stdout closed by its reader,
+2 validation failure.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 from pathlib import Path
@@ -152,6 +154,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _write(output, out: str) -> None:
+    """Write a dataset or table to out; an OSError of the write is a
+    ConfigError naming the file."""
+    try:
+        output.write(out)
+    except OSError as exc:
+        raise ConfigError(f"cannot write {exc.filename or out}: {exc.strerror or exc}") from exc
+
+
 def _run(args: argparse.Namespace) -> int:
     if args.command in TARGETS or args.command == "figure":
         if args.command == "figure":
@@ -159,13 +170,13 @@ def _run(args: argparse.Namespace) -> int:
         else:
             dataset = run_scan(_build_scan_spec(args.command, _load_entries(args)))
         out = args.out or f"{dataset.name}.csv"
-        dataset.write(out)
+        _write(dataset, out)
         print(f"wrote {out} ({dataset.n_rows} rows) and {out}.meta")
         return 0
     if args.command == "compare":
         table = compare_systems(_section(_load_entries(args), "compare"))
         out = args.out or "compare.csv"
-        table.write(out)
+        _write(table, out)
         for row in table.rows:
             label = row["error"] or f"g_gamma0={row.get('g_gamma0'):.6e}"
             print(f"{row['system']}: {label}")
@@ -177,9 +188,14 @@ def _run(args: argparse.Namespace) -> int:
     return 0 if report.passed else 2
 
 
+#: the parser of every main call in a process, built by its first; a parse
+#: leaves no state in it (argparse copies --set's append list)
+_parser = functools.cache(build_parser)
+
+
 def main(argv: list[str] | None = None) -> int:
     try:
-        code = _run(build_parser().parse_args(argv))
+        code = _run(_parser().parse_args(argv))
         sys.stdout.flush()  # a reader gone away raises here, not at the exit flush
         return code
     except BrokenPipeError:

@@ -552,6 +552,80 @@ class TestBinadeTables:
         assert len(builds) == 1
 
 
+def fig3_bytes(tmp_path) -> tuple[bytes, bytes]:
+    """The CSV and .meta bytes of fig3 written to a fresh path."""
+    fresh = tmp_path / "fresh.csv"
+    reproduce_figure("fig3").write(fresh)
+    return fresh.read_bytes(), Path(f"{fresh}.meta").read_bytes()
+
+
+class TestRewrite:
+    """An existing output is written over in place and cut to its new length."""
+
+    @pytest.mark.parametrize("extra", [1000, -1000, 0])
+    def test_a_rewrite_over_junk_gives_the_bytes_of_a_fresh_write(self, tmp_path, extra):
+        csv, meta = fig3_bytes(tmp_path)
+        out = tmp_path / "out.csv"
+        out.write_bytes(b"9" * (len(csv) + extra))
+        Path(f"{out}.meta").write_bytes(b"9" * (len(meta) + extra // 10))
+        reproduce_figure("fig3").write(out)
+        assert out.read_bytes() == csv
+        assert Path(f"{out}.meta").read_bytes() == meta
+
+    def test_the_file_is_not_replaced(self, tmp_path):
+        out = tmp_path / "out.csv"
+        compare_systems({}).write(out)
+        inodes = [os.stat(p).st_ino for p in (out, f"{out}.meta")]
+        reproduce_figure("fig3").write(out)
+        assert [os.stat(p).st_ino for p in (out, f"{out}.meta")] == inodes
+
+    def test_an_old_file_keeps_its_length_until_the_write_ends(self, tmp_path):
+        # no truncate to zero on open (O_TRUNC): only the cut at the end
+        out = tmp_path / "out.csv"
+        out.write_bytes(b"9" * 100)
+        sizes = []
+
+        def chunks():
+            yield b"new\n"
+            sizes.append(os.stat(out).st_size)
+
+        datasets._rewrite(out, chunks())
+        assert sizes == [100] and out.read_bytes() == b"new\n"
+
+    def test_a_new_file_gets_the_mode_of_open_wb(self, tmp_path):
+        datasets._rewrite(tmp_path / "new", [b"x"])
+        with open(tmp_path / "reference", "wb"):
+            pass
+        assert os.stat(tmp_path / "new").st_mode == os.stat(tmp_path / "reference").st_mode
+
+    def test_a_symlink_stays_and_its_target_is_rewritten(self, tmp_path):
+        csv, _ = fig3_bytes(tmp_path)
+        target = tmp_path / "target.csv"
+        target.write_bytes(b"9" * (2 * len(csv)))
+        link = tmp_path / "link.csv"
+        link.symlink_to(target)
+        reproduce_figure("fig3").write(link)
+        assert link.is_symlink() and link.resolve() == target
+        assert target.read_bytes() == csv
+
+    def test_a_body_that_raises_leaves_what_was_written_and_no_old_tail(self, tmp_path):
+        out = tmp_path / "out.csv"
+        out.write_bytes(b"9" * 100_000)
+        blocks = [b"1,2\n" * 3000, b"3,4\n" * 5]
+
+        def body():
+            yield from blocks
+            raise RuntimeError("evaluation failed")
+
+        with pytest.raises(RuntimeError, match="evaluation failed"):
+            datasets._write_table(out, ["a", "b"], body(), {})
+        assert out.read_bytes() == b"a,b\n" + b"".join(blocks)
+
+    def test_a_device_is_written_and_not_truncated(self):
+        # ftruncate of a character device fails (EINVAL)
+        datasets._rewrite(os.devnull, [b"x" * 10])
+
+
 class TestCli:
     def test_figure_roundtrip(self, tmp_path, capsys):
         out = tmp_path / "fig3.csv"
@@ -676,6 +750,61 @@ class TestCli:
         assert proc.wait(timeout=300) == 1
         assert err == ""
         assert (tmp_path / "compare.csv").exists()
+
+    @pytest.mark.parametrize("command", [
+        ["figure", "--id", "fig3"],
+        ["mos", "--set", "scan.parameter=phi_over_phi0", "--set", "scan.start=-4",
+         "--set", "scan.stop=4", "--set", "scan.points=5"],
+        ["compare"],
+    ])
+    @pytest.mark.parametrize("case", ["missing directory", "directory", "read-only file",
+                                      "full device", "directory at .meta"])
+    def test_an_unwritable_out_is_one_error_line(self, tmp_path, capsys, command, case):
+        out, named, reason = tmp_path / "out.csv", None, {
+            "missing directory": "No such file or directory",
+            "directory": "Is a directory",
+            "read-only file": "Permission denied",
+            "full device": "No space left on device",
+            "directory at .meta": "Is a directory",
+        }[case]
+        if case == "missing directory":
+            out = tmp_path / "missing" / "out.csv"
+        elif case == "directory":
+            out.mkdir()
+        elif case == "read-only file":
+            out.write_text("old\n")
+            out.chmod(0o444)
+            if os.access(out, os.W_OK):
+                pytest.skip("this user may write a read-only file")
+        elif case == "full device":
+            out.symlink_to("/dev/full")  # every write fails with ENOSPC
+        else:
+            named = tmp_path / "out.csv.meta"
+            named.mkdir()
+        assert main(command + ["--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == f"error: cannot write {named or out}: {reason}\n"
+        assert "wrote" not in captured.out
+
+    def test_a_reused_parser_gives_the_files_of_fresh_parsers(self, tmp_path, monkeypatch):
+        # the --set list and the defaults of one call must not reach the next
+        from optomech import cli
+        scan = ["--set", "scan.parameter=phi_over_phi0", "--set", "scan.start=-4",
+                "--set", "scan.stop=4"]
+        calls = [["mos", *scan, "--set", "scan.points=7", "--set", "mos.t=0.02"],
+                 ["mos", *scan, "--set", "scan.points=5", "--workers", "2"]]
+
+        def run(where: Path) -> list[bytes]:
+            where.mkdir()
+            for i, argv in enumerate(calls):
+                assert main(argv + ["--out", str(where / f"{i}.csv")]) == 0
+            return [p.read_bytes() for p in sorted(where.iterdir())]
+
+        reused = run(tmp_path / "reused")
+        assert cli._parser() is cli._parser()
+        monkeypatch.setattr(cli, "_parser", cli.build_parser)
+        assert run(tmp_path / "fresh") == reused
+        assert len(reused) == 4 and reused[0] != reused[2]
 
     def test_compare_accepts_shared_config(self, tmp_path):
         cfg = tmp_path / "shared.cfg"

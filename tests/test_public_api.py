@@ -403,6 +403,62 @@ def test_no_screen_sits_behind_a_copy_of_its_rule():
     assert set(flagged) == SCREENED_BEHIND_AN_IF
 
 
+#: calls that write a whole file, truncating one that exists
+FILE_WRITERS = {"write_text", "write_bytes", "tofile", "savetxt"}
+#: os.open flags that open for writing
+WRITE_FLAGS = {"O_WRONLY", "O_RDWR", "O_CREAT", "O_TRUNC", "O_APPEND"}
+
+
+def _opens_for_writing(source: str, where: str) -> list[str]:
+    """The functions in source (as where:[Class.]name) that open a file for
+    writing: an open (builtin, os., io. or a method such as Path.open) whose
+    mode writes or is not a constant, an os.open with a write flag or
+    flags that are not spelled out, or a call of FILE_WRITERS."""
+    def writes(call: ast.Call) -> bool:
+        name = _callee(call)
+        if name in FILE_WRITERS:
+            return True
+        if name != "open":
+            return False
+        method = (isinstance(call.func, ast.Attribute)
+                  and getattr(call.func.value, "id", None) not in ("os", "io"))
+        args = call.args[0 if method else 1:]
+        mode = next((kw.value for kw in call.keywords if kw.arg in ("mode", "flags")),
+                    args[0] if args else None)
+        if mode is None or isinstance(mode, ast.Constant):
+            return mode is not None and bool(set(str(mode.value)) & set("wax+"))
+        names = {getattr(node, "attr", getattr(node, "id", "")) for node in ast.walk(mode)}
+        return bool(names & WRITE_FLAGS) or not any(n.startswith("O_") for n in names)
+
+    return [f"{where}:{name}" for name, func in _functions(source)
+            if any(writes(call) for call in ast.walk(func) if isinstance(call, ast.Call))]
+
+
+#: where the package opens a file for writing, each with its reason
+OPENS_FOR_WRITING = {
+    # every CSV and .meta: written in place, then cut to length
+    "datasets.py:_rewrite",
+    # points stdout at os.devnull once its reader has gone away
+    "cli.py:main",
+}
+
+
+def test_output_files_are_opened_only_by_the_rewrite_helper():
+    # open(path, "w"/"wb") or Path.write_text truncates an existing file to
+    # zero before writing it again, which costs several times the write
+    sample = ("def f(p):\n    open(p, 'wb').write(b'')\n"
+              "def g(p):\n    Path(p).write_text('x')\n"
+              "def h(p):\n    os.open(p, os.O_WRONLY | os.O_CREAT)\n"
+              "def k(p, m):\n    p.open(m)\n"
+              "def q(p):\n    p.open('a')\n"
+              "def r(p):\n    open('wax.txt').read(); open(p, 'rb'); os.open(p, os.O_RDONLY)\n")
+    assert _opens_for_writing(sample, "m.py") == ["m.py:f", "m.py:g", "m.py:h", "m.py:k",
+                                                  "m.py:q"]
+    flagged = [name for path in sorted((ROOT / "src" / "optomech").glob("*.py"))
+               for name in _opens_for_writing(path.read_text(), path.name)]
+    assert set(flagged) == OPENS_FOR_WRITING
+
+
 #: the callees that build a config, or compute the mechanical scale M
 CONFIGS = {"MosConfig", "MsiConfig", "MateConfig"}
 SCALES = {"mechanical_scale", "_mechanical_scale", "cooperativity", "cooperativity_mos",
