@@ -154,11 +154,11 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _write(output, out: str) -> None:
-    """Write a dataset or table to out; an OSError of the write is a
-    ConfigError naming the file."""
+def _write(output, out: str) -> str:
+    """Write a dataset or table to out: " and <out>.meta" if that wrote the
+    sidecar, else "".  An OSError of the write is a ConfigError naming it."""
     try:
-        output.write(out)
+        return f" and {out}.meta" if output.write(out) else ""
     except OSError as exc:
         raise ConfigError(f"cannot write {exc.filename or out}: {exc.strerror or exc}") from exc
 
@@ -170,17 +170,17 @@ def _run(args: argparse.Namespace) -> int:
         else:
             dataset = run_scan(_build_scan_spec(args.command, _load_entries(args)))
         out = args.out or f"{dataset.name}.csv"
-        _write(dataset, out)
-        print(f"wrote {out} ({dataset.n_rows} rows) and {out}.meta")
+        sidecar = _write(dataset, out)
+        print(f"wrote {out} ({dataset.n_rows} rows){sidecar}")
         return 0
     if args.command == "compare":
         table = compare_systems(_section(_load_entries(args), "compare"))
         out = args.out or "compare.csv"
-        _write(table, out)
+        sidecar = _write(table, out)
         for row in table.rows:
             label = row["error"] or f"g_gamma0={row.get('g_gamma0'):.6e}"
             print(f"{row['system']}: {label}")
-        print(f"wrote {out} and {out}.meta")
+        print(f"wrote {out}{sidecar}")
         return 0
     report = run_validation(suite=args.suite, profile=args.tolerance_profile)
     for line in report.lines():

@@ -1,9 +1,10 @@
 """Parameter scans, figure datasets, and the cross-system comparison table.
 
 Output contract: comma-separated values with a header line naming the
-columns, every number rendered with 17 significant digits, plus a sidecar
-"<path>.meta" file of sorted "key = value" lines carrying the parameter
-values and normalizers.  Identical inputs produce byte-identical files.
+columns, every number rendered with 17 significant digits, plus, beside a
+regular file, a sidecar "<path>.meta" of sorted "key = value" lines carrying
+the parameter values and normalizers.  Identical inputs produce
+byte-identical files.
 
 A FigureDataset's columns stay float64 arrays from the kernels to the
 file: FigureDataset.write writes its body in blocks of rows through
@@ -20,6 +21,7 @@ config-built rows, which it equals.
 
 from __future__ import annotations
 
+import contextlib
 import itertools
 import math
 import os
@@ -237,9 +239,10 @@ def _format_floats(values: np.ndarray) -> np.ndarray:
     return cells.view(np.uint8).reshape(-1, 32)
 
 
-def _rewrite(path: str | Path, chunks: Iterable[bytes]) -> None:
-    """Write the chunks to path: the one place the package opens an output
-    file.
+def _rewrite(targets: dict[str | Path, Iterable[bytes]]) -> None:
+    """Write each path's chunks to it: the one place the package opens an
+    output file.  Every path is opened before any is written, and a failed
+    open removes the paths this call created, so that it changes no file.
 
     An existing file is written over in place, not truncated to zero first
     (O_TRUNC, which on ext4 costs several times the write itself), and is
@@ -249,22 +252,32 @@ def _rewrite(path: str | Path, chunks: Iterable[bytes]) -> None:
     def opener(name, flags: int) -> int:  # open(path, "wb") but for O_TRUNC
         return os.open(name, flags & ~os.O_TRUNC, 0o666)
 
-    with open(path, "wb", opener=opener) as out:
+    new = [path for path in targets if not os.path.lexists(path)]
+    with contextlib.ExitStack() as files:
         try:
-            out.writelines(chunks)
-        finally:
-            if stat.S_ISREG(os.fstat(out.fileno()).st_mode):
-                out.truncate()  # flushes, then cuts at the position
+            outs = [files.enter_context(open(path, "wb", opener=opener)) for path in targets]
+        except OSError:
+            for path in filter(os.path.lexists, new):
+                os.unlink(path)
+            raise
+        for out, chunks in zip(outs, targets.values()):
+            try:
+                out.writelines(chunks)
+            finally:
+                if stat.S_ISREG(os.fstat(out.fileno()).st_mode):
+                    out.truncate()  # flushes, then cuts at the position
 
 
 def _write_table(path: str | Path, header: Iterable[str], body: Iterable,
-                metadata: dict[str, object]) -> None:
+                metadata: dict[str, object]) -> bool:
     """Write the CSV (header line, then the body's chunks of data lines as
-    bytes) and its sidecar "<path>.meta" of sorted "key = value"
-    lines."""
-    _rewrite(path, itertools.chain([(",".join(header) + "\n").encode()], body))
+    bytes) and, where path is or becomes a regular file, its sidecar
+    "<path>.meta" of sorted "key = value" lines; whether it wrote that."""
+    sidecar = os.path.isfile(path) or not os.path.exists(path)
     meta = [f"{key} = {format_value(metadata[key])}" for key in sorted(metadata)]
-    _rewrite(f"{path}.meta", [("\n".join(meta) + "\n").encode()])
+    _rewrite({path: itertools.chain([(",".join(header) + "\n").encode()], body),
+              **({f"{path}.meta": [("\n".join(meta) + "\n").encode()]} if sidecar else {})})
+    return sidecar
 
 
 #: cells FigureDataset.write formats at once, in blocks of whole rows
@@ -310,8 +323,8 @@ class FigureDataset:
     def n_rows(self) -> int:
         return len(next(iter(self.columns.values())))
 
-    def write(self, path: str | Path) -> None:
-        """Write the CSV and its sidecar metadata file.
+    def write(self, path: str | Path) -> bool:
+        """Write the CSV and its sidecar metadata file, as _write_table says.
 
         The body goes out in blocks of rows: each block of the columns,
         stacked into one float64 array, through _format_floats, each cell
@@ -328,7 +341,7 @@ class FigureDataset:
                 cells[:, :, 31] = separators
                 yield cells.tobytes().translate(None, b"\0")
 
-        _write_table(path, self.columns, blocks(), self.metadata)
+        return _write_table(path, self.columns, blocks(), self.metadata)
 
 
 @dataclass(frozen=True, slots=True)
@@ -646,11 +659,11 @@ class ComparisonTable:
     rows: list[dict[str, object]]
     metadata: dict[str, object]
 
-    def write(self, path: str | Path) -> None:
-        _write_table(path, COMPARE_COLUMNS,
-                    [(",".join(format_value(row.get(c, "")) for c in COMPARE_COLUMNS)
-                      + "\n").encode() for row in self.rows],
-                    self.metadata)
+    def write(self, path: str | Path) -> bool:
+        return _write_table(path, COMPARE_COLUMNS,
+                            [(",".join(format_value(row.get(c, "")) for c in COMPARE_COLUMNS)
+                              + "\n").encode() for row in self.rows],
+                            self.metadata)
 
 
 def _store(row: dict[str, object], **values: float) -> None:

@@ -37,7 +37,8 @@ Each formula lives in one private kernel that works elementwise over
 floats or broadcast numpy arrays: _mirror_matrix and _membrane_matrix
 behind element_scattering, _tandem_closed_form behind compose_synthetic,
 _tandem_by_elimination behind compose_synthetic_by_elimination and
-_response_closed_form behind synthetic_response.  The public functions
+_response_closed_form behind synthetic_response, which mos and mate share
+_transparency_gaps and _transparency_phase with.  The public functions
 check their elements and geometry and call the kernel, so the tandem
 functions take a float gap or an array of gaps; the validation suite calls
 the kernels on a whole draw at once.  The matrix kernels are numpy complex
@@ -55,7 +56,7 @@ import numpy as np
 
 from .constants import C_LIGHT
 from .errors import DegenerateDenominator, InvalidElement
-from .numerics import (any_true, cos_sin, require_amplitude, require_finite,
+from .numerics import (any_true, out_of_float_range, require_amplitude, require_finite,
                        require_non_negative, require_positive, require_transmitting)
 
 TWO_PI = 2.0 * math.pi
@@ -354,14 +355,14 @@ def synthetic_response(
     membrane: ElementSpec,
 ) -> SyntheticMirrorResponse:
     """Closed-form synthetic-mirror response at tandem phase psi (a float,
-    or a numpy array evaluated elementwise).
+    or a numpy array evaluated elementwise).  With a = 1 - r r_m, b = r - r_m
+    and h = 1 + cos psi, each formed to keep its digits near transparency
+    (psi = pi), D = |1 + r r_m e^{i psi}|^2 = a^2 + 2 r r_m h and
+    R = |r + r_m e^{i psi}|^2 = b^2 + 2 r r_m h:
 
-        T(psi)       = t^2 t_m^2 / (1 + r^2 r_m^2 + 2 r r_m cos psi)
-        tan mu(psi)  = r_m t^2 sin psi /
-                       (r_m (1 + r^2) cos psi + r (1 + r_m^2))
-        dT/dpsi      = 2 r r_m t^2 t_m^2 sin psi / (...)^2
-        dmu/dpsi     = r_m t^2 (r_m (1 + r^2) + r (1 + r_m^2) cos psi) /
-                       ((r^2 + r_m^2 + 2 r r_m cos psi) (1 + r^2 r_m^2 + 2 r r_m cos psi))
+        T(psi)       = t^2 t_m^2 / D,   dT/dpsi = 2 r r_m t^2 t_m^2 sin psi / D^2
+        tan mu(psi)  = r_m t^2 sin psi / (a b + r_m (1 + r^2) h)
+        dmu/dpsi     = r_m t^2 (r (1 + r_m^2) h - a b) / (R D)
 
     mu is resolved with atan2 on the rationalized reflection, which picks
     the quadrant making mu(psi) continuous on the reduced period and equal
@@ -369,10 +370,34 @@ def synthetic_response(
 
     Only the element kinds are checked here (each element was checked when
     built); the closed forms themselves are _response_closed_form, which
-    also takes arrays of amplitudes.
+    also takes arrays of amplitudes.  DegenerateDenominator where the inputs
+    make R vanish: t = t_m at psi = pi (at t = t_m = 0, D too), or t = t_m = 1.
     """
     _check_pair(mirror, membrane)
     return _response_closed_form(psi, mirror.t, mirror.r, membrane.t, membrane.r)
+
+
+def _transparency_gaps(t, r, t_m, r_m):
+    """(a, b) = (1 - r r_m, r - r_m), elementwise, written in t and t_m, since
+    the rounded r and r_m cancel near transparency: a = (t^2 + t_m^2 - t^2
+    t_m^2) / (1 + r r_m) and b = (t_m^2 - t^2) / (r + r_m), whose divisor gains
+    1 where t = t_m (b = 0), so that t = t_m = 1 divides no 0 by 0."""
+    t_sq, t_m_sq = t * t, t_m * t_m
+    return ((t_sq + t_m_sq - t_sq * t_m_sq) / (1.0 + r * r_m),
+            (t_m - t) * (t_m + t) / (r + r_m + (t == t_m)))
+
+
+def _transparency_phase(psi):
+    """(psi reduced to (-pi, pi], h = 1 + cos psi, sin psi), elementwise.  A
+    float psi stands for +-math.pi + d, d = math.pi - |psi| exact where
+    |psi| >= pi/2, so h = 2 sin^2(d/2) and sin psi = +-sin(min(|psi|, d))
+    keep their digits near pi; psi = math.pi gives h = 0, psi = 0 sin psi = 0."""
+    psi = reduce_phase(psi)
+    abs_psi = abs(psi)
+    d = math.pi - abs_psi
+    lib, least = (np, np.minimum) if isinstance(psi, np.ndarray) else (math, min)
+    half = lib.sin(0.5 * d)
+    return psi, 2.0 * half * half, lib.copysign(lib.sin(least(abs_psi, d)), psi)
 
 
 def _response_closed_form(psi, t, r, t_m, r_m) -> SyntheticMirrorResponse:
@@ -380,29 +405,22 @@ def _response_closed_form(psi, t, r, t_m, r_m) -> SyntheticMirrorResponse:
     over psi and the amplitudes of valid (mirror, membrane) pairs: floats,
     or numpy arrays that broadcast (a draw of many tandems at once).  Each
     element equals the float call on it bit for bit where numpy's float64
-    cos, sin and arctan2 agree with the C library's, as the tests check."""
-    psi_red = reduce_phase(psi)
-    cos_psi, sin_psi = cos_sin(psi_red)
-
-    denom = 1.0 + r * r * r_m * r_m + 2.0 * r * r_m * cos_psi
-    if any_true(denom < 1e-300):
-        raise DegenerateDenominator(
-            "transmission denominator vanishes (r = r_m = 1, psi = pi)"
-        )
+    sin and arctan2 agree with the C library's, as the tests check."""
+    psi_red, h, sin_psi = _transparency_phase(psi)
+    a, b = _transparency_gaps(t, r, t_m, r_m)
+    cross = 2.0 * r * r_m * h
+    denom, refl_sq = a * a + cross, b * b + cross  # D and R of synthetic_response
+    denom_sq, refl_denom = denom * denom, refl_sq * denom
+    if any_true((denom_sq == 0.0) | (refl_denom == 0.0)):  # decided on the inputs
+        if any_true((t == t_m) & ((h == 0.0) | (t == 1.0))):  # R = 0: mu undefined
+            raise DegenerateDenominator("reflection vanishes at t = t_m, psi = pi or t = t_m = 1")
+        raise out_of_float_range("synthetic_response", "a denominator's square underflows")
     T = t * t * t_m * t_m / denom
-    dT = 2.0 * r * r_m * t * t * t_m * t_m * sin_psi / (denom * denom)
+    dT = 2.0 * r * r_m * t * t * t_m * t_m * sin_psi / denom_sq
 
-    # rationalized cavity-side reflection: -m21 = (P + iQ) / |1 + r r_m e^{i psi}|^2
-    p = r * (1.0 + r_m * r_m) + r_m * (1.0 + r * r) * cos_psi
+    # rationalized cavity-side reflection: -m21 = (P + iQ) / D
+    p = a * b + r_m * (1.0 + r * r) * h
     q = r_m * t * t * sin_psi
-    refl_sq = r * r + r_m * r_m + 2.0 * r * r_m * cos_psi  # |r + r_m e^{i psi}|^2
-    if any_true(refl_sq <= 0.0):
-        raise DegenerateDenominator(
-            "reflection amplitude vanishes (r = r_m, psi = pi); mu undefined"
-        )
     mu = np.arctan2(q, p)
-    dmu = (
-        r_m * t * t * (r_m * (1.0 + r * r) + r * (1.0 + r_m * r_m) * cos_psi)
-        / (refl_sq * denom)
-    )
+    dmu = r_m * t * t * (r * (1.0 + r_m * r_m) * h - a * b) / refl_denom
     return SyntheticMirrorResponse(psi=psi_red, T=T, mu=mu, dT_dpsi=dT, dmu_dpsi=dmu)

@@ -18,11 +18,11 @@ class InvalidElement(InvalidParameter):
 
 
 class DegenerateDenominator(OptomechError):
-    """A closed-form denominator is zero.  synthetic_response raises it when
-    its transmission denominator vanishes (r = r_m = 1 at psi = pi) or its
-    reflection amplitude does (r = r_m at psi = pi, where mu is undefined);
-    msi_couplings raises it when the effective mirror's reflection rho is
-    zero."""
+    """A closed-form denominator is zero.  synthetic_response raises it where
+    its inputs make the reflection amplitude vanish, and with it mu: t = t_m
+    at psi = +-pi (at t = t_m = 0 the transmission denominator too), or
+    t = t_m = 1; msi_couplings raises it when the effective mirror's
+    reflection rho is zero."""
 
 
 class NoZeroDispersivePoint(OptomechError):

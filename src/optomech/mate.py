@@ -31,13 +31,12 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .constants import C_LIGHT
-from .elements import TWO_PI, TandemCavity, synthetic_response
+from .elements import TWO_PI, TandemCavity, _transparency_phase, synthetic_response
 from .errors import BranchAmbiguity, InvalidParameter, NoRootInWindow
 from .numerics import (
     RESONANCE_GAP_STEP,
     any_true,
     central_diff_richardson,
-    cos_sin,
     grid_roots,
     in_float_range,
     power,
@@ -311,7 +310,8 @@ class MateExactDecay:
 def mate_exact_decay(cfg: MateConfig, k: float) -> MateExactDecay:
     """Decay rate and its x-derivative, exact in x (thin-membrane regime t << t_m).
 
-    With psi = 2 k x + phi_r and B = 1 + r_m^2 + 2 r_m cos psi:
+    With psi = 2 k x + phi_r and B = 1 + r_m^2 + 2 r_m cos psi, formed as
+    (t_m^2 / (1 + r_m))^2 + 2 r_m (1 + cos psi) to keep its digits near psi = pi:
 
         gamma_mate = c t^2 t_m^2 / 2 / (x t_m^2 + (l - x) B)
         dgamma/dx  = c t^2 t_m^2 (r_m^2 + r_m cos psi + 2 r_m k (l - x) sin psi)
@@ -324,14 +324,15 @@ def mate_exact_decay(cfg: MateConfig, k: float) -> MateExactDecay:
     require_positive(k=k)
     r_m = cfg.r_m
     psi = 2.0 * k * cfg.x + cfg.phi_r
-    cos_psi, sin_psi = cos_sin(psi)
-    b_fac = 1.0 + r_m * r_m + 2.0 * r_m * cos_psi
+    _, h, sin_psi = _transparency_phase(psi)
+    one_minus_r_m = cfg.t_m ** 2 / (1.0 + r_m)
+    b_fac = one_minus_r_m * one_minus_r_m + 2.0 * r_m * h
     t2tm2 = cfg.t ** 2 * cfg.t_m ** 2
 
     denom_energy = cfg.x * cfg.t_m ** 2 + (cfg.l - cfg.x) * b_fac
     gamma = C_LIGHT * t2tm2 / 2.0 / denom_energy
 
-    slow = r_m * r_m + r_m * cos_psi
+    slow = r_m * (h - one_minus_r_m)  # r_m^2 + r_m cos psi
     dgamma = (
         C_LIGHT
         * t2tm2

@@ -32,7 +32,7 @@ on the inputs, for zero_dispersive_locus and dissipative_constant_exact.
 Each closed form of the zero-dispersive comparison lives in one private
 kernel that does arithmetic only, on floats or broadcast numpy arrays:
 _g_00 and _gamma0 behind MosConfig.g_00 and gamma0, and _locus, the pair
-(cos psi*, T*), behind zero_dispersive_locus.  The public names screen and
+(1 + cos psi*, T*), behind zero_dispersive_locus.  The public names screen and
 check, then call the kernel; datasets.compare_systems calls the kernels
 under the same checks, without a config.
 """
@@ -45,7 +45,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .constants import C_LIGHT
-from .elements import TWO_PI, TandemCavity, reflectivity, synthetic_response
+from .elements import TWO_PI, TandemCavity, _transparency_gaps, reflectivity, synthetic_response
 from .errors import InvalidParameter, NoRootInWindow, NoZeroDispersivePoint
 from .numerics import (
     RESONANCE_GAP_STEP, any_true, central_diff_richardson, finite_results, grid_roots,
@@ -68,13 +68,13 @@ def _g_00(omega_c, l, t, t_m):
 
 
 def _locus(t, t_m, r, r_m):
-    """(cos psi*, T*) of the zero-dispersive locus, elementwise over arrays
-    with t <= t_m.  T* is written in u = (t / t_m)^2, since 1 - r^2 r_m^2 of
-    the rounded r and r_m cancels for small t and t_m, and t^2 and t_m^2
-    underflow; with u <= 1 it is finite."""
+    """(1 + cos psi*, T*) of the zero-dispersive locus, elementwise over
+    arrays with t <= t_m and r > 0: 1 + cos psi* = a b / (r (2 - t_m^2)) in
+    elements._transparency_gaps' a and b, and T* in u = (t / t_m)^2, since
+    t^2 and t_m^2 underflow; with u <= 1 it is finite."""
     u, t_m_sq = power(t / t_m, 2), t_m * t_m
-    return (-r_m * (1.0 + r * r) / (r * (1.0 + r_m * r_m)),
-            u * (2.0 - t_m_sq) / (u + 1.0 - u * t_m_sq))
+    a, b = _transparency_gaps(t, r, t_m, r_m)
+    return a * b / (r * (2.0 - t_m_sq)), u * (2.0 - t_m_sq) / (u + 1.0 - u * t_m_sq)
 
 
 @dataclass(frozen=True, kw_only=True)
@@ -204,20 +204,20 @@ def zero_dispersive_locus(t: float, t_m: float) -> ZeroDispersiveLocus:
 
     Exists exactly where t <= t_m, a membrane at most as reflective as the
     mirror (NoZeroDispersivePoint otherwise, or at r = 0); at t = t_m the two
-    solutions merge at psi* = pi.  T* = t^2 (1 + r_m^2) / (1 - r^2 r_m^2)
+    solutions merge at psi* = pi, and psi* = pi - 2 asin(sqrt((1 + cos psi*) / 2))
+    keeps its digits near them.  T* = t^2 (1 + r_m^2) / (1 - r^2 r_m^2)
     = u (2 - t_m^2) / (u + 1 - u t_m^2), u = (t / t_m)^2, at either; it is
     finite wherever the point exists.  InvalidParameter unless t lies in
     [0, 1] and t_m in (0, 1].
     """
-    cos_star, t_star = _checked_locus(t, t_m)
-    psi_1 = math.acos(cos_star)
+    h_star, t_star = _checked_locus(t, t_m)
+    psi_1 = math.pi - 2.0 * math.asin(math.sqrt(0.5 * h_star))
     return ZeroDispersiveLocus(psi_star=(psi_1, TWO_PI - psi_1), T_star=t_star)
 
 
 def _checked_locus(t: float, t_m: float) -> tuple[float, float]:
-    """(cos psi*, T*) of _locus under, in order, the screens, r = 0 and
-    existence, decided on the inputs (t > t_m), not on the rounded r and r_m;
-    cos psi* is clamped to -1, which it rounds past near t = t_m."""
+    """(1 + cos psi*, T*) of _locus under, in order, the screens, r = 0 and
+    existence, decided on the inputs (t > t_m), not on the rounded r and r_m."""
     require_amplitude(t=t)
     require_transmitting(t_m=t_m)
     r = reflectivity(t)
@@ -227,8 +227,7 @@ def _checked_locus(t: float, t_m: float) -> tuple[float, float]:
         raise NoZeroDispersivePoint(
             f"membrane more reflective than the mirror (t={t:.6g} > t_m={t_m:.6g})"
         )
-    cos_star, t_star = _locus(t, t_m, r, reflectivity(t_m))
-    return max(cos_star, -1.0), t_star
+    return _locus(t, t_m, r, reflectivity(t_m))
 
 
 def dissipative_constant_exact(t: float, t_m: float, k: float, l: float) -> float:

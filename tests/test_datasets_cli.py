@@ -589,11 +589,11 @@ class TestRewrite:
             yield b"new\n"
             sizes.append(os.stat(out).st_size)
 
-        datasets._rewrite(out, chunks())
+        datasets._rewrite({out: chunks()})
         assert sizes == [100] and out.read_bytes() == b"new\n"
 
     def test_a_new_file_gets_the_mode_of_open_wb(self, tmp_path):
-        datasets._rewrite(tmp_path / "new", [b"x"])
+        datasets._rewrite({tmp_path / "new": [b"x"]})
         with open(tmp_path / "reference", "wb"):
             pass
         assert os.stat(tmp_path / "new").st_mode == os.stat(tmp_path / "reference").st_mode
@@ -621,9 +621,18 @@ class TestRewrite:
             datasets._write_table(out, ["a", "b"], body(), {})
         assert out.read_bytes() == b"a,b\n" + b"".join(blocks)
 
+    def test_a_failed_open_keeps_an_old_file_and_removes_a_new_one(self, tmp_path):
+        old, new, directory = tmp_path / "old.csv", tmp_path / "new.csv", tmp_path / "dir"
+        old.write_bytes(b"old\n")
+        directory.mkdir()
+        for first in (old, new):
+            with pytest.raises(IsADirectoryError):
+                datasets._rewrite({first: [b"x"], directory: [b"y"]})
+        assert old.read_bytes() == b"old\n" and not new.exists()
+
     def test_a_device_is_written_and_not_truncated(self):
         # ftruncate of a character device fails (EINVAL)
-        datasets._rewrite(os.devnull, [b"x" * 10])
+        datasets._rewrite({os.devnull: [b"x" * 10]})
 
 
 class TestCli:
@@ -758,7 +767,8 @@ class TestCli:
         ["compare"],
     ])
     @pytest.mark.parametrize("case", ["missing directory", "directory", "read-only file",
-                                      "full device", "directory at .meta"])
+                                      "full device", "directory at .meta",
+                                      "directory at .meta of an old file"])
     def test_an_unwritable_out_is_one_error_line(self, tmp_path, capsys, command, case):
         out, named, reason = tmp_path / "out.csv", None, {
             "missing directory": "No such file or directory",
@@ -766,6 +776,7 @@ class TestCli:
             "read-only file": "Permission denied",
             "full device": "No space left on device",
             "directory at .meta": "Is a directory",
+            "directory at .meta of an old file": "Is a directory",
         }[case]
         if case == "missing directory":
             out = tmp_path / "missing" / "out.csv"
@@ -781,10 +792,34 @@ class TestCli:
         else:
             named = tmp_path / "out.csv.meta"
             named.mkdir()
+            if case.endswith("old file"):
+                out.write_text("old\n")
+        before = out.read_bytes() if out.is_file() else None
         assert main(command + ["--out", str(out)]) == 1
         captured = capsys.readouterr()
         assert captured.err == f"error: cannot write {named or out}: {reason}\n"
         assert "wrote" not in captured.out
+        # both files are opened before either is written: the CSV is unchanged
+        assert (out.read_bytes() if out.is_file() else None) == before
+
+    @pytest.mark.parametrize("device", [False, True])
+    @pytest.mark.parametrize("command, rows", [
+        (["figure", "--id", "fig3"], " (801 rows)"),
+        (["mos", "--set", "scan.parameter=x", "--set", "scan.start=0",
+          "--set", "scan.stop=1e-6", "--set", "scan.points=5"], " (5 rows)"),
+        (["compare"], ""),
+    ])
+    def test_only_a_regular_out_gets_a_sidecar(self, tmp_path, capsys, command, rows, device):
+        # a device or FIFO --out (here a link to /dev/null) gets no .meta,
+        # and the "wrote" line names what was written
+        out = tmp_path / "out.csv"
+        if device:
+            out.symlink_to(os.devnull)
+        assert main(command + ["--out", str(out)]) == 0
+        sidecar = "" if device else f" and {out}.meta"
+        assert capsys.readouterr().out.splitlines()[-1] == f"wrote {out}{rows}{sidecar}"
+        assert sorted(path.name for path in tmp_path.iterdir()) == (
+            ["out.csv"] if device else ["out.csv", "out.csv.meta"])
 
     def test_a_reused_parser_gives_the_files_of_fresh_parsers(self, tmp_path, monkeypatch):
         # the --set list and the defaults of one call must not reach the next
@@ -926,6 +961,26 @@ class TestCli:
         assert capsys.readouterr().err == ""
         product = [line.split(",")[1] for line in out.read_text().splitlines()[1:]]
         assert product == ["2", "2", "1", "2", "2"]
+
+    @pytest.mark.parametrize("t_m, t, transmission", [
+        # forms in the rounded r and r_m cancelled to 0.30315928680878429 here
+        ("1e-3", "3e-4", 0.3030046824758065),
+        # and there to a false DegenerateDenominator (r = r_m = 1)
+        ("1e-4", "3e-5", 0.30300479642496035),
+    ])
+    def test_a_mos_scan_near_transparency_keeps_its_digits(self, tmp_path, capsys, t_m, t,
+                                                          transmission):
+        # T at Phi = 0, where psi is math.pi, is t^2 t_m^2 / (1 - r r_m)^2,
+        # here evaluated by mpmath at 50 digits
+        out = tmp_path / "mos.csv"
+        assert main(["mos", "--set", f"mos.t_m={t_m}", "--set", f"mos.t={t}",
+                     "--set", "scan.parameter=phi_over_phi0", "--set", "scan.start=-2",
+                     "--set", "scan.stop=2", "--set", "scan.points=5",
+                     "--out", str(out)]) == 0
+        assert capsys.readouterr().err == ""
+        phi, T = map(float, out.read_text().splitlines()[3].split(",")[:2])
+        assert phi == 0.0
+        assert T == pytest.approx(transmission, rel=1e-15, abs=0.0)
 
     @pytest.mark.parametrize("phi_r", ["1e4", "-1e4", "1e6"])
     def test_large_membrane_phase_scans(self, tmp_path, capsys, phi_r):

@@ -5,6 +5,7 @@ cavity geometry MOS and MATE share."""
 import math
 from dataclasses import fields, replace
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -432,11 +433,15 @@ class TestSyntheticResponse:
 
     def test_zero_dispersive_transmission(self):
         # at cos(psi*) = -r_m (1+r^2)/(r (1+r_m^2)) the mu-slope vanishes
-        # and T = t^2 (1+r_m^2)/(1-r^2 r_m^2)
+        # and T = t^2 (1+r_m^2)/(1-r^2 r_m^2); psi* is the float nearest the
+        # exact one (the rounded acos formula lies about 1e-13 rad off it)
         t, t_m = 0.014, 0.1
         r = math.sqrt(1 - t * t)
         r_m = math.sqrt(1 - t_m * t_m)
-        psi_star = math.acos(-r_m * (1 + r * r) / (r * (1 + r_m * r_m)))
+        with mpmath.workdps(50):
+            exact_r, exact_r_m = (mpmath.sqrt(1 - mpmath.mpf(a) ** 2) for a in (t, t_m))
+            psi_star = float(mpmath.acos(-exact_r_m * (1 + exact_r ** 2)
+                                         / (exact_r * (1 + exact_r_m ** 2))))
         resp = synthetic_response(psi_star, self.mirror, self.membrane)
         assert abs(resp.dmu_dpsi) < 1e-9
         expected_t = t * t * (1 + r_m * r_m) / (1 - r * r * r_m * r_m)
@@ -455,6 +460,28 @@ class TestSyntheticResponse:
         membrane = ElementSpec.membrane(0.0)
         with pytest.raises(DegenerateDenominator):
             synthetic_response(math.pi, mirror, membrane)
+
+    def test_degenerate_inputs_are_decided_exactly(self):
+        # near the merge point, and at the tiny t and t_m where the rounded
+        # r = r_m = 1, nothing vanishes; t = t_m = 1 has no reflection at all
+        near = synthetic_response(math.pi, ElementSpec.mirror(0.6),
+                                  ElementSpec.membrane(math.nextafter(0.6, 1.0)))
+        tiny = synthetic_response(math.pi, ElementSpec.mirror(3e-5),
+                                  ElementSpec.membrane(1e-4))
+        assert near.T == pytest.approx(1.0, rel=1e-15, abs=0.0) and near.mu == 0.0
+        assert tiny.T == pytest.approx(0.30300479642496035, rel=1e-15, abs=0.0)
+        for psi in (0.0, 1.0, math.pi):
+            with pytest.raises(DegenerateDenominator, match="t = t_m = 1"):
+                synthetic_response(psi, ElementSpec.mirror(1.0), ElementSpec.membrane(1.0))
+
+    def test_a_denominator_that_only_underflows_is_a_float_range_error(self):
+        # at psi = pi, D = (1 - r r_m)^2 ~ t_m^4, whose square underflows
+        # for t_m below about 5e-41, where no denominator vanishes
+        mirror, membrane = ElementSpec.mirror(3e-42), ElementSpec.membrane(1e-41)
+        with pytest.raises(InvalidParameter, match="synthetic_response leaves the float"):
+            synthetic_response(math.pi, mirror, membrane)
+        assert synthetic_response(1.0, mirror, membrane).T == pytest.approx(
+            9e-84 * 1e-82 / (2.0 * (1.0 + math.cos(1.0))), rel=1e-15, abs=0.0)
 
     def test_vanishing_reflection_at_merge_point(self):
         # equal reflectivities at anti-resonance: the tandem transmits

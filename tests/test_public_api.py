@@ -305,9 +305,9 @@ def _tiny_thresholds(source: str) -> list[tuple[str, str]]:
     return found
 
 
-#: the one tiny threshold left, (module, function, comparison): the transmission
-#: denominator, whose exact form is the precision item of ROADMAP.md
-TINY_THRESHOLDS_ALLOWED = [("elements.py", "_response_closed_form", "denom < 1e-300")]
+#: the tiny thresholds allowed, (module, function, comparison): none, since
+#: every degenerate case is decided on the inputs
+TINY_THRESHOLDS_ALLOWED = []
 
 
 def test_no_comparison_has_a_tiny_float_threshold():
