@@ -137,7 +137,8 @@ class ElementSpec:
                 f"a mirror's reflection phase is fixed, got phi_r {self.phi_r}")
 
 
-# not slotted: the cached_property pair below lives in the instance __dict__
+# not slotted: the cached element pair below, and MosConfig's cached tandem
+# response, live in the instance __dict__
 @dataclass(frozen=True, kw_only=True)
 class TandemCavity:
     """Mirror+membrane geometry shared by the MOS and MATE cavities.

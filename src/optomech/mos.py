@@ -41,11 +41,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 
 from .constants import C_LIGHT
-from .elements import TWO_PI, TandemCavity, _transparency_gaps, reflectivity, synthetic_response
+from .elements import (TWO_PI, SyntheticMirrorResponse, TandemCavity, _transparency_gaps,
+                       reflectivity, synthetic_response)
 from .errors import InvalidParameter, NoRootInWindow, NoZeroDispersivePoint
 from .numerics import (
     RESONANCE_GAP_STEP, any_true, central_diff_richardson, finite_results, grid_roots,
@@ -121,9 +123,26 @@ class MosConfig(TandemCavity):
     def g_00(self) -> float:
         return in_float_range("g_00", lambda: _g_00(self.omega_c, self.l, self.t, self.t_m))
 
+    @cached_property
+    def _response(self) -> SyntheticMirrorResponse:
+        """The tandem response at this config's own gap, computed once."""
+        return synthetic_response(self.psi, self.mirror, self.membrane)
+
     def at_phi(self, phi: float) -> "MosConfig":
-        """Copy of this config with the gap set so that k (x - x_tilde) = phi."""
-        return replace(self, x=self.x_tilde + phi / self.k)
+        """Copy of this config with the gap set so that k (x - x_tilde) = phi.
+
+        Equal to replace(self, x=...) in its fields, repr, hash and pickle,
+        and in the error a bad gap raises.  The other fields passed their
+        screens when this config was built, so only the new gap is screened,
+        by the rule of __post_init__; elements already built carry over, the
+        response cached at this config's gap does not.
+        """
+        x = self.x_tilde + phi / self.k
+        require_non_negative(x=x)
+        new = object.__new__(type(self))
+        new.__dict__.update(self.__dict__, x=x)
+        new.__dict__.pop("_response", None)
+        return new
 
     def thin_tandem_bound(self) -> float:
         """Gap scale l t_m^4 / (4 t^2) below which the tandem is thin; inf
@@ -176,12 +195,11 @@ def operating_point(cfg: MosConfig) -> OperatingPoint:
     """
     u = cfg.phi / cfg.phi0
     lor = 1.0 + u * u
-    resp = synthetic_response(cfg.psi, cfg.mirror, cfg.membrane)
     g_00 = cfg.g_00
     return OperatingPoint(
         phi=cfg.phi,
         phi0=cfg.phi0,
-        T=resp.T,
+        T=cfg._response.T,
         gamma=cfg.gamma0 / lor,
         g_omega0=g_00 * (1.0 - u * u) / (lor * lor),
         g_gamma0=g_00 * 2.0 * u / (lor * lor),
@@ -278,7 +296,7 @@ def exact_corrections(cfg: MosConfig) -> ExactCorrections:
     where T^2 is 0 (at t = 0, or at a t so small that T or T^2 underflows)
     or a result leaves the float range, at any gap.
     """
-    resp = synthetic_response(cfg.psi, cfg.mirror, cfg.membrane)
+    resp = cfg._response
     if any_true(resp.T ** 2 == 0.0):
         raise InvalidParameter(
             f"the exact corrections need a tandem transmission T with T^2 > 0, "
@@ -348,8 +366,7 @@ def resonance_residual(cfg: MosConfig, k, n_mode: int):
 def _mode_index(cfg: MosConfig) -> int:
     """Index n of the resonance 2 l k = pi + 2 pi n - mu(k x) nearest the
     configured k."""
-    mu0 = synthetic_response(cfg.psi, cfg.mirror, cfg.membrane).mu
-    return round((2.0 * cfg.l * cfg.k - math.pi + mu0) / TWO_PI)
+    return round((2.0 * cfg.l * cfg.k - math.pi + cfg._response.mu) / TWO_PI)
 
 
 def solve_resonance(cfg: MosConfig, n_mode: int | None = None) -> float:

@@ -29,10 +29,15 @@ bounded below by hbar^2/4 (reached only at xi = 0, A = 1).
 general_spectra is the library's one form of this linear model.  It makes
 one pass over the three ports in Python complex scalars, one frequency per
 call (on arrays this small, numpy's per-call overhead costs more than the
-arithmetic), and sums both spectra in it.  Its references live in
-tests/noise_reference.py: the intracavity and port-1 noise rows and the
-force row, which it equals bit for bit, and the drift and input matrices
-of the equations above, solved by numpy.
+arithmetic), and sums both spectra in it.  It skips the terms that are
+exact zeros: a closed port's, and at resonant drive (Delta = 0, where
+every design query runs) the off-diagonal entries of the drift inverse
+and each term they multiply.  A zero term changes a sum only in the sign
+of a zero, which abs() drops, so the skips keep every result.  Its
+references live in tests/noise_reference.py: the intracavity and port-1
+noise rows and the force row, which it equals bit for bit, errors
+included, and the drift and input matrices of the equations above,
+solved by numpy.
 
 The mechanical scale M and the three cooperativities given M live each in
 one private kernel that does arithmetic only, on floats or broadcast numpy
@@ -116,7 +121,10 @@ def general_spectra(
     decomposition in tests/noise_reference.py.  The inverse of the drift
     matrix is [[diag, xy], [yx, diag]], with diag = kappa/det,
     xy = -Delta/det and yx = Delta/det; det = Gamma^2/4 - w^2 + Delta^2
-    - i Gamma w vanishes only at Gamma = 0, which PortRates rejects.
+    - i Gamma w vanishes only at Gamma = 0, which PortRates rejects.  At
+    Delta = 0, with signals a0 g that do not overflow, xy, yx and every term
+    they multiply are zeros, so they are never formed: the sums keep their
+    values, and only the sign of a zero, which no result shows, may differ.
     Raises InvalidParameter where |det| leaves the normal float range (it
     has rounded to 0 or a subnormal, or overflowed) or a result leaves the
     float range (a gain that rounds to 0 included), ZeroCoupling when no
@@ -137,19 +145,29 @@ def general_spectra(
         det = kappa * kappa + drive.delta ** 2
         if not _NORMAL_MIN <= abs(det) <= _NORMAL_MAX:
             raise out_of_float_range("general_spectra", f"|det| = {abs(det):.6g}")
-        diag, xy, yx = kappa / det, -drive.delta / det, drive.delta / det
+        diag = kappa / det
         out1_scale = 2.0 * math.sqrt(rates.gamma1)
         signal_x, signal_y = drive.a0 * g_gamma0, drive.a0 * g_omega0
         cos_t, sin_t = math.cos(theta), math.sin(theta)
-        gain = abs(
-            cos_t * (out1_scale * (diag * signal_x + xy * signal_y))
-            + sin_t * (out1_scale * (yx * signal_x + diag * signal_y))
-        )
+        # at resonant drive xy and yx are zeros, and with finite signals so is
+        # every term they multiply; an infinite signal makes such a term
+        # 0 * inf = nan, which a skip would lose
+        resonant = drive.delta == 0.0 and math.isfinite(signal_x + signal_y)
+        if resonant:
+            gain = abs(cos_t * (out1_scale * (diag * signal_x))
+                       + sin_t * (out1_scale * (diag * signal_y)))
+        else:
+            xy, yx = -drive.delta / det, drive.delta / det
+            gain = abs(
+                cos_t * (out1_scale * (diag * signal_x + xy * signal_y))
+                + sin_t * (out1_scale * (yx * signal_x + diag * signal_y))
+            )
         if gain == 0.0:
             # no signal for a zero a0, gamma1 or pair of couplings, or at the
             # angle where it cancels, which the couplings scaled to a largest
             # magnitude of 1 cancel at too; else the gain only rounded to 0
             g_max = max(abs(g_omega0), abs(g_gamma0))
+            xy, yx = -drive.delta / det, drive.delta / det  # a resonant drive skipped them
             if (drive.a0 == 0.0 or rates.gamma1 == 0.0 or g_max == 0.0
                     or cos_t * (diag * (g_gamma0 / g_max) + xy * (g_omega0 / g_max))
                     + sin_t * (yx * (g_gamma0 / g_max) + diag * (g_omega0 / g_max)) == 0.0):
@@ -166,17 +184,25 @@ def general_spectra(
                 continue
             # the port's (X_in, Y_in) drive X with (diag, xy) amp, Y with (yx, diag) amp
             amp = math.sqrt(gamma) / 2.0
-            x_x, x_y, y_x = diag * amp, xy * amp, yx * amp
+            x_x = diag * amp
             out_diag = out1_scale * x_x
             if port == 0:  # X_out1 = 2 sqrt(gamma1) X - X_in1, likewise for Y
                 out_diag -= 1.0
-            m = abs(cos_t * out_diag + sin_t * (out1_scale * y_x))
-            s_out += m * m
-            m = abs(cos_t * (out1_scale * x_y) + sin_t * out_diag)
-            s_out += m * m
+            if resonant:
+                m = abs(cos_t * out_diag)
+                s_out += m * m
+                m = abs(sin_t * out_diag)
+                s_out += m * m
+                force_y = 0.0  # force_scale * x_y
+            else:
+                x_y, y_x = xy * amp, yx * amp
+                m = abs(cos_t * out_diag + sin_t * (out1_scale * y_x))
+                s_out += m * m
+                m = abs(cos_t * (out1_scale * x_y) + sin_t * out_diag)
+                s_out += m * m
+                force_y = force_scale * x_y
             m = abs(force_scale * x_x)
             s_ff += m * m
-            force_y = force_scale * x_y
             if port == 1 and g_gamma0 != 0.0:
                 force_y += -HBAR * drive.a0 * g_gamma0 / math.sqrt(rates.gamma2)
             m = abs(force_y)

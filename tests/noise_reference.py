@@ -4,9 +4,12 @@ tests compare independent evaluations.
 
 - The row decomposition (drift_inverse to reference_spectra) writes the
   intracavity, port-1 and force noise rows out over INPUT_BASIS in Python
-  complex scalars.  It makes the operations, in their order, that
-  general_spectra fuses into one pass over the ports, so the two agree bit
-  for bit, errors included.
+  complex scalars, every entry formed, the exact zeros too.  It makes the
+  operations, in their order, that general_spectra fuses into one pass
+  over the ports, where general_spectra skips the zeros of a closed port
+  and of a resonant drive (a zero term changes a sum only in the sign of
+  a zero, which abs() drops).  The two agree bit for bit, and raise the
+  same error class with the same message, in the same order.
 - linear_model states the module's equations as numpy matrices, and
   solve_outputs solves them with np.linalg.solve.  It agrees with
   general_spectra to rounding, and is the form the physics tests read.
@@ -31,7 +34,7 @@ def drift_inverse(rates, drive):
     kappa = complex(rates.total / 2.0, -drive.omega)
     det = kappa * kappa + drive.delta ** 2
     if not sys.float_info.min <= abs(det) <= sys.float_info.max:
-        raise InvalidParameter(f"general_spectra leaves the float range (|det| = {abs(det)})")
+        raise out_of_range(f"|det| = {abs(det):.6g}")
     return kappa / det, -drive.delta / det, drive.delta / det
 
 
@@ -92,16 +95,46 @@ def psd(coefficients):
     return total
 
 
+def out_of_range(cause):
+    """The InvalidParameter of a result that left the float range."""
+    return InvalidParameter(f"general_spectra leaves the float range ({cause})")
+
+
+def no_signal(inverse, rates, drive, g_omega0, g_gamma0, theta):
+    """The error of a gain that is 0: ZeroCoupling where no signal reaches
+    the homodyne quadrature (a zero a0, gamma1 or pair of couplings, or an
+    angle where the couplings scaled to a largest magnitude of 1 cancel
+    too), else the float-range error of a gain that only rounded to 0."""
+    g_max = max(abs(g_omega0), abs(g_gamma0))
+    if drive.a0 == 0.0 or rates.gamma1 == 0.0 or g_max == 0.0:
+        return ZeroCoupling(f"no signal transfer at homodyne angle theta={theta}")
+    diag, xy, yx = inverse
+    unit_x, unit_y = g_gamma0 / g_max, g_omega0 / g_max
+    if homodyne((diag * unit_x + xy * unit_y, yx * unit_x + diag * unit_y), theta) == 0.0:
+        return ZeroCoupling(f"no signal transfer at homodyne angle theta={theta}")
+    return out_of_range("gain = 0")
+
+
 def reference_spectra(rates, drive, g_omega0, g_gamma0, theta):
-    """(S_xx_imp, S_FF) through the row decomposition."""
-    inverse = drift_inverse(rates, drive)
-    gain = out1_gain(inverse, rates, drive, g_omega0, g_gamma0, theta)
-    if abs(gain) == 0.0:
-        raise ZeroCoupling("no signal transfer")
-    cos_t, sin_t = math.cos(theta), math.sin(theta)
-    rows = out1_noise_rows(inverse, rates)
-    s_xx = psd([cos_t * x + sin_t * y for x, y in zip(*rows)]) / abs(gain) ** 2
-    s_ff = psd(force_row(inverse, rates, drive, g_omega0, g_gamma0))
+    """(S_xx_imp, S_FF) through the row decomposition.  Errors, in order:
+    |det| out of the normal range, a gain of 0 (no_signal), a dissipative
+    coupling without port 2, then a ZeroDivisionError or OverflowError, or
+    a result that is not finite, as the float-range InvalidParameter."""
+    try:
+        inverse = drift_inverse(rates, drive)
+        gain = abs(out1_gain(inverse, rates, drive, g_omega0, g_gamma0, theta))
+        if gain == 0.0:
+            raise no_signal(inverse, rates, drive, g_omega0, g_gamma0, theta)
+        force = force_row(inverse, rates, drive, g_omega0, g_gamma0)
+        cos_t, sin_t = math.cos(theta), math.sin(theta)
+        rows = out1_noise_rows(inverse, rates)
+        s_xx = psd([cos_t * x + sin_t * y for x, y in zip(*rows)]) / gain ** 2
+        s_ff = psd(force)
+    except (ZeroDivisionError, OverflowError) as exc:
+        raise out_of_range(type(exc).__name__) from exc
+    for value in (s_xx, s_ff):
+        if not math.isfinite(value):
+            raise out_of_range(value)
     return s_xx, s_ff
 
 

@@ -2,7 +2,10 @@
 bracketing oracle, operating-point limits, finite-gap corrections against
 the brute-force resonance solver, and the two-port setpoint."""
 
+import copy
+import dataclasses
 import math
+import pickle
 from dataclasses import replace
 from fractions import Fraction
 
@@ -21,6 +24,7 @@ from optomech import (
     two_port_setpoint,
     zero_dispersive_locus,
 )
+from optomech import mos as mos_mod
 from optomech.constants import C_LIGHT
 from optomech.mos import dispersive_from_resonance, resonance_residual
 from optomech.numerics import central_diff_5pt
@@ -443,3 +447,82 @@ class TestConfigValidation:
         assert flags["t_m"] == 0.1
         weak = MosConfig(l=1e-4, wavelength=0.85e-6, t=0.005, t_m=0.1, x=0.0)
         assert weak.regime()["t_m_sq_below_t"] is False
+
+
+class TestAtPhi:
+    """at_phi copies a config and screens only its new gap; the copy equals
+    the config replace builds, and its tandem response is its own."""
+
+    @staticmethod
+    def replaced(cfg, phi):
+        return replace(cfg, x=cfg.x_tilde + phi / cfg.k)
+
+    @staticmethod
+    def round_trips(cfg):
+        return (copy.copy(cfg), copy.deepcopy(cfg), pickle.loads(pickle.dumps(cfg)))
+
+    @pytest.mark.parametrize("frac", [0.0, 1.0, -0.37])
+    @pytest.mark.parametrize("fields", [{}, {"N": 3, "phi_r": -2.0}])
+    def test_equals_the_replace_built_config(self, bench, frac, fields):
+        base = replace(bench, **fields)
+        operating_point(base)  # builds the elements and caches a response
+        phi = frac * base.phi0
+        got, want = base.at_phi(phi), self.replaced(base, phi)
+        assert got == want and hash(got) == hash(want) and repr(got) == repr(want)
+        assert got.x == want.x and got.k == want.k
+        for copied in self.round_trips(got):
+            assert copied == want and hash(copied) == hash(want) and repr(copied) == repr(want)
+        assert got.mirror is base.mirror and got.membrane is base.membrane
+        assert operating_point(got) == operating_point(want)
+        assert exact_corrections(got) == exact_corrections(want)
+
+    def test_an_array_phi_equals_the_replace_built_config(self, bench):
+        phi = np.linspace(-2.0, 2.0, 7) * bench.phi0
+        got, want = bench.at_phi(phi), self.replaced(bench, phi)
+        assert repr(got) == repr(want)
+        for cfg in (got, *self.round_trips(got)):
+            assert repr(cfg) == repr(want)
+            assert all(np.array_equal(getattr(cfg, f.name), getattr(want, f.name))
+                       for f in dataclasses.fields(MosConfig))
+            with pytest.raises(TypeError, match="unhashable"):
+                hash(cfg)
+        with pytest.raises(TypeError, match="unhashable"):
+            hash(want)
+        np.testing.assert_array_equal(operating_point(got).T, operating_point(want).T)
+
+    @pytest.mark.parametrize("phi", [math.nan, math.inf, -math.inf, -1.0,
+                                     np.array([0.0, math.nan]), np.array([-1.0, 0.0])])
+    def test_a_bad_gap_raises_the_replace_error(self, bench, phi):
+        # phi = -1 puts the gap 1 / k below x_tilde = pi / (4 k), so below 0
+        with pytest.raises(InvalidParameter) as got:
+            bench.at_phi(phi)
+        with pytest.raises(InvalidParameter) as want:
+            self.replaced(bench, phi)
+        assert type(got.value) is type(want.value) and str(got.value) == str(want.value)
+        assert str(got.value).startswith(("x must be finite", "x must be non-negative"))
+
+    def test_a_response_cached_at_one_gap_is_not_read_at_another(self, bench):
+        cfg = bench.at_phi(0.3 * bench.phi0)
+        first = operating_point(cfg)
+        moved = cfg.at_phi(-0.6 * bench.phi0)
+        fresh = synthetic_response(moved.psi, moved.mirror, moved.membrane)
+        assert operating_point(moved).T == fresh.T != first.T
+        assert exact_corrections(moved) == exact_corrections(self.replaced(cfg, -0.6 * bench.phi0))
+        assert operating_point(cfg) == first
+
+    def test_a_config_computes_its_response_once(self, bench, monkeypatch):
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return synthetic_response(*args)
+
+        monkeypatch.setattr(mos_mod, "synthetic_response", counted)
+        cfg = bench.at_phi(bench.phi0)
+        operating_point(cfg)
+        exact_corrections(cfg)
+        assert len(calls) == 1
+        mu = synthetic_response(cfg.psi, cfg.mirror, cfg.membrane).mu  # not counted
+        assert mos_mod._mode_index(cfg) == round(
+            (2.0 * cfg.l * cfg.k - math.pi + mu) / (2.0 * math.pi))
+        assert len(calls) == 1

@@ -3,6 +3,7 @@ forms, the backaction-imprecision product and its lower bound, homodyne
 optimality, and the cooperativity benchmarks."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -149,6 +150,60 @@ class TestFusedSpectra:
                         assert general_spectra(*args) == reference_spectra(*args)
                         cases += delta != 0.0
         assert cases > 100  # the detuned drift inverse is exercised
+
+    @staticmethod
+    def outcome(spectra, args):
+        """spectra(*args), or the class and message of the error it raises."""
+        try:
+            return spectra(*args)
+        except (InvalidParameter, ZeroCoupling) as exc:
+            return type(exc), str(exc)
+
+    # resonant drive, where general_spectra skips the zero off-diagonal terms:
+    # (rates, drive, g_omega0, g_gamma0, theta, the outcome's type)
+    RESONANT_ROWS = {
+        "delta -0.0": (PortRates(GAMMA, 0.7 * GAMMA, 0.2 * GAMMA),
+                       DriveConfig(delta=-0.0, omega=0.3 * GAMMA, a0=1.3), 1.1, 0.6, 0.5, tuple),
+        "gamma3 > 0": (PortRates(GAMMA, GAMMA, 0.4 * GAMMA),
+                       DriveConfig(omega=2.0 * GAMMA, a0=0.8), -2.0, 0.9, 2.1, tuple),
+        "static": (PortRates(0.5 * GAMMA, 1.5 * GAMMA), DriveConfig(), 0.3, -1.7, -0.4, tuple),
+        "port 2 closed, g_gamma0 = 0": (PortRates(GAMMA, 0.0, 0.3 * GAMMA),
+                                        DriveConfig(omega=0.3 * GAMMA), 1.2, 0.0, 1.0, tuple),
+        "port 2 closed, g_gamma0 != 0": (PortRates(GAMMA, 0.0, 0.3 * GAMMA),
+                                         DriveConfig(omega=0.3 * GAMMA), 1.2, 0.4, 1.0,
+                                         InvalidParameter),
+        # the port-2 error comes before the overflow of the noise rows ...
+        "port 2 closed, then an overflow": (PortRates(GAMMA, 0.0, 0.2 * GAMMA),
+                                            DriveConfig(omega=0.3 * GAMMA), 1e200, 1e200, 0.4,
+                                            InvalidParameter),
+        # ... and after a gain that cancels
+        "port 2 closed, gain cancels": (PortRates(GAMMA, 0.0, 0.2 * GAMMA),
+                                        DriveConfig(omega=0.3 * GAMMA, a0=1.3),
+                                        -math.cos(0.8), math.sin(0.8), 0.8, ZeroCoupling),
+        "gain cancels": (PortRates(GAMMA, GAMMA, 0.2 * GAMMA),
+                         DriveConfig(omega=0.3 * GAMMA, a0=1.3),
+                         -math.cos(0.8), math.sin(0.8), 0.8, ZeroCoupling),
+        # |force_scale x_x|^2 overflows
+        "couplings 1e200": (PortRates(GAMMA, GAMMA, 0.2 * GAMMA),
+                            DriveConfig(omega=0.3 * GAMMA), 1e200, 1e200, 0.4,
+                            InvalidParameter),
+        # a0 g overflows to inf, and every 0 * inf term is nan
+        "a0 g overflows": (PortRates(GAMMA, GAMMA, 0.2 * GAMMA),
+                           DriveConfig(omega=0.3 * GAMMA, a0=1e10), 1e300, 1e300, 0.4,
+                           InvalidParameter),
+    }
+
+    @pytest.mark.parametrize("row", RESONANT_ROWS)
+    def test_resonant_edge_rows_equal_the_row_decomposition(self, row):
+        *args, kind = self.RESONANT_ROWS[row]
+        got = self.outcome(general_spectra, args)
+        assert got == self.outcome(reference_spectra, args)
+        if kind is tuple:  # two spectra
+            assert all(isinstance(value, float) and value > 0.0 for value in got)
+        else:
+            assert got[0] is kind
+        plus = replace(args[1], delta=0.0)  # -0.0 and 0.0 give one outcome
+        assert self.outcome(general_spectra, (args[0], plus, *args[2:])) == got
 
     def test_errors_keep_their_order(self):
         # each case also breaks every later condition; the first one raised wins

@@ -1,6 +1,7 @@
 """Every dataclass of the package keeps its fields in slots, with no
 instance __dict__, except the three tandem configs, whose mirror and
-membrane are functools.cached_property values stored in one.  Each one
+membrane (and a MosConfig's tandem response) are functools.cached_property
+values stored in one.  Each one
 still pickles, deep-copies and goes through dataclasses.replace to an
 equal value with the same repr."""
 
@@ -19,7 +20,7 @@ import pytest
 import optomech
 from optomech import datasets, elements, mate, mos, msi, noise, validation
 
-#: the dataclasses that keep an instance __dict__ for their cached_property pair
+#: the dataclasses that keep an instance __dict__ for their cached_property values
 TANDEM_CONFIGS = {"elements.TandemCavity", "mos.MosConfig", "mate.MateConfig"}
 
 MOS = mos.MosConfig(l=1e-4, wavelength=0.85e-6, t=0.014, t_m=0.1, x=0.0)
